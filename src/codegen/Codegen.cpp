@@ -1003,7 +1003,7 @@ CompiledUnit codegen::compileFunctionUnit(
 
 CompileResult codegen::linkUnits(ir::Module &M,
                                  const std::vector<const CompiledUnit *> &Units) {
-  stats::PhaseTimer Timer("codegen");
+  stats::PhaseTimer Timer("codegen.link");
   CompileResult Result;
   const size_t NumUnits = Units.size();
   for (const CompiledUnit *U : Units)

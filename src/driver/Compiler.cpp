@@ -138,14 +138,10 @@ CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
         Scope.emplace(T);
       if (Opts.Optimize || Opts.Cse) {
         stats::PhaseTimer Timer("driver.optimize");
-        if (Opts.Optimize) {
-          stats::PhaseTimer T2("opt.metaeval");
+        if (Opts.Optimize)
           opt::metaEvaluate(F, Opts.Opt, RS);
-        }
-        if (Opts.Cse) {
-          stats::PhaseTimer T2("opt.cse");
+        if (Opts.Cse)
           opt::eliminateCommonSubexpressions(F, Opts.CseOpts, RS);
-        }
       }
       MF->Unit = codegen::compileFunctionUnit(M, F, CG, FuncIndex);
     }

@@ -177,7 +177,7 @@ private:
   unsigned PassRewrites = 0;
 
   void log(const char *Rule, const std::string &Before, const std::string &After,
-           std::string Detail = "") {
+           std::string Detail) {
     if (!Log)
       return;
     stats::Remark R;
@@ -192,6 +192,14 @@ private:
 
   std::string render(Node *N) { return backTranslateToString(F, N); }
 
+  /// Called by a rule just before its first mutation of \p N's subtree:
+  /// the rewrite will fire, so this is where its "before" text is rendered.
+  /// Rules that decline never pay for a rendering.
+  void commit(Node *N) {
+    if (Log && LastBefore.empty())
+      LastBefore = render(N);
+  }
+
   /// Applies \p Rule named \p Name; on success logs the rewrite and dirties
   /// the spine above the result. The replacement's parent chain still runs
   /// through the node it came out of (an extracted subtree) or is empty (a
@@ -200,20 +208,20 @@ private:
   /// dirty those themselves.
   template <typename RuleFn>
   Node *apply(const char *Name, Node *N, RuleFn Rule) {
-    std::string Before = Log ? render(N) : std::string();
     Node *R = Rule(N);
     if (!R)
       return nullptr;
+    assert((!Log || !LastBefore.empty()) && "rule fired without commit()");
     Changed = true;
     ++PassRewrites;
     dirtySpine(R);
-    if (Log && LastDetail.empty())
-      log(Name, Before, render(R));
-    else if (Log)
-      log(Name, Before, render(R), LastDetail);
+    if (Log)
+      log(Name, LastBefore, render(R), std::move(LastDetail));
+    LastBefore.clear();
     LastDetail.clear();
     return R;
   }
+  std::string LastBefore;
   std::string LastDetail;
 
   /// Effect/complexity queries for the rules: cached-incremental when the
@@ -312,6 +320,7 @@ private:
     if (!L || !L->Required.empty() || !L->Optionals.empty() || L->Rest ||
         !C->Args.empty())
       return nullptr;
+    commit(N);
     return L->Body;
   }
 
@@ -334,6 +343,7 @@ private:
         continue;
       if (!fx(C->Args[I]).eliminable())
         continue;
+      commit(N);
       detachSubtree(C->Args[I]);
       L->Required.erase(L->Required.begin() + I);
       C->Args.erase(C->Args.begin() + I);
@@ -385,6 +395,7 @@ private:
       if (!CanSubstitute)
         continue;
 
+      commit(N);
       for (size_t R = 0; R < Refs.size(); ++R) {
         Node *Replacement =
             R + 1 == Refs.size() ? Arg : cloneTree(F, Arg);
@@ -396,9 +407,10 @@ private:
       V->Written = false;
       L->Required.erase(L->Required.begin() + J);
       C->Args.erase(C->Args.begin() + J);
-      LastDetail = std::to_string(Refs.size()) + " substitution" +
-                   (Refs.size() == 1 ? "" : "s") + " for the variable " +
-                   V->name()->name() + " by " + render(Arg);
+      if (Log)
+        LastDetail = std::to_string(Refs.size()) + " substitution" +
+                     (Refs.size() == 1 ? "" : "s") + " for the variable " +
+                     V->name()->name() + " by " + render(Arg);
       return N;
     }
     return nullptr;
@@ -422,6 +434,7 @@ private:
     auto R = foldPrim(*P, Args, F.dataHeap(), F.symbols());
     if (!R)
       return nullptr;
+    commit(N);
     if (Opts.FaultConstantFold && P->Op == Prim::Add && R->isFixnum())
       R = Value::fixnum(R->fixnum() + 1);
     ++NumFolded;
@@ -437,6 +450,7 @@ private:
     const PrimInfo *P = lookupPrim(C->Name);
     if (!P || !P->Assoc || !P->Commut)
       return nullptr;
+    commit(N);
     size_t NArgs = C->Args.size();
     Node *Acc = F.makeCall(C->Name, {C->Args[NArgs - 1], C->Args[NArgs - 2]});
     for (size_t J = NArgs - 2; J > 0; --J)
@@ -457,24 +471,24 @@ private:
     bool IsDiv = P->Op == Prim::Div || P->Op == Prim::FDiv;
     if (!IsSub && !IsDiv)
       return nullptr;
+    if (C->Args.empty() || C->Args.size() == 2)
+      return nullptr;
+    commit(N);
     if (C->Args.size() > 2) {
       Node *Acc = F.makeCall(C->Name, {C->Args[0], C->Args[1]});
       for (size_t J = 2; J < C->Args.size(); ++J)
         Acc = F.makeCall(C->Name, {Acc, C->Args[J]});
       return Acc;
     }
-    if (C->Args.size() == 1 && IsSub) {
+    if (IsSub) {
       Prim NegOp = P->Op == Prim::Sub    ? Prim::Neg
                    : P->Op == Prim::FSub ? Prim::FNeg
                                          : Prim::XNeg;
       return F.makeCall(F.symbols().intern(primInfo(NegOp).Name), {C->Args[0]});
     }
-    if (C->Args.size() == 1 && IsDiv) {
-      Node *One = F.makeLiteral(P->Op == Prim::FDiv ? Value::flonum(1.0)
-                                                    : Value::fixnum(1));
-      return F.makeCall(C->Name, {One, C->Args[0]});
-    }
-    return nullptr;
+    Node *One = F.makeLiteral(P->Op == Prim::FDiv ? Value::flonum(1.0)
+                                                  : Value::fixnum(1));
+    return F.makeCall(C->Name, {One, C->Args[0]});
   }
 
   /// "By convention constant arguments are put first where possible."
@@ -488,6 +502,7 @@ private:
     if (C->Args[0]->kind() == NodeKind::Literal ||
         C->Args[1]->kind() != NodeKind::Literal)
       return nullptr;
+    commit(N);
     std::swap(C->Args[0], C->Args[1]);
     return N;
   }
@@ -526,11 +541,14 @@ private:
       return false;
     };
 
+    Node *Kept = nullptr;
     if (IsIdentity(C->Args[0]) && FloatSafe(C->Args[1]))
-      return C->Args[1];
-    if (IsIdentity(C->Args[1]) && FloatSafe(C->Args[0]))
-      return C->Args[0];
-    return nullptr;
+      Kept = C->Args[1];
+    else if (IsIdentity(C->Args[1]) && FloatSafe(C->Args[0]))
+      Kept = C->Args[0];
+    if (Kept)
+      commit(N);
+    return Kept;
   }
 
   /// sin$f/cos$f take radians; the S-1 SIN instruction takes cycles.
@@ -541,6 +559,7 @@ private:
     const PrimInfo *P = lookupPrim(C->Name);
     if (!P || (P->Op != Prim::FSin && P->Op != Prim::FCos))
       return nullptr;
+    commit(N);
     // 0.159154942 is the paper's single-precision approximation to 1/2pi.
     // The constant is emitted second; CONSIDER-REVERSING-ARGUMENTS then
     // moves it first, exactly as in the §7 transcript.
@@ -557,6 +576,7 @@ private:
       auto *Lit = dyn_cast<LiteralNode>(I->Test);
       if (!Lit)
         return nullptr;
+      commit(N);
       Node *Taken = Lit->Datum.isNil() ? I->Else : I->Then;
       detachSubtree(Lit->Datum.isNil() ? I->Then : I->Else);
       return Taken;
@@ -565,6 +585,7 @@ private:
       auto *Key = dyn_cast<LiteralNode>(C->Key);
       if (!Key)
         return nullptr;
+      commit(N);
       Node *Taken = C->Default;
       for (auto &Cl : C->Clauses) {
         bool Match = false;
@@ -594,6 +615,7 @@ private:
     if (auto *TI = dyn_cast<IfNode>(I->Then)) {
       if (analysis::equalTrees(TI->Test, I->Test) &&
           fx(TI->Test).duplicable()) {
+        commit(N);
         detachSubtree(TI->Test);
         detachSubtree(TI->Else);
         replaceChild(I, I->Then, TI->Then);
@@ -603,6 +625,7 @@ private:
     if (auto *EI = dyn_cast<IfNode>(I->Else)) {
       if (analysis::equalTrees(EI->Test, I->Test) &&
           fx(EI->Test).duplicable()) {
+        commit(N);
         detachSubtree(EI->Test);
         detachSubtree(EI->Then);
         replaceChild(I, I->Else, EI->Else);
@@ -620,6 +643,7 @@ private:
     auto *P = dyn_cast<PrognNode>(I->Test);
     if (!P || P->Forms.empty())
       return nullptr;
+    commit(N);
     Node *Last = P->Forms.back();
     P->Forms.pop_back();
     replaceChild(I, I->Test, Last);
@@ -642,6 +666,7 @@ private:
     if (!C || !C->CalleeExpr || !isSimpleLet(C))
       return nullptr;
     auto *L = cast<LambdaNode>(C->CalleeExpr);
+    commit(N);
     Node *P = L->Body;
     IfNode *NewIf = F.makeIf(P, I->Then, I->Else);
     L->Body = NewIf;
@@ -663,6 +688,7 @@ private:
     auto *Inner = dyn_cast<IfNode>(I->Test);
     if (!Inner)
       return nullptr;
+    commit(N);
 
     LambdaNode *Outer = F.makeLambda();
     Variable *Fv = F.makeVariable(F.symbols().intern("f"));
@@ -711,18 +737,20 @@ private:
     for (size_t J = 0; J < Flat.size(); ++J) {
       bool IsLast = J + 1 == Flat.size();
       if (!IsLast && fx(Flat[J]).eliminable()) {
+        commit(N);
         detachSubtree(Flat[J]);
         Mutated = true;
         continue;
       }
       Kept.push_back(Flat[J]);
     }
+    if (!Mutated && Kept.size() > 1)
+      return nullptr;
+    commit(N);
     if (Kept.empty())
       return F.makeNil();
     if (Kept.size() == 1)
       return Kept.front();
-    if (!Mutated)
-      return nullptr;
     P->Forms = std::move(Kept);
     for (Node *C : P->Forms)
       C->Parent = P;

@@ -6,18 +6,20 @@
 /// stack (§4.4), catch/throw unwinding, and the generic-arithmetic and
 /// list "SQ routines" compiled code calls into.
 ///
-/// Two execution engines share one runtime-service layer:
+/// Three execution engines share one runtime-service layer:
 ///
 ///  * **Legacy** — the original interpretive switch over s1::Instruction,
 ///    decoding operand modes on every step. Kept as the semantic baseline
-///    the pre-decoded engine is differentially tested against.
+///    the other engines are differentially tested against.
 ///  * **Threaded** (default) — executes the pre-decoded internal form
 ///    (vm/Predecode.h): labels stripped, branch targets resolved, operand
 ///    modes fused into specialized handlers, dispatched by computed goto
 ///    where the compiler supports it (portable switch fallback behind the
 ///    S1LISP_THREADED_DISPATCH CMake option).
+///  * **Native** — the x86-64 block compiler (vm/Jit.h) over the same
+///    pre-decoded form; hosts without it fall back to Threaded.
 ///
-/// Both engines retire **bit-identical architectural counters**
+/// All three engines retire **bit-identical architectural counters**
 /// (Instructions, Movs, PerOpcode, SpecialSearchSteps, ...) — the
 /// measurements behind every benchmark table in EXPERIMENTS.md — which is
 /// asserted over fuzzed programs by tests/vm/EngineEquivalenceTest.
