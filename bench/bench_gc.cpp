@@ -1,21 +1,26 @@
-//===- bench/bench_gc.cpp - Generational collector cost curves ------------===//
+//===- bench/bench_gc.cpp - Collector cost curves -------------------------===//
 //
 // Drives the examples/gc/ workloads through the interpreter's generational
 // heap at millions of conses and reports the three numbers that describe a
 // collector: allocation rate (how fast the mutator conses with the
 // collector disabled), pause distribution (the histogram and maximum the
 // heap records per collection), and the mutator-throughput-vs-heap-budget
-// curve (how much throughput each halving of the budget costs). Every run
-// checks its workload's closed-form checksum, so a collector bug shows up
-// as a wrong answer here before it shows up as a slow one.
+// curve (how much throughput each halving of the budget costs). Then it
+// runs the same programs compiled, on the threaded and native engines,
+// with vm::Machine's word-heap collector off and under a heap budget, and
+// fails if native map-chain under the budget takes over 1.5x its GC-off
+// time. Every run checks its workload's closed-form checksum, so a
+// collector bug shows up as a wrong answer here before it shows up as a
+// slow one.
 //
 // Table rows land in BENCH_gc.json for the CI artifact diff; the
-// google-benchmark loops at the end give wall-clock numbers for the same
-// shapes at reduced sizes.
+// google-benchmark loops at the end give wall-clock numbers for the
+// interpreter shapes at reduced sizes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "vm/Jit.h"
 
 #include <benchmark/benchmark.h>
 
@@ -113,6 +118,102 @@ uint64_t consPerSec(const Measured &M) {
   return M.Sec > 0 ? static_cast<uint64_t>(M.Conses / M.Sec) : 0;
 }
 
+//===----------------------------------------------------------------------===//
+// The compiled-code collector: vm::Machine's word-heap mark-sweep.
+//===----------------------------------------------------------------------===//
+
+/// The end-to-end benchmark's `run` sizes and budget: each sample calls
+/// the workload Reps times at N on a fresh Machine.
+struct VmWorkload {
+  const Workload &W;
+  int64_t N;
+  int Reps;
+};
+const VmWorkload VmWorkloads[] = {
+    {Workloads[0], 600, 16}, {Workloads[1], 40, 6}, {Workloads[2], 500, 40}};
+constexpr uint64_t VmBudgetBytes = 256u << 10;
+
+struct VmMeasured {
+  double BestNs = 1e300;
+  vm::MachineStats Stats;
+  uint64_t PauseNs = 0;
+};
+
+/// Best of five samples. Each sample takes a fresh Machine (a collector-off
+/// heap only grows), pays the native tier's compile in an untimed n=0
+/// call, then times Reps calls, checking every checksum.
+VmMeasured timeVm(const VmWorkload &V, vm::Engine Eng, uint64_t BudgetBytes) {
+  Compiled C = compileOrDie(slurp(V.W.File));
+  auto Decoded = vm::predecode(C.Program);
+  std::string Want = std::to_string(V.W.Golden(V.N));
+  VmMeasured Out;
+  for (int Sample = 0; Sample < 5; ++Sample) {
+    vm::Machine VM(C.Program, C.M->Syms, C.M->DataHeap);
+    VM.setDecodedProgram(Decoded);
+    VM.setEngine(Eng);
+    VM.setFuel(4'000'000'000ull);
+    VM.setGcBudget(BudgetBytes);
+    VM.call(V.W.Fn, {fx(0)});
+    VM.resetStats();
+    auto Start = std::chrono::steady_clock::now();
+    for (int Rep = 0; Rep < V.Reps; ++Rep) {
+      auto R = VM.call(V.W.Fn, {fx(V.N)});
+      if (!R.Ok || !R.Result || sexpr::toString(*R.Result) != Want) {
+        fprintf(stderr, "%s (%s) failed: %s\n", V.W.Name, vm::engineName(Eng),
+                R.Ok ? "checksum mismatch" : R.Error.c_str());
+        abort();
+      }
+    }
+    double Ns = std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - Start)
+                    .count();
+    if (Ns < Out.BestNs) {
+      Out.BestNs = Ns;
+      Out.Stats = VM.stats();
+      Out.PauseNs = VM.gcPauseNs();
+    }
+  }
+  return Out;
+}
+
+/// Returns the native GC-on / GC-off time ratio on map-chain (0 when the
+/// native tier is unavailable).
+double printVmTable(JsonReport &Report) {
+  tableHeader("Compiled-code collector: vm::Machine word heap, GC off vs a "
+              "256 KB budget");
+  printf("%-15s %-9s %11s %11s %8s %6s %12s %12s\n", "workload", "engine",
+         "off ms", "budget ms", "on/off", "runs", "reclaimed", "pause ms");
+  std::vector<vm::Engine> Engines = {vm::Engine::Threaded};
+  if (vm::jitAvailable())
+    Engines.push_back(vm::Engine::Native);
+  double MapChainNativeRatio = 0;
+  for (const VmWorkload &V : VmWorkloads) {
+    for (vm::Engine Eng : Engines) {
+      VmMeasured Off = timeVm(V, Eng, 0);
+      VmMeasured On = timeVm(V, Eng, VmBudgetBytes);
+      double Ratio = On.BestNs / Off.BestNs;
+      printf("%-15s %-9s %11.2f %11.2f %7.2fx %6" PRIu64 " %12" PRIu64
+             " %12.2f\n",
+             V.W.Name, vm::engineName(Eng), Off.BestNs / 1e6, On.BestNs / 1e6,
+             Ratio, On.Stats.GcRuns, On.Stats.GcWordsReclaimed,
+             On.PauseNs / 1e6);
+      std::string P =
+          std::string("vm.") + V.W.Name + "." + vm::engineName(Eng);
+      Report.add(P + ".gc_off_ns", static_cast<uint64_t>(Off.BestNs));
+      Report.add(P + ".gc_on_ns", static_cast<uint64_t>(On.BestNs));
+      Report.add(P + ".gc_on_over_off_x100",
+                 static_cast<uint64_t>(Ratio * 100));
+      Report.add(P + ".gc_runs", On.Stats.GcRuns);
+      Report.add(P + ".gc_words_reclaimed", On.Stats.GcWordsReclaimed);
+      Report.add(P + ".heap_words_used", On.Stats.HeapWordsUsed);
+      Report.add(P + ".gc_pause_ns", On.PauseNs);
+      if (Eng == vm::Engine::Native && std::string(V.W.Name) == "map-chain")
+        MapChainNativeRatio = Ratio;
+    }
+  }
+  return MapChainNativeRatio;
+}
+
 int printTable() {
   JsonReport Report("gc");
 
@@ -188,7 +289,17 @@ int printTable() {
     Report.add(P + ".pause_ns_total", M.Gc.PauseNsTotal);
   }
 
+  double MapChainNativeRatio = printVmTable(Report);
   Report.write();
+  // Under a budget the compiled code pays for free-list reuse, block
+  // bookkeeping and collections; keep that within half the GC-off time.
+  if (MapChainNativeRatio > 1.5) {
+    fprintf(stderr,
+            "FATAL: native map-chain under a 256 KB budget takes %.2fx its "
+            "GC-off time (expected <= 1.5x)\n",
+            MapChainNativeRatio);
+    return 1;
+  }
   return 0;
 }
 

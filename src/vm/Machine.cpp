@@ -8,6 +8,7 @@
 #include "stats/Stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +30,8 @@ S1_STAT(VmGcRuns, "vm.gc.runs", "word-heap collections");
 S1_STAT(VmGcWordsReclaimed, "vm.gc.words.reclaimed",
         "heap words reclaimed by the collector");
 S1_STAT(VmGcPauseNs, "vm.gc.pause.ns", "total collection pause nanoseconds");
+S1_STAT(VmGcPauseMaxNs, "vm.gc.pause.max_ns",
+        "longest collection pause in nanoseconds");
 S1_STAT(VmJitConsHits, "jit.cons.fast.hits",
         "cons cells bump-allocated by the native tier's inline fast path");
 S1_STAT(VmJitConsMisses, "jit.cons.fast.misses",
@@ -157,43 +160,93 @@ uint64_t Machine::trueWord() {
   return CachedTWord;
 }
 
+namespace {
+
+// BlockHeader packs a block's size above its 8-bit tag.
+static_assert(HeapWords < (1ull << 24), "block sizes must fit a header");
+
+uint32_t blockHeader(Tag T, uint64_t NWords) {
+  return static_cast<uint32_t>(NWords << 8) | static_cast<uint8_t>(T);
+}
+Tag headerTag(uint32_t H) { return static_cast<Tag>(H & 0xFF); }
+uint64_t headerWords(uint32_t H) { return H >> 8; }
+
+} // namespace
+
 uint64_t Machine::allocate(Tag T, uint64_t NWords) {
-  if (gcEnabled()) {
-    if (GcInterval && ++AllocsSinceGc >= GcInterval)
-      GcPending = true;
-    // Exact-size LIFO reuse keeps addresses deterministic across engines.
-    auto FIt = FreeBySize.find(NWords);
-    uint64_t Addr;
-    if (FIt != FreeBySize.end() && !FIt->second.empty()) {
-      Addr = FIt->second.back();
-      FIt->second.pop_back();
-      for (uint64_t J = 0; J < NWords; ++J)
-        Memory[Addr + J] = 0;
-    } else {
-      if (HeapTop + NWords > HeapBase + HeapWords) {
-        Halted = true;
-        return NilWord;
-      }
-      Addr = HeapTop;
-      HeapTop += NWords;
+  if (!gcEnabled()) {
+    if (NWords > HeapBase + HeapWords - HeapTop) {
+      Halted = true;
+      return NilWord;
     }
-    Blocks[Addr] = BlockInfo{T, static_cast<uint32_t>(NWords), false};
-    LiveWords += NWords;
-    if (GcBudgetWords && LiveWords >= GcBudgetWords)
-      GcPending = true;
+    uint64_t Addr = HeapTop;
+    HeapTop += NWords;
     ++Stats.HeapObjects;
     Stats.HeapWordsUsed += NWords;
     return makePointer(T, Addr);
   }
-  if (HeapTop + NWords > HeapBase + HeapWords) {
-    Halted = true;
-    return NilWord;
+  if (GcInterval && ++AllocsSinceGc >= GcInterval)
+    GcPending = true;
+  // Exact-size LIFO reuse keeps addresses deterministic across engines.
+  uint64_t Addr = popFree(NWords);
+  if (Addr) {
+    std::fill_n(&Memory[Addr], NWords, 0);
+  } else {
+    if (NWords > HeapBase + HeapWords - HeapTop) {
+      Halted = true;
+      return NilWord;
+    }
+    Addr = HeapTop;
+    HeapTop += NWords;
+    if (HeapTop - HeapBase > BlockHeader.size())
+      growBlockTables(HeapTop - HeapBase);
   }
-  uint64_t Addr = HeapTop;
-  HeapTop += NWords;
+  // A zero-word block owns no word to mark, free, or link through, so it
+  // is not recorded; on a full heap its address is one past every table.
+  if (NWords) {
+    uint64_t Off = Addr - HeapBase;
+    StartBits[Off / 64] |= 1ull << (Off % 64);
+    BlockHeader[Off] = blockHeader(T, NWords);
+  }
+  LiveWords += NWords;
+  if (GcBudgetWords && LiveWords >= GcBudgetWords)
+    GcPending = true;
   ++Stats.HeapObjects;
   Stats.HeapWordsUsed += NWords;
   return makePointer(T, Addr);
+}
+
+void Machine::growBlockTables(uint64_t Words) {
+  uint64_t N = std::max<uint64_t>({Words, 2 * BlockHeader.size(), 1024});
+  N = std::min<uint64_t>((N + 63) / 64 * 64, HeapWords);
+  BlockHeader.resize(N);
+  StartBits.resize(N / 64);
+  MarkBits.resize(N / 64);
+}
+
+uint64_t Machine::popFree(uint64_t NWords) {
+  if (NWords < SmallBlockWords) {
+    uint64_t Addr = FreeHead[NWords];
+    if (Addr)
+      FreeHead[NWords] = Memory[Addr];
+    return Addr;
+  }
+  auto It = LargeFreeHead.find(NWords);
+  if (It == LargeFreeHead.end())
+    return 0;
+  uint64_t Addr = It->second;
+  if (Memory[Addr])
+    It->second = Memory[Addr];
+  else
+    LargeFreeHead.erase(It);
+  return Addr;
+}
+
+void Machine::pushFree(uint64_t Addr, uint64_t NWords) {
+  uint64_t &Head =
+      NWords < SmallBlockWords ? FreeHead[NWords] : LargeFreeHead[NWords];
+  Memory[Addr] = Head;
+  Head = Addr;
 }
 
 void Machine::markWord(uint64_t W, std::vector<uint64_t> &Work) {
@@ -202,18 +255,25 @@ void Machine::markWord(uint64_t W, std::vector<uint64_t> &Work) {
       static_cast<uint8_t>(T) > static_cast<uint8_t>(Tag::Environment))
     return;
   uint64_t A = addrOf(W);
-  if (A < HeapBase || A >= HeapTop)
+  if (A < HeapBase || A >= HeapTop || A - HeapBase >= BlockHeader.size())
     return;
-  // Floor lookup: certified (§6.3) and otherwise derived pointers may be
-  // interior to their block.
-  auto It = Blocks.upper_bound(A);
-  if (It == Blocks.begin())
+  // Certified (§6.3) and otherwise derived pointers may be interior to
+  // their block: scan back to the nearest block start.
+  uint64_t Off = A - HeapBase;
+  uint64_t I = Off / 64;
+  uint64_t Bits = StartBits[I] & (~0ull >> (63 - Off % 64));
+  while (!Bits) {
+    if (I == 0)
+      return;
+    Bits = StartBits[--I];
+  }
+  uint64_t Start = I * 64 + std::bit_width(Bits) - 1;
+  uint64_t Bit = 1ull << (Start % 64);
+  if (Off >= Start + headerWords(BlockHeader[Start]) ||
+      (MarkBits[Start / 64] & Bit))
     return;
-  --It;
-  if (A >= It->first + It->second.NWords || It->second.Marked)
-    return;
-  It->second.Marked = true;
-  Work.push_back(It->first);
+  MarkBits[Start / 64] |= Bit;
+  Work.push_back(Start);
 }
 
 void Machine::collectGarbage() {
@@ -247,16 +307,16 @@ void Machine::collectGarbage() {
   markWord(CachedTWord, Work);
 
   while (!Work.empty()) {
-    uint64_t A = Work.back();
+    uint64_t Off = Work.back();
     Work.pop_back();
-    const BlockInfo &B = Blocks.find(A)->second;
-    switch (B.T) {
+    uint32_t H = BlockHeader[Off];
+    switch (headerTag(H)) {
     case Tag::Cons:
     case Tag::Symbol:
     case Tag::Function:
     case Tag::Environment:
-      for (uint32_t J = 0; J < B.NWords; ++J)
-        markWord(Memory[A + J], Work);
+      for (uint64_t J = 0; J < headerWords(H); ++J)
+        markWord(Memory[HeapBase + Off + J], Work);
       break;
     default:
       // Raw payloads (flonums, ratios, strings, float arrays): their bit
@@ -265,18 +325,21 @@ void Machine::collectGarbage() {
     }
   }
 
+  // Ascending address order, as the free lists' LIFO reuse order depends
+  // on it.
   uint64_t Reclaimed = 0;
-  for (auto It = Blocks.begin(); It != Blocks.end();) {
-    if (It->second.Marked) {
-      It->second.Marked = false;
-      ++It;
-      continue;
+  for (size_t I = 0; I < StartBits.size(); ++I) {
+    uint64_t Dead = StartBits[I] & ~MarkBits[I];
+    StartBits[I] = MarkBits[I]; // marks are only ever set on start bits
+    MarkBits[I] = 0;
+    for (; Dead; Dead &= Dead - 1) {
+      uint64_t Off = I * 64 + std::countr_zero(Dead);
+      uint32_t H = BlockHeader[Off];
+      if (headerTag(H) == Tag::String)
+        StringContents.erase(HeapBase + Off);
+      pushFree(HeapBase + Off, headerWords(H));
+      Reclaimed += headerWords(H);
     }
-    if (It->second.T == Tag::String)
-      StringContents.erase(It->first);
-    FreeBySize[It->second.NWords].push_back(It->first);
-    Reclaimed += It->second.NWords;
-    It = Blocks.erase(It);
   }
   LiveWords -= Reclaimed;
   ++Stats.GcRuns;
@@ -424,6 +487,7 @@ void Machine::publishStats() const {
   VmGcRuns += Stats.GcRuns;
   VmGcWordsReclaimed += Stats.GcWordsReclaimed;
   VmGcPauseNs += GcPauseNs;
+  VmGcPauseMaxNs.updateMax(GcPauseNsMax);
   VmJitConsHits += JitConsHits;
   VmJitConsMisses += JitConsMisses;
 }

@@ -41,7 +41,6 @@
 
 #include <array>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -250,6 +249,9 @@ private:
   // addresses deterministic across engines.
   void collectGarbage();
   void markWord(uint64_t W, std::vector<uint64_t> &Work);
+  void growBlockTables(uint64_t Words);
+  uint64_t popFree(uint64_t NWords);
+  void pushFree(uint64_t Addr, uint64_t NWords);
 
   const s1::Program &P;
   sexpr::SymbolTable &Syms;
@@ -290,17 +292,26 @@ private:
   const JitProgram *ActiveJit = nullptr;
   std::string NativeError; ///< syscall trap text staged by the JIT shim
 
-  /// Live heap blocks by base address (only maintained when gcEnabled()):
-  /// the tag decides which words are traced, interior pointers resolve by
-  /// floor lookup.
-  struct BlockInfo {
-    s1::Tag T;
-    uint32_t NWords;
-    bool Marked;
-  };
-  std::map<uint64_t, BlockInfo> Blocks;
-  /// Freed block addresses keyed by exact size, reused LIFO.
-  std::map<uint64_t, std::vector<uint64_t>> FreeBySize;
+  /// Side tables over the word heap, indexed by word offset from HeapBase
+  /// and grown with HeapTop (never sized to the whole heap up front: the
+  /// fuzzer builds thousands of Machines). Only blocks allocated while
+  /// gcEnabled() with at least one word are recorded.
+  ///  * StartBits: set where a live block begins. Interior pointers
+  ///    resolve by scanning backward to the nearest set bit.
+  ///  * MarkBits: set on a block's start bit once marking reaches it;
+  ///    the sweep frees `start & ~mark` in ascending address order.
+  ///  * BlockHeader: `NWords << 8 | tag` of the block at each start bit;
+  ///    the tag decides which words are traced.
+  std::vector<uint64_t> StartBits;
+  std::vector<uint64_t> MarkBits;
+  std::vector<uint32_t> BlockHeader;
+  /// Freed blocks, reused LIFO by exact size: each links to the next free
+  /// block of its size through its first word (0 ends a list). Heads for
+  /// small sizes sit in a flat array; larger sizes are hashed, so a freed
+  /// large array adds one entry however many words it has.
+  static constexpr uint64_t SmallBlockWords = 64;
+  std::array<uint64_t, SmallBlockWords> FreeHead{};
+  std::unordered_map<uint64_t, uint64_t> LargeFreeHead;
   /// Words handed to the host (makeArrayF) — permanent roots.
   std::vector<uint64_t> HostPinned;
   uint64_t GcInterval = 0;    ///< collect every N allocations; 0 = never

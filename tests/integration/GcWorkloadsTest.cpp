@@ -13,6 +13,7 @@
 #include "frontend/Convert.h"
 #include "interp/Interp.h"
 #include "sexpr/Printer.h"
+#include "vm/Jit.h"
 #include "vm/Machine.h"
 
 #include <gtest/gtest.h>
@@ -32,21 +33,32 @@ std::string slurp(const std::string &Name) {
   return Buf.str();
 }
 
+/// The compiled collector's counters after three calls at N on one Machine
+/// under a GcBudgetBytes budget.
+struct BudgetGolden {
+  int64_t N;
+  uint64_t GcRuns, GcWordsReclaimed, HeapWordsUsed;
+};
+constexpr uint64_t GcBudgetBytes = 16u << 10;
+
 struct Workload {
   const char *File;
   const char *Fn;
   int64_t (*Golden)(int64_t N); // closed-form checksum
   int64_t MainValue;            // value of (main) at the file's built-in size
+  BudgetGolden Budget;
 };
 
 int64_t sumSquares(int64_t N) { return N * (N - 1) * (2 * N - 1) / 6; }
 
 const Workload Workloads[] = {
-    {"assoc.lisp", "alist-workload", sumSquares, 85344},
+    {"assoc.lisp", "alist-workload", sumSquares, 85344, {200, 1, 1600, 2401}},
     {"append-reverse.lisp", "append-reverse-workload",
-     [](int64_t N) { return N * (N * (N + 1) / 2); }, 936},
+     [](int64_t N) { return N * (N * (N + 1) / 2); }, 936,
+     {20, 55, 43440, 45721}},
     {"map-chain.lisp", "map-chain-workload",
-     [](int64_t N) { return 3 * (sumSquares(N) + N); }, 31344},
+     [](int64_t N) { return 3 * (sumSquares(N) + N); }, 31344,
+     {200, 5, 6416, 8419}},
 };
 
 std::string interpRun(const std::string &Src, const std::string &Fn,
@@ -110,6 +122,37 @@ TEST_P(GcWorkloads, MainMatchesDocumentedChecksum) {
   std::string Want = std::to_string(W.MainValue);
   EXPECT_EQ(interpRun(Src, "main", {}, 0), Want) << W.File;
   EXPECT_EQ(compiledRun(Src, "main", {}, 0), Want) << W.File;
+}
+
+TEST_P(GcWorkloads, CompiledCollectorCountersUnderBudget) {
+  // Budget-triggered collection, pinned to exact counters on every engine:
+  // what the collector traces, frees and charges against the budget must
+  // not drift when its data structures change.
+  const Workload &W = Workloads[GetParam()];
+  ir::Module M;
+  auto Out = driver::compileSource(M, slurp(W.File));
+  ASSERT_TRUE(Out.Ok) << Out.Error;
+  std::string Want = std::to_string(W.Golden(W.Budget.N));
+  std::vector<vm::Engine> Engines = {vm::Engine::Legacy,
+                                     vm::Engine::Threaded};
+  if (vm::jitAvailable())
+    Engines.push_back(vm::Engine::Native);
+  for (vm::Engine Eng : Engines) {
+    vm::Machine VM(Out.Program, M.Syms, M.DataHeap);
+    VM.setEngine(Eng);
+    VM.setGcBudget(GcBudgetBytes);
+    for (int Call = 0; Call < 3; ++Call) {
+      auto R = VM.call(W.Fn, {Value::fixnum(W.Budget.N)});
+      ASSERT_TRUE(R.Ok && R.Result) << W.File << ": " << R.Error;
+      EXPECT_EQ(sexpr::toString(*R.Result), Want) << W.File;
+    }
+    const char *Name = vm::engineName(Eng);
+    EXPECT_EQ(VM.stats().GcRuns, W.Budget.GcRuns) << W.File << " " << Name;
+    EXPECT_EQ(VM.stats().GcWordsReclaimed, W.Budget.GcWordsReclaimed)
+        << W.File << " " << Name;
+    EXPECT_EQ(VM.stats().HeapWordsUsed, W.Budget.HeapWordsUsed)
+        << W.File << " " << Name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GcWorkloads,

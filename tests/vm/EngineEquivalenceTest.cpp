@@ -44,13 +44,26 @@ struct EngineRun {
   vm::MachineStats Stats;
 };
 
+/// When the word-heap collector runs: every N allocations, or whenever
+/// the live heap reaches a budget. All zero turns it off.
+struct GcSchedule {
+  uint64_t Every = 0;
+  uint64_t BudgetBytes = 0;
+};
+
+std::string describe(GcSchedule S) {
+  return S.BudgetBytes ? "heap-budget=" + std::to_string(S.BudgetBytes)
+                       : "gc-every=" + std::to_string(S.Every);
+}
+
 EngineRun runOn(const s1::Program &P, ir::Module &M, const std::string &Entry,
                 const std::vector<Value> &Args, vm::Engine Eng,
-                bool DetailedStats = true, uint64_t GcEvery = 0) {
+                bool DetailedStats = true, GcSchedule Gc = {}) {
   vm::Machine VM(P, M.Syms, M.DataHeap);
   VM.setEngine(Eng);
   VM.setDetailedStats(DetailedStats);
-  VM.setGcEvery(GcEvery);
+  VM.setGcEvery(Gc.Every);
+  VM.setGcBudget(Gc.BudgetBytes);
   VM.setFuel(2'000'000);
   vm::Machine::RunResult R = VM.call(Entry, Args);
   EngineRun Out;
@@ -96,18 +109,18 @@ std::string diffStats(const vm::MachineStats &L, const vm::MachineStats &T,
 void expectEquivalent(const std::string &Source, const std::string &Entry,
                       const std::vector<Value> &Args,
                       const driver::CompilerOptions &Opts = {},
-                      uint64_t GcEvery = 0) {
+                      GcSchedule Gc = {}) {
   ir::Module M;
   driver::CompileOutcome Out = driver::compileSource(M, Source, Opts);
   ASSERT_TRUE(Out.Ok) << Out.Error;
   EngineRun L = runOn(Out.Program, M, Entry, Args, vm::Engine::Legacy,
-                      /*DetailedStats=*/true, GcEvery);
+                      /*DetailedStats=*/true, Gc);
   for (vm::Engine Eng : enginesUnderTest()) {
     if (Eng == vm::Engine::Legacy)
       continue;
     const char *Name = vm::engineName(Eng);
     EngineRun T = runOn(Out.Program, M, Entry, Args, Eng,
-                        /*DetailedStats=*/true, GcEvery);
+                        /*DetailedStats=*/true, Gc);
     ASSERT_EQ(L.Ok, T.Ok) << "legacy: " << L.Text << "\n"
                           << Name << ": " << T.Text;
     if (L.Ok)
@@ -168,55 +181,60 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalence,
 
 //===----------------------------------------------------------------------===//
 // GC-forced tier: the same equivalence with the word-heap collector
-// running mid-program. Collections fire at an instruction boundary all
-// engines share (the JIT emits a GcPending safepoint check before every
-// instruction when a schedule is set), so values, error classes, and
-// every counter — including GcRuns and GcWordsReclaimed — must stay
-// bit-identical.
+// running mid-program, on a forced schedule and under a live-heap budget.
+// Collections fire at an instruction boundary all engines share (the JIT
+// emits a GcPending safepoint check before every instruction when a
+// schedule is set), so values, error classes, and every counter —
+// including GcRuns and GcWordsReclaimed — must stay bit-identical.
 //===----------------------------------------------------------------------===//
 
 class EngineEquivalenceGc : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(EngineEquivalenceGc, FuzzSeedsAgreeUnderForcedCollections) {
   std::vector<vm::Engine> Engines = enginesUnderTest();
+  const GcSchedule Schedules[] = {{1, 0}, {7, 0}, {0, 64}, {0, 512}};
+  uint64_t BudgetRuns = 0;
   for (unsigned Seed = GetParam(); Seed < GetParam() + BatchSize; ++Seed) {
     fuzz::Generator G(Seed, {});
     fuzz::GeneratedProgram P = G.generate();
     ir::Module M;
     driver::CompileOutcome Out = driver::compileSource(M, P.Source, {});
     ASSERT_TRUE(Out.Ok) << "seed " << Seed << ": " << Out.Error;
-    for (uint64_t GcEvery : {1, 7}) {
+    for (GcSchedule Gc : Schedules) {
+      std::string Sched = describe(Gc);
       for (size_t Row = 0; Row < P.ArgGrid.size(); ++Row) {
         EngineRun L = runOn(Out.Program, M, P.Entry, P.ArgGrid[Row],
-                            vm::Engine::Legacy, true, GcEvery);
+                            vm::Engine::Legacy, true, Gc);
+        if (Gc.BudgetBytes)
+          BudgetRuns += L.Stats.GcRuns;
         for (vm::Engine Eng : Engines) {
           if (Eng == vm::Engine::Legacy)
             continue;
           const char *Name = vm::engineName(Eng);
           EngineRun T = runOn(Out.Program, M, P.Entry, P.ArgGrid[Row], Eng,
-                              true, GcEvery);
+                              true, Gc);
           ASSERT_EQ(L.Ok, T.Ok)
-              << "seed " << Seed << " row " << Row << " gc-every=" << GcEvery
+              << "seed " << Seed << " row " << Row << " " << Sched
               << "\n  legacy: " << L.Text << "\n  " << Name << ": " << T.Text
               << "\n"
               << P.Source;
           if (L.Ok)
             EXPECT_EQ(L.Text, T.Text) << "seed " << Seed << " row " << Row
-                                      << " gc-every=" << GcEvery << " engine "
-                                      << Name;
+                                      << " " << Sched << " engine " << Name;
           else
             EXPECT_EQ(fuzz::classifyError(L.Text), fuzz::classifyError(T.Text))
-                << "seed " << Seed << " row " << Row << " gc-every=" << GcEvery
+                << "seed " << Seed << " row " << Row << " " << Sched
                 << "\n  legacy: " << L.Text << "\n  " << Name << ": "
                 << T.Text;
           EXPECT_EQ(diffStats(L.Stats, T.Stats, "legacy", Name), "")
-              << "seed " << Seed << " row " << Row << " gc-every=" << GcEvery
-              << "\n"
+              << "seed " << Seed << " row " << Row << " " << Sched << "\n"
               << P.Source;
         }
       }
     }
   }
+  // The budget rows must exercise budget-triggered collection at all.
+  EXPECT_GT(BudgetRuns, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalenceGc,
@@ -288,7 +306,7 @@ TEST(EngineEquivalenceFixed, ListChurnWithCollectionEveryAllocation) {
                    "  (let ((s 0)) (dotimes (i n)"
                    "    (setq s (+ s (length (reverse (list i (+ i 1) (+ i 2)))))))"
                    "  s))",
-                   "churn", {Value::fixnum(200)}, {}, /*GcEvery=*/1);
+                   "churn", {Value::fixnum(200)}, {}, {/*Every=*/1, 0});
 }
 
 TEST(EngineEquivalenceFixed, CollectionsActuallyRanAndReclaimed) {
@@ -298,13 +316,15 @@ TEST(EngineEquivalenceFixed, CollectionsActuallyRanAndReclaimed) {
          "  (let ((s 0)) (dotimes (i n)"
          "    (setq s (+ s (length (reverse (list i i i)))))) s))");
   ASSERT_TRUE(Out.Ok) << Out.Error;
-  for (vm::Engine Eng : enginesUnderTest()) {
-    EngineRun R = runOn(Out.Program, M, "churn", {Value::fixnum(300)}, Eng,
-                        true, /*GcEvery=*/8);
-    ASSERT_TRUE(R.Ok) << R.Text;
-    EXPECT_EQ(R.Text, "900");
-    EXPECT_GT(R.Stats.GcRuns, 0u);
-    EXPECT_GT(R.Stats.GcWordsReclaimed, 0u);
+  for (GcSchedule Gc : {GcSchedule{8, 0}, GcSchedule{0, 256}}) {
+    for (vm::Engine Eng : enginesUnderTest()) {
+      EngineRun R = runOn(Out.Program, M, "churn", {Value::fixnum(300)}, Eng,
+                          true, Gc);
+      ASSERT_TRUE(R.Ok) << R.Text;
+      EXPECT_EQ(R.Text, "900");
+      EXPECT_GT(R.Stats.GcRuns, 0u) << describe(Gc);
+      EXPECT_GT(R.Stats.GcWordsReclaimed, 0u) << describe(Gc);
+    }
   }
 }
 

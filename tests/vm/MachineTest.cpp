@@ -2,13 +2,15 @@
 //
 // Drives the S-1/64 simulator with hand-assembled programs, independent of
 // the compiler, to pin down the execution model: frame discipline, tail
-// calls, syscalls, encode/decode, certification, and traps.
+// calls, syscalls, encode/decode, certification, traps, and the word-heap
+// collector's side tables.
 //
 //===----------------------------------------------------------------------===//
 
 #include "vm/Machine.h"
 
 #include "sexpr/Printer.h"
+#include "vm/Jit.h"
 
 #include <functional>
 #include <gtest/gtest.h>
@@ -247,6 +249,164 @@ TEST_F(MachineTest, PerOpcodeCounters) {
   // prologue/epilogue helper.
   EXPECT_EQ(M.stats().Movs, 6u);
   EXPECT_GT(M.stats().Instructions, 6u);
+}
+
+//===----------------------------------------------------------------------===//
+// Word-heap collector side tables. Every program runs on a fresh Machine,
+// so its first block starts at HeapBase (bitmap offset 0), with a
+// collection after every allocation, on every engine.
+//===----------------------------------------------------------------------===//
+
+class MachineGcTest : public MachineTest {
+protected:
+  /// Assembles \p Body into a zero-argument function named "gc" and
+  /// hands \p Check a fresh Machine per engine.
+  void forEachEngine(const std::function<void(AsmFunction &)> &Body,
+                     const std::function<void(Machine &)> &Check) {
+    Program P;
+    P.Functions.push_back(makeFunction("gc", 0, 0, Body));
+    std::vector<Engine> Engines = {Engine::Legacy, Engine::Threaded};
+    if (jitAvailable())
+      Engines.push_back(Engine::Native);
+    for (Engine E : Engines) {
+      SCOPED_TRACE(engineName(E));
+      Machine M = makeMachine(P);
+      M.setEngine(E);
+      M.setGcEvery(1);
+      Check(M);
+    }
+  }
+};
+
+void emit(AsmFunction &F, Opcode Op, Operand A = {}, Operand B = {},
+          Operand X = {}) {
+  Instruction I;
+  I.Op = Op;
+  I.A = A;
+  I.B = B;
+  I.X = X;
+  F.emit(I);
+}
+
+void alloc(AsmFunction &F, uint8_t Dst, Tag T, int64_t NWords) {
+  emit(F, Opcode::ALLOC, Operand::reg(Dst),
+       Operand::imm(static_cast<int64_t>(T)), Operand::imm(NWords));
+}
+
+void clear(AsmFunction &F, uint8_t R) {
+  emit(F, Opcode::MOV, Operand::reg(R), Operand::imm(0));
+}
+
+/// RV := fixnum(raw(A) - raw(B)): the word distance between two pointers.
+void returnDistance(AsmFunction &F, uint8_t A, uint8_t B) {
+  emit(F, Opcode::MOV, Operand::reg(RV), Operand::reg(A));
+  emit(F, Opcode::SUB, Operand::reg(RV), Operand::reg(B));
+  emit(F, Opcode::PUSH, Operand::reg(RV));
+  emit(F, Opcode::SYSCALL,
+       Operand::imm(static_cast<int64_t>(Syscall::ConsFixnum)),
+       Operand::imm(0), Operand::imm(0));
+}
+
+TEST_F(MachineGcTest, InteriorPointerKeepsBlockAlive) {
+  forEachEngine(
+      [](AsmFunction &F) {
+        alloc(F, 8, Tag::Environment, 8); // A
+        alloc(F, 9, Tag::Cons, 2);        // C, reachable only through A
+        emit(F, Opcode::MOV, Operand::mem(8, 7), Operand::reg(9));
+        clear(F, 9);
+        emit(F, Opcode::MOV, Operand::reg(10), Operand::reg(8));
+        emit(F, Opcode::ADD, Operand::reg(10), Operand::imm(5));
+        clear(F, 8); // only the pointer into A's middle is left
+        alloc(F, 11, Tag::Environment, 8); // B
+        alloc(F, 11, Tag::ArrayF, 1);      // drops B; collects
+        alloc(F, 12, Tag::Environment, 8); // reuses B, not A
+        returnDistance(F, 12, 10);
+      },
+      [](Machine &M) {
+        auto R = M.call("gc", {});
+        ASSERT_TRUE(R.Ok) << R.Error;
+        EXPECT_EQ(M.stats().GcWordsReclaimed, 8u) << "only B is garbage";
+        // A at 0, C at 8, B at 10: B's reuse sits 5 words past A + 5.
+        EXPECT_EQ(R.Result->fixnum(), 5);
+      });
+}
+
+TEST_F(MachineGcTest, BlockAcrossBitmapWordIsMarkedAndFreedWhole) {
+  forEachEngine(
+      [](AsmFunction &F) {
+        alloc(F, 8, Tag::ArrayF, 60); // words 0-59
+        alloc(F, 9, Tag::ArrayF, 10); // S: words 60-69, across 64
+        emit(F, Opcode::MOV, Operand::reg(10), Operand::reg(9));
+        emit(F, Opcode::ADD, Operand::reg(10), Operand::imm(6)); // word 66
+        clear(F, 9);
+        alloc(F, 11, Tag::ArrayF, 10); // collects: word 66 must keep S
+        alloc(F, 12, Tag::ArrayF, 10); // so this one is fresh, at 80
+        clear(F, 10);
+        alloc(F, 13, Tag::ArrayF, 1);  // collects: S dies
+        alloc(F, 14, Tag::ArrayF, 10); // reuses all of S, at 60
+        returnDistance(F, 14, 12);
+      },
+      [](Machine &M) {
+        auto R = M.call("gc", {});
+        ASSERT_TRUE(R.Ok) << R.Error;
+        EXPECT_EQ(M.stats().GcWordsReclaimed, 10u);
+        EXPECT_EQ(R.Result->fixnum(), -20);
+      });
+}
+
+TEST_F(MachineGcTest, ZeroWordAllocAtHeapTop) {
+  forEachEngine(
+      [](AsmFunction &F) {
+        alloc(F, 8, Tag::ArrayF, static_cast<int64_t>(HeapWords) - 2);
+        alloc(F, 9, Tag::ArrayF, 2); // the heap is now exactly full
+        alloc(F, 10, Tag::ArrayF, 0);
+        clear(F, 9);
+        alloc(F, 11, Tag::ArrayF, 0); // collects the 2-word block
+        alloc(F, 12, Tag::ArrayF, 2); // fits only by reusing it
+        returnDistance(F, 12, 8);
+      },
+      [](Machine &M) {
+        auto R = M.call("gc", {});
+        ASSERT_TRUE(R.Ok) << R.Error;
+        EXPECT_EQ(M.stats().GcWordsReclaimed, 2u);
+        EXPECT_EQ(M.stats().HeapWordsUsed, HeapWords + 2);
+        EXPECT_EQ(R.Result->fixnum(), static_cast<int64_t>(HeapWords) - 2);
+      });
+}
+
+TEST_F(MachineGcTest, SweptStringDropsItsContents) {
+  forEachEngine([](AsmFunction &) {}, [this](Machine &M) {
+    // Encoded after the schedule is set, so tracked; nothing roots it,
+    // and the call's first instruction boundary collects.
+    uint64_t W = M.encode(H.string("hi"));
+    ASSERT_EQ(sexpr::toString(*M.decode(W)), "\"hi\"");
+    ASSERT_TRUE(M.call("gc", {}).Ok);
+    EXPECT_EQ(M.stats().GcWordsReclaimed, 1u);
+    EXPECT_FALSE(M.decode(W)) << "stale string contents";
+    EXPECT_EQ(M.encode(H.string("bye")), W);
+    EXPECT_EQ(sexpr::toString(*M.decode(W)), "\"bye\"");
+  });
+}
+
+TEST_F(MachineGcTest, SameSizeReuseIsLifo) {
+  forEachEngine(
+      [](AsmFunction &F) {
+        alloc(F, 8, Tag::Cons, 2);  // A
+        alloc(F, 9, Tag::Cons, 2);  // B stays live
+        alloc(F, 10, Tag::Cons, 2); // C
+        clear(F, 8);
+        clear(F, 10);
+        alloc(F, 11, Tag::ArrayF, 1); // collects: frees A, then C
+        alloc(F, 12, Tag::Cons, 2);   // most recently freed: C
+        alloc(F, 13, Tag::Cons, 2);   // then A
+        returnDistance(F, 12, 13);
+      },
+      [](Machine &M) {
+        auto R = M.call("gc", {});
+        ASSERT_TRUE(R.Ok) << R.Error;
+        EXPECT_EQ(M.stats().GcWordsReclaimed, 4u);
+        EXPECT_EQ(R.Result->fixnum(), 4);
+      });
 }
 
 } // namespace

@@ -52,11 +52,14 @@ const char *UsageText =
     "                      (same output; warm daemons reuse cached units)\n"
     "\n"
     "Garbage collection (--run / --interp):\n"
-    "  --gc-every=N        collect the runtime heap every N cons\n"
-    "                      allocations (0 = never, the default); results\n"
+    "  --gc-every=N        collect the runtime heap every N allocations\n"
+    "                      (0 = never, the default): conses under --interp,\n"
+    "                      every word-heap object (conses, boxed numbers,\n"
+    "                      closures, environments) under --run; results\n"
     "                      are identical with or without collections\n"
-    "  --heap-budget=BYTES tenured-generation budget; allocation pressure\n"
-    "                      and budget overruns trigger collections\n"
+    "  --heap-budget=BYTES collect when the heap outgrows BYTES: the\n"
+    "                      tenured generation under --interp, the live\n"
+    "                      word heap under --run\n"
     "  --gc-verify         re-verify the heap after every collection\n"
     "                      (debugging aid; aborts on corruption)\n"
     "\n"
@@ -99,7 +102,7 @@ struct CliOptions {
   std::string RemarksFile; ///< empty: none; "-": stdout
   bool Transcript = false;
   uint64_t GcEvery = 0;   ///< 0 = never collect (grow-only, the default)
-  uint64_t HeapBudget = 0; ///< tenured budget in bytes; 0 = unbounded
+  uint64_t HeapBudget = 0; ///< heap budget in bytes; 0 = unbounded
   bool GcVerify = false;
 };
 
