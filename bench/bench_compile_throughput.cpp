@@ -6,11 +6,7 @@
 //  * -O0 versus -O1+CSE at jobs=1 — the cost of the §5 optimizer;
 //  * the per-function pipeline at jobs 1/2/4/hw — parallel scaling
 //    (degenerate on a single-core host, where every parallel row is
-//    serial throughput plus scheduling overhead);
-//  * the allocator/analysis ablation at jobs=1 — heap nodes + full
-//    per-pass re-analysis (the recompute-the-world baseline), arena
-//    nodes + full re-analysis, and arena + incremental re-analysis
-//    (the default).
+//    serial throughput plus scheduling overhead).
 //
 // The frontend runs once; every timed repetition deep-clones the
 // converted module outside the timer, so the numbers isolate the
@@ -21,7 +17,6 @@
 #include "BenchUtil.h"
 
 #include "fuzz/Generator.h"
-#include "support/Arena.h"
 
 #include <benchmark/benchmark.h>
 
@@ -44,9 +39,8 @@ constexpr double ScalingFloor = 2.0;
 std::string generateSource() {
   fuzz::GenOptions GO;
   GO.Helpers = Helpers;
-  // Larger bodies than the fuzz default: the baseline optimizer's
-  // per-query effect/complexity walks are linear in the body, so the
-  // incremental-analysis delta only shows on non-trivial trees.
+  // Larger bodies than the fuzz default, so the optimizer has non-trivial
+  // trees to rewrite.
   GO.MaxDepth = 6;
   GO.SizeBudget = 400;
   fuzz::Generator G(Seed, GO);
@@ -69,11 +63,10 @@ ir::Module &baseModule() {
   return BaseM;
 }
 
-driver::CompilerOptions optConfig(unsigned Jobs, bool Incremental) {
+driver::CompilerOptions optConfig(unsigned Jobs) {
   driver::CompilerOptions O;
   O.Cse = true;
   O.Jobs = Jobs;
-  O.Opt.IncrementalAnalysis = Incremental;
   return O;
 }
 
@@ -100,34 +93,6 @@ double timeRowNs(const driver::CompilerOptions &Opts) {
   return Best;
 }
 
-/// Best-of-Reps wall time for the source-level optimizer (meta-evaluation
-/// + CSE) alone over every function of the module. The allocator/analysis
-/// ablation only touches this phase — node allocation during rewrites and
-/// the re-analysis after each rewrite — so timing it in isolation keeps
-/// the codegen back end (identical across the ablation rows) from
-/// drowning the delta in scheduling noise.
-double timeOptNs(bool Incremental) {
-  const ir::Module &BaseM = baseModule();
-  opt::OptOptions OO;
-  OO.IncrementalAnalysis = Incremental;
-  opt::CseOptions CO;
-  double Best = 0;
-  for (unsigned R = 0; R <= Reps; ++R) {
-    ir::Module M;
-    BaseM.clone(M);
-    auto Start = std::chrono::steady_clock::now();
-    for (auto &F : M.functions()) {
-      opt::metaEvaluate(*F, OO, nullptr);
-      opt::eliminateCommonSubexpressions(*F, CO, nullptr);
-    }
-    auto End = std::chrono::steady_clock::now();
-    double Ns = std::chrono::duration<double, std::nano>(End - Start).count();
-    if (R > 0 && (Best == 0 || Ns < Best)) // first rep is warm-up
-      Best = Ns;
-  }
-  return Best;
-}
-
 int printTable() {
   unsigned Hw = std::max(1u, std::thread::hardware_concurrency());
   const size_t Forms = baseModule().functions().size();
@@ -147,12 +112,12 @@ int printTable() {
     O0.Optimize = false;
     Rows.push_back({"o0_serial", O0});
   }
-  Rows.push_back({"o1_jobs1", optConfig(1, true)});
+  Rows.push_back({"o1_jobs1", optConfig(1)});
   unsigned PrevJ = 1;
   for (unsigned J : {2u, 4u, Hw}) {
     if (J <= PrevJ)
       continue; // dedup when hardware_concurrency lands on a swept value
-    Rows.push_back({"o1_jobs" + std::to_string(J), optConfig(J, true)});
+    Rows.push_back({"o1_jobs" + std::to_string(J), optConfig(J)});
     PrevJ = J;
   }
   int Status = 0;
@@ -192,48 +157,13 @@ int printTable() {
     }
   }
 
-  // Allocator × analysis ablation over the optimizer phase alone, jobs=1.
-  printf("optimizer-phase ablation (meta-eval + CSE only):\n");
-  struct AblRow {
-    std::string Name;
-    bool HeapNodes;
-    bool Incremental;
-  };
-  AblRow AblRows[] = {
-      {"heap_full_j1", true, false},
-      {"arena_full_j1", false, false},
-      {"arena_incr_j1", false, true},
-  };
-  double HeapFullNs = 0, ArenaIncrNs = 0;
-  for (const AblRow &R : AblRows) {
-    if (R.HeapNodes)
-      NodeArena::setBumpEnabled(false);
-    double Ns = timeOptNs(R.Incremental);
-    if (R.HeapNodes)
-      NodeArena::setBumpEnabled(true);
-    double PerSec = static_cast<double>(Forms) / (Ns / 1e9);
-    printf("%-18s %6u %12.0f %14.1f\n", R.Name.c_str(), 1u, PerSec, Ns / 1e6);
-    Report.add(R.Name + ".jobs", 1);
-    Report.add(R.Name + ".forms_per_sec", static_cast<uint64_t>(PerSec));
-    Report.add(R.Name + ".wall_ns", static_cast<uint64_t>(Ns));
-    if (R.Name == "heap_full_j1")
-      HeapFullNs = Ns;
-    if (R.Name == "arena_incr_j1")
-      ArenaIncrNs = Ns;
-  }
-  if (ArenaIncrNs > 0) {
-    double Speedup = HeapFullNs / ArenaIncrNs;
-    printf("arena+incremental: %.2fx over heap+full at 1 job\n", Speedup);
-    Report.add("arena_incremental_speedup_x100",
-               static_cast<uint64_t>(Speedup * 100));
-  }
   Report.write();
   return Status;
 }
 
 void BM_CompileSerial(benchmark::State &State) {
   const ir::Module &BaseM = baseModule();
-  driver::CompilerOptions Opts = optConfig(1, true);
+  driver::CompilerOptions Opts = optConfig(1);
   for (auto _ : State) {
     ir::Module M;
     BaseM.clone(M);
@@ -245,7 +175,7 @@ BENCHMARK(BM_CompileSerial);
 void BM_CompileParallel(benchmark::State &State) {
   const ir::Module &BaseM = baseModule();
   driver::CompilerOptions Opts =
-      optConfig(std::max(1u, std::thread::hardware_concurrency()), true);
+      optConfig(std::max(1u, std::thread::hardware_concurrency()));
   for (auto _ : State) {
     ir::Module M;
     BaseM.clone(M);

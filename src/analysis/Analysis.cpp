@@ -5,12 +5,6 @@
 #include "ir/Primitives.h"
 #include "stats/Stats.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <string_view>
-#include <unordered_set>
-
 S1_STAT(NumAnalyzeRuns, "analysis.runs", "full re-analyses of a function tree");
 
 using namespace s1lisp;
@@ -129,93 +123,6 @@ unsigned analysis::complexityOf(const Node *N) {
 
 namespace {
 
-/// Node-local effect recomputation from the children's *cached* values.
-/// Mirrors effectsOf case for case; the only recursion is through the
-/// annotations, so re-deriving one node is O(children).
-EffectInfo localEffects(const Node *N) {
-  EffectInfo E;
-  switch (N->kind()) {
-  case NodeKind::Literal:
-    return E;
-  case NodeKind::VarRef: {
-    const Variable *V = cast<VarRefNode>(N)->Var;
-    if (V->isSpecial() || V->Written)
-      E.Bits |= EffectReads;
-    return E;
-  }
-  case NodeKind::Setq:
-    E = cast<SetqNode>(N)->ValueExpr->Ann.Effects;
-    E.Bits |= EffectWrites;
-    return E;
-  case NodeKind::If:
-  case NodeKind::Progn:
-  case NodeKind::Caseq:
-  case NodeKind::ProgBody:
-  case NodeKind::Catcher:
-    forEachChild(N, [&E](const Node *C) { E |= C->Ann.Effects; });
-    return E;
-  case NodeKind::Lambda:
-    E.Bits |= EffectAllocates;
-    return E;
-  case NodeKind::Go:
-  case NodeKind::Return:
-    E.Bits |= EffectControl;
-    if (const auto *R = dyn_cast<ReturnNode>(N))
-      E |= R->ValueExpr->Ann.Effects;
-    return E;
-  case NodeKind::Call: {
-    const auto *C = cast<CallNode>(N);
-    for (const Node *A : C->Args)
-      E |= A->Ann.Effects;
-    if (C->CalleeExpr) {
-      if (const auto *L = dyn_cast<LambdaNode>(C->CalleeExpr)) {
-        for (const auto &O : L->Optionals)
-          if (O.Default)
-            E |= O.Default->Ann.Effects;
-        E |= L->Body->Ann.Effects;
-      } else {
-        E |= C->CalleeExpr->Ann.Effects;
-        E.Bits |= EffectUnknownCall;
-      }
-      return E;
-    }
-    if (const PrimInfo *P = lookupPrim(C->Name)) {
-      E |= P->Effects;
-      return E;
-    }
-    E.Bits |= EffectUnknownCall | EffectWrites | EffectReads |
-              EffectAllocates | EffectControl;
-    return E;
-  }
-  }
-  return E;
-}
-
-unsigned localComplexity(const Node *N) {
-  unsigned Weight = 1;
-  switch (N->kind()) {
-  case NodeKind::Call:
-    Weight = cast<CallNode>(N)->Name && lookupPrim(cast<CallNode>(N)->Name)
-                 ? 2
-                 : 5;
-    break;
-  case NodeKind::Caseq:
-    Weight = 4;
-    break;
-  case NodeKind::Lambda:
-    Weight = 3;
-    break;
-  case NodeKind::Catcher:
-    Weight = 4;
-    break;
-  default:
-    break;
-  }
-  unsigned Total = Weight;
-  forEachChild(N, [&Total](const Node *C) { Total += C->Ann.Complexity; });
-  return Total;
-}
-
 void markTails(Node *N, bool Tail) {
   N->Ann.Tail = Tail;
   switch (N->kind()) {
@@ -308,84 +215,8 @@ void analysis::analyze(Function &F) {
   forEachNode(static_cast<Node *>(F.Root), [](Node *N) {
     N->Ann.Effects = effectsOf(N);
     N->Ann.Complexity = complexityOf(N);
-    N->Dirty = false;
   });
   analyzeTails(F);
-}
-
-void analysis::ensureAnalyzed(Node *N) {
-  if (!N->Dirty)
-    return;
-  forEachChild(N, [](Node *C) { ensureAnalyzed(C); });
-  N->Ann.Effects = localEffects(N);
-  N->Ann.Complexity = localComplexity(N);
-  N->Dirty = false;
-}
-
-EffectInfo analysis::effectsOfCached(Node *N) {
-  ensureAnalyzed(N);
-  return N->Ann.Effects;
-}
-
-unsigned analysis::complexityOfCached(Node *N) {
-  ensureAnalyzed(N);
-  return N->Ann.Complexity;
-}
-
-bool analysis::verifyAnalysisRequested() {
-  static const bool Requested = [] {
-    const char *V = getenv("S1LISP_VERIFY_ANALYSIS");
-    return V && std::string_view(V) != "0";
-  }();
-  return Requested;
-}
-
-void analysis::verifyIncremental(Function &F) {
-  // Clean nodes must carry exactly what a from-scratch walk derives.
-  forEachNode(static_cast<Node *>(F.Root), [&F](Node *N) {
-    if (N->Dirty)
-      return;
-    EffectInfo Pure = effectsOf(N);
-    unsigned Cx = complexityOf(N);
-    if (N->Ann.Effects.Bits != Pure.Bits || N->Ann.Complexity != Cx) {
-      fprintf(stderr,
-              "S1LISP_VERIFY_ANALYSIS: stale cache on %s in '%s': effects "
-              "%02x cached vs %02x full, complexity %u cached vs %u full\n",
-              nodeKindName(N->kind()), F.name().c_str(), N->Ann.Effects.Bits,
-              Pure.Bits, N->Ann.Complexity, Cx);
-      abort();
-    }
-  });
-
-  // Referent lists and Written flags must match a fresh tree walk exactly
-  // (as multisets — incremental maintenance may order refs differently).
-  std::unordered_map<const Variable *, std::vector<const Node *>> Fresh;
-  std::unordered_set<const Variable *> FreshWritten;
-  forEachNode(static_cast<const Node *>(F.Root), [&](const Node *N) {
-    if (const auto *VR = dyn_cast<VarRefNode>(N)) {
-      Fresh[VR->Var].push_back(N);
-    } else if (const auto *SQ = dyn_cast<SetqNode>(N)) {
-      Fresh[SQ->Var].push_back(N);
-      FreshWritten.insert(SQ->Var);
-    }
-  });
-  for (const Variable *V : F.variables()) {
-    auto It = Fresh.find(V);
-    std::vector<const Node *> Want =
-        It == Fresh.end() ? std::vector<const Node *>() : It->second;
-    std::vector<const Node *> Have(V->Refs.begin(), V->Refs.end());
-    std::sort(Want.begin(), Want.end());
-    std::sort(Have.begin(), Have.end());
-    bool WantWritten = FreshWritten.count(V) != 0;
-    if (Have != Want || V->Written != WantWritten) {
-      fprintf(stderr,
-              "S1LISP_VERIFY_ANALYSIS: stale referent list for %s in '%s': "
-              "%zu refs tracked vs %zu in tree, written %d vs %d\n",
-              V->debugName().c_str(), F.name().c_str(), Have.size(),
-              Want.size(), int(V->Written), int(WantWritten));
-      abort();
-    }
-  }
 }
 
 bool analysis::equalTrees(const Node *A, const Node *B) {

@@ -29,29 +29,6 @@ unsigned complexityOf(const ir::Node *N);
 /// Ann.Complexity, and Ann.Tail, and rebuilding variable referent lists.
 void analyze(ir::Function &F);
 
-/// Incremental re-analysis (§5's "incremental re-analysis"): recomputes
-/// Ann.Effects and Ann.Complexity for \p N and any dirty descendants from
-/// the cached values of clean subtrees, then clears the dirty bits. Relies
-/// on the spine invariant the IR mutators maintain — a clean node's entire
-/// subtree cache is valid — so a clean node is skipped without recursing.
-void ensureAnalyzed(ir::Node *N);
-
-/// Cached effect/complexity queries: ensureAnalyzed, then read the
-/// annotation. The meta-evaluator's rules use these instead of the pure
-/// recursive walks when incremental analysis is on.
-ir::EffectInfo effectsOfCached(ir::Node *N);
-unsigned complexityOfCached(ir::Node *N);
-
-/// Debug cross-check: compares every clean node's cached Ann.Effects /
-/// Ann.Complexity against a from-scratch recompute, and every Variable's
-/// referent list and Written flag against a fresh tree walk. Prints a
-/// diagnostic and aborts on any divergence.
-void verifyIncremental(ir::Function &F);
-
-/// True when the S1LISP_VERIFY_ANALYSIS environment variable requests the
-/// cross-check (set to anything but "0"); cached per process.
-bool verifyAnalysisRequested();
-
 /// Marks Ann.Tail: a node is in tail position when its value is the value
 /// of the enclosing lambda. Calls marked Tail compile as jumps.
 void analyzeTails(ir::Function &F);

@@ -40,11 +40,6 @@ uint64_t driver::optionsFingerprint(const CompilerOptions &O) {
   B(O.Opt.DeadCode);
   U(O.Opt.DuplicationLimit);
   U(O.Opt.MaxPasses);
-  // IncrementalAnalysis/VerifyAnalysis don't change output, but keeping
-  // them in the key costs only a cold cache when they flip — and keeps
-  // "equal fingerprint => identical compile" trivially true.
-  B(O.Opt.IncrementalAnalysis);
-  B(O.Opt.VerifyAnalysis);
   B(O.Opt.FaultConstantFold);
   U(O.CseOpts.MinComplexity);
   U(O.CseOpts.MaxRounds);

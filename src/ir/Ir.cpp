@@ -111,10 +111,6 @@ Variable *Function::makeVariable(const sexpr::Symbol *Name, bool Special) {
 }
 
 namespace {
-template <typename T> T *track(size_t &Tally, T *N) {
-  ++Tally;
-  return N;
-}
 void adopt(Node *Parent, Node *Child) {
   if (Child)
     Child->Parent = Parent;
@@ -122,32 +118,25 @@ void adopt(Node *Parent, Node *Child) {
 } // namespace
 
 LiteralNode *Function::makeLiteral(sexpr::Value V) {
-  return track(NodeTally, A.create<LiteralNode>(V));
+  return A.create<LiteralNode>(V);
 }
 
 VarRefNode *Function::makeVarRef(Variable *Var) {
-  VarRefNode *N = track(NodeTally, A.create<VarRefNode>(Var));
+  VarRefNode *N = A.create<VarRefNode>(Var);
   Var->Refs.push_back(N);
   return N;
 }
 
 SetqNode *Function::makeSetq(Variable *Var, Node *ValueExpr) {
-  SetqNode *N = track(NodeTally, A.create<SetqNode>(Var, ValueExpr));
+  SetqNode *N = A.create<SetqNode>(Var, ValueExpr);
   adopt(N, ValueExpr);
   Var->Refs.push_back(N);
-  if (!Var->Written) {
-    // The first write flips this variable's reads from pure to effectful,
-    // so any cached analysis above them is stale.
-    Var->Written = true;
-    for (Node *R : Var->Refs)
-      if (R != N)
-        dirtySpine(R);
-  }
+  Var->Written = true;
   return N;
 }
 
 IfNode *Function::makeIf(Node *Test, Node *Then, Node *Else) {
-  IfNode *N = track(NodeTally, A.create<IfNode>(Test, Then, Else));
+  IfNode *N = A.create<IfNode>(Test, Then, Else);
   adopt(N, Test);
   adopt(N, Then);
   adopt(N, Else);
@@ -155,23 +144,23 @@ IfNode *Function::makeIf(Node *Test, Node *Then, Node *Else) {
 }
 
 PrognNode *Function::makeProgn(std::vector<Node *> Forms) {
-  PrognNode *N = track(NodeTally, A.create<PrognNode>(std::move(Forms)));
+  PrognNode *N = A.create<PrognNode>(std::move(Forms));
   for (Node *C : N->Forms)
     adopt(N, C);
   return N;
 }
 
-LambdaNode *Function::makeLambda() { return track(NodeTally, A.create<LambdaNode>()); }
+LambdaNode *Function::makeLambda() { return A.create<LambdaNode>(); }
 
 CallNode *Function::makeCall(const sexpr::Symbol *Name, std::vector<Node *> Args) {
-  CallNode *N = track(NodeTally, A.create<CallNode>(Name, nullptr, std::move(Args)));
+  CallNode *N = A.create<CallNode>(Name, nullptr, std::move(Args));
   for (Node *C : N->Args)
     adopt(N, C);
   return N;
 }
 
 CallNode *Function::makeCallExpr(Node *Callee, std::vector<Node *> Args) {
-  CallNode *N = track(NodeTally, A.create<CallNode>(nullptr, Callee, std::move(Args)));
+  CallNode *N = A.create<CallNode>(nullptr, Callee, std::move(Args));
   adopt(N, Callee);
   for (Node *C : N->Args)
     adopt(N, C);
@@ -180,7 +169,7 @@ CallNode *Function::makeCallExpr(Node *Callee, std::vector<Node *> Args) {
 
 CaseqNode *Function::makeCaseq(Node *Key, std::vector<CaseqNode::Clause> Clauses,
                                Node *Default) {
-  CaseqNode *N = track(NodeTally, A.create<CaseqNode>(Key, std::move(Clauses), Default));
+  CaseqNode *N = A.create<CaseqNode>(Key, std::move(Clauses), Default);
   adopt(N, Key);
   for (auto &C : N->Clauses)
     adopt(N, C.Body);
@@ -189,25 +178,25 @@ CaseqNode *Function::makeCaseq(Node *Key, std::vector<CaseqNode::Clause> Clauses
 }
 
 CatcherNode *Function::makeCatcher(Node *TagExpr, Node *Body) {
-  CatcherNode *N = track(NodeTally, A.create<CatcherNode>(TagExpr, Body));
+  CatcherNode *N = A.create<CatcherNode>(TagExpr, Body);
   adopt(N, TagExpr);
   adopt(N, Body);
   return N;
 }
 
 ProgBodyNode *Function::makeProgBody(std::vector<ProgBodyNode::Item> Items) {
-  ProgBodyNode *N = track(NodeTally, A.create<ProgBodyNode>(std::move(Items)));
+  ProgBodyNode *N = A.create<ProgBodyNode>(std::move(Items));
   for (auto &I : N->Items)
     adopt(N, I.Stmt);
   return N;
 }
 
 GoNode *Function::makeGo(const sexpr::Symbol *Tag, ProgBodyNode *Target) {
-  return track(NodeTally, A.create<GoNode>(Tag, Target));
+  return A.create<GoNode>(Tag, Target);
 }
 
 ReturnNode *Function::makeReturn(Node *ValueExpr, ProgBodyNode *Target) {
-  ReturnNode *N = track(NodeTally, A.create<ReturnNode>(ValueExpr, Target));
+  ReturnNode *N = A.create<ReturnNode>(ValueExpr, Target);
   adopt(N, ValueExpr);
   return N;
 }
@@ -360,12 +349,6 @@ void ir::replaceChild(Node *Parent, Node *Old, Node *New) {
   }
   assert(Found && "replaceChild: Old is not a child of Parent");
   New->Parent = Parent;
-  dirtySpine(Parent);
-}
-
-void ir::dirtySpine(Node *N) {
-  for (Node *A = N; A; A = A->Parent)
-    A->Dirty = true;
 }
 
 void ir::detachSubtree(Node *Sub) {
@@ -386,13 +369,7 @@ void ir::detachSubtree(Node *Sub) {
       bool StillWritten = false;
       for (Node *R : V->Refs)
         StillWritten |= R->kind() == NodeKind::Setq;
-      if (!StillWritten) {
-        // The variable just became read-only; its remaining reads turn
-        // pure, so the analysis cached above them is stale.
-        V->Written = false;
-        for (Node *R : V->Refs)
-          dirtySpine(R);
-      }
+      V->Written = StillWritten;
     }
   });
 }
@@ -585,14 +562,13 @@ struct Cloner {
   }
 };
 
-/// Carries annotations and dirty bits from \p O onto its clone \p N by
-/// walking the two identically-shaped trees in lockstep. Ann.PdlOkp points
-/// into the source tree and is dropped (it is only live between annotate
-/// and codegen, never across a reclaim or module clone).
+/// Carries annotations from \p O onto its clone \p N by walking the two
+/// identically-shaped trees in lockstep. Ann.PdlOkp points into the source
+/// tree and is dropped (it is only live between annotate and codegen,
+/// never across a module clone).
 void copyAnnotations(const Node *O, Node *N) {
   N->Ann = O->Ann;
   N->Ann.PdlOkp = nullptr;
-  N->Dirty = O->Dirty;
   std::vector<Node *> NC;
   forEachChild(N, [&NC](Node *C) { NC.push_back(C); });
   size_t I = 0;
@@ -617,42 +593,6 @@ Node *ir::cloneTree(Function &F, const Node *N) {
   Node *Copy = C.clone(N);
   C.fixupTargets();
   return Copy;
-}
-
-size_t Function::reclaim() {
-  if (!Root)
-    return 0;
-  // Move the old arena (and variable list) aside; the factories below
-  // repopulate fresh ones. Everything not reachable from Root — the
-  // garbage that tree surgery left behind — dies when OldA goes out of
-  // scope.
-  NodeArena OldA = std::move(A);
-  Vars.clear();
-  LambdaNode *OldRoot = Root;
-  size_t Freed = OldA.allocatedBytes();
-
-  Cloner C(*this);
-  // Free variables (no binder: globals and specials) live in the old arena
-  // too, so they get fresh storage up front; bound ones are remapped as
-  // the clone reaches their binders.
-  forEachNode(static_cast<const Node *>(OldRoot), [&](const Node *N) {
-    Variable *V = nullptr;
-    if (const auto *VR = dyn_cast<VarRefNode>(N))
-      V = VR->Var;
-    else if (const auto *SQ = dyn_cast<SetqNode>(N))
-      V = SQ->Var;
-    if (!V || V->Binder || C.VarMap.count(V))
-      return;
-    C.VarMap[V] = makeVariable(V->name(), V->isSpecial());
-  });
-  Node *NewRoot = C.clone(OldRoot);
-  C.fixupTargets();
-  copyVariableFlags(C.VarMap);
-  copyAnnotations(OldRoot, NewRoot);
-
-  Root = cast<LambdaNode>(NewRoot);
-  Root->Parent = nullptr;
-  return Freed;
 }
 
 size_t ir::treeSize(const Node *Root) {

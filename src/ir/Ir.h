@@ -224,8 +224,6 @@ public:
   Node *Parent = nullptr;
   SourceLocation Loc;
   Annotations Ann;
-  /// Re-analysis flag (§4.2's incremental analysis system).
-  bool Dirty = true;
 
 protected:
   explicit Node(NodeKind K) : Kind(K) {}
@@ -465,26 +463,14 @@ public:
   ReturnNode *makeReturn(Node *ValueExpr, ProgBodyNode *Target);
 
   const std::vector<Variable *> &variables() const { return Vars; }
-  size_t nodeCount() const { return NodeTally; }
-
-  /// Copies the live tree (and every Variable it still references) into a
-  /// fresh arena and drops the old one wholesale, reclaiming the garbage
-  /// that tree surgery leaves behind. The meta-evaluator calls this between
-  /// passes once the dead fraction is large. Annotations, dirty bits and
-  /// variable flags survive; detached subtrees do not. Returns the number
-  /// of bytes released.
-  size_t reclaim();
-  size_t arenaBytes() const { return A.allocatedBytes(); }
-  size_t arenaObjects() const { return A.size(); }
 
 private:
   std::string Name;
   sexpr::SymbolTable &Syms;
   sexpr::Heap &DataHeap;
-  Arena A;
+  NodeArena A;
   std::vector<Variable *> Vars;
   unsigned NextVarId = 0;
-  size_t NodeTally = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -506,16 +492,10 @@ void replaceChild(Node *Parent, Node *Old, Node *New);
 /// Recomputes all parent links below \p Root (Root's own parent untouched).
 void recomputeParents(Node *Root);
 
-/// Marks \p N and every ancestor up to the root dirty, so the incremental
-/// analyzer re-derives cached effects/complexity along the spine from a
-/// rewritten subtree to the root (§4.2's incremental analysis system).
-void dirtySpine(Node *N);
-
 /// Unlinks the subtree rooted at \p Sub from the function's variable
 /// back-pointer lists: every VarRef/Setq inside it is removed from its
 /// Variable's referent list, and a Variable whose last Setq goes away has
-/// Written cleared (dirtying the spines of its remaining reads, whose
-/// effects just changed). Rules call this on the pieces they drop so the
+/// Written cleared. Rules call this on the pieces they drop so the
 /// referent lists stay exact without a full recomputeVariableRefs.
 void detachSubtree(Node *Sub);
 

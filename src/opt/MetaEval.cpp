@@ -30,21 +30,6 @@ bool isSimpleLet(const CallNode *C) {
          L->Required.size() == C->Args.size();
 }
 
-/// Collects the VarRef/Setq nodes for \p V inside \p Scope.
-std::vector<Node *> collectRefs(Variable *V, Node *Scope) {
-  std::vector<Node *> Refs;
-  forEachNode(Scope, [&](Node *N) {
-    if (auto *VR = dyn_cast<VarRefNode>(N)) {
-      if (VR->Var == V)
-        Refs.push_back(N);
-    } else if (auto *SQ = dyn_cast<SetqNode>(N)) {
-      if (SQ->Var == V)
-        Refs.push_back(N);
-    }
-  });
-  return Refs;
-}
-
 bool anyIsSetq(const std::vector<Node *> &Refs) {
   for (const Node *R : Refs)
     if (R->kind() == NodeKind::Setq)
@@ -127,42 +112,28 @@ public:
 
   unsigned run() {
     unsigned Total = 0;
-    const bool Verify =
-        Opts.IncrementalAnalysis &&
-        (Opts.VerifyAnalysis || analysis::verifyAnalysisRequested());
     for (unsigned Pass = 0; Pass < Opts.MaxPasses; ++Pass) {
       ++NumPasses;
       Changed = false;
-      // Incremental mode establishes exact referent lists once and the
-      // rules keep them exact; the baseline rebuilds them every pass.
-      if (!Opts.IncrementalAnalysis || Pass == 0)
-        recomputeVariableRefs(F);
+      // Rebuild the referent lists once per pass; within the pass the IR
+      // mutators keep them and Written exact, so the rules read them as is.
+      recomputeVariableRefs(F);
       Node *NewBody = rewrite(F.Root->Body);
       if (NewBody != F.Root->Body) {
         F.Root->Body = NewBody;
         NewBody->Parent = F.Root;
-        dirtySpine(F.Root);
       }
       for (auto &O : F.Root->Optionals) {
         Node *NewDefault = rewrite(O.Default);
         if (NewDefault != O.Default) {
           O.Default = NewDefault;
           NewDefault->Parent = F.Root;
-          dirtySpine(F.Root);
         }
       }
       Total += PassRewrites;
       PassRewrites = 0;
-      if (Verify)
-        analysis::verifyIncremental(F);
       if (!Changed)
         break;
-      // Tree surgery strands the replaced nodes in the arena; once the
-      // garbage clearly dominates, compact into a fresh arena. Cheap
-      // passes never pay for this: the byte check fails first.
-      if (Opts.IncrementalAnalysis && F.arenaBytes() > 64 * 1024 &&
-          F.arenaObjects() > 3 * treeSize(F.Root))
-        F.reclaim();
     }
     recomputeParents(F.Root);
     analysis::analyze(F);
@@ -200,12 +171,7 @@ private:
       LastBefore = render(N);
   }
 
-  /// Applies \p Rule named \p Name; on success logs the rewrite and dirties
-  /// the spine above the result. The replacement's parent chain still runs
-  /// through the node it came out of (an extracted subtree) or is empty (a
-  /// fresh node, whose attachment point replaceChild dirties), so walking
-  /// it marks the real spine; rules that mutate *interior* nodes directly
-  /// dirty those themselves.
+  /// Applies \p Rule named \p Name; on success logs the rewrite.
   template <typename RuleFn>
   Node *apply(const char *Name, Node *N, RuleFn Rule) {
     Node *R = Rule(N);
@@ -214,7 +180,6 @@ private:
     assert((!Log || !LastBefore.empty()) && "rule fired without commit()");
     Changed = true;
     ++PassRewrites;
-    dirtySpine(R);
     if (Log)
       log(Name, LastBefore, render(R), std::move(LastDetail));
     LastBefore.clear();
@@ -223,27 +188,6 @@ private:
   }
   std::string LastBefore;
   std::string LastDetail;
-
-  /// Effect/complexity queries for the rules: cached-incremental when the
-  /// option is on, the pure recursive walks otherwise.
-  EffectInfo fx(Node *N) {
-    return Opts.IncrementalAnalysis ? analysis::effectsOfCached(N)
-                                    : analysis::effectsOf(N);
-  }
-  unsigned cx(Node *N) {
-    return Opts.IncrementalAnalysis ? analysis::complexityOfCached(N)
-                                    : analysis::complexityOf(N);
-  }
-
-  /// The referent nodes of \p V within \p Scope. Incremental mode reads
-  /// the exactly-maintained back-pointer list (V is bound inside Scope, so
-  /// all of its references live there); the baseline walks the tree, since
-  /// its lists go stale between the per-pass recomputes.
-  std::vector<Node *> refsOf(Variable *V, Node *Scope) {
-    if (Opts.IncrementalAnalysis)
-      return V->Refs;
-    return collectRefs(V, Scope);
-  }
 
   Node *rewrite(Node *N) {
     // Children first (post-order), so rules see simplified operands.
@@ -339,9 +283,9 @@ private:
       // through the deep-binding stack, not through this Variable.
       if (V->isSpecial())
         continue;
-      if (!refsOf(V, L->Body).empty())
+      if (!V->Refs.empty())
         continue;
-      if (!fx(C->Args[I]).eliminable())
+      if (!effectsOf(C->Args[I]).eliminable())
         continue;
       commit(N);
       detachSubtree(C->Args[I]);
@@ -365,11 +309,12 @@ private:
       if (V->isSpecial())
         continue;
       Node *Arg = C->Args[J];
-      std::vector<Node *> Refs = refsOf(V, L->Body);
+      // V is bound here, so every one of its references lies in the body.
+      std::vector<Node *> Refs = V->Refs;
       if (Refs.empty() || anyIsSetq(Refs))
         continue;
 
-      EffectInfo ArgFx = fx(Arg);
+      EffectInfo ArgFx = effectsOf(Arg);
       bool CanSubstitute = false;
 
       // Constants and stable variable references substitute anywhere.
@@ -381,7 +326,8 @@ private:
         // Procedure integration: a lambda referred to in one place.
         CanSubstitute = true;
       } else if (ArgFx.pure() &&
-                 (Refs.size() == 1 || cx(Arg) <= Opts.DuplicationLimit)) {
+                 (Refs.size() == 1 ||
+                  analysis::complexityOf(Arg) <= Opts.DuplicationLimit)) {
         CanSubstitute = true;
       } else if (Refs.size() == 1 && isFirstEvaluated(L->Body, Refs[0])) {
         // Side-effecting argument with a single reference that is the first
@@ -389,7 +335,7 @@ private:
         // evaluation order is preserved.
         bool Commutes = true;
         for (size_t K = J + 1; K < C->Args.size(); ++K)
-          Commutes &= ArgFx.commutesWith(fx(C->Args[K]));
+          Commutes &= ArgFx.commutesWith(effectsOf(C->Args[K]));
         CanSubstitute = Commutes;
       }
       if (!CanSubstitute)
@@ -610,11 +556,11 @@ private:
   /// ("realizing that b is true in the inner if by virtue of the outer").
   Node *tryRedundantTest(Node *N) {
     auto *I = dyn_cast<IfNode>(N);
-    if (!I || !fx(I->Test).duplicable())
+    if (!I || !effectsOf(I->Test).duplicable())
       return nullptr;
     if (auto *TI = dyn_cast<IfNode>(I->Then)) {
       if (analysis::equalTrees(TI->Test, I->Test) &&
-          fx(TI->Test).duplicable()) {
+          effectsOf(TI->Test).duplicable()) {
         commit(N);
         detachSubtree(TI->Test);
         detachSubtree(TI->Else);
@@ -624,7 +570,7 @@ private:
     }
     if (auto *EI = dyn_cast<IfNode>(I->Else)) {
       if (analysis::equalTrees(EI->Test, I->Test) &&
-          fx(EI->Test).duplicable()) {
+          effectsOf(EI->Test).duplicable()) {
         commit(N);
         detachSubtree(EI->Test);
         detachSubtree(EI->Then);
@@ -647,12 +593,10 @@ private:
     Node *Last = P->Forms.back();
     P->Forms.pop_back();
     replaceChild(I, I->Test, Last);
-    // P moves from under I to above it; break the stale back-link first so
-    // the spine walk below cannot cycle I -> P -> I.
+    // P moves from under I to above it.
     P->Parent = I->Parent;
     P->Forms.push_back(I);
     I->Parent = P;
-    dirtySpine(I);
     return P;
   }
 
@@ -671,7 +615,6 @@ private:
     IfNode *NewIf = F.makeIf(P, I->Then, I->Else);
     L->Body = NewIf;
     NewIf->Parent = L;
-    dirtySpine(L);
     return C;
   }
 
@@ -736,7 +679,7 @@ private:
     std::vector<Node *> Kept;
     for (size_t J = 0; J < Flat.size(); ++J) {
       bool IsLast = J + 1 == Flat.size();
-      if (!IsLast && fx(Flat[J]).eliminable()) {
+      if (!IsLast && effectsOf(Flat[J]).eliminable()) {
         commit(N);
         detachSubtree(Flat[J]);
         Mutated = true;

@@ -40,16 +40,6 @@ struct OptOptions {
   /// reference sites (the paper's conservative duplication heuristics).
   unsigned DuplicationLimit = 4;
   unsigned MaxPasses = 100;
-  /// Maintain variable referent lists and cached per-node effects /
-  /// complexity incrementally across rewrites (dirty spines from each
-  /// changed node to the root) instead of recomputing the whole tree every
-  /// pass. Off is the recompute-the-world baseline that
-  /// bench_compile_throughput compares against.
-  bool IncrementalAnalysis = true;
-  /// Cross-check the incremental caches against a full recompute after
-  /// every pass; also enabled by the S1LISP_VERIFY_ANALYSIS environment
-  /// variable. Divergence aborts.
-  bool VerifyAnalysis = false;
   /// Test-only fault injection: folded constant fixnum additions come out
   /// off by one. Exists so the differential fuzzer's delta-debugging
   /// reducer has a real, deterministic miscompile to find and shrink;

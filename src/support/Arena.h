@@ -2,25 +2,18 @@
 ///
 /// \file
 /// A chunked bump-pointer arena. IR nodes and variables are allocated here
-/// and live exactly as long as the owning ir::Function (or until the
-/// function compacts itself with ir::Function::reclaim()); destructors of
+/// and live exactly as long as the owning ir::Function; destructors of
 /// allocated objects are run when the arena dies.
 ///
 /// Most node classes are trivially destructible, so the common allocation
 /// is a pointer bump; only objects with std::vector members (progn, call,
 /// lambda, caseq, progbody, Variable) register a destructor record.
 ///
-/// For the arena-vs-heap row of bench_compile_throughput the allocator can
-/// be switched process-wide back to per-object `new`/`delete`
-/// (setBumpEnabled(false)); the bookkeeping is identical either way, only
-/// the storage strategy changes.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef S1LISP_SUPPORT_ARENA_H
 #define S1LISP_SUPPORT_ARENA_H
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -47,14 +40,9 @@ public:
       Cur = O.Cur;
       End = O.End;
       Dtors = std::move(O.Dtors);
-      HeapObjects = std::move(O.HeapObjects);
-      ObjectTally = O.ObjectTally;
-      ByteTally = O.ByteTally;
       O.Chunks.clear();
       O.Dtors.clear();
-      O.HeapObjects.clear();
       O.Cur = O.End = nullptr;
-      O.ObjectTally = O.ByteTally = 0;
     }
     return *this;
   }
@@ -63,31 +51,12 @@ public:
 
   /// Allocates and constructs a T owned by the arena.
   template <typename T, typename... Args> T *create(Args &&...As) {
-    ++ObjectTally;
-    if (!bumpEnabled()) {
-      T *Ptr = new T(std::forward<Args>(As)...);
-      ByteTally += sizeof(T);
-      HeapObjects.push_back({Ptr, [](void *P) { delete static_cast<T *>(P); }});
-      return Ptr;
-    }
     void *Mem = allocate(sizeof(T), alignof(T));
     T *Ptr = new (Mem) T(std::forward<Args>(As)...);
     if constexpr (!std::is_trivially_destructible_v<T>)
       Dtors.push_back({Ptr, [](void *P) { static_cast<T *>(P)->~T(); }});
     return Ptr;
   }
-
-  /// Objects allocated over the arena's lifetime (live and garbage alike).
-  size_t size() const { return ObjectTally; }
-  /// Bytes handed out (chunk headroom not counted).
-  size_t allocatedBytes() const { return ByteTally; }
-
-  /// Process-wide storage-strategy switch: true (default) bump-allocates,
-  /// false falls back to per-object heap allocation. Exists solely so the
-  /// throughput bench can measure what the arena buys; flip it only while
-  /// no arena is live.
-  static void setBumpEnabled(bool On) { bumpFlag().store(On, std::memory_order_relaxed); }
-  static bool bumpEnabled() { return bumpFlag().load(std::memory_order_relaxed); }
 
 private:
   static constexpr size_t ChunkBytes = 64 * 1024;
@@ -109,7 +78,6 @@ private:
           (reinterpret_cast<uintptr_t>(Cur) + (Align - 1)) & ~(Align - 1));
     }
     Cur = P + Size;
-    ByteTally += Size;
     return P;
   }
 
@@ -117,30 +85,16 @@ private:
     // Destroy in reverse allocation order.
     for (size_t I = Dtors.size(); I > 0; --I)
       Dtors[I - 1].Dtor(Dtors[I - 1].Ptr);
-    for (size_t I = HeapObjects.size(); I > 0; --I)
-      HeapObjects[I - 1].Dtor(HeapObjects[I - 1].Ptr);
     Dtors.clear();
-    HeapObjects.clear();
     Chunks.clear();
     Cur = End = nullptr;
-  }
-
-  static std::atomic<bool> &bumpFlag() {
-    static std::atomic<bool> Flag{true};
-    return Flag;
   }
 
   std::vector<std::unique_ptr<char[]>> Chunks;
   char *Cur = nullptr;
   char *End = nullptr;
-  std::vector<Owned> Dtors;       ///< bump-allocated, non-trivial dtor
-  std::vector<Owned> HeapObjects; ///< heap-fallback mode
-  size_t ObjectTally = 0;
-  size_t ByteTally = 0;
+  std::vector<Owned> Dtors; ///< objects with a non-trivial destructor
 };
-
-/// Historical name; the IR factories allocate from a NodeArena.
-using Arena = NodeArena;
 
 } // namespace s1lisp
 

@@ -94,6 +94,84 @@ TEST_F(IrTest, CloneRemapsProgBodyTargets) {
   EXPECT_EQ(CopyGo->Target, Copy) << "go target remapped into the clone";
 }
 
+// The meta-evaluator's rules read Variable::Refs and Written between the
+// per-pass rebuilds, so the mutators below must keep both exact.
+
+TEST_F(IrTest, DetachSubtreeUnlinksExactlyItsReferences) {
+  // (progn (if y x (setq x y)) x y x y x y), detaching the if: its refs
+  // head both referent lists, so the survivors' order is at stake.
+  Variable *X = F->makeVariable(sym("x"));
+  Variable *Y = F->makeVariable(sym("y"));
+  VarRefNode *Test = F->makeVarRef(Y);
+  VarRefNode *Then = F->makeVarRef(X);
+  SetqNode *Else = F->makeSetq(X, F->makeVarRef(Y));
+  IfNode *If = F->makeIf(Test, Then, Else);
+  std::vector<Node *> Forms = {If};
+  std::vector<Node *> XRest, YRest;
+  for (int I = 0; I < 3; ++I) {
+    XRest.push_back(F->makeVarRef(X));
+    YRest.push_back(F->makeVarRef(Y));
+    Forms.push_back(XRest.back());
+    Forms.push_back(YRest.back());
+  }
+  F->makeProgn(Forms);
+  ASSERT_EQ(X->Refs.size(), 5u);
+  ASSERT_EQ(Y->Refs.size(), 5u);
+  ASSERT_TRUE(X->Written);
+
+  detachSubtree(If);
+  EXPECT_EQ(X->Refs, XRest);
+  EXPECT_EQ(Y->Refs, YRest);
+  EXPECT_FALSE(X->Written) << "the only setq of x went with the if";
+  EXPECT_FALSE(Y->Written);
+}
+
+TEST_F(IrTest, DetachSubtreeKeepsWrittenWhileASetqRemains) {
+  Variable *V = F->makeVariable(sym("v"));
+  VarRefNode *Read = F->makeVarRef(V);
+  SetqNode *First = F->makeSetq(V, F->makeLiteral(Value::fixnum(1)));
+  SetqNode *Second = F->makeSetq(V, F->makeLiteral(Value::fixnum(2)));
+  F->makeProgn({Read, First, Second});
+  ASSERT_TRUE(V->Written);
+
+  detachSubtree(First);
+  EXPECT_EQ(V->Refs, (std::vector<Node *>{Read, Second}));
+  EXPECT_TRUE(V->Written) << "one of two setqs detached";
+
+  detachSubtree(Second);
+  EXPECT_EQ(V->Refs, (std::vector<Node *>{Read}));
+  EXPECT_FALSE(V->Written) << "the last setq detached";
+}
+
+TEST_F(IrTest, CloneRegistersItsReferences) {
+  // ((lambda (x) (setq y (+ x y))) 5): the copy's reads and write of the
+  // free y join y's referent list after the originals; the copy's x refs
+  // go to the fresh x only.
+  Variable *Y = F->makeVariable(sym("y"));
+  LambdaNode *L = F->makeLambda();
+  Variable *X = F->makeVariable(sym("x"));
+  X->Binder = L;
+  L->Required = {X};
+  VarRefNode *YRead = F->makeVarRef(Y);
+  CallNode *Sum = F->makeCall(sym("+"), {F->makeVarRef(X), YRead});
+  SetqNode *YWrite = F->makeSetq(Y, Sum);
+  L->Body = YWrite;
+  YWrite->Parent = L;
+  CallNode *Call = F->makeCallExpr(L, {F->makeLiteral(Value::fixnum(5))});
+
+  auto *Copy = cast<CallNode>(cloneTree(*F, Call));
+  auto *CopyL = cast<LambdaNode>(Copy->CalleeExpr);
+  auto *CopyWrite = cast<SetqNode>(CopyL->Body);
+  auto *CopySum = cast<CallNode>(CopyWrite->ValueExpr);
+  EXPECT_EQ(Y->Refs, (std::vector<Node *>{YRead, YWrite, CopySum->Args[1],
+                                          CopyWrite}));
+  EXPECT_TRUE(Y->Written);
+  EXPECT_EQ(X->Refs, (std::vector<Node *>{Sum->Args[0]}));
+  Variable *CopyX = CopyL->Required[0];
+  EXPECT_EQ(CopyX->Refs, (std::vector<Node *>{CopySum->Args[0]}));
+  EXPECT_FALSE(CopyX->Written);
+}
+
 TEST_F(IrTest, TreeSize) {
   Node *N = F->makeIf(F->makeNil(), F->makeNil(), F->makeNil());
   EXPECT_EQ(treeSize(N), 4u);
