@@ -785,14 +785,13 @@ bool FunctionCompiler::prologue() {
     EnvScopes.push_back({MC.addEnvLayout(IncomingLayout, HeapParams), Slot});
   }
 
+  // A staged move must leave R0 alone: it holds the &rest argument base.
   auto StoreParam = [&](const Variable *P, Operand Src) {
     auto It = StageSlot.find(P);
     if (It != StageSlot.end()) {
-      if (Src.M != Operand::Mode::None) {
-        emit(Opcode::MOV, Operand::reg(0), Src);
-        emit(Opcode::MOV, frameOp(It->second), Operand::reg(0), {},
+      if (Src.M != Operand::Mode::None)
+        emit(Opcode::MOV, frameOp(It->second), Src, {},
              "Stage parameter " + P->name()->name());
-      }
       return;
     }
     TempVal V;
@@ -810,8 +809,28 @@ bool FunctionCompiler::prologue() {
     moveInto(V, accessOf(P).Op, P->VarRep, nullptr);
     release(V);
   };
+  // Moves a staged parameter into the environment, or pushes its dynamic
+  // binding when it is special.
+  auto Home = [&](const Variable *P) {
+    auto It = StageSlot.find(P);
+    if (It == StageSlot.end())
+      return;
+    if (P->isSpecial()) {
+      emit(Opcode::PUSH, Operand::imm(static_cast<int64_t>(
+                             litWord(Value::symbol(P->name())))));
+      emit(Opcode::PUSH, frameOp(It->second));
+      emitSyscall(Syscall::SpecBind, 0, 0, "Bind special " + P->name()->name());
+    } else {
+      TempVal V;
+      V.Op = frameOp(It->second);
+      V.R = Rep::POINTER;
+      writeVar(P, V);
+    }
+  };
 
   std::vector<Variable *> Params = L->allParams();
+  for (const Variable *P : Params)
+    SpecialBindCount += P->isSpecial();
   size_t NFixed = L->Rest ? Params.size() - 1 : Params.size();
 
   if (L->Rest) {
@@ -852,41 +871,32 @@ bool FunctionCompiler::prologue() {
               CaseLabels[K - MinA], "Dispatch on number of arguments");
     emitJcc(Cond::GE, Operand::reg(RTA), Operand::imm(0),
             CaseLabels[MaxA - MinA]);
+    // Each parameter gets its home before the next default runs, since a
+    // default may read any earlier parameter.
     for (size_t K = MinA; K <= MaxA; ++K) {
       Out.placeLabel(CaseLabels[K - MinA],
                      "Come here if " + std::to_string(K) + " arguments");
-      for (size_t I = 0; I < K; ++I)
+      for (size_t I = 0; I < K; ++I) {
         StoreParam(Params[I], Operand::mem(FP, -2 - static_cast<int64_t>(K) +
                                                    static_cast<int64_t>(I)));
+        Home(Params[I]);
+      }
       for (size_t I = K; I < MaxA; ++I) {
         const auto &O = L->Optionals[I - MinA];
         TempVal D = compileValue(O.Default);
         StoreParamValue(O.Var, D);
+        Home(O.Var);
       }
       emitJcc(Cond::GE, Operand::reg(RTA), Operand::imm(0), LBody);
     }
     Out.placeLabel(LBody);
   }
 
-  // Move heap-allocated parameters into the environment and push dynamic
-  // bindings for special parameters, in parameter order.
-  for (const Variable *P : Params) {
-    auto It = StageSlot.find(P);
-    if (It == StageSlot.end())
-      continue;
-    if (P->isSpecial()) {
-      emit(Opcode::PUSH, Operand::imm(static_cast<int64_t>(
-                             litWord(Value::symbol(P->name())))));
-      emit(Opcode::PUSH, frameOp(It->second));
-      emitSyscall(Syscall::SpecBind, 0, 0, "Bind special " + P->name()->name());
-      ++SpecialBindCount;
-    } else {
-      TempVal V;
-      V.Op = frameOp(It->second);
-      V.R = Rep::POINTER;
-      writeVar(P, V);
-    }
-  }
+  // Without defaults nothing reads a parameter before the body, so the
+  // staged ones go home here, in parameter order, once R0 is free.
+  if (L->Optionals.empty())
+    for (const Variable *P : Params)
+      Home(P);
 
   // Special-variable lookup caching (§4.4): one search per special on
   // entry, after our own bindings are in place.

@@ -131,14 +131,20 @@ CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
       std::optional<stats::TallyScope> Scope;
       if (Memo || Tally)
         Scope.emplace(T);
+      // A phase that leaves the tree inconsistent fails this function's
+      // unit (and so the link) instead of reaching code generation.
+      DiagEngine Broken;
       if (Opts.Optimize || Opts.Cse) {
         stats::PhaseTimer Timer("driver.optimize");
         if (Opts.Optimize)
-          opt::metaEvaluate(F, Opts.Opt, RS);
-        if (Opts.Cse)
-          opt::eliminateCommonSubexpressions(F, Opts.CseOpts, RS);
+          opt::metaEvaluate(F, Opts.Opt, RS, &Broken);
+        if (Opts.Cse && !Broken.hasErrors())
+          opt::eliminateCommonSubexpressions(F, Opts.CseOpts, RS, &Broken);
       }
-      MF->Unit = codegen::compileFunctionUnit(M, F, CG, FuncIndex);
+      if (Broken.hasErrors())
+        MF->Unit.Error = Broken.str();
+      else
+        MF->Unit = codegen::compileFunctionUnit(M, F, CG, FuncIndex);
     }
     MF->Tally = T.deltas();
     MF->Remarks = std::move(R.Remarks);

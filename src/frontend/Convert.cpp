@@ -895,10 +895,8 @@ ir::Function *frontend::convertTopLevel(Module &M, Value Form, DiagEngine &Diags
     return nullptr;
 
   recomputeVariableRefs(*F);
-  DiagEngine VerifyDiags;
-  bool Clean = verify(*F, VerifyDiags);
-  assert(Clean && "converter produced an inconsistent tree");
-  (void)Clean;
+  if (!verifyAfter("frontend.convert", *F, &Diags))
+    return nullptr;
   ++NumDefuns;
   return F;
 }

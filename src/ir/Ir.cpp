@@ -2,11 +2,49 @@
 
 #include "ir/Ir.h"
 
+#include "stats/Stats.h"
+
+#include <cstdio>
+#include <cstdlib>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace s1lisp;
 using namespace s1lisp::ir;
+
+S1_STAT(NumVerifyNodes, "ir.verify.nodes", "nodes the IR verifier visited");
+S1_STAT(NumVerifyRefsScanned, "ir.verify.refs_scanned",
+        "referent-list entries the IR verifier scanned");
+S1_STAT(NumDetachRefsScanned, "ir.detach.refs_scanned",
+        "referent-list entries detachSubtree scanned");
+
+/// Node::Mark fills padding after Node::Kind on 64-bit hosts.
+static_assert(sizeof(void *) != 8 || sizeof(Node) == 64,
+              "Node::Mark must not grow the node");
+
+/// Access to the scratch marks for the walks below. Every walk that sets
+/// a mark clears it before returning, so all marks are zero between calls.
+struct ir::ScratchMarks {
+  enum : uint32_t {
+    InTree = 1u << 0,  ///< verify: reachable from the root
+    Listed = 1u << 1,  ///< verify: on its own variable's referent list
+    Dropped = 1u << 2, ///< detachSubtree: inside the detached subtree
+  };
+  static uint32_t &bits(Node *N) { return N->Mark; }
+  static bool inTree(const Node *N) { return N && (N->Mark & InTree); }
+  /// verify: this variable's referent list has been scanned.
+  static bool &scanned(Variable *V) { return V->Mark; }
+};
+
+namespace {
+/// The variable a VarRef or Setq names; null for every other node.
+Variable *referencedVar(const Node *N) {
+  if (auto *VR = dyn_cast<VarRefNode>(N))
+    return VR->Var;
+  if (auto *SQ = dyn_cast<SetqNode>(N))
+    return SQ->Var;
+  return nullptr;
+}
+} // namespace
 
 const char *ir::repName(Rep R) {
   switch (R) {
@@ -352,26 +390,38 @@ void ir::replaceChild(Node *Parent, Node *Old, Node *New) {
 }
 
 void ir::detachSubtree(Node *Sub) {
+  // Mark the subtree's references, then compact each affected list once:
+  // the first marked reference of a variable drops every marked entry of
+  // that variable's list, clearing their marks as it goes.
+  using M = ScratchMarks;
   forEachNode(Sub, [](Node *N) {
-    Variable *V = nullptr;
-    if (auto *VR = dyn_cast<VarRefNode>(N))
-      V = VR->Var;
-    else if (auto *SQ = dyn_cast<SetqNode>(N))
-      V = SQ->Var;
-    if (!V)
-      return;
-    for (auto It = V->Refs.begin(); It != V->Refs.end(); ++It)
-      if (*It == N) {
-        V->Refs.erase(It);
-        break;
-      }
-    if (N->kind() == NodeKind::Setq && V->Written) {
-      bool StillWritten = false;
-      for (Node *R : V->Refs)
-        StillWritten |= R->kind() == NodeKind::Setq;
-      V->Written = StillWritten;
-    }
+    if (referencedVar(N))
+      M::bits(N) |= M::Dropped;
   });
+  uint64_t Scanned = 0;
+  forEachNode(Sub, [&Scanned](Node *N) {
+    Variable *V = referencedVar(N);
+    if (!V || !(M::bits(N) & M::Dropped))
+      return;
+    bool DroppedSetq = false, StillWritten = false;
+    size_t Kept = 0;
+    for (Node *R : V->Refs) {
+      bool IsSetq = R->kind() == NodeKind::Setq;
+      if ((M::bits(R) & M::Dropped) && referencedVar(R) == V) {
+        M::bits(R) &= ~M::Dropped;
+        DroppedSetq |= IsSetq;
+      } else {
+        V->Refs[Kept++] = R;
+        StillWritten |= IsSetq;
+      }
+    }
+    Scanned += V->Refs.size();
+    V->Refs.resize(Kept);
+    M::bits(N) &= ~M::Dropped; // N itself may be missing from the list
+    if (DroppedSetq && V->Written)
+      V->Written = StillWritten;
+  });
+  NumDetachRefsScanned += Scanned;
 }
 
 void ir::recomputeParents(Node *Root) {
@@ -690,51 +740,61 @@ void Module::collectGarbage() {
 // Verifier
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Walk 1 of verify: marks every node reachable from \p N as in the tree
+/// and checks the parent links below it. Returns the nodes marked.
+uint64_t markTree(Node *N, const Function &F, DiagEngine &Diags) {
+  ScratchMarks::bits(N) |= ScratchMarks::InTree;
+  uint64_t Count = 1;
+  forEachChild(N, [&](Node *C) {
+    if (C->Parent != N)
+      Diags.error("bad parent link under " + std::string(nodeKindName(N->kind())) +
+                  " in '" + F.name() + "'");
+    Count += markTree(C, F, Diags);
+  });
+  return Count;
+}
+
+} // namespace
+
 bool ir::verify(Function &F, DiagEngine &Diags) {
+  using M = ScratchMarks;
   size_t Before = Diags.diagnostics().size();
   if (!F.Root) {
     Diags.error("function '" + F.name() + "' has no root lambda");
     return false;
   }
+  Node *Root = F.Root;
+  uint64_t Nodes = markTree(Root, F, Diags);
 
-  // Parent links.
-  forEachNode(static_cast<Node *>(F.Root), [&](Node *N) {
-    forEachChild(N, [&](Node *C) {
-      if (C->Parent != N)
-        Diags.error("bad parent link under " + std::string(nodeKindName(N->kind())) +
-                    " in '" + F.name() + "'");
-    });
-  });
-
-  // Each variable reference points at a Variable whose referent list
-  // contains it; bound variables' binders are in the tree.
-  std::unordered_set<const Node *> InTree;
-  forEachNode(static_cast<const Node *>(F.Root),
-              [&InTree](const Node *N) { InTree.insert(N); });
-
-  forEachNode(static_cast<Node *>(F.Root), [&](Node *N) {
-    Variable *V = nullptr;
-    if (auto *VR = dyn_cast<VarRefNode>(N))
-      V = VR->Var;
-    else if (auto *SQ = dyn_cast<SetqNode>(N))
-      V = SQ->Var;
-    if (V) {
-      bool Listed = false;
-      for (Node *R : V->Refs)
-        Listed |= (R == N);
-      if (!Listed)
+  // Walk 2: each variable reference points at a Variable whose referent
+  // list contains it; bound variables' binders are in the tree. The first
+  // reference to a variable scans its list once and marks the tree nodes
+  // on it that name that variable.
+  uint64_t Scanned = 0;
+  forEachNode(Root, [&](Node *N) {
+    if (Variable *V = referencedVar(N)) {
+      if (!M::scanned(V)) {
+        M::scanned(V) = true;
+        Scanned += V->Refs.size();
+        for (Node *R : V->Refs)
+          if (M::inTree(R) && referencedVar(R) == V)
+            M::bits(R) |= M::Listed;
+      }
+      if (!(M::bits(N) & M::Listed))
         Diags.error("variable " + V->debugName() + " missing referent back-pointer");
-      if (V->Binder && !InTree.count(V->Binder))
+      if (V->Binder && !M::inTree(V->Binder))
         Diags.error("variable " + V->debugName() + " bound outside the tree");
     }
     if (auto *G = dyn_cast<GoNode>(N)) {
-      if (!InTree.count(G->Target))
+      if (!M::inTree(G->Target))
         Diags.error("go target progbody not in tree");
       else if (!G->Target->hasTag(G->Tag))
         Diags.error("go to unknown tag '" + G->Tag->name() + "'");
     }
     if (auto *R = dyn_cast<ReturnNode>(N)) {
-      if (!InTree.count(R->Target))
+      if (!M::inTree(R->Target))
         Diags.error("return target progbody not in tree");
     }
     if (auto *C = dyn_cast<CallNode>(N)) {
@@ -743,5 +803,28 @@ bool ir::verify(Function &F, DiagEngine &Diags) {
     }
   });
 
+  // Walk 3: clear every mark set above.
+  forEachNode(Root, [](Node *N) {
+    M::bits(N) = 0;
+    if (Variable *V = referencedVar(N))
+      M::scanned(V) = false;
+  });
+
+  NumVerifyNodes += Nodes;
+  NumVerifyRefsScanned += Scanned;
   return Diags.diagnostics().size() == Before;
+}
+
+bool ir::verifyAfter(const char *Phase, Function &F, DiagEngine *Diags) {
+  DiagEngine Found;
+  if (verify(F, Found))
+    return true;
+  std::string Msg = "inconsistent tree after " + std::string(Phase) + " in '" +
+                    F.name() + "': " + Found.diagnostics().front().Message;
+  if (!Diags) {
+    std::fprintf(stderr, "s1lisp: internal error: %s\n", Msg.c_str());
+    std::abort();
+  }
+  Diags->error(std::move(Msg));
+  return false;
 }

@@ -37,6 +37,7 @@ class Node;
 class LambdaNode;
 class ProgBodyNode;
 class Function;
+struct ScratchMarks;
 
 //===----------------------------------------------------------------------===//
 // Annotation domains
@@ -188,9 +189,14 @@ public:
   std::string debugName() const;
 
 private:
+  friend struct ScratchMarks;
+
   const sexpr::Symbol *Name;
   unsigned Id;
   bool Special;
+  /// Scratch flag of ir::verify: set while it has scanned this
+  /// variable's referent list; false between calls.
+  bool Mark = false;
 };
 
 //===----------------------------------------------------------------------===//
@@ -230,7 +236,13 @@ protected:
   ~Node() = default;
 
 private:
+  friend struct ScratchMarks;
+
   NodeKind Kind;
+  /// Scratch bits of the linear walks in ir/Ir.cpp (verify,
+  /// detachSubtree); zero between calls. Sits in the padding after Kind,
+  /// so it costs no space.
+  uint32_t Mark = 0;
 };
 
 /// A constant (Table 2 "literal"). The datum is an S-expression value.
@@ -497,6 +509,8 @@ void recomputeParents(Node *Root);
 /// Variable's referent list, and a Variable whose last Setq goes away has
 /// Written cleared. Rules call this on the pieces they drop so the
 /// referent lists stay exact without a full recomputeVariableRefs.
+/// Surviving references keep their order. Linear: each affected list is
+/// compacted once per call.
 void detachSubtree(Node *Sub);
 
 /// Rebuilds every Variable's referent list from the tree (after surgery).
@@ -513,7 +527,16 @@ size_t treeSize(const Node *Root);
 
 /// Consistency checker: parent links, variable back-pointers, go/return
 /// target reachability. Reports problems to \p Diags; true when clean.
+/// Linear in the tree plus the referent lists of the variables it
+/// references; it neither hashes nor allocates per node.
 bool verify(Function &F, DiagEngine &Diags);
+
+/// Runs verify on \p F after \p Phase built or rewrote it; true when the
+/// tree is clean. Otherwise one error naming the phase, the function and
+/// the first verifier message goes to \p Diags. With no engine the same
+/// message goes to stderr and the process aborts: a broken tree never
+/// reaches the next phase unreported, in any build type.
+bool verifyAfter(const char *Phase, Function &F, DiagEngine *Diags);
 
 //===----------------------------------------------------------------------===//
 // Module: a compilation session

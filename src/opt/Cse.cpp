@@ -71,7 +71,8 @@ bool isAncestor(const Node *Maybe, const Node *N) {
 } // namespace
 
 unsigned opt::eliminateCommonSubexpressions(Function &F, const CseOptions &Opts,
-                                            stats::RemarkStream *Log) {
+                                            stats::RemarkStream *Log,
+                                            DiagEngine *Diags) {
   stats::PhaseTimer Timer("opt.cse");
   unsigned Hoisted = 0;
   for (unsigned Round = 0; Round < Opts.MaxRounds; ++Round) {
@@ -141,10 +142,7 @@ unsigned opt::eliminateCommonSubexpressions(Function &F, const CseOptions &Opts,
       Log->remark(std::move(R));
     }
   }
-  if (Hoisted) {
-    DiagEngine Diags;
-    [[maybe_unused]] bool Clean = verify(F, Diags);
-    assert(Clean && "CSE broke tree invariants");
-  }
+  if (Hoisted)
+    verifyAfter("opt.cse", F, Diags);
   return Hoisted;
 }

@@ -34,10 +34,13 @@ struct CseOptions {
 
 /// Eliminates common subexpressions in \p F; returns the number of
 /// expressions hoisted. Run after metaEvaluate (it will not reverse these
-/// introductions, per §4.3's phase separation).
+/// introductions, per §4.3's phase separation). When it hoists anything,
+/// a tree that then fails ir::verify is reported as in ir::verifyAfter:
+/// to \p Diags when given, else by aborting.
 unsigned eliminateCommonSubexpressions(ir::Function &F,
                                        const CseOptions &Opts = {},
-                                       stats::RemarkStream *Remarks = nullptr);
+                                       stats::RemarkStream *Remarks = nullptr,
+                                       DiagEngine *Diags = nullptr);
 
 } // namespace opt
 } // namespace s1lisp

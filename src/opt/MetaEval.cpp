@@ -704,14 +704,12 @@ private:
 } // namespace
 
 unsigned opt::metaEvaluate(Function &F, const OptOptions &Opts,
-                           stats::RemarkStream *Remarks) {
+                           stats::RemarkStream *Remarks, DiagEngine *Diags) {
   stats::PhaseTimer Timer("opt.metaeval");
   ++NumFunctions;
   MetaEvaluator M(F, Opts, Remarks);
   unsigned N = M.run();
   NumRewrites += N;
-  DiagEngine Diags;
-  [[maybe_unused]] bool Clean = verify(F, Diags);
-  assert(Clean && "optimizer broke tree invariants");
+  verifyAfter("opt.metaeval", F, Diags);
   return N;
 }

@@ -51,9 +51,12 @@ struct OptOptions {
 /// Returns the number of rewrites applied. The tree is left analyzed,
 /// verified, and back-translatable. When \p Remarks is given, every
 /// rewrite is recorded as a structured stats::Remark (rendered in the
-/// paper's ";**** courtesy of" style by RemarkStream::str()).
+/// paper's ";**** courtesy of" style by RemarkStream::str()). A tree that
+/// fails ir::verify afterwards is reported as in ir::verifyAfter: to
+/// \p Diags when given, else by aborting.
 unsigned metaEvaluate(ir::Function &F, const OptOptions &Opts = {},
-                      stats::RemarkStream *Remarks = nullptr);
+                      stats::RemarkStream *Remarks = nullptr,
+                      DiagEngine *Diags = nullptr);
 
 } // namespace opt
 } // namespace s1lisp

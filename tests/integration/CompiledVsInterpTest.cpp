@@ -207,6 +207,40 @@ std::vector<ProgramCase> corpus() {
       {"errors-type", "(defun fut (a) (car a))", "fut", {{fx(1)}}},
       {"errors-unbound", "(defvar *nope*) (defun fut () *nope*)", "fut", {{}}},
       {"errors-throw", "(defun fut () (throw 'missing 1))", "fut", {{}}},
+      // A parameter with a heap or special home must have it before any
+      // later &optional default runs, and staging it must not clobber the
+      // &rest argument base. keep makes p's closure escape, so p lives in
+      // a heap environment.
+      {"optional-default-reads-heap-param",
+       "(defun keep (f) f)"
+       "(defun h1 (p &optional (q p)) (keep (lambda () p)) q)"
+       "(defun fut (k) (if (= k 1) (h1 7) (h1 7 k)))",
+       "fut",
+       {{fx(1)}, {fx(2)}}},
+      {"optional-default-reads-special-param",
+       "(proclaim '(special sp))"
+       "(defun h2 (sp &optional (q sp)) q)"
+       "(defun fut (k) (if (= k 1) (h2 7) (h2 7 k)))",
+       "fut",
+       {{fx(1)}, {fx(2)}}},
+      {"rest-after-heap-param",
+       "(defun keep (f) f)"
+       "(defun h (p &rest r) (keep (lambda () p)) (list p r))"
+       "(defun fut (k) (if (= k 0) (h 1) (h 1 2 3)))",
+       "fut",
+       {{fx(0)}, {fx(1)}}},
+      {"rest-after-two-heap-params",
+       "(defun keep (f) f)"
+       "(defun h (p q &rest r) (keep (lambda () (list p q))) (list p q r))"
+       "(defun fut (k) (if (= k 0) (h 1 2) (h 1 2 3 4)))",
+       "fut",
+       {{fx(0)}, {fx(1)}}},
+      {"rest-after-special-param",
+       "(proclaim '(special sp))"
+       "(defun h (sp &rest r) (list sp r))"
+       "(defun fut (k) (if (= k 0) (h 1) (h 1 2 3)))",
+       "fut",
+       {{fx(0)}, {fx(1)}}},
   };
 }
 

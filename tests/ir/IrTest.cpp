@@ -18,6 +18,29 @@ protected:
   Function *F = M.addFunction("test");
 
   const sexpr::Symbol *sym(const char *S) { return M.Syms.intern(S); }
+
+  /// Installs (lambda (Params...) Body) as F's root, binding the params.
+  LambdaNode *setRoot(std::vector<Variable *> Params, Node *Body) {
+    LambdaNode *L = F->makeLambda();
+    for (Variable *P : Params)
+      P->Binder = L;
+    L->Required = std::move(Params);
+    L->Body = Body;
+    Body->Parent = L;
+    F->Root = L;
+    return L;
+  }
+
+  /// The messages verify reports for F, one per line; empty when clean.
+  std::string verifyMessages() {
+    DiagEngine Diags;
+    bool Clean = verify(*F, Diags);
+    std::string Out;
+    for (const Diagnostic &D : Diags.diagnostics())
+      Out += D.Message + "\n";
+    EXPECT_EQ(Clean, Out.empty());
+    return Out;
+  }
 };
 
 TEST_F(IrTest, FactoriesSetParents) {
@@ -246,6 +269,126 @@ TEST_F(IrTest, VerifyCatchesBadParent) {
   F->Root = L;
   DiagEngine Diags;
   EXPECT_FALSE(verify(*F, Diags));
+}
+
+// One negative case per verifier diagnostic: each starts from a clean
+// tree, breaks one invariant, and expects exactly that message.
+
+TEST_F(IrTest, VerifyCatchesReferenceMissingFromItsList) {
+  Variable *X = F->makeVariable(sym("x"));
+  VarRefNode *A = F->makeVarRef(X);
+  VarRefNode *B = F->makeVarRef(X);
+  setRoot({X}, F->makeProgn({A, B}));
+  ASSERT_EQ(verifyMessages(), "");
+  X->Refs = {A};
+  EXPECT_EQ(verifyMessages(), "variable x#0 missing referent back-pointer\n");
+}
+
+TEST_F(IrTest, VerifyCatchesReferenceListedOnAnotherVariable) {
+  Variable *X = F->makeVariable(sym("x"));
+  Variable *Y = F->makeVariable(sym("y"));
+  VarRefNode *RX = F->makeVarRef(X);
+  VarRefNode *RY = F->makeVarRef(Y);
+  setRoot({X, Y}, F->makeProgn({RX, RY}));
+  ASSERT_EQ(verifyMessages(), "");
+  X->Refs.clear();
+  Y->Refs = {RX, RY};
+  EXPECT_EQ(verifyMessages(), "variable x#0 missing referent back-pointer\n");
+}
+
+TEST_F(IrTest, VerifyCatchesBinderOutsideTheTree) {
+  Variable *X = F->makeVariable(sym("x"));
+  setRoot({X}, F->makeVarRef(X));
+  ASSERT_EQ(verifyMessages(), "");
+  X->Binder = F->makeLambda();
+  EXPECT_EQ(verifyMessages(), "variable x#0 bound outside the tree\n");
+}
+
+TEST_F(IrTest, VerifyCatchesGoTargetOutsideTheTree) {
+  ProgBodyNode *PB = F->makeProgBody({{sym("loop"), nullptr}});
+  GoNode *G = F->makeGo(sym("loop"), PB);
+  PB->Items.push_back({nullptr, G});
+  G->Parent = PB;
+  setRoot({}, PB);
+  ASSERT_EQ(verifyMessages(), "");
+  G->Target = F->makeProgBody({{sym("loop"), nullptr}});
+  EXPECT_EQ(verifyMessages(), "go target progbody not in tree\n");
+}
+
+TEST_F(IrTest, VerifyCatchesGoToUnknownTag) {
+  ProgBodyNode *PB = F->makeProgBody({{sym("loop"), nullptr}});
+  GoNode *G = F->makeGo(sym("loop"), PB);
+  PB->Items.push_back({nullptr, G});
+  G->Parent = PB;
+  setRoot({}, PB);
+  ASSERT_EQ(verifyMessages(), "");
+  G->Tag = sym("nope");
+  EXPECT_EQ(verifyMessages(), "go to unknown tag 'nope'\n");
+}
+
+TEST_F(IrTest, VerifyCatchesReturnTargetOutsideTheTree) {
+  ProgBodyNode *PB = F->makeProgBody({});
+  ReturnNode *R = F->makeReturn(F->makeNil(), PB);
+  PB->Items.push_back({nullptr, R});
+  R->Parent = PB;
+  setRoot({}, PB);
+  ASSERT_EQ(verifyMessages(), "");
+  R->Target = F->makeProgBody({});
+  EXPECT_EQ(verifyMessages(), "return target progbody not in tree\n");
+}
+
+TEST_F(IrTest, VerifyCatchesCallWithBothOrNeitherCallee) {
+  Node *Callee = F->makeNil();
+  CallNode *C = F->makeCallExpr(Callee, {});
+  setRoot({}, C);
+  ASSERT_EQ(verifyMessages(), "");
+  C->Name = sym("list");
+  EXPECT_EQ(verifyMessages(), "call node with malformed callee\n");
+  C->Name = nullptr;
+  C->CalleeExpr = nullptr;
+  EXPECT_EQ(verifyMessages(), "call node with malformed callee\n");
+}
+
+TEST_F(IrTest, VerifyGivesTheSameVerdictEveryTime) {
+  // (lambda (x) (progn x (setq x 1) x)): verify leaves no trace on the
+  // tree, so repeated checks agree, before and after a failure and after
+  // a rewrite.
+  Variable *X = F->makeVariable(sym("x"));
+  VarRefNode *First = F->makeVarRef(X);
+  SetqNode *Set = F->makeSetq(X, F->makeLiteral(Value::fixnum(1)));
+  VarRefNode *Last = F->makeVarRef(X);
+  PrognNode *Body = F->makeProgn({First, Set, Last});
+  setRoot({X}, Body);
+  EXPECT_EQ(verifyMessages(), "");
+  EXPECT_EQ(verifyMessages(), "");
+
+  X->Refs = {First, Set};
+  EXPECT_EQ(verifyMessages(), "variable x#0 missing referent back-pointer\n");
+  EXPECT_EQ(verifyMessages(), "variable x#0 missing referent back-pointer\n");
+  X->Refs.push_back(Last);
+  EXPECT_EQ(verifyMessages(), "");
+
+  Node *One = F->makeLiteral(Value::fixnum(1));
+  replaceChild(Body, Set, One);
+  detachSubtree(Set);
+  EXPECT_EQ(X->Refs, (std::vector<Node *>{First, Last}));
+  EXPECT_EQ(verifyMessages(), "");
+  EXPECT_EQ(verifyMessages(), "");
+}
+
+TEST_F(IrTest, VerifyAfterNamesThePhaseAndFunction) {
+  ProgBodyNode *PB = F->makeProgBody({});
+  ReturnNode *R = F->makeReturn(F->makeNil(), F->makeProgBody({}));
+  PB->Items.push_back({nullptr, R});
+  R->Parent = PB;
+  setRoot({}, PB);
+  DiagEngine Diags;
+  EXPECT_FALSE(verifyAfter("opt.cse", *F, &Diags));
+  EXPECT_EQ(Diags.str(), "error: inconsistent tree after opt.cse in 'test': "
+                         "return target progbody not in tree\n");
+  R->Target = PB;
+  EXPECT_TRUE(verifyAfter("opt.cse", *F, &Diags));
+  EXPECT_EQ(Diags.diagnostics().size(), 1u);
 }
 
 TEST_F(IrTest, ModuleLookup) {
