@@ -23,9 +23,13 @@ std::optional<Value> foldArithChain(sexpr::ArithOp Op, Value Unit,
                                     sexpr::Heap &H) {
   if (Args.empty())
     return Unit;
-  if (Args.size() == 1)
+  if (Args.size() == 1) {
+    // (+ nil) must still trap at run time, so it does not fold.
+    if (!Args[0].isNumber())
+      return std::nullopt;
     return UnitIsInverse ? sexpr::arith(H, Op, Unit, Args[0])
                          : std::optional<Value>(Args[0]);
+  }
   Value Acc = Args[0];
   for (size_t I = 1; I < Args.size(); ++I) {
     auto R = sexpr::arith(H, Op, Acc, Args[I]);

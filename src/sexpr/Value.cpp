@@ -451,9 +451,6 @@ void Heap::collectImpl(std::initializer_list<Value *> Extra, bool ForceMajor) {
           std::chrono::steady_clock::now() - T0)
           .count());
   Stats.PauseNsTotal += Ns;
-  Stats.PauseNsMax = std::max(Stats.PauseNsMax, Ns);
-  size_t Bucket = Ns < 10'000 ? 0 : Ns < 100'000 ? 1 : Ns < 1'000'000 ? 2 : 3;
-  ++Stats.PauseBuckets[Bucket];
 
   InGc = false;
 

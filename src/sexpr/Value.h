@@ -26,7 +26,6 @@
 
 #include "support/SourceLocation.h"
 
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -280,9 +279,6 @@ struct GcStats {
   uint64_t CellsSwept = 0;
   uint64_t BytesSwept = 0;
   uint64_t PauseNsTotal = 0;
-  uint64_t PauseNsMax = 0;
-  /// Pause histogram: <10us, <100us, <1ms, >=1ms.
-  std::array<uint64_t, 4> PauseBuckets{};
 };
 
 /// Allocates conses, strings, and ratios — and, when a GC schedule is

@@ -4,8 +4,8 @@
 /// parallelFor: run N independent tasks on up to J workers. Workers come
 /// from one lazily created process-wide thread pool (sized to the
 /// hardware), so a fan-out costs a queue push instead of J thread
-/// creations — small-module compiles and the jobs sweep in
-/// bench_compile_throughput no longer pay thread start-up per call. The
+/// creations — small-module compiles and the 4-job compile-scaling gate
+/// in bench/bench_gates.cpp no longer pay thread start-up per call. The
 /// calling thread participates in its own fan-out, which both uses the
 /// blocked caller's core and guarantees progress even when every pool
 /// thread is busy with other fan-outs (the compile-service daemon issues

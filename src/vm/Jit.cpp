@@ -714,7 +714,6 @@ std::shared_ptr<const JitProgram>
 JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
                    const JitOptions &Opts, Machine &Layout) {
   const Offsets MO = offsets(Layout);
-  const bool Detailed = Opts.DetailedStats;
   const bool GcOn = Opts.GcEnabled;
   const int32_t MW = static_cast<int32_t>(MemoryWords);
   const int32_t StackLimit = static_cast<int32_t>(StackBase + StackWords);
@@ -726,7 +725,6 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
 
   auto JP = std::make_shared<JitProgram>();
   JP->DP = DP;
-  JP->DetailedOn = Detailed;
   JP->GcOn = GcOn;
   JP->Offs.resize(NF);
   JP->AddrArrays.resize(NF);
@@ -802,8 +800,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   /// StackHighWater high-water mark; SpCached says rbp == Regs[SP]
   /// (the segment base — Regs[SP] itself is not yet bumped).
   struct VCtx {
-    bool Batched = false;
-    bool BulkOps = false; // PerOpcode bumped wholesale at block entry
+    bool Batched = false; // retired (and PerOpcode bumped) at block entry
     int End = 0;   // one past the block's last instruction
     int Extra = 0; // fused-branch precharge riding on the bulk retire
     int Depth = 0;
@@ -835,7 +832,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
     std::map<StubKey, std::vector<size_t>> StubSites;
     auto tailOps = [&](const VCtx &C, int Idx) {
       std::vector<int32_t> T;
-      if (C.Batched && C.BulkOps)
+      if (C.Batched)
         for (int J = Idx + 1; J < C.End; ++J)
           T.push_back(static_cast<int32_t>(
               static_cast<size_t>(DF.Code[static_cast<size_t>(J)].OrigOp)));
@@ -1033,10 +1030,9 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
         jccStubC(CC_AE, JitStatus::Fuel, Nx, C, Idx);
         A.incR(R14);
       }
-      if (Detailed)
-        A.incMemQ(R13, MO.PerOp0 +
-                           8 * static_cast<int32_t>(
-                                   static_cast<size_t>(Br.OrigOp)));
+      A.incMemQ(R13, MO.PerOp0 +
+                         8 * static_cast<int32_t>(
+                                 static_cast<size_t>(Br.OrigOp)));
       A.testRR(RDI, RDI);
       // JmpzRK RV,0: EQ takes when the boolean is NilWord (false).
       jccTo(Br.C == Cond::EQ ? CC_E : CC_NE, Fi, Br.Target);
@@ -1050,7 +1046,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
     auto emitInsn = [&](int Idx, VCtx &C) {
       const XInsn &I = DF.Code[static_cast<size_t>(Idx)];
       const int Next = Idx + 1;
-      if (Detailed && !C.BulkOps)
+      if (!C.Batched)
         A.incMemQ(R13, MO.PerOp0 +
                            8 * static_cast<int32_t>(
                                    static_cast<size_t>(I.OrigOp)));
@@ -1080,8 +1076,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
             ((I.Op == XOp::MovRM || I.Op == XOp::MovRX) && memUsesSp(I.MB));
         if (!RegDst || I.A == static_cast<uint8_t>(s1::SP) || SrcSp)
           mat(C);
-        if (Detailed)
-          A.incMemQ(R13, MO.Movs);
+        A.incMemQ(R13, MO.Movs);
         // Source value into RCX (register/constant sources), or source EA
         // into RAX then load.
         auto loadSrc = [&] {
@@ -1932,24 +1927,21 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
         BC.Batched = true;
         BC.End = E;
         BC.Extra = Fused ? 1 : 0;
-        if (Detailed) {
-          // Bulk PerOpcode: one add per distinct opcode replaces N
-          // per-boundary bumps; trap stubs subtract the unexecuted tail
-          // back out. A fused branch is NOT included — emitBoolTail
-          // bumps it, and the generic slow route retires it at the
-          // branch's own block.
-          BC.BulkOps = true;
-          std::map<int32_t, int32_t> OpCounts;
-          for (int J = L; J < E; ++J)
-            ++OpCounts[static_cast<int32_t>(static_cast<size_t>(
-                DF.Code[static_cast<size_t>(J)].OrigOp))];
-          for (const auto &[Op, Cnt] : OpCounts) {
-            const int32_t Off = MO.PerOp0 + 8 * Op;
-            if (Cnt == 1)
-              A.incMemQ(R13, Off);
-            else
-              A.aluMemI(0, R13, Off, Cnt);
-          }
+        // Bulk PerOpcode: one add per distinct opcode replaces N
+        // per-boundary bumps; trap stubs subtract the unexecuted tail
+        // back out. A fused branch is NOT included — emitBoolTail bumps
+        // it, and the generic slow route retires it at the branch's own
+        // block.
+        std::map<int32_t, int32_t> OpCounts;
+        for (int J = L; J < E; ++J)
+          ++OpCounts[static_cast<int32_t>(static_cast<size_t>(
+              DF.Code[static_cast<size_t>(J)].OrigOp))];
+        for (const auto &[Op, Cnt] : OpCounts) {
+          const int32_t Off = MO.PerOp0 + 8 * Op;
+          if (Cnt == 1)
+            A.incMemQ(R13, Off);
+          else
+            A.aluMemI(0, R13, Off, Cnt);
         }
         for (int J = L; J < E; ++J)
           emitInsn(J, BC);

@@ -57,9 +57,11 @@ class Machine;
 /// True when this build can emit and run native code (x86-64 hosts).
 bool jitAvailable();
 
-/// Flags baked into the emitted code. Both mirror Machine switches that
-/// the threaded loop also specializes on.
+/// Flags baked into the emitted code.
 struct JitOptions {
+  /// Ignored: the native tier always keeps the per-opcode and MOV
+  /// counters. The field stays only so `{true, Gc}` in
+  /// s1bench/RunWorkload.cpp still compiles; delete it with that call.
   bool DetailedStats = true;
   bool GcEnabled = false;
 };
@@ -92,9 +94,7 @@ public:
   JitProgram(const JitProgram &) = delete;
   JitProgram &operator=(const JitProgram &) = delete;
 
-  bool matches(bool Detailed, bool GcEnabled) const {
-    return Detailed == DetailedOn && GcEnabled == GcOn;
-  }
+  bool matches(bool GcEnabled) const { return GcEnabled == GcOn; }
 
   /// True when this code was emitted from exactly \p P (guards against a
   /// Machine whose decoded program was swapped after compilation).
@@ -117,7 +117,6 @@ private:
   uint8_t *Base = nullptr; ///< RX mapping; nullptr until finalized
   size_t MapLen = 0;
   size_t EntryOff = 0;
-  bool DetailedOn = true;
   bool GcOn = false;
   /// Per function, per decoded index (plus the fall-off trailer), the
   /// byte offset of that instruction's template.

@@ -566,15 +566,15 @@ bool Machine::run(int FuncIndex, std::string &Error) {
   }
   if (Eng == Engine::Threaded) {
     decodedProgram(); // build lazily if no shared decode was injected
-    return DetailedStats ? runThreaded<true>(Error) : runThreaded<false>(Error);
+    return runThreaded(Error);
   }
   return runLegacy(Error);
 }
 
 bool Machine::runNative(std::string &Error) {
-  if (!Jitted || !Jitted->matches(DetailedStats, gcEnabled()) ||
+  if (!Jitted || !Jitted->matches(gcEnabled()) ||
       !Jitted->builtFrom(Decoded.get()))
-    Jitted = compileJit(Decoded, {DetailedStats, gcEnabled()}, *this);
+    Jitted = compileJit(Decoded, {true, gcEnabled()}, *this);
   if (!Jitted) {
     static bool Warned = false;
     if (!Warned) {
@@ -584,7 +584,7 @@ bool Machine::runNative(std::string &Error) {
                    "host (requires x86-64); falling back to the threaded "
                    "engine\n");
     }
-    return DetailedStats ? runThreaded<true>(Error) : runThreaded<false>(Error);
+    return runThreaded(Error);
   }
 
   ActiveJit = Jitted.get();
@@ -694,8 +694,7 @@ bool Machine::step(std::string &Error) {
     return trap(Error, "pc out of range");
   const Instruction &I = F.Code[Pc++];
   ++Stats.Instructions;
-  if (DetailedStats)
-    ++Stats.PerOpcode[static_cast<size_t>(I.Op)];
+  ++Stats.PerOpcode[static_cast<size_t>(I.Op)];
 
   switch (I.Op) {
   case Opcode::LABEL: // unreachable: skipped before fetch
@@ -704,8 +703,7 @@ bool Machine::step(std::string &Error) {
     return trap(Error, "HALT executed");
 
   case Opcode::MOV:
-    if (DetailedStats)
-      ++Stats.Movs;
+    ++Stats.Movs;
     write(I.A, read(I.B));
     return true;
 
@@ -1008,7 +1006,7 @@ void Machine::xwrite(const XArg &A, uint64_t V) {
 #endif
 #define S1_NEXT continue;
 
-template <bool Detailed> bool Machine::runThreaded(std::string &Error) {
+bool Machine::runThreaded(std::string &Error) {
   const DecodedProgram &DP = *Decoded;
   const XInsn *Code = nullptr;
   int Size = 0;
@@ -1088,8 +1086,7 @@ template <bool Detailed> bool Machine::runThreaded(std::string &Error) {
     }
     I = &Code[LPc++];
     ++Stats.Instructions;
-    if constexpr (Detailed)
-      ++Stats.PerOpcode[static_cast<size_t>(I->OrigOp)];
+    ++Stats.PerOpcode[static_cast<size_t>(I->OrigOp)];
 
 #if S1_COMPUTED_GOTO
     goto *Table[static_cast<size_t>(I->Op)];
@@ -1098,88 +1095,76 @@ template <bool Detailed> bool Machine::runThreaded(std::string &Error) {
 #endif
 
     S1_CASE(MovRR) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       Regs[I->A] = Regs[I->B];
     }
     S1_NEXT
 
     S1_CASE(MovRK) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       Regs[I->A] = I->K;
     }
     S1_NEXT
 
     S1_CASE(MovRM) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       Regs[I->A] = mem(EaS(I->MB));
     }
     S1_NEXT
 
     S1_CASE(MovRX) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       Regs[I->A] = mem(EaX(I->MB));
     }
     S1_NEXT
 
     S1_CASE(MovMR) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       mem(EaS(I->MA)) = Regs[I->B];
     }
     S1_NEXT
 
     S1_CASE(MovMK) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       mem(EaS(I->MA)) = I->K;
     }
     S1_NEXT
 
     S1_CASE(MovMM) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       uint64_t V = mem(EaS(I->MB));
       mem(EaS(I->MA)) = V;
     }
     S1_NEXT
 
     S1_CASE(MovMX) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       uint64_t V = mem(EaX(I->MB));
       mem(EaS(I->MA)) = V;
     }
     S1_NEXT
 
     S1_CASE(MovXR) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       mem(EaX(I->MA)) = Regs[I->B];
     }
     S1_NEXT
 
     S1_CASE(MovXK) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       mem(EaX(I->MA)) = I->K;
     }
     S1_NEXT
 
     S1_CASE(MovXM) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       uint64_t V = mem(EaS(I->MB));
       mem(EaX(I->MA)) = V;
     }
     S1_NEXT
 
     S1_CASE(MovXX) {
-      if constexpr (Detailed)
-        ++Stats.Movs;
+      ++Stats.Movs;
       uint64_t V = mem(EaX(I->MB));
       mem(EaX(I->MA)) = V;
     }

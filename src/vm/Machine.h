@@ -165,14 +165,6 @@ public:
   void setEngine(Engine E) { Eng = E; }
   Engine engine() const { return Eng; }
 
-  /// Gates the per-retired-instruction detail counters (the PerOpcode
-  /// histogram and the MOV count). On by default; switching them off
-  /// removes their cost from the hot loop entirely (the threaded engine
-  /// compiles a counter-free instantiation of its dispatch loop).
-  /// Instructions is always counted — it drives the fuel limit.
-  void setDetailedStats(bool On) { DetailedStats = On; }
-  bool detailedStats() const { return DetailedStats; }
-
   /// The pre-decoded form of the program, built lazily on first threaded
   /// run. Pass a shared decode in to amortize decoding across the many
   /// short-lived Machines a fuzzing sweep builds for one Program.
@@ -212,7 +204,7 @@ private:
   bool run(int FuncIndex, std::string &Error);
   bool runLegacy(std::string &Error);
   bool step(std::string &Error);
-  template <bool Detailed> bool runThreaded(std::string &Error);
+  bool runThreaded(std::string &Error);
   bool runNative(std::string &Error);
   uint64_t &mem(uint64_t Addr);
   uint64_t effectiveAddress(const s1::Operand &O);
@@ -282,7 +274,6 @@ private:
   uint64_t CachedTWord = 0; ///< memoized symbolWord(t); 0 = not yet built
 
   Engine Eng = Engine::Threaded;
-  bool DetailedStats = true;
   std::shared_ptr<const DecodedProgram> Decoded;
 
   // Native tier state (vm/Jit.h). The generated code reaches back into

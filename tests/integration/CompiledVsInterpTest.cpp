@@ -241,6 +241,13 @@ std::vector<ProgramCase> corpus() {
        "(defun fut (k) (if (= k 0) (h 1) (h 1 2 3)))",
        "fut",
        {{fx(0)}, {fx(1)}}},
+      // Unary + and * still type-check their argument: the interpreter
+      // traps, and the optimizer must not fold the call away.
+      {"unary-plus-nil", "(defun fut () (+ nil))", "fut", {{}}},
+      {"unary-times-nil", "(defun fut () (* nil))", "fut", {{}}},
+      {"unary-plus-symbol", "(defun fut () (+ 'a))", "fut", {{}}},
+      {"unary-plus-param", "(defun f (x) (+ x))", "f",
+       {{Value::nil()}, {fx(3)}}},
   };
 }
 

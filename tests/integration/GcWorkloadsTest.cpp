@@ -4,8 +4,9 @@
 // Each workload has a closed-form checksum, so the same sources serve
 // three masters: these tests pin the values at small sizes (interpreter
 // and compiled, with and without a collection forced at every cons),
-// bench_gc re-runs them at millions of conses, and the examples stay
-// runnable documentation.
+// s1bench's run workload and the map-chain gate in bench/bench_gates.cpp
+// time them at larger sizes, and the examples stay runnable
+// documentation.
 //
 //===----------------------------------------------------------------------===//
 

@@ -7,10 +7,10 @@
 // why the legacy engine may not retire LABEL pseudo-ops). A block of fuzz
 // seeds drives every engine over each program's argument grid, and
 // targeted cases pin down the spots where the engines are easiest to get
-// wrong: traps, special-variable lookup caching, detailed-stats gating,
-// and collections forced mid-run. On hosts without the JIT
-// (vm::jitAvailable() false) the native rows are skipped; Machine itself
-// falls back to the threaded loop there.
+// wrong: traps, special-variable lookup caching, collections forced
+// mid-run, and the dispatch kernels bench/bench_gates.cpp times. On hosts
+// without the JIT (vm::jitAvailable() false) the native rows are skipped;
+// Machine itself falls back to the threaded loop there.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,13 +58,12 @@ std::string describe(GcSchedule S) {
 
 EngineRun runOn(const s1::Program &P, ir::Module &M, const std::string &Entry,
                 const std::vector<Value> &Args, vm::Engine Eng,
-                bool DetailedStats = true, GcSchedule Gc = {}) {
+                GcSchedule Gc = {}, uint64_t Fuel = 2'000'000) {
   vm::Machine VM(P, M.Syms, M.DataHeap);
   VM.setEngine(Eng);
-  VM.setDetailedStats(DetailedStats);
   VM.setGcEvery(Gc.Every);
   VM.setGcBudget(Gc.BudgetBytes);
-  VM.setFuel(2'000'000);
+  VM.setFuel(Fuel);
   vm::Machine::RunResult R = VM.call(Entry, Args);
   EngineRun Out;
   Out.Ok = R.Ok;
@@ -109,18 +108,17 @@ std::string diffStats(const vm::MachineStats &L, const vm::MachineStats &T,
 void expectEquivalent(const std::string &Source, const std::string &Entry,
                       const std::vector<Value> &Args,
                       const driver::CompilerOptions &Opts = {},
-                      GcSchedule Gc = {}) {
+                      GcSchedule Gc = {}, uint64_t Fuel = 2'000'000) {
   ir::Module M;
   driver::CompileOutcome Out = driver::compileSource(M, Source, Opts);
   ASSERT_TRUE(Out.Ok) << Out.Error;
-  EngineRun L = runOn(Out.Program, M, Entry, Args, vm::Engine::Legacy,
-                      /*DetailedStats=*/true, Gc);
+  EngineRun L =
+      runOn(Out.Program, M, Entry, Args, vm::Engine::Legacy, Gc, Fuel);
   for (vm::Engine Eng : enginesUnderTest()) {
     if (Eng == vm::Engine::Legacy)
       continue;
     const char *Name = vm::engineName(Eng);
-    EngineRun T = runOn(Out.Program, M, Entry, Args, Eng,
-                        /*DetailedStats=*/true, Gc);
+    EngineRun T = runOn(Out.Program, M, Entry, Args, Eng, Gc, Fuel);
     ASSERT_EQ(L.Ok, T.Ok) << "legacy: " << L.Text << "\n"
                           << Name << ": " << T.Text;
     if (L.Ok)
@@ -204,15 +202,15 @@ TEST_P(EngineEquivalenceGc, FuzzSeedsAgreeUnderForcedCollections) {
       std::string Sched = describe(Gc);
       for (size_t Row = 0; Row < P.ArgGrid.size(); ++Row) {
         EngineRun L = runOn(Out.Program, M, P.Entry, P.ArgGrid[Row],
-                            vm::Engine::Legacy, true, Gc);
+                            vm::Engine::Legacy, Gc);
         if (Gc.BudgetBytes)
           BudgetRuns += L.Stats.GcRuns;
         for (vm::Engine Eng : Engines) {
           if (Eng == vm::Engine::Legacy)
             continue;
           const char *Name = vm::engineName(Eng);
-          EngineRun T = runOn(Out.Program, M, P.Entry, P.ArgGrid[Row], Eng,
-                              true, Gc);
+          EngineRun T =
+              runOn(Out.Program, M, P.Entry, P.ArgGrid[Row], Eng, Gc);
           ASSERT_EQ(L.Ok, T.Ok)
               << "seed " << Seed << " row " << Row << " " << Sched
               << "\n  legacy: " << L.Text << "\n  " << Name << ": " << T.Text
@@ -318,8 +316,8 @@ TEST(EngineEquivalenceFixed, CollectionsActuallyRanAndReclaimed) {
   ASSERT_TRUE(Out.Ok) << Out.Error;
   for (GcSchedule Gc : {GcSchedule{8, 0}, GcSchedule{0, 256}}) {
     for (vm::Engine Eng : enginesUnderTest()) {
-      EngineRun R = runOn(Out.Program, M, "churn", {Value::fixnum(300)}, Eng,
-                          true, Gc);
+      EngineRun R =
+          runOn(Out.Program, M, "churn", {Value::fixnum(300)}, Eng, Gc);
       ASSERT_TRUE(R.Ok) << R.Text;
       EXPECT_EQ(R.Text, "900");
       EXPECT_GT(R.Stats.GcRuns, 0u) << describe(Gc);
@@ -328,29 +326,32 @@ TEST(EngineEquivalenceFixed, CollectionsActuallyRanAndReclaimed) {
   }
 }
 
-TEST(EngineEquivalenceFixed, DisabledDetailGatesOnlyDetailCounters) {
-  const char *Source = "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) "
-                       "(fib (- n 2)))))";
-  ir::Module M;
-  driver::CompileOutcome Out = driver::compileSource(M, Source, {});
-  ASSERT_TRUE(Out.Ok) << Out.Error;
-  for (vm::Engine Eng : enginesUnderTest()) {
-    EngineRun On = runOn(Out.Program, M, "fib", {Value::fixnum(12)}, Eng,
-                         /*DetailedStats=*/true);
-    EngineRun Off = runOn(Out.Program, M, "fib", {Value::fixnum(12)}, Eng,
-                          /*DetailedStats=*/false);
-    EXPECT_EQ(On.Text, Off.Text);
-    // Architectural counters survive; only the detail set goes dark.
-    EXPECT_EQ(On.Stats.Instructions, Off.Stats.Instructions);
-    EXPECT_EQ(On.Stats.Calls, Off.Stats.Calls);
-    EXPECT_EQ(On.Stats.SpecialSearchSteps, Off.Stats.SpecialSearchSteps);
-    EXPECT_EQ(Off.Stats.Movs, 0u);
-    EXPECT_GT(On.Stats.Movs, 0u);
-    uint64_t OffHistogram = 0;
-    for (uint64_t C : Off.Stats.PerOpcode)
-      OffHistogram += C;
-    EXPECT_EQ(OffHistogram, 0u);
-  }
+// The three dispatch kernels the native-over-threaded gate times
+// (bench/bench_gates.cpp), at the timed sizes, so that a wall-clock win
+// there cannot come from an engine retiring different work.
+constexpr uint64_t KernelFuel = 500'000'000;
+
+TEST(EngineEquivalenceFixed, TimedLoopKernelAgrees) {
+  expectEquivalent("(defun kernel (n)"
+                   "  (let ((s 0)) (dotimes (i n) (setq s (+ s i))) s))",
+                   "kernel", {Value::fixnum(60000)}, {}, {}, KernelFuel);
+}
+
+TEST(EngineEquivalenceFixed, TimedFibKernelAgrees) {
+  expectEquivalent("(defun kernel (n)"
+                   "  (if (< n 2) n (+ (kernel (- n 1)) (kernel (- n 2)))))",
+                   "kernel", {Value::fixnum(22)}, {}, {}, KernelFuel);
+}
+
+TEST(EngineEquivalenceFixed, TimedTakKernelAgrees) {
+  expectEquivalent("(defun tak (x y z)"
+                   "  (if (< y x)"
+                   "      (tak (tak (- x 1) y z) (tak (- y 1) z x)"
+                   "           (tak (- z 1) x y))"
+                   "      z))",
+                   "tak",
+                   {Value::fixnum(18), Value::fixnum(12), Value::fixnum(6)}, {},
+                   {}, KernelFuel);
 }
 
 TEST(EngineEquivalenceFixed, NativeReportsAvailability) {

@@ -46,10 +46,9 @@ struct EngineRun {
 
 EngineRun runOn(const s1::Program &P, ir::Module &M, const std::string &Entry,
                 const std::vector<Value> &Args, vm::Engine Eng, uint64_t Fuel,
-                bool DetailedStats = true, uint64_t GcEvery = 0) {
+                uint64_t GcEvery = 0) {
   vm::Machine VM(P, M.Syms, M.DataHeap);
   VM.setEngine(Eng);
-  VM.setDetailedStats(DetailedStats);
   VM.setGcEvery(GcEvery);
   VM.setFuel(Fuel);
   vm::Machine::RunResult R = VM.call(Entry, Args);
@@ -106,28 +105,26 @@ void expectNativeMatchesThreaded(const std::string &Source,
   driver::CompileOutcome Out = compileOrDie(M, Source);
   if (!Out.Ok)
     return;
-  for (bool Detailed : {true, false}) {
-    EngineRun T = runOn(Out.Program, M, Entry, Args, vm::Engine::Threaded,
-                        2'000'000, Detailed, GcEvery);
-    if (vm::jitAvailable()) {
-      EngineRun N = runOn(Out.Program, M, Entry, Args, vm::Engine::Native,
-                          2'000'000, Detailed, GcEvery);
-      ASSERT_EQ(T.Ok, N.Ok) << "threaded: " << T.Text
-                            << "\nnative:   " << N.Text;
-      EXPECT_EQ(T.Text, N.Text) << "detailed=" << Detailed;
-      EXPECT_EQ(diffStats(T.Stats, N.Stats, "threaded", "native"), "")
-          << "detailed=" << Detailed << " gc-every=" << GcEvery;
-    }
-    EngineRun L = runOn(Out.Program, M, Entry, Args, vm::Engine::Legacy,
-                        2'000'000, Detailed, GcEvery);
-    ASSERT_EQ(T.Ok, L.Ok) << "threaded: " << T.Text << "\nlegacy: " << L.Text;
-    if (T.Ok)
-      EXPECT_EQ(T.Text, L.Text);
-    else
-      EXPECT_EQ(fuzz::classifyError(T.Text), fuzz::classifyError(L.Text));
-    EXPECT_EQ(diffStats(T.Stats, L.Stats, "threaded", "legacy"), "")
-        << "detailed=" << Detailed << " gc-every=" << GcEvery;
+  EngineRun T = runOn(Out.Program, M, Entry, Args, vm::Engine::Threaded,
+                      2'000'000, GcEvery);
+  if (vm::jitAvailable()) {
+    EngineRun N = runOn(Out.Program, M, Entry, Args, vm::Engine::Native,
+                        2'000'000, GcEvery);
+    ASSERT_EQ(T.Ok, N.Ok) << "threaded: " << T.Text
+                          << "\nnative:   " << N.Text;
+    EXPECT_EQ(T.Text, N.Text);
+    EXPECT_EQ(diffStats(T.Stats, N.Stats, "threaded", "native"), "")
+        << "gc-every=" << GcEvery;
   }
+  EngineRun L = runOn(Out.Program, M, Entry, Args, vm::Engine::Legacy,
+                      2'000'000, GcEvery);
+  ASSERT_EQ(T.Ok, L.Ok) << "threaded: " << T.Text << "\nlegacy: " << L.Text;
+  if (T.Ok)
+    EXPECT_EQ(T.Text, L.Text);
+  else
+    EXPECT_EQ(fuzz::classifyError(T.Text), fuzz::classifyError(L.Text));
+  EXPECT_EQ(diffStats(T.Stats, L.Stats, "threaded", "legacy"), "")
+      << "gc-every=" << GcEvery;
 }
 
 //===----------------------------------------------------------------------===//
@@ -149,7 +146,7 @@ constexpr char SweepSource[] =
     "      (cons n (list n n n n n n n n))"
     "      (list n n)))";
 
-void fuelSweep(bool Detailed, uint64_t GcEvery) {
+void fuelSweep(uint64_t GcEvery) {
   if (!vm::jitAvailable())
     GTEST_SKIP() << "no native tier on this host";
   ir::Module M;
@@ -159,42 +156,35 @@ void fuelSweep(bool Detailed, uint64_t GcEvery) {
   std::vector<Value> Args = {Value::fixnum(7)};
   // Total retired instructions for the full run, from the oracle engine.
   EngineRun Full = runOn(Out.Program, M, "sweep", Args, vm::Engine::Threaded,
-                         2'000'000, Detailed, GcEvery);
+                         2'000'000, GcEvery);
   ASSERT_TRUE(Full.Ok) << Full.Text;
   uint64_t Total = Full.Stats.Instructions;
   ASSERT_GT(Total, 10u) << "synthetic block too short to sweep";
   for (uint64_t Fuel = 1; Fuel <= Total + 1; ++Fuel) {
     EngineRun T = runOn(Out.Program, M, "sweep", Args, vm::Engine::Threaded,
-                        Fuel, Detailed, GcEvery);
+                        Fuel, GcEvery);
     EngineRun N = runOn(Out.Program, M, "sweep", Args, vm::Engine::Native,
-                        Fuel, Detailed, GcEvery);
+                        Fuel, GcEvery);
     ASSERT_EQ(T.Ok, N.Ok) << "fuel=" << Fuel << "\n  threaded: " << T.Text
                           << "\n  native:   " << N.Text;
     // Byte-identical even for traps: the stubs must reproduce the
     // threaded engine's message, not merely its error class.
     EXPECT_EQ(T.Text, N.Text) << "fuel=" << Fuel;
     EXPECT_EQ(diffStats(T.Stats, N.Stats, "threaded", "native"), "")
-        << "fuel=" << Fuel << " detailed=" << Detailed
-        << " gc-every=" << GcEvery;
+        << "fuel=" << Fuel << " gc-every=" << GcEvery;
     if (Fuel < Total) {
       EXPECT_FALSE(T.Ok) << "fuel=" << Fuel << " of " << Total;
     }
   }
 }
 
-TEST(JitBlock, FuelTrapAtEveryOffsetDetailed) {
-  fuelSweep(/*Detailed=*/true, /*GcEvery=*/0);
-}
-
-TEST(JitBlock, FuelTrapAtEveryOffsetSlim) {
-  fuelSweep(/*Detailed=*/false, /*GcEvery=*/0);
-}
+TEST(JitBlock, FuelTrapAtEveryOffsetDetailed) { fuelSweep(/*GcEvery=*/0); }
 
 TEST(JitBlock, FuelTrapAtEveryOffsetUnderGc) {
   // With a schedule set the batched lane is compiled differently (entry
   // GC check kept, fuel check not merged into the fit test) — sweep that
   // shape too.
-  fuelSweep(/*Detailed=*/true, /*GcEvery=*/1);
+  fuelSweep(/*GcEvery=*/1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -225,11 +215,11 @@ TEST(JitBlock, InlineConsSurvivesHeapVerifier) {
     return;
   std::vector<Value> Args = {Value::fixnum(120)};
   EngineRun T = runOn(Out.Program, M, "drive", Args, vm::Engine::Threaded,
-                      2'000'000, true, /*GcEvery=*/1);
+                      2'000'000, /*GcEvery=*/1);
   ASSERT_TRUE(T.Ok) << T.Text;
   if (vm::jitAvailable()) {
     EngineRun N = runOn(Out.Program, M, "drive", Args, vm::Engine::Native,
-                        2'000'000, true, /*GcEvery=*/1);
+                        2'000'000, /*GcEvery=*/1);
     ASSERT_TRUE(N.Ok) << N.Text;
     EXPECT_EQ(T.Text, N.Text);
     EXPECT_EQ(diffStats(T.Stats, N.Stats, "threaded", "native"), "");
