@@ -4,6 +4,7 @@
 
 #include "frontend/Convert.h"
 #include "ir/StableHash.h"
+#include "sexpr/Reader.h"
 #include "stats/Stats.h"
 #include "support/Parallel.h"
 
@@ -21,6 +22,15 @@ size_t MemoizedFunction::byteSize() const {
     Bytes += sizeof(stats::Remark) + R.Phase.size() + R.Rule.size() +
              R.Function.size() + R.Before.size() + R.After.size() +
              R.Detail.size();
+  return Bytes;
+}
+
+size_t FrontEntry::byteSize() const {
+  size_t Bytes = sizeof(FrontEntry) + Name.size();
+  for (const std::string &G : Globals)
+    Bytes += sizeof(std::string) + G.size();
+  for (const stats::TallyDelta &D : Tally)
+    Bytes += sizeof(stats::TallyDelta) + D.Name.size();
   return Bytes;
 }
 
@@ -55,16 +65,22 @@ uint64_t driver::optionsFingerprint(const CompilerOptions &O) {
 
 namespace {
 
-/// The memo key for function \p F under \p OptsFp: content hash + name +
-/// options + the module-index resolution of every global name the unit's
-/// code could bake into an immediate.
-uint64_t
-memoKey(const ir::Function &F, uint64_t OptsFp,
-        const std::unordered_map<std::string, int> &FuncIndex) {
-  uint64_t K = ir::stableFunctionHash(F);
-  K = ir::hashString(K, F.name());
+using FuncIndexMap = std::unordered_map<std::string, int>;
+
+/// What the memo key needs from \p F's converted tree.
+FrontEntry frontEntryOf(const ir::Function &F) {
+  return {ir::stableFunctionHash(F), F.name(), ir::referencedGlobalNames(F),
+          {}};
+}
+
+/// The memo key for the function \p E describes under \p OptsFp: content
+/// hash + name + options + the module-index resolution of every global
+/// name the unit's code could bake into an immediate.
+uint64_t memoKey(const FrontEntry &E, uint64_t OptsFp,
+                 const FuncIndexMap &FuncIndex) {
+  uint64_t K = ir::hashString(E.IrHash, E.Name);
   K = ir::hashCombine(K, OptsFp);
-  for (const std::string &Name : ir::referencedGlobalNames(F)) {
+  for (const std::string &Name : E.Globals) {
     K = ir::hashString(K, Name);
     auto It = FuncIndex.find(Name);
     K = ir::hashCombine(K, It == FuncIndex.end()
@@ -74,41 +90,32 @@ memoKey(const ir::Function &F, uint64_t OptsFp,
   return K;
 }
 
-} // namespace
+/// One module function on its way to a unit. F is null for a function
+/// the front cache and the memo both hit: it was never converted.
+struct Slot {
+  ir::Function *F = nullptr;
+  uint64_t Key = 0;
+  std::shared_ptr<const MemoizedFunction> Hit;
+  std::shared_ptr<MemoizedFunction> Fresh;
+};
 
-CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
-                                     stats::RemarkStream *Remarks,
-                                     FunctionMemo *Memo) {
-  CompileOutcome Out;
-  const size_t N = M.functions().size();
+void probe(Slot &S, uint64_t Key, FunctionMemo &Memo, CompileOutcome &Out) {
+  S.Key = Key;
+  S.Hit = Memo.lookup(Key);
+  ++(S.Hit ? Out.MemoHits : Out.MemoMisses);
+}
 
-  // Pre-assign module-function indices so mutually recursive calls resolve
-  // identically in every unit.
-  std::unordered_map<std::string, int> FuncIndex;
-  for (const auto &F : M.functions())
-    FuncIndex[F->name()] = static_cast<int>(FuncIndex.size());
-
+/// Compiles the slots without a memo hit, folds every slot's counters and
+/// remarks in slot order, offers the fresh units to \p Memo, and links.
+/// No step reads another function of \p M.
+CompileOutcome compileSlots(ir::Module &M, std::vector<Slot> &Slots,
+                            const FuncIndexMap &FuncIndex,
+                            const CompilerOptions &Opts,
+                            stats::RemarkStream *Remarks, FunctionMemo *Memo,
+                            CompileOutcome Out) {
+  const size_t N = Slots.size();
   codegen::CodegenOptions CG = Opts.Codegen;
   CG.Jobs = Opts.Jobs;
-
-  struct Slot {
-    uint64_t Key = 0;
-    std::shared_ptr<const MemoizedFunction> Hit;
-    std::shared_ptr<MemoizedFunction> Fresh;
-  };
-  std::vector<Slot> Slots(N);
-
-  // Serial probe pass: hashing is cheap next to the middle end, and a
-  // serial pass keeps the memo's hit/miss counter order deterministic.
-  if (Memo) {
-    stats::PhaseTimer Timer("driver.memo");
-    const uint64_t OptsFp = optionsFingerprint(Opts);
-    for (size_t I = 0; I < N; ++I) {
-      Slots[I].Key = memoKey(*M.functions()[I], OptsFp, FuncIndex);
-      Slots[I].Hit = Memo->lookup(Slots[I].Key);
-      ++(Slots[I].Hit ? Out.MemoHits : Out.MemoMisses);
-    }
-  }
 
   // Compile the misses, fanned out per function. Each function optimizes
   // and generates code against private remark/stat sinks; folding those in
@@ -122,7 +129,7 @@ CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
   support::parallelFor(N, Opts.Jobs, [&](size_t I) {
     if (Slots[I].Hit)
       return;
-    ir::Function &F = *M.functions()[I];
+    ir::Function &F = *Slots[I].F;
     auto MF = std::make_shared<MemoizedFunction>();
     stats::LocalTally T;
     stats::RemarkStream R;
@@ -155,9 +162,8 @@ CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
   // the ambient record() path (so a surrounding TallyScope — e.g. a
   // service request's — sees them), remarks merge into the caller's
   // stream. Cached and fresh slots replay identically.
-  for (size_t I = 0; I < N; ++I) {
-    const MemoizedFunction *MF =
-        Slots[I].Hit ? Slots[I].Hit.get() : Slots[I].Fresh.get();
+  for (const Slot &S : Slots) {
+    const MemoizedFunction *MF = S.Hit ? S.Hit.get() : S.Fresh.get();
     stats::applyTallyDeltas(MF->Tally);
     if (Remarks)
       for (const stats::Remark &Rm : MF->Remarks)
@@ -183,10 +189,47 @@ CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
   return Out;
 }
 
-CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
-                                     const CompilerOptions &Opts,
+/// The function name of a (defun name ...) form, else null.
+const sexpr::Symbol *defunName(sexpr::Value Form) {
+  if (!Form.isCons() || !Form.car().isSymbol() ||
+      Form.car().symbol()->name() != "defun")
+    return nullptr;
+  sexpr::Value Rest = Form.cdr();
+  return Rest.isCons() && Rest.car().isSymbol() ? Rest.car().symbol()
+                                                : nullptr;
+}
+
+} // namespace
+
+CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
                                      stats::RemarkStream *Remarks,
                                      FunctionMemo *Memo) {
+  CompileOutcome Out;
+  // Pre-assign module-function indices so mutually recursive calls resolve
+  // identically in every unit.
+  FuncIndexMap FuncIndex;
+  for (const auto &F : M.functions())
+    FuncIndex[F->name()] = static_cast<int>(FuncIndex.size());
+
+  std::vector<Slot> Slots(M.functions().size());
+  for (size_t I = 0; I < Slots.size(); ++I)
+    Slots[I].F = M.functions()[I].get();
+
+  // Serial probe pass: hashing is cheap next to the middle end, and a
+  // serial pass keeps the memo's hit/miss counter order deterministic.
+  if (Memo) {
+    stats::PhaseTimer Timer("driver.memo");
+    const uint64_t OptsFp = optionsFingerprint(Opts);
+    for (Slot &S : Slots)
+      probe(S, memoKey(frontEntryOf(*S.F), OptsFp, FuncIndex), *Memo, Out);
+  }
+  return compileSlots(M, Slots, FuncIndex, Opts, Remarks, Memo, std::move(Out));
+}
+
+CompileOutcome driver::convertAndCompile(ir::Module &M, std::string_view Source,
+                                         const CompilerOptions &Opts,
+                                         stats::RemarkStream *Remarks,
+                                         FunctionMemo *Memo) {
   CompileOutcome Out;
   DiagEngine Diags;
   {
@@ -197,6 +240,90 @@ CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
     }
   }
   return compileModule(M, Opts, Remarks, Memo);
+}
+
+CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
+                                     const CompilerOptions &Opts,
+                                     stats::RemarkStream *Remarks,
+                                     FunctionMemo *Memo) {
+  if (!Memo)
+    return convertAndCompile(M, Source, Opts, Remarks);
+
+  CompileOutcome Out;
+  DiagEngine Diags;
+  FuncIndexMap FuncIndex;
+  std::vector<Slot> Slots;
+  {
+    stats::PhaseTimer Timer("frontend.convert");
+    std::vector<sexpr::Value> Forms =
+        sexpr::readAll(M.Syms, M.DataHeap, Source, Diags);
+    if (Diags.hasErrors()) {
+      Out.Error = Diags.str();
+      return Out;
+    }
+    // The index compileModule would build, from the defun names alone.
+    for (sexpr::Value Form : Forms)
+      if (const sexpr::Symbol *Name = defunName(Form))
+        FuncIndex[Name->name()] = static_cast<int>(FuncIndex.size());
+
+    const uint64_t OptsFp = optionsFingerprint(Opts);
+    // The names of the specials proclaimed so far, in order: conversion
+    // reads them, so they are part of every front key.
+    uint64_t SpecialsKey = ir::hashString(0, "s1lisp.front.v1");
+    size_t SpecialsSeen = 0;
+    for (sexpr::Value Form : Forms) {
+      const sexpr::Symbol *Name = defunName(Form);
+      // Proclamations always convert. After an error every form converts,
+      // as convertAndCompile would, and the memo is not probed again.
+      if (!Name || Diags.hasErrors()) {
+        frontend::convertTopLevel(M, Form, Diags);
+        for (; SpecialsSeen < M.Specials.size(); ++SpecialsSeen)
+          SpecialsKey =
+              ir::hashString(SpecialsKey, M.Specials[SpecialsSeen]->name());
+        continue;
+      }
+      const uint64_t FrontKey = ir::stableDatumHash(SpecialsKey, Form);
+      Slot S;
+      if (std::shared_ptr<const FrontEntry> E = Memo->lookupFront(FrontKey)) {
+        probe(S, memoKey(*E, OptsFp, FuncIndex), *Memo, Out);
+        if (S.Hit) {
+          // Replay what converting the form would have recorded.
+          stats::applyTallyDeltas(E->Tally);
+          Slots.push_back(std::move(S));
+          continue;
+        }
+        S.F = frontend::convertTopLevel(M, Form, Diags);
+      } else {
+        // Convert under a private tally, so the entry can replay it.
+        const size_t DiagsBefore = Diags.diagnostics().size();
+        stats::LocalTally T;
+        {
+          stats::TallyScope Scope(T);
+          S.F = frontend::convertTopLevel(M, Form, Diags);
+        }
+        std::vector<stats::TallyDelta> Deltas = T.deltas();
+        stats::applyTallyDeltas(Deltas);
+        if (!S.F)
+          continue;
+        auto Entry = std::make_shared<FrontEntry>(frontEntryOf(*S.F));
+        Entry->Tally = std::move(Deltas);
+        probe(S, memoKey(*Entry, OptsFp, FuncIndex), *Memo, Out);
+        // A hit must leave Diags as converting would, so a form that
+        // reported anything (a warning included) is not remembered.
+        if (Diags.diagnostics().size() == DiagsBefore)
+          Memo->insertFront(FrontKey, std::move(Entry));
+      }
+      if (S.F)
+        Slots.push_back(std::move(S));
+    }
+  }
+  if (Diags.hasErrors()) {
+    // As without a memo: no memo traffic is reported for a failed convert.
+    CompileOutcome Failed;
+    Failed.Error = Diags.str();
+    return Failed;
+  }
+  return compileSlots(M, Slots, FuncIndex, Opts, Remarks, Memo, std::move(Out));
 }
 
 std::string driver::listing(const s1::Program &P) {

@@ -68,6 +68,19 @@ struct MemoizedFunction {
   size_t byteSize() const;
 };
 
+/// What a function's memo key needs from its converted tree, plus the
+/// counter deltas converting the defun recorded. The front cache keys it
+/// by the defun's datum, so a form seen before reaches its memo key with
+/// no conversion and no IR hashing, and replays the deltas instead.
+struct FrontEntry {
+  uint64_t IrHash = 0; ///< ir::stableFunctionHash of the converted tree
+  std::string Name;
+  std::vector<std::string> Globals; ///< ir::referencedGlobalNames
+  std::vector<stats::TallyDelta> Tally;
+
+  size_t byteSize() const;
+};
+
 /// A per-function compilation memo the driver probes before running the
 /// middle end. Keys are content addresses: alpha-normalized IR hash mixed
 /// with the function name, the options fingerprint, and the module-index
@@ -76,12 +89,23 @@ struct MemoizedFunction {
 /// resolutions agree). Implementations must be safe to call from
 /// concurrent compiles; entries are shared_ptr so eviction never frees a
 /// unit mid-link.
+///
+/// In front of it sits the front cache (lookupFront/insertFront): keys
+/// are structural hashes of a defun datum mixed with the names of the
+/// specials proclaimed before it, in a domain of their own. It has to be
+/// a second level: the memo key fixes how every referenced global
+/// resolves, and those names are known only after conversion. A memo
+/// without a front cache keeps the defaults, and every form converts.
 class FunctionMemo {
 public:
   virtual ~FunctionMemo() = default;
   virtual std::shared_ptr<const MemoizedFunction> lookup(uint64_t Key) = 0;
   virtual void insert(uint64_t Key,
                       std::shared_ptr<const MemoizedFunction> Fn) = 0;
+  virtual std::shared_ptr<const FrontEntry> lookupFront(uint64_t) {
+    return nullptr;
+  }
+  virtual void insertFront(uint64_t, std::shared_ptr<const FrontEntry>) {}
 };
 
 /// Fingerprint of every output-relevant option (Jobs is excluded: output
@@ -93,10 +117,24 @@ uint64_t optionsFingerprint(const CompilerOptions &Opts);
 /// Reads, converts, optimizes and compiles every top-level form in
 /// \p Source into \p M. When \p Remarks is given, every optimizer rewrite
 /// is recorded there as a structured remark.
+///
+/// With \p Memo, a defun the front cache has seen (same datum, same
+/// specials before it) goes from the reader straight to its memo probe;
+/// it is converted only when the memo misses. \p M then holds only the
+/// functions that were converted. Output, counters and remarks are those
+/// of convertAndCompile.
 CompileOutcome compileSource(ir::Module &M, std::string_view Source,
                              const CompilerOptions &Opts = {},
                              stats::RemarkStream *Remarks = nullptr,
                              FunctionMemo *Memo = nullptr);
+
+/// Converts every top-level form in \p Source into \p M, then runs
+/// compileModule: for callers that need every function's tree (the
+/// interpreter), with or without a memo for the back end.
+CompileOutcome convertAndCompile(ir::Module &M, std::string_view Source,
+                                 const CompilerOptions &Opts = {},
+                                 stats::RemarkStream *Remarks = nullptr,
+                                 FunctionMemo *Memo = nullptr);
 
 /// Compiles an already-converted module: optimize + CSE + codegen, fanned
 /// out per function when Opts.Jobs > 1. Remarks, when given, arrive merged

@@ -706,35 +706,6 @@ void Module::clone(Module &Out) const {
   }
 }
 
-namespace {
-
-/// Temporary root provider for Module::collectGarbage: the literal slots
-/// of every live function tree (visited in place, so the moving collector
-/// can rewrite them).
-struct ModuleRoots : sexpr::RootProvider {
-  Module &M;
-  explicit ModuleRoots(Module &M) : M(M) {}
-  void visitRoots(const std::function<void(sexpr::Value &)> &Visit) override {
-    for (const auto &FP : M.functions())
-      forEachNode(static_cast<Node *>(FP->Root), [&](Node *N) {
-        if (auto *L = dyn_cast<LiteralNode>(N))
-          Visit(L->Datum);
-        else if (auto *C = dyn_cast<CaseqNode>(N))
-          for (CaseqNode::Clause &Cl : C->Clauses)
-            for (sexpr::Value &K : Cl.Keys)
-              Visit(K);
-      });
-  }
-};
-
-} // namespace
-
-void Module::collectGarbage() {
-  ModuleRoots Roots(*this);
-  DataHeap.registerRootProvider(&Roots);
-  DataHeap.collect();
-  DataHeap.unregisterRootProvider(&Roots);
-}
 
 //===----------------------------------------------------------------------===//
 // Verifier

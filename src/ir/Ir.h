@@ -573,14 +573,6 @@ public:
   /// Module because each Function holds references to its module's tables.
   void clone(Module &Out) const;
 
-  /// Collects the literal-data heap: every literal datum and caseq key in
-  /// every function's *live* tree is a root; heap cells reachable only
-  /// from detached subtrees or from values decoded out of finished runs
-  /// are reclaimed. Moving: literal slots are rewritten in place, so the
-  /// module must be quiescent (no compile or run in flight). The daemon
-  /// calls this between requests.
-  void collectGarbage();
-
   /// Symbols proclaimed special (dynamically scoped), e.g. by defvar.
   std::vector<const sexpr::Symbol *> Specials;
   bool isSpecial(const sexpr::Symbol *S) const {

@@ -33,6 +33,11 @@ namespace ir {
 uint64_t hashCombine(uint64_t Seed, uint64_t V);
 uint64_t hashString(uint64_t Seed, std::string_view S);
 
+/// Structural hash of a datum, seeded with \p Seed: cons shape, symbol
+/// names, fixnum, flonum and ratio values, and string contents. Source
+/// positions are not part of it.
+uint64_t stableDatumHash(uint64_t Seed, sexpr::Value V);
+
 /// Alpha-normalized structural hash of \p F's tree (the function's own
 /// name is NOT included; callers that key caches mix it in themselves).
 uint64_t stableFunctionHash(const Function &F);

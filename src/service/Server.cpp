@@ -80,19 +80,9 @@ compilerDeltas(const stats::LocalTally &T) {
 /// description), resolving descriptions from the live registry.
 std::string renderStatsText(const std::vector<stats::TallyDelta> &Deltas) {
   std::vector<stats::StatValue> Values;
-  std::vector<stats::StatValue> Registry = stats::allStats(/*IncludeZeros=*/true);
-  for (const stats::TallyDelta &D : Deltas) {
-    uint64_t V = std::max(D.Add, D.Max);
-    if (!V)
-      continue;
-    std::string Desc;
-    for (const stats::StatValue &R : Registry)
-      if (R.Name == D.Name) {
-        Desc = R.Desc;
-        break;
-      }
-    Values.push_back({D.Name, Desc, V});
-  }
+  for (const stats::TallyDelta &D : Deltas)
+    if (uint64_t V = std::max(D.Add, D.Max))
+      Values.push_back({D.Name, stats::statDesc(D.Name), V});
   size_t ValueWidth = 0, NameWidth = 0;
   for (const stats::StatValue &V : Values) {
     ValueWidth = std::max(ValueWidth, std::to_string(V.Value).size());
@@ -211,8 +201,13 @@ void Server::handleCompile(const Message &Req, Message &Resp,
   const bool WantRemarks = Req.flag("remarks") || Req.flag("transcript");
   driver::FunctionMemo *Memo =
       Req.getOr("cache", "1") == "0" ? nullptr : &Cache;
-  driver::CompileOutcome Out = driver::compileSource(
-      M, *Source, Opts, WantRemarks ? &Remarks : nullptr, Memo);
+  const std::string Entry = Req.getOr("entry");
+  // The interpreter walks every function's tree, so an interp run
+  // converts the whole source and memoizes only the back end.
+  const bool Interp = !Entry.empty() && Req.getOr("run", "vm") == "interp";
+  driver::CompileOutcome Out =
+      (Interp ? driver::convertAndCompile : driver::compileSource)(
+          M, *Source, Opts, WantRemarks ? &Remarks : nullptr, Memo);
 
   Resp.set("memo-hits", std::to_string(Out.MemoHits));
   Resp.set("memo-misses", std::to_string(Out.MemoMisses));
@@ -233,11 +228,10 @@ void Server::handleCompile(const Message &Req, Message &Resp,
     Resp.set("remarks", Remarks.json());
 
   const std::string StatsMode = Req.getOr("stats");
-  const std::string Entry = Req.getOr("entry");
   if (!Entry.empty()) {
     uint64_t Fuel = 0;
     const bool HasFuel = Req.has("fuel") && parseU64(*Req.get("fuel"), Fuel);
-    if (Req.getOr("run", "vm") == "interp") {
+    if (Interp) {
       if (!M.lookup(Entry)) {
         Resp.set("run-error",
                  "entry function '" + Entry + "' is not defined");
@@ -293,13 +287,6 @@ void Server::handleCompile(const Message &Req, Message &Resp,
       }
     }
   }
-
-  // Every response field is a string by now, so nothing outside the
-  // module references its literal heap: collect it before serializing.
-  // Run garbage (values decoded out of the simulator) dies here; the
-  // CompileCache is unaffected — it memoizes content-addressed compiled
-  // units, not module heap data.
-  M.collectGarbage();
 
   if (!StatsMode.empty()) {
     std::vector<stats::TallyDelta> Deltas = compilerDeltas(T);

@@ -9,6 +9,7 @@
 #include <ctime>
 #include <map>
 #include <mutex>
+#include <string_view>
 
 using namespace s1lisp;
 using namespace s1lisp::stats;
@@ -33,6 +34,14 @@ std::mutex RegistryMu;
 std::vector<Statistic *> &registry() {
   static std::vector<Statistic *> R;
   return R;
+}
+
+// The first-registered live counter of each name (under RegistryMu): what
+// a replayed delta or a description lookup resolves a name to. Keys view
+// the indexed counter's own name.
+std::unordered_map<std::string_view, Statistic *> &byName() {
+  static std::unordered_map<std::string_view, Statistic *> N;
+  return N;
 }
 
 // Dense-slot allocator for Statistic::Idx (under RegistryMu). Slots are
@@ -67,6 +76,7 @@ Statistic::Statistic(const char *Name, const char *Desc)
     freeSlots().pop_back();
   }
   registry().push_back(this);
+  byName().try_emplace(Name, this);
 }
 
 Statistic::~Statistic() {
@@ -74,6 +84,16 @@ Statistic::~Statistic() {
   auto &R = registry();
   R.erase(std::remove(R.begin(), R.end(), this), R.end());
   freeSlots().push_back(Idx);
+  auto It = byName().find(Name);
+  if (It == byName().end() || It->second != this)
+    return;
+  // Hand the name to the next-registered live counter, if any.
+  byName().erase(It);
+  for (Statistic *S : R)
+    if (std::string_view(S->Name) == Name) {
+      byName().emplace(S->Name, S);
+      break;
+    }
 }
 
 LocalTally::Cell &LocalTally::cell(Statistic *S) {
@@ -126,17 +146,16 @@ std::vector<TallyDelta> LocalTally::deltas() const {
 void stats::applyTallyDeltas(const std::vector<TallyDelta> &Deltas) {
   if (!StatsEnabled)
     return;
-  // Resolve names outside any Statistic update: registry() order is
-  // stable for the duration (counters have static storage).
+  // Resolve names outside any Statistic update (counters have static
+  // storage, so a resolved target outlives the replay).
   std::vector<Statistic *> Targets(Deltas.size(), nullptr);
   {
     std::lock_guard<std::mutex> Lock(RegistryMu);
-    for (size_t I = 0; I < Deltas.size(); ++I)
-      for (Statistic *S : registry())
-        if (Deltas[I].Name == S->name()) {
-          Targets[I] = S;
-          break;
-        }
+    for (size_t I = 0; I < Deltas.size(); ++I) {
+      auto It = byName().find(Deltas[I].Name);
+      if (It != byName().end())
+        Targets[I] = It->second;
+    }
   }
   for (size_t I = 0; I < Deltas.size(); ++I) {
     if (!Targets[I])
@@ -186,6 +205,12 @@ std::vector<StatValue> stats::allStats(bool IncludeZeros) {
   std::sort(Out.begin(), Out.end(),
             [](const StatValue &A, const StatValue &B) { return A.Name < B.Name; });
   return Out;
+}
+
+std::string stats::statDesc(std::string_view Name) {
+  std::lock_guard<std::mutex> Lock(RegistryMu);
+  auto It = byName().find(Name);
+  return It == byName().end() ? std::string() : It->second->desc();
 }
 
 uint64_t stats::statValue(const std::string &Name) {

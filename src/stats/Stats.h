@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -133,7 +134,8 @@ private:
 /// Re-applies name-keyed deltas through the normal recording path: they
 /// land in the current thread's active tally when one is installed, and
 /// are dropped entirely when collection is disabled — exactly what a
-/// fresh recompile of the captured work would have done. Names with no
+/// fresh recompile of the captured work would have done. A name resolves
+/// through an index to its first-registered live counter; names with no
 /// live counter are ignored.
 void applyTallyDeltas(const std::vector<TallyDelta> &Deltas);
 
@@ -188,6 +190,10 @@ struct StatValue {
 /// All live counters, sorted by name. Zero-valued counters are included
 /// only when \p IncludeZeros is set.
 std::vector<StatValue> allStats(bool IncludeZeros = false);
+
+/// The description of the first-registered live counter named \p Name,
+/// or empty when none is live.
+std::string statDesc(std::string_view Name);
 
 /// The counter's current value, or 0 when no such counter is live.
 uint64_t statValue(const std::string &Name);

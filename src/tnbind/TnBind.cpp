@@ -41,6 +41,15 @@ struct Linearizer {
   std::vector<unsigned> CallPositions;
   std::unordered_map<const Variable *, Tn> Tns;
 
+  /// A LET-bound jump thunk: its body is walked where it is bound, but it
+  /// runs at its calls.
+  struct Thunk {
+    const Variable *Var;
+    const LambdaNode *Lambda;
+    unsigned BindClock;
+  };
+  std::vector<Thunk> Thunks;
+
   void touch(const Variable *V) {
     auto It = Tns.find(V);
     if (It == Tns.end())
@@ -99,8 +108,13 @@ struct Linearizer {
         const auto *L = cast<LambdaNode>(C->CalleeExpr);
         for (const Variable *P : L->Required)
           bind(P);
-        for (const Node *A : C->Args)
-          walk(A);
+        for (size_t J = 0; J < C->Args.size(); ++J) {
+          const auto *TL = dyn_cast<LambdaNode>(C->Args[J]);
+          if (TL && TL->Strategy == LambdaStrategy::Jump &&
+              J < L->Required.size())
+            Thunks.push_back({L->Required[J], TL, Clock});
+          walk(C->Args[J]);
+        }
         ++Clock;
         walk(L->Body);
         return;
@@ -153,6 +167,40 @@ struct Linearizer {
       return;
     }
   }
+
+  /// Keeps every variable a jump thunk references (and that is bound
+  /// outside it) live to the thunk's last call. Iterates to a fixpoint,
+  /// because a thunk may call another thunk and so extend its lifetime.
+  void extendThunkReferents() {
+    std::vector<std::pair<const Tn *, std::vector<Tn *>>> Uses;
+    for (const Thunk &T : Thunks) {
+      auto It = Tns.find(T.Var);
+      if (It == Tns.end())
+        continue;
+      std::vector<Tn *> Referents;
+      forEachNode(static_cast<const Node *>(T.Lambda->Body),
+                  [&](const Node *C) {
+                    const Variable *V = nullptr;
+                    if (const auto *VR = dyn_cast<VarRefNode>(C))
+                      V = VR->Var;
+                    else if (const auto *SQ = dyn_cast<SetqNode>(C))
+                      V = SQ->Var;
+                    auto R = V ? Tns.find(V) : Tns.end();
+                    if (R != Tns.end() && R->second.Start < T.BindClock)
+                      Referents.push_back(&R->second);
+                  });
+      Uses.push_back({&It->second, std::move(Referents)});
+    }
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (const auto &[ThunkTn, Referents] : Uses)
+        for (Tn *R : Referents)
+          if (R->End < ThunkTn->End) {
+            R->End = ThunkTn->End;
+            Changed = true;
+          }
+    }
+  }
 };
 
 } // namespace
@@ -164,6 +212,7 @@ TnBindResult tnbind::allocateVariables(const LambdaNode *Unit,
   Linearizer Lin;
   Lin.Root = Unit;
   Lin.walk(Unit);
+  Lin.extendThunkReferents();
 
   TnBindResult Result;
   std::vector<Tn *> Order;

@@ -248,6 +248,13 @@ std::vector<ProgramCase> corpus() {
       {"unary-plus-symbol", "(defun fut () (+ 'a))", "fut", {{}}},
       {"unary-plus-param", "(defun f (x) (+ x))", "f",
        {{Value::nil()}, {fx(3)}}},
+      // Without substitution, the nested-if distribution binds the thunk
+      // (lambda () b) as a jump lambda: b must stay live to the thunk's
+      // call, past the do loop whose variable would otherwise take its
+      // register.
+      {"jump-thunk-keeps-referents-live",
+       "(defun fut (a b c) (if (and c (do ((acc5 0)) (0 acc5))) b))", "fut",
+       {{fx(1), fx(7), fl(2.25)}, {fx(1), fx(7), Value::nil()}}},
   };
 }
 
@@ -274,11 +281,14 @@ TEST_P(CompiledVsInterp, Agree) {
     std::string I = interpResult(Case.Source, Case.Fn, Args);
     ASSERT_EQ(I.find("CONVERT-ERROR"), std::string::npos) << I;
 
-    // Full optimization, no optimization, and ablated backends must all
-    // agree with the interpreter.
+    // Full optimization, no optimization, optimization without
+    // substitution, and ablated backends must all agree with the
+    // interpreter.
     driver::CompilerOptions Full;
     driver::CompilerOptions NoOpt;
     NoOpt.Optimize = false;
+    driver::CompilerOptions NoSubstitute;
+    NoSubstitute.Opt.Substitute = false;
     driver::CompilerOptions Naive;
     Naive.Codegen.TnBind.UseRegisters = false;
     Naive.Codegen.RegisterTemps = false;
@@ -288,7 +298,7 @@ TEST_P(CompiledVsInterp, Agree) {
     Naive.Codegen.TailCalls = false;
 
     int Which = 0;
-    for (const auto &Opts : {Full, NoOpt, Naive}) {
+    for (const auto &Opts : {Full, NoOpt, NoSubstitute, Naive}) {
       std::string FullError;
       std::string C = compiledResult(Case.Source, Case.Fn, Args, Opts, &FullError);
       // Trigonometric results differ in the low bits: the compiler uses

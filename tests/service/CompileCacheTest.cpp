@@ -274,6 +274,60 @@ TEST(CompileCache, OversizedEntryIsNotStored) {
   EXPECT_EQ(Cache.lookup(7), nullptr);
 }
 
+// Front entries share the LRU and its byte budget with function units:
+// a stream of distinct modules never leaves the cache over budget, and
+// the oldest module's front entries are evicted with its units.
+TEST(CompileCache, FrontEntriesStayWithinTheByteBudget) {
+  // A front entry is charged its bytes like a unit, and one larger than
+  // the whole budget is not stored.
+  auto Front = std::make_shared<driver::FrontEntry>();
+  Front->Globals.assign(100, "global");
+  CompileCache Probe;
+  Probe.insertFront(1, Front);
+  EXPECT_EQ(Probe.bytes(), Front->byteSize());
+  CompileCache Small(Front->byteSize() / 2);
+  Small.insertFront(1, Front);
+  EXPECT_EQ(Small.frontEntries(), 0u);
+
+  CompileCache Cache(32u << 10);
+  auto Module = [](int I) {
+    std::string N = std::to_string(I);
+    return "(defun sq" + N + " (x) (* x (+ x " + N + ")))\n" +
+           "(defun fut" + N + " (n) (list (sq" + N + " n) \"s" + N + "\"))\n";
+  };
+  for (int I = 0; I < 64; ++I) {
+    ir::Module M;
+    ASSERT_TRUE(compileWith(M, Module(I), &Cache).Ok);
+    ASSERT_LE(Cache.bytes(), Cache.maxBytes()) << "after module " << I;
+  }
+  EXPECT_GT(Cache.evictions(), 0u);
+  EXPECT_GT(Cache.frontEntries(), 0u);
+  EXPECT_LT(Cache.frontEntries(), 2u * 64);
+
+  const uint64_t Hits = Cache.frontHits();
+  ir::Module M;
+  driver::CompileOutcome Again = compileWith(M, Module(0), &Cache);
+  ASSERT_TRUE(Again.Ok) << Again.Error;
+  EXPECT_EQ(Cache.frontHits(), Hits);
+  EXPECT_EQ(Again.MemoMisses, 2u);
+}
+
+// Entries, hits and misses count function units; front traffic has its
+// own counters.
+TEST(CompileCache, FrontTrafficIsCountedApart) {
+  CompileCache Cache;
+  const std::string Src = "(defun f (x) (+ x 1))\n(defun fut (n) (f n))\n";
+  ir::Module MA, MB;
+  ASSERT_TRUE(compileWith(MA, Src, &Cache).Ok);
+  ASSERT_TRUE(compileWith(MB, Src, &Cache).Ok);
+  EXPECT_EQ(Cache.entries(), 2u);
+  EXPECT_EQ(Cache.frontEntries(), 2u);
+  EXPECT_EQ(Cache.hits(), 2u);
+  EXPECT_EQ(Cache.misses(), 2u);
+  EXPECT_EQ(Cache.frontHits(), 2u);
+  EXPECT_EQ(Cache.frontMisses(), 2u);
+}
+
 TEST(CompileCache, ClearDropsEverything) {
   CompileCache Cache;
   Cache.insert(1, entryOfWords(10));

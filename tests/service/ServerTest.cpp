@@ -3,11 +3,14 @@
 // The transport-independent request core: Server::handle() compiles and
 // runs sources, reports memo traffic, isolates each request's counters
 // from concurrent requests (the TallyScope contract), serves identical
-// answers warm or cold, and fails cleanly on malformed requests.
+// answers warm or cold (front-cache hits included), and fails cleanly on
+// malformed requests.
 //
 //===----------------------------------------------------------------------===//
 
 #include "service/Server.h"
+
+#include "fuzz/Generator.h"
 
 #include "gtest/gtest.h"
 
@@ -209,6 +212,138 @@ TEST(Server, StatsCmdReportsCacheAndTraffic) {
   EXPECT_EQ(Resp.getOr("cache-misses"), "2");
   EXPECT_EQ(Resp.getOr("requests"), "1"); // count precedes this request
   EXPECT_TRUE(Resp.has("stats"));
+  EXPECT_NE(Resp.getOr("stats").find("\"service.front.misses\""),
+            std::string::npos);
+}
+
+/// The response fields a front hit must leave byte-identical to a fresh
+/// server's answer.
+void expectSameAsFresh(const Message &Req, const Message &Resp,
+                       const std::string &What) {
+  Server Fresh({});
+  Message Want = Fresh.handle(Req);
+  for (const char *Key :
+       {"ok", "error", "value", "run-error", "listing", "stats"})
+    EXPECT_EQ(Resp.getOr(Key), Want.getOr(Key))
+        << What << ": field '" << Key << "'";
+}
+
+Message fullReq(const std::string &Source) {
+  Message Req = compileReq(Source);
+  Req.set("listing", "1");
+  Req.set("stats", "json");
+  return Req;
+}
+
+// f's datum is the same in both modules, but with (defvar x) before it
+// f binds x dynamically, and g sees the binding; without it x is lexical
+// and g reads an unbound global. The specials proclaimed before a defun
+// are part of its front key, so neither order reuses the other's f.
+TEST(Server, FrontKeyIncludesProclaimedSpecials) {
+  const std::string Special = "(defvar x)\n"
+                              "(defun g () x)\n"
+                              "(defun f (x) (g))\n"
+                              "(defun fut () (f 5))\n";
+  const std::string Lexical = "(defun g () x)\n"
+                              "(defun f (x) (g))\n"
+                              "(defun fut () (f 5))\n";
+  for (const auto &Order : {std::vector<std::string>{Special, Lexical},
+                            std::vector<std::string>{Lexical, Special}}) {
+    Server Srv({});
+    for (const std::string &Source : Order) {
+      Message Req = fullReq(Source);
+      Message Resp = Srv.handle(Req);
+      ASSERT_EQ(Resp.getOr("ok"), "1") << Resp.getOr("error");
+      expectSameAsFresh(Req, Resp, Source);
+    }
+    EXPECT_EQ(Srv.cache().frontHits(), 0u);
+  }
+}
+
+// The same module at -O0 and then at the default options: every defun
+// hits the front cache (conversion does not read options) and misses the
+// memo, so each must still be converted, and counted, exactly once.
+TEST(Server, FrontHitWithMemoMissConverts) {
+  Server Srv({});
+  Message NoOpt = fullReq(ExptSrc);
+  NoOpt.set("options", "-O0");
+  ASSERT_EQ(Srv.handle(NoOpt).getOr("ok"), "1");
+  ASSERT_EQ(Srv.cache().frontHits(), 0u);
+
+  Message Req = fullReq(ExptSrc);
+  Message Resp = Srv.handle(Req);
+  ASSERT_EQ(Resp.getOr("ok"), "1") << Resp.getOr("error");
+  EXPECT_EQ(Srv.cache().frontHits(), 2u);
+  EXPECT_EQ(Resp.getOr("memo-hits"), "0");
+  EXPECT_EQ(Resp.getOr("memo-misses"), "2");
+  EXPECT_EQ(Resp.getOr("value"), "1024");
+  expectSameAsFresh(Req, Resp, "default after -O0");
+}
+
+// The service shape: a library plus a request-specific entry. The second
+// request converts only its new entry; the library's forms go from the
+// reader to memo hits, replaying the counters their conversion recorded.
+TEST(Server, WarmLibrarySkipsConversion) {
+  fuzz::GenOptions GO;
+  GO.Helpers = 11;
+  fuzz::GeneratedProgram Lib = fuzz::Generator(7600, GO).generate();
+  const unsigned N = GO.Helpers + 2; // helpers, the library entry, q
+  auto Module = [&](const std::string &Q, const std::string &Args) {
+    Message Req = fullReq(Lib.Source + "\n(defun " + Q + " () (" + Lib.Entry +
+                          " " + Args + "))\n");
+    Req.set("entry", Q);
+    Req.set("options", "--cse");
+    return Req;
+  };
+
+  Server Srv({});
+  ASSERT_EQ(Srv.handle(Module("q1", "1 2 0.5")).getOr("ok"), "1");
+  const uint64_t Hits = Srv.cache().frontHits();
+  const uint64_t Misses = Srv.cache().frontMisses();
+
+  Message Req = Module("q2", "-3 4 2.25");
+  Message Resp = Srv.handle(Req);
+  ASSERT_EQ(Resp.getOr("ok"), "1") << Resp.getOr("error");
+  EXPECT_EQ(Srv.cache().frontHits() - Hits, N - 1);
+  EXPECT_EQ(Srv.cache().frontMisses() - Misses, 1u);
+  EXPECT_EQ(Resp.getOr("memo-hits"), std::to_string(N - 1));
+  EXPECT_EQ(Resp.getOr("memo-misses"), "1");
+  expectSameAsFresh(Req, Resp, "warm library");
+}
+
+// An interpreter run needs every function's tree, even when the front
+// cache has seen every form.
+TEST(Server, InterpRunAfterWarmVmRequests) {
+  Server Srv({});
+  ASSERT_EQ(Srv.handle(compileReq(ExptSrc)).getOr("value"), "1024");
+  ASSERT_EQ(Srv.handle(compileReq(ExptSrc)).getOr("value"), "1024");
+  ASSERT_EQ(Srv.cache().frontHits(), 2u);
+
+  Message Req = compileReq(ExptSrc);
+  Req.set("run", "interp");
+  Message Resp = Srv.handle(Req);
+  EXPECT_EQ(Resp.getOr("ok"), "1");
+  EXPECT_EQ(Resp.getOr("value"), "1024");
+  EXPECT_EQ(Resp.getOr("memo-hits"), "2");
+}
+
+// A failed conversion answers exactly as without the front cache, and
+// reports no memo traffic, even when earlier forms hit. w converts with a
+// warning, so it is never remembered: the failed request's diagnostics
+// still carry that warning.
+TEST(Server, ConvertErrorAfterFrontHitsMatchesFresh) {
+  const std::string Lib = std::string(ExptSrc) + "(defun w () zz)\n";
+  Server Srv({});
+  ASSERT_EQ(Srv.handle(compileReq(Lib)).getOr("ok"), "1");
+  Message Req = compileReq(Lib + "(defun bad (y) (let ((1 2)) y))\n");
+  Message Resp = Srv.handle(Req);
+  EXPECT_EQ(Resp.getOr("ok"), "0");
+  EXPECT_EQ(Resp.getOr("memo-hits"), "0");
+  EXPECT_EQ(Resp.getOr("memo-misses"), "0");
+  EXPECT_EQ(Srv.cache().frontHits(), 2u);
+  EXPECT_NE(Resp.getOr("error").find("'zz'"), std::string::npos);
+  Message Want = Server({}).handle(Req);
+  EXPECT_EQ(Resp.getOr("error"), Want.getOr("error"));
 }
 
 TEST(Server, ShutdownCmdAcknowledges) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 
 using namespace s1lisp;
@@ -81,6 +82,32 @@ TEST(Statistic, DeregistersOnDestruction) {
     EXPECT_EQ(stats::statValue("test.stats.transient"), 1u);
   }
   EXPECT_EQ(stats::statValue("test.stats.transient"), 0u);
+}
+
+// Replayed deltas resolve a name to its first-registered live counter;
+// when that counter dies, the name passes to the next one, and a name
+// with no live counter is dropped.
+TEST(Statistic, ReplayedDeltasResolveToTheFirstLiveCounter) {
+  StatsScope Scope;
+  stats::Statistic Earlier("test.stats.replay", "earlier");
+  {
+    stats::Statistic Later("test.stats.replay", "later");
+    stats::applyTallyDeltas({{"test.stats.replay", 3, 0}});
+    EXPECT_EQ(Earlier.value(), 3u);
+    EXPECT_EQ(Later.value(), 0u);
+    EXPECT_EQ(stats::statDesc("test.stats.replay"), "earlier");
+  }
+  {
+    auto Dies = std::make_unique<stats::Statistic>("test.stats.again", "dies");
+    stats::Statistic Survives("test.stats.again", "survives");
+    Dies.reset();
+    stats::applyTallyDeltas({{"test.stats.again", 4, 0}});
+    EXPECT_EQ(Survives.value(), 4u);
+    EXPECT_EQ(stats::statDesc("test.stats.again"), "survives");
+  }
+  stats::applyTallyDeltas({{"test.stats.again", 5, 0}});
+  EXPECT_EQ(stats::statDesc("test.stats.again"), "");
+  EXPECT_EQ(stats::statValue("test.stats.again"), 0u);
 }
 
 TEST(Statistic, ReportsRenderNamesAndValues) {

@@ -68,7 +68,8 @@ const char *UsageText =
     "                      in-process. Each request is sent twice, so the\n"
     "                      second answer comes from the daemon's compile\n"
     "                      cache; cached and fresh responses must be\n"
-    "                      identical, and both must agree with the local\n"
+    "                      identical (value, output, listing and stats),\n"
+    "                      and both must agree with the local\n"
     "                      interpreter reference by the usual tolerances.\n"
     "                      (--reduce/--fault/--stats don't apply here.)\n"
     "\n"
@@ -230,11 +231,12 @@ bool tainted(const fuzz::Outcome &O) {
   return O.EC == fuzz::ErrorClass::Overflow || O.EC == fuzz::ErrorClass::Fuel;
 }
 
-/// The observable surface of a run response; cached and fresh answers
-/// must match on it byte for byte.
+/// The observable surface of a run response, listing and counters
+/// included; cached and fresh answers must match on it byte for byte.
 std::string responseKey(const service::Message &M) {
   std::string K;
-  for (const char *F : {"ok", "error", "value", "run-error", "output"}) {
+  for (const char *F :
+       {"ok", "error", "value", "run-error", "output", "listing", "stats"}) {
     K += M.getOr(F);
     K += '\x1f';
   }
@@ -291,6 +293,8 @@ int runServerMode(const CliOptions &Cli,
         Req.set("run", "vm");
         Req.set("engine", vm::engineName(Cli.Engine));
         Req.set("fuel", "20000000");
+        Req.set("listing", "1");
+        Req.set("stats", "json");
         service::Message R1, R2;
         if (!C.roundTrip(Req, R1, &Err) || !C.roundTrip(Req, R2, &Err)) {
           fprintf(stderr, "s1lisp-fuzz: %s\n", Err.c_str());
