@@ -18,10 +18,11 @@ size_t MemoizedFunction::byteSize() const {
   size_t Bytes = sizeof(MemoizedFunction) + Unit.byteSize();
   for (const stats::TallyDelta &D : Tally)
     Bytes += sizeof(stats::TallyDelta) + D.Name.size();
-  for (const stats::Remark &R : Remarks)
-    Bytes += sizeof(stats::Remark) + R.Phase.size() + R.Rule.size() +
-             R.Function.size() + R.Before.size() + R.After.size() +
-             R.Detail.size();
+  if (Remarks)
+    for (const stats::Remark &R : *Remarks)
+      Bytes += sizeof(stats::Remark) + R.Phase.size() + R.Rule.size() +
+               R.Function.size() + R.Before.size() + R.After.size() +
+               R.Detail.size();
   return Bytes;
 }
 
@@ -99,10 +100,16 @@ struct Slot {
   std::shared_ptr<MemoizedFunction> Fresh;
 };
 
-void probe(Slot &S, uint64_t Key, FunctionMemo &Memo, CompileOutcome &Out) {
+/// Looks \p Key up. A hit stored without remarks cannot serve a caller
+/// that wants them: it counts as a hit, since its key matched, but the
+/// slot compiles as a miss does, and the fresh entry replaces it.
+void probe(Slot &S, uint64_t Key, FunctionMemo &Memo, bool WantRemarks,
+           CompileOutcome &Out) {
   S.Key = Key;
   S.Hit = Memo.lookup(Key);
   ++(S.Hit ? Out.MemoHits : Out.MemoMisses);
+  if (S.Hit && WantRemarks && !S.Hit->Remarks)
+    S.Hit = nullptr;
 }
 
 /// Compiles the slots without a memo hit, folds every slot's counters and
@@ -121,10 +128,10 @@ CompileOutcome compileSlots(ir::Module &M, std::vector<Slot> &Slots,
   // and generates code against private remark/stat sinks; folding those in
   // function order afterwards makes the transcript and counter totals
   // independent of worker scheduling AND lets a memo store the deltas for
-  // bit-identical replay on later hits. Without a memo, the sinks are only
-  // engaged when the caller collects stats/remarks, preserving the
-  // plain path's costs. The nested phase timers fire only at Jobs <= 1,
-  // where the lambda runs on this thread.
+  // bit-identical replay on later hits. The counter sink is engaged when
+  // there is a memo or the caller collects stats, the remark sink only
+  // when the caller asked for remarks. The nested phase timers fire only
+  // at Jobs <= 1, where the lambda runs on this thread.
   const bool Tally = stats::enabled();
   support::parallelFor(N, Opts.Jobs, [&](size_t I) {
     if (Slots[I].Hit)
@@ -133,7 +140,7 @@ CompileOutcome compileSlots(ir::Module &M, std::vector<Slot> &Slots,
     auto MF = std::make_shared<MemoizedFunction>();
     stats::LocalTally T;
     stats::RemarkStream R;
-    stats::RemarkStream *RS = (Memo || Remarks) ? &R : nullptr;
+    stats::RemarkStream *RS = Remarks ? &R : nullptr;
     {
       std::optional<stats::TallyScope> Scope;
       if (Memo || Tally)
@@ -154,19 +161,21 @@ CompileOutcome compileSlots(ir::Module &M, std::vector<Slot> &Slots,
         MF->Unit = codegen::compileFunctionUnit(M, F, CG, FuncIndex);
     }
     MF->Tally = T.deltas();
-    MF->Remarks = std::move(R.Remarks);
+    if (Remarks)
+      MF->Remarks = std::move(R.Remarks);
     Slots[I].Fresh = std::move(MF);
   });
 
   // Fold observability in function order: counter deltas replay through
   // the ambient record() path (so a surrounding TallyScope — e.g. a
   // service request's — sees them), remarks merge into the caller's
-  // stream. Cached and fresh slots replay identically.
+  // stream. Cached and fresh slots replay identically; with a stream,
+  // probe() left only hits that hold remarks.
   for (const Slot &S : Slots) {
     const MemoizedFunction *MF = S.Hit ? S.Hit.get() : S.Fresh.get();
     stats::applyTallyDeltas(MF->Tally);
     if (Remarks)
-      for (const stats::Remark &Rm : MF->Remarks)
+      for (const stats::Remark &Rm : *MF->Remarks)
         Remarks->remark(Rm);
   }
 
@@ -221,7 +230,8 @@ CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
     stats::PhaseTimer Timer("driver.memo");
     const uint64_t OptsFp = optionsFingerprint(Opts);
     for (Slot &S : Slots)
-      probe(S, memoKey(frontEntryOf(*S.F), OptsFp, FuncIndex), *Memo, Out);
+      probe(S, memoKey(frontEntryOf(*S.F), OptsFp, FuncIndex), *Memo,
+            Remarks != nullptr, Out);
   }
   return compileSlots(M, Slots, FuncIndex, Opts, Remarks, Memo, std::move(Out));
 }
@@ -267,6 +277,7 @@ CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
         FuncIndex[Name->name()] = static_cast<int>(FuncIndex.size());
 
     const uint64_t OptsFp = optionsFingerprint(Opts);
+    const bool WantRemarks = Remarks != nullptr;
     // The names of the specials proclaimed so far, in order: conversion
     // reads them, so they are part of every front key.
     uint64_t SpecialsKey = ir::hashString(0, "s1lisp.front.v1");
@@ -285,7 +296,7 @@ CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
       const uint64_t FrontKey = ir::stableDatumHash(SpecialsKey, Form);
       Slot S;
       if (std::shared_ptr<const FrontEntry> E = Memo->lookupFront(FrontKey)) {
-        probe(S, memoKey(*E, OptsFp, FuncIndex), *Memo, Out);
+        probe(S, memoKey(*E, OptsFp, FuncIndex), *Memo, WantRemarks, Out);
         if (S.Hit) {
           // Replay what converting the form would have recorded.
           stats::applyTallyDeltas(E->Tally);
@@ -307,7 +318,7 @@ CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
           continue;
         auto Entry = std::make_shared<FrontEntry>(frontEntryOf(*S.F));
         Entry->Tally = std::move(Deltas);
-        probe(S, memoKey(*Entry, OptsFp, FuncIndex), *Memo, Out);
+        probe(S, memoKey(*Entry, OptsFp, FuncIndex), *Memo, WantRemarks, Out);
         // A hit must leave Diags as converting would, so a form that
         // reported anything (a warning included) is not remembered.
         if (Diags.diagnostics().size() == DiagsBefore)

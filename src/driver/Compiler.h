@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -60,10 +61,15 @@ struct CompileOutcome {
 /// a fresh compile of the function would have emitted. A memo hit replays
 /// the deltas and remarks, so cached and fresh compiles report identical
 /// totals and transcripts.
+///
+/// Remarks are captured only when the compile that stored the entry had a
+/// remark stream; nullopt means they were not. A caller that wants remarks
+/// recompiles a hit stored without them (it still counts as a hit) and
+/// offers the fresh entry back to the memo, which should replace the old.
 struct MemoizedFunction {
   codegen::CompiledUnit Unit;
   std::vector<stats::TallyDelta> Tally;
-  std::vector<stats::Remark> Remarks;
+  std::optional<std::vector<stats::Remark>> Remarks;
 
   size_t byteSize() const;
 };
@@ -120,9 +126,10 @@ uint64_t optionsFingerprint(const CompilerOptions &Opts);
 ///
 /// With \p Memo, a defun the front cache has seen (same datum, same
 /// specials before it) goes from the reader straight to its memo probe;
-/// it is converted only when the memo misses. \p M then holds only the
-/// functions that were converted. Output, counters and remarks are those
-/// of convertAndCompile.
+/// it is converted only when the memo misses, or when \p Remarks is given
+/// and the hit was stored without remarks (see compileModule). \p M then
+/// holds only the functions that were converted. Output, counters and
+/// remarks are those of convertAndCompile.
 CompileOutcome compileSource(ir::Module &M, std::string_view Source,
                              const CompilerOptions &Opts = {},
                              stats::RemarkStream *Remarks = nullptr,
@@ -141,7 +148,10 @@ CompileOutcome convertAndCompile(ir::Module &M, std::string_view Source,
 /// in module-function order regardless of the job count. With \p Memo,
 /// each function is looked up by content address first; hits skip the
 /// middle end entirely (the function's IR stays unoptimized) and link the
-/// cached unit, misses compile and are offered back to the memo.
+/// cached unit, misses compile and are offered back to the memo. A miss
+/// stores its remarks only when \p Remarks is given. A hit stored without
+/// them, for a caller that gives \p Remarks, is recompiled with capture
+/// and offered back like a miss, but counted as a hit: its key matched.
 CompileOutcome compileModule(ir::Module &M, const CompilerOptions &Opts = {},
                              stats::RemarkStream *Remarks = nullptr,
                              FunctionMemo *Memo = nullptr);

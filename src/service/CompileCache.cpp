@@ -72,9 +72,17 @@ void CompileCache::insertLocked(uint64_t Key, Entry E) {
   if (E.Bytes > MaxBytes_)
     return;
   // Concurrent compiles of the same function can both miss and both
-  // insert; keep the first and refresh its position.
-  if (findLocked(Key))
+  // insert; keep the first and refresh its position. A remarks request's
+  // recompile of a unit stored without remarks replaces it.
+  if (Entry *Old = findLocked(Key)) {
+    if (!Old->Fn || !E.Fn || Old->Fn->Remarks || !E.Fn->Remarks)
+      return;
+    Bytes_ = Bytes_ - Old->Bytes + E.Bytes;
+    Old->Fn = std::move(E.Fn);
+    Old->Bytes = E.Bytes;
+    evictLocked();
     return;
+  }
   Lru.push_front(Key);
   E.LruIt = Lru.begin();
   Bytes_ += E.Bytes;

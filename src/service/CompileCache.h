@@ -5,8 +5,9 @@
 /// thread-safe LRU map from driver memo keys (alpha-normalized IR hash ×
 /// options fingerprint × callee-index signature, see driver::FunctionMemo)
 /// to memoized per-function compiles, bounded by a byte budget. A hit
-/// hands back the shared relocatable unit plus the counter deltas and
-/// remarks a fresh compile would have produced, so a warm daemon links
+/// hands back the shared relocatable unit plus the counter deltas, and
+/// the remarks when the request that stored it asked for them, that a
+/// fresh compile would have produced, so a warm daemon links
 /// bit-identical programs without running the middle end.
 ///
 /// The same LRU and budget hold the front cache's entries (defun datum ×
@@ -40,14 +41,15 @@ public:
   /// null. Counts service.cache.{hits,misses}.
   std::shared_ptr<const driver::MemoizedFunction> lookup(uint64_t Key) override;
 
-  /// FunctionMemo: stores \p Fn under \p Key (replacing any previous
-  /// entry), then evicts least-recently-used entries until the byte
-  /// budget holds. An entry larger than the whole budget is not stored.
+  /// FunctionMemo: stores \p Fn under \p Key, then evicts
+  /// least-recently-used entries until the byte budget holds. An entry
+  /// larger than the whole budget is not stored. A unit already under
+  /// \p Key stays, unless \p Fn holds remarks and it does not.
   void insert(uint64_t Key,
               std::shared_ptr<const driver::MemoizedFunction> Fn) override;
 
   /// FunctionMemo: the front cache's lookup and insert, with the same
-  /// LRU, budget and replacement rules. Counts
+  /// LRU and budget; an entry already under the key stays. Counts
   /// service.front.{hits,misses}.
   std::shared_ptr<const driver::FrontEntry> lookupFront(uint64_t Key) override;
   void insertFront(uint64_t Key,

@@ -3,6 +3,7 @@
 #include "service/Protocol.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <unistd.h>
 
@@ -60,6 +61,16 @@ void setErr(std::string *Err, const char *Msg) {
 }
 
 } // namespace
+
+bool service::parseU64(std::string_view S, uint64_t &Out) {
+  uint64_t V = 0;
+  const char *End = S.data() + S.size();
+  auto [Ptr, Ec] = std::from_chars(S.data(), End, V);
+  if (Ec != std::errc() || Ptr != End)
+    return false;
+  Out = V;
+  return true;
+}
 
 std::string service::encodeMessage(const Message &M) {
   std::string Out;

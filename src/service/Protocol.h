@@ -58,6 +58,11 @@ struct Message {
   }
 };
 
+/// Parses \p S as a decimal u64: digits only, no sign or spaces. False on
+/// empty input and on a value past UINT64_MAX. Numeric request fields and
+/// the daemon's command line both go through it.
+bool parseU64(std::string_view S, uint64_t &Out);
+
 /// Serializes \p M into a frame payload (no length prefix).
 std::string encodeMessage(const Message &M);
 

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -30,19 +31,6 @@ S1_STAT(ServiceRequestMicros, "service.request.micros",
         "total request handling time (microseconds)");
 
 namespace {
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<uint64_t>(C - '0');
-  }
-  Out = V;
-  return true;
-}
 
 /// Splits on whitespace; the daemon's "options" field carries the same
 /// tokens an s1lispc command line would.
@@ -182,11 +170,18 @@ void Server::handleCompile(const Message &Req, Message &Resp,
     }
   uint64_t Jobs = 0;
   if (Req.has("jobs")) {
-    if (!parseU64(*Req.get("jobs"), Jobs) || !Jobs) {
+    if (!parseU64(*Req.get("jobs"), Jobs) || !Jobs ||
+        Jobs > std::numeric_limits<unsigned>::max()) {
       fail(Resp, "bad jobs value");
       return;
     }
     Opts.Jobs = static_cast<unsigned>(Jobs);
+  }
+  uint64_t Fuel = 0;
+  const bool HasFuel = Req.has("fuel");
+  if (HasFuel && !parseU64(*Req.get("fuel"), Fuel)) {
+    fail(Resp, "bad fuel value");
+    return;
   }
 
   const bool WantTiming = Req.flag("timing");
@@ -229,8 +224,6 @@ void Server::handleCompile(const Message &Req, Message &Resp,
 
   const std::string StatsMode = Req.getOr("stats");
   if (!Entry.empty()) {
-    uint64_t Fuel = 0;
-    const bool HasFuel = Req.has("fuel") && parseU64(*Req.get("fuel"), Fuel);
     if (Interp) {
       if (!M.lookup(Entry)) {
         Resp.set("run-error",

@@ -23,7 +23,8 @@
 ///             stats=text|json, timing=1, cache=0 (bypass the memo).
 ///             Answers ok, error, memo-hits, memo-misses, and — as
 ///             requested — listing, transcript, remarks, stats, timing,
-///             output, value or run-error.
+///             output, value or run-error. A jobs or fuel value that is
+///             not a decimal u64 (jobs: 1 to UINT_MAX) fails the request.
 ///
 /// Every request runs under a private TallyScope, so its counters (and
 /// the stats=json report) are isolated from concurrently executing

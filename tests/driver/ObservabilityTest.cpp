@@ -1,8 +1,9 @@
 //===- tests/driver/ObservabilityTest.cpp ---------------------------------===//
 //
 // Observing a compile must not change it. Generated programs compile three
-// ways: with no remark stream, with one, and through a fresh compile-service
-// cache (which captures remarks and counters on every miss). All three must
+// ways: with no remark stream, with one, and with one through a fresh
+// compile-service cache (a miss captures counters, and remarks because a
+// stream was given; a plain miss would store none). All three must
 // link the same listing and static pool and record the same counters, and
 // every rewrite a counter reports must have left exactly one remark. Phase
 // timing must count each phase once per function.

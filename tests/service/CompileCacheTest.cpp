@@ -6,7 +6,8 @@
 // a distinct options fingerprint (and Jobs none at all), LRU eviction
 // honors the byte budget, and — the load-bearing property — a warm cache
 // links programs bit-identical to a fresh compile, counters and remarks
-// included.
+// included. Remarks are stored only by compiles that ask for them; a
+// remarks compile upgrades a hit stored without them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +53,29 @@ std::map<std::string, uint64_t> symbolAddrsByName(const s1::Program &P) {
   for (const auto &[Sym, Addr] : P.SymbolAddr)
     Out[Sym->name()] = Addr;
   return Out;
+}
+
+/// A CompileCache that counts the units offered to it and keeps the last
+/// one offered under each key. The driver offers units serially, after
+/// its fan-out, so the counters need no lock.
+class CountingCache : public CompileCache {
+public:
+  void insert(uint64_t Key,
+              std::shared_ptr<const driver::MemoizedFunction> Fn) override {
+    ++Inserts;
+    Offered[Key] = Fn;
+    CompileCache::insert(Key, std::move(Fn));
+  }
+
+  unsigned Inserts = 0;
+  std::map<uint64_t, std::shared_ptr<const driver::MemoizedFunction>> Offered;
+};
+
+/// A generated many-function module whose compile fires rewrites.
+std::string remarkHeavySource() {
+  fuzz::GenOptions GO;
+  GO.Helpers = 12;
+  return fuzz::Generator(4242, GO).generate().Source;
 }
 
 /// A synthetic cache entry of roughly \p Words * 8 retained bytes, for
@@ -211,6 +235,80 @@ TEST(CompileCache, WarmCacheLinksBitIdenticalPrograms) {
   EXPECT_EQ(FreshRemarks.Remarks, WarmRemarks.Remarks);
   EXPECT_EQ(stats::tallyDeltasJson(compilerDeltas(FreshTally)),
             stats::tallyDeltasJson(compilerDeltas(WarmTally)));
+}
+
+// A compile with no remark stream stores no remarks, so its entries are
+// smaller than those of a compile that asked for them. A later remarks
+// compile replaces them with entries equal to that fill's.
+TEST(CompileCache, PlainFillCapturesNoRemarks) {
+  const std::string Source = remarkHeavySource();
+  CountingCache Plain;
+  ir::Module MP;
+  driver::CompileOutcome P = compileWith(MP, Source, &Plain);
+  ASSERT_TRUE(P.Ok) << P.Error;
+  ASSERT_EQ(Plain.Inserts, P.MemoMisses);
+  for (const auto &[Key, Fn] : Plain.Offered)
+    EXPECT_FALSE(Fn->Remarks) << "entry " << Key << " holds remarks";
+
+  CompileCache WithRemarks;
+  ir::Module MR;
+  stats::RemarkStream Remarks;
+  ASSERT_TRUE(compileWith(MR, Source, &WithRemarks, &Remarks).Ok);
+  ASSERT_FALSE(Remarks.Remarks.empty());
+  EXPECT_LT(Plain.bytes(), WithRemarks.bytes());
+
+  ir::Module MU;
+  stats::RemarkStream Upgrade;
+  ASSERT_TRUE(compileWith(MU, Source, &Plain, &Upgrade).Ok);
+  EXPECT_EQ(Plain.entries(), WithRemarks.entries());
+  EXPECT_EQ(Plain.bytes(), WithRemarks.bytes());
+}
+
+// A remarks compile over entries stored without remarks counts every
+// function as a hit, recompiles each with capture and stores the result;
+// its remarks and counters are those of a compile with no memo. The next
+// remarks compile replays the stored remarks and compiles nothing.
+TEST(CompileCache, RemarksRequestUpgradesPlainEntries) {
+  const std::string Source = remarkHeavySource();
+  ir::Module MFresh;
+  stats::RemarkStream FreshRemarks;
+  stats::LocalTally FreshTally;
+  driver::CompileOutcome Fresh = [&] {
+    stats::TallyScope Scope(FreshTally);
+    return compileWith(MFresh, Source, nullptr, &FreshRemarks);
+  }();
+  ASSERT_TRUE(Fresh.Ok) << Fresh.Error;
+  ASSERT_FALSE(FreshRemarks.Remarks.empty());
+
+  CountingCache Cache;
+  ir::Module MPlain;
+  driver::CompileOutcome Plain = compileWith(MPlain, Source, &Cache);
+  ASSERT_TRUE(Plain.Ok) << Plain.Error;
+  const unsigned N = Plain.MemoMisses;
+  ASSERT_GT(N, 1u);
+  ASSERT_EQ(Cache.Inserts, N);
+
+  for (int Round = 1; Round <= 2; ++Round) {
+    SCOPED_TRACE("remarks compile " + std::to_string(Round));
+    const unsigned InsertsBefore = Cache.Inserts;
+    ir::Module M;
+    stats::RemarkStream Remarks;
+    stats::LocalTally Tally;
+    driver::CompileOutcome R = [&] {
+      stats::TallyScope Scope(Tally);
+      return compileWith(M, Source, &Cache, &Remarks);
+    }();
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.MemoHits, N);
+    EXPECT_EQ(R.MemoMisses, 0u);
+    EXPECT_EQ(Cache.Inserts - InsertsBefore, Round == 1 ? N : 0u);
+    EXPECT_EQ(Remarks.Remarks, FreshRemarks.Remarks);
+    EXPECT_EQ(stats::tallyDeltasJson(compilerDeltas(Tally)),
+              stats::tallyDeltasJson(compilerDeltas(FreshTally)));
+    EXPECT_EQ(driver::listing(R.Program), driver::listing(Fresh.Program));
+  }
+  for (const auto &[Key, Fn] : Cache.Offered)
+    EXPECT_TRUE(Fn->Remarks) << "entry " << Key << " was not upgraded";
 }
 
 TEST(CompileCache, CrossModuleReuseOfSharedHelpers) {

@@ -2,8 +2,9 @@
 //
 // The wire format's contract: encode/decode round-trips any field content
 // (binary bytes, empty values, duplicate keys, order preserved), malformed
-// payloads are rejected rather than misparsed, and frame I/O over a real
-// descriptor distinguishes a clean EOF from a truncated stream.
+// payloads are rejected rather than misparsed, frame I/O over a real
+// descriptor distinguishes a clean EOF from a truncated stream, and the
+// numeric-field parser rejects what is not a decimal u64.
 //
 //===----------------------------------------------------------------------===//
 
@@ -150,6 +151,25 @@ TEST(Protocol, OversizedFrameLengthIsAnError) {
   Message Got;
   EXPECT_EQ(readFrame(Fds[0], Got), ReadStatus::Error);
   close(Fds[0]);
+}
+
+TEST(Protocol, ParseU64AcceptsDecimalsUpToTheMaximum) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseU64("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseU64("00042", V));
+  EXPECT_EQ(V, 42u);
+  EXPECT_TRUE(parseU64("18446744073709551615", V));
+  EXPECT_EQ(V, UINT64_MAX);
+
+  // Out is left alone on every rejection, overflow included.
+  V = 7;
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "abc", "12a", "1e6",
+                          "0x10", "18446744073709551616",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(parseU64(Bad, V)) << "'" << Bad << "'";
+    EXPECT_EQ(V, 7u) << "'" << Bad << "'";
+  }
 }
 
 } // namespace

@@ -3,8 +3,8 @@
 // The transport-independent request core: Server::handle() compiles and
 // runs sources, reports memo traffic, isolates each request's counters
 // from concurrent requests (the TallyScope contract), serves identical
-// answers warm or cold (front-cache hits included), and fails cleanly on
-// malformed requests.
+// answers warm or cold (front-cache hits and remarks requests over a
+// plain fill included), and fails cleanly on malformed requests.
 //
 //===----------------------------------------------------------------------===//
 
@@ -125,6 +125,44 @@ TEST(Server, CompilerOptionsChangeTheMemoKey) {
   EXPECT_EQ(Resp.getOr("memo-misses"), "2");
 }
 
+// A plain request stores its units without remarks. The same source
+// asking for a transcript, remarks, a listing and stats then answers
+// exactly as a request that bypasses the cache, and counts every function
+// as a hit.
+TEST(Server, TranscriptAfterPlainFillMatchesUncached) {
+  fuzz::GenOptions GO;
+  GO.Helpers = 6;
+  fuzz::GeneratedProgram P = fuzz::Generator(4242, GO).generate();
+  Message Plain = compileReq(P.Source);
+  Plain.set("entry", P.Entry);
+  Message Full = Plain;
+  Full.set("transcript", "1");
+  Full.set("remarks", "1");
+  Full.set("listing", "1");
+  Full.set("stats", "json");
+  Message Uncached = Full;
+  Uncached.set("cache", "0");
+
+  Server Srv({});
+  Message Fill = Srv.handle(Plain);
+  ASSERT_EQ(Fill.getOr("ok"), "1") << Fill.getOr("error");
+  Message Resp = Srv.handle(Full);
+  Message Want = Srv.handle(Uncached);
+  ASSERT_EQ(Resp.getOr("ok"), "1") << Resp.getOr("error");
+  EXPECT_FALSE(Want.getOr("transcript").empty());
+  EXPECT_EQ(Resp.getOr("memo-hits"), Fill.getOr("memo-misses"));
+  EXPECT_EQ(Resp.getOr("memo-misses"), "0");
+
+  auto WithoutMemo = [](const Message &M) {
+    Message Out;
+    for (const auto &[K, V] : M.Fields)
+      if (K != "memo-hits" && K != "memo-misses")
+        Out.set(K, V);
+    return Out.Fields;
+  };
+  EXPECT_EQ(WithoutMemo(Resp), WithoutMemo(Want));
+}
+
 // The per-request engine choice rides the options field through the
 // shared driver flag table. An engine is an execution preference, not a
 // compilation input: it is excluded from the memo fingerprint, so every
@@ -175,9 +213,24 @@ TEST(Server, ErrorPaths) {
   EXPECT_NE(Resp.getOr("error").find("--definitely-not-a-pass"),
             std::string::npos);
 
-  Message BadJobs = compileReq(ExptSrc);
-  BadJobs.set("jobs", "zero");
-  EXPECT_EQ(Srv.handle(BadJobs).getOr("ok"), "0");
+  // Malformed numeric fields fail the request instead of being ignored
+  // or wrapped: 2^64 + 1 and 2^32 must not pass as 1 and 0.
+  for (const char *Jobs : {"zero", "", "-1", "18446744073709551617",
+                           "4294967296"}) {
+    Message BadJobs = compileReq(ExptSrc);
+    BadJobs.set("jobs", Jobs);
+    Resp = Srv.handle(BadJobs);
+    EXPECT_EQ(Resp.getOr("ok"), "0") << "jobs=" << Jobs;
+    EXPECT_EQ(Resp.getOr("error"), "bad jobs value") << "jobs=" << Jobs;
+  }
+  for (const char *Fuel : {"abc", "-1", "", "18446744073709551616", "1e6"}) {
+    Message BadFuel = compileReq(ExptSrc);
+    BadFuel.set("fuel", Fuel);
+    Resp = Srv.handle(BadFuel);
+    EXPECT_EQ(Resp.getOr("ok"), "0") << "fuel=" << Fuel;
+    EXPECT_EQ(Resp.getOr("error"), "bad fuel value") << "fuel=" << Fuel;
+    EXPECT_FALSE(Resp.has("value")) << "fuel=" << Fuel;
+  }
 
   Message BadEngine = compileReq(ExptSrc);
   BadEngine.set("engine", "abacus");

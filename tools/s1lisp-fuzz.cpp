@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Compiler.h"
 #include "frontend/Convert.h"
 #include "fuzz/Generator.h"
 #include "fuzz/Oracle.h"
@@ -16,6 +17,7 @@
 #include "interp/Interp.h"
 #include "service/Client.h"
 #include "sexpr/Printer.h"
+#include "stats/Remark.h"
 #include "vm/Machine.h"
 
 #include <cstdio>
@@ -68,9 +70,12 @@ const char *UsageText =
     "                      in-process. Each request is sent twice, so the\n"
     "                      second answer comes from the daemon's compile\n"
     "                      cache; cached and fresh responses must be\n"
-    "                      identical (value, output, listing and stats),\n"
-    "                      and both must agree with the local\n"
+    "                      identical (value, output, listing, stats and\n"
+    "                      remarks), and both must agree with the local\n"
     "                      interpreter reference by the usual tolerances.\n"
+    "                      Every second grid row also asks for remarks,\n"
+    "                      whose rule sequence must match an in-process\n"
+    "                      compile with no cache.\n"
     "                      (--reduce/--fault/--stats don't apply here.)\n"
     "\n"
     "Reduction:\n"
@@ -231,22 +236,46 @@ bool tainted(const fuzz::Outcome &O) {
   return O.EC == fuzz::ErrorClass::Overflow || O.EC == fuzz::ErrorClass::Fuel;
 }
 
-/// The observable surface of a run response, listing and counters
-/// included; cached and fresh answers must match on it byte for byte.
+/// The observable surface of a run response, listing, counters and
+/// remarks included; cached and fresh answers must match on it byte for
+/// byte.
 std::string responseKey(const service::Message &M) {
   std::string K;
-  for (const char *F :
-       {"ok", "error", "value", "run-error", "output", "listing", "stats"}) {
+  for (const char *F : {"ok", "error", "value", "run-error", "output",
+                        "listing", "stats", "remarks"}) {
     K += M.getOr(F);
     K += '\x1f';
   }
   return K;
 }
 
+/// True when the remarks JSON \p Json has the (phase, rule, function)
+/// sequence of an in-process compile of \p Source under \p Opts with no
+/// memo. The before/after text is left out: an alpha-equivalent cache hit
+/// replays the spelling of the locals the function had when it was stored.
+bool matchesUncachedRemarks(const std::string &Json, const std::string &Source,
+                            const driver::CompilerOptions &Opts) {
+  std::vector<stats::Remark> Got;
+  ir::Module M;
+  stats::RemarkStream Want;
+  if (!stats::parseRemarksJson(Json, Got) ||
+      !driver::compileSource(M, Source, Opts, &Want).Ok ||
+      Got.size() != Want.Remarks.size())
+    return false;
+  for (size_t I = 0; I < Got.size(); ++I) {
+    const stats::Remark &G = Got[I], &W = Want.Remarks[I];
+    if (G.Phase != W.Phase || G.Rule != W.Rule || G.Function != W.Function)
+      return false;
+  }
+  return true;
+}
+
 /// Fuzzes a running daemon: every grid point becomes a zero-argument
 /// wrapper defun (so the argument row travels inside the source), sent
 /// twice — the repeat answers from the compile cache — and both answers
-/// are checked against the local interpreter reference.
+/// are checked against the local interpreter reference. Odd rows ask for
+/// remarks, so their first send hits helper units that the row before
+/// stored without them.
 int runServerMode(const CliOptions &Cli,
                   const std::vector<driver::AblationConfig> &Matrix) {
   service::Client C;
@@ -295,6 +324,9 @@ int runServerMode(const CliOptions &Cli,
         Req.set("fuel", "20000000");
         Req.set("listing", "1");
         Req.set("stats", "json");
+        const bool WantRemarks = Row % 2 == 1;
+        if (WantRemarks)
+          Req.set("remarks", "1");
         service::Message R1, R2;
         if (!C.roundTrip(Req, R1, &Err) || !C.roundTrip(Req, R2, &Err)) {
           fprintf(stderr, "s1lisp-fuzz: %s\n", Err.c_str());
@@ -304,6 +336,14 @@ int runServerMode(const CliOptions &Cli,
           ++CacheMismatch;
           fprintf(stderr,
                   "seed %u: cached response differs from fresh against %s\n",
+                  Seed, Cfg.Name.c_str());
+        }
+        if (WantRemarks && R1.getOr("ok") == "1" &&
+            !matchesUncachedRemarks(R1.getOr("remarks"), Wrapped, Cfg.Opts)) {
+          ++CacheMismatch;
+          fprintf(stderr,
+                  "seed %u: remark sequence differs from an uncached "
+                  "compile against %s\n",
                   Seed, Cfg.Name.c_str());
         }
         ++Rows;

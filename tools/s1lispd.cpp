@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 using namespace s1lisp;
@@ -47,19 +48,6 @@ bool startsWith(const char *Arg, const char *Prefix) {
   return std::strncmp(Arg, Prefix, std::strlen(Prefix)) == 0;
 }
 
-bool parseU64(const char *S, uint64_t &Out) {
-  if (!*S)
-    return false;
-  uint64_t V = 0;
-  for (; *S; ++S) {
-    if (*S < '0' || *S > '9')
-      return false;
-    V = V * 10 + static_cast<uint64_t>(*S - '0');
-  }
-  Out = V;
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -75,11 +63,13 @@ int main(int Argc, char **Argv) {
       Opts.SocketPath = A + 9;
     } else if (std::strcmp(A, "--stdio") == 0) {
       Stdio = true;
-    } else if (startsWith(A, "--workers=") && parseU64(A + 10, N)) {
+    } else if (startsWith(A, "--workers=") && service::parseU64(A + 10, N)) {
       Opts.Workers = static_cast<unsigned>(N);
-    } else if (startsWith(A, "--cache-max-mb=") && parseU64(A + 15, N)) {
+    } else if (startsWith(A, "--cache-max-mb=") &&
+               service::parseU64(A + 15, N) &&
+               N <= std::numeric_limits<size_t>::max() >> 20) {
       Opts.CacheMaxBytes = static_cast<size_t>(N) << 20;
-    } else if (startsWith(A, "--fuel=") && parseU64(A + 7, N)) {
+    } else if (startsWith(A, "--fuel=") && service::parseU64(A + 7, N)) {
       Opts.VmFuel = N;
     } else {
       fprintf(stderr, "s1lispd: unknown option '%s' (try --help)\n", A);
