@@ -1,8 +1,8 @@
 ; Append/reverse churn, scaled by N.  Every round copies the whole
 ; accumulator twice (reverse, then append's prefix copy), so the round's
 ; input becomes garbage the moment the round ends: live data grows
-; linearly while total allocation is quadratic -- the nursery-churn
-; shape a generational collector is built for.
+; linearly while total allocation is quadratic -- churn whose freed
+; cells later rounds reuse.
 ;
 ; (append-reverse-workload n) = sum of ((i mod n) + 1) over the n*n
 ; elements of the final accumulator.

@@ -1,7 +1,7 @@
 ; Association-list workload, scaled by N.  build-alist conses one pair
 ; plus one spine cell per entry; probe-sum then walks the alist N times
 ; with assoc, allocating nothing -- a live-data-heavy shape that makes
-; the collector prove promoted cells stay reachable and mutable.
+; the collector prove long-lived cells stay reachable and mutable.
 ;
 ; (alist-workload n) = sum of i*i for i in [0, n)  = n(n-1)(2n-1)/6.
 (defun build-alist (n)

@@ -7,42 +7,55 @@
 using namespace s1lisp;
 using namespace s1lisp::driver;
 
+namespace {
+
+/// The single-pass ablations, each named by its matrix entry and its
+/// s1lispc flag ("--" + name), with the one switch it turns off.
+struct Ablation {
+  std::string_view Name;
+  void (*Off)(CompilerOptions &);
+};
+
+const Ablation Ablations[] = {
+    {"no-substitute", [](CompilerOptions &O) { O.Opt.Substitute = false; }},
+    {"no-if-distribute",
+     [](CompilerOptions &O) { O.Opt.IfDistribute = false; }},
+    {"no-constant-fold",
+     [](CompilerOptions &O) { O.Opt.ConstantFold = false; }},
+    {"no-assoc-commut", [](CompilerOptions &O) { O.Opt.AssocCommut = false; }},
+    {"no-identity-elim",
+     [](CompilerOptions &O) { O.Opt.IdentityElim = false; }},
+    {"no-redundant-test",
+     [](CompilerOptions &O) { O.Opt.RedundantTest = false; }},
+    {"no-machine-trig", [](CompilerOptions &O) { O.Opt.MachineTrig = false; }},
+    {"no-dead-code", [](CompilerOptions &O) { O.Opt.DeadCode = false; }},
+    {"no-registers",
+     [](CompilerOptions &O) { O.Codegen.TnBind.UseRegisters = false; }},
+    {"no-register-temps",
+     [](CompilerOptions &O) { O.Codegen.RegisterTemps = false; }},
+    {"no-rep-analysis",
+     [](CompilerOptions &O) { O.Codegen.Annotate.RepAnalysis = false; }},
+    {"no-pdl-numbers",
+     [](CompilerOptions &O) { O.Codegen.Annotate.PdlNumbers = false; }},
+    {"no-special-cache",
+     [](CompilerOptions &O) { O.Codegen.SpecialCache = false; }},
+    {"no-tail-calls", [](CompilerOptions &O) { O.Codegen.TailCalls = false; }},
+};
+
+} // namespace
+
 std::vector<AblationConfig> driver::ablationMatrix() {
   std::vector<AblationConfig> Out;
-  auto Add = [&Out](const char *Name, auto &&Tweak) {
+  auto Add = [&Out](std::string Name, std::string Flag) {
     CompilerOptions O;
-    Tweak(O);
-    Out.push_back({Name, O});
+    applyCompilerFlag(Flag, O);
+    Out.push_back({std::move(Name), std::move(Flag), O});
   };
-
-  Add("O2", [](CompilerOptions &) {});
-  Add("O0", [](CompilerOptions &O) { O.Optimize = false; });
-  Add("O2+cse", [](CompilerOptions &O) { O.Cse = true; });
-
-  Add("no-substitute", [](CompilerOptions &O) { O.Opt.Substitute = false; });
-  Add("no-if-distribute",
-      [](CompilerOptions &O) { O.Opt.IfDistribute = false; });
-  Add("no-constant-fold",
-      [](CompilerOptions &O) { O.Opt.ConstantFold = false; });
-  Add("no-assoc-commut", [](CompilerOptions &O) { O.Opt.AssocCommut = false; });
-  Add("no-identity-elim",
-      [](CompilerOptions &O) { O.Opt.IdentityElim = false; });
-  Add("no-redundant-test",
-      [](CompilerOptions &O) { O.Opt.RedundantTest = false; });
-  Add("no-machine-trig", [](CompilerOptions &O) { O.Opt.MachineTrig = false; });
-  Add("no-dead-code", [](CompilerOptions &O) { O.Opt.DeadCode = false; });
-
-  Add("no-registers",
-      [](CompilerOptions &O) { O.Codegen.TnBind.UseRegisters = false; });
-  Add("no-register-temps",
-      [](CompilerOptions &O) { O.Codegen.RegisterTemps = false; });
-  Add("no-rep-analysis",
-      [](CompilerOptions &O) { O.Codegen.Annotate.RepAnalysis = false; });
-  Add("no-pdl-numbers",
-      [](CompilerOptions &O) { O.Codegen.Annotate.PdlNumbers = false; });
-  Add("no-special-cache",
-      [](CompilerOptions &O) { O.Codegen.SpecialCache = false; });
-  Add("no-tail-calls", [](CompilerOptions &O) { O.Codegen.TailCalls = false; });
+  Add("O2", "");
+  Add("O0", "-O0");
+  Add("O2+cse", "--cse");
+  for (const Ablation &A : Ablations)
+    Add(std::string(A.Name), "--" + std::string(A.Name));
   return Out;
 }
 
@@ -73,40 +86,10 @@ bool driver::applyCompilerFlag(std::string_view Flag, CompilerOptions &O) {
     O.Engine = std::string(Name);
     return true;
   }
-  struct Ablation {
-    std::string_view Name;
-    void (*Off)(CompilerOptions &);
-  };
-  static const Ablation Ablations[] = {
-      {"--no-substitute", [](CompilerOptions &O) { O.Opt.Substitute = false; }},
-      {"--no-if-distribute",
-       [](CompilerOptions &O) { O.Opt.IfDistribute = false; }},
-      {"--no-constant-fold",
-       [](CompilerOptions &O) { O.Opt.ConstantFold = false; }},
-      {"--no-assoc-commut",
-       [](CompilerOptions &O) { O.Opt.AssocCommut = false; }},
-      {"--no-identity-elim",
-       [](CompilerOptions &O) { O.Opt.IdentityElim = false; }},
-      {"--no-redundant-test",
-       [](CompilerOptions &O) { O.Opt.RedundantTest = false; }},
-      {"--no-machine-trig",
-       [](CompilerOptions &O) { O.Opt.MachineTrig = false; }},
-      {"--no-dead-code", [](CompilerOptions &O) { O.Opt.DeadCode = false; }},
-      {"--no-registers",
-       [](CompilerOptions &O) { O.Codegen.TnBind.UseRegisters = false; }},
-      {"--no-register-temps",
-       [](CompilerOptions &O) { O.Codegen.RegisterTemps = false; }},
-      {"--no-rep-analysis",
-       [](CompilerOptions &O) { O.Codegen.Annotate.RepAnalysis = false; }},
-      {"--no-pdl-numbers",
-       [](CompilerOptions &O) { O.Codegen.Annotate.PdlNumbers = false; }},
-      {"--no-special-cache",
-       [](CompilerOptions &O) { O.Codegen.SpecialCache = false; }},
-      {"--no-tail-calls",
-       [](CompilerOptions &O) { O.Codegen.TailCalls = false; }},
-  };
+  if (Flag.rfind("--", 0) != 0)
+    return false;
   for (const Ablation &A : Ablations)
-    if (Flag == A.Name) {
+    if (Flag.substr(2) == A.Name) {
       A.Off(O);
       return true;
     }

@@ -27,12 +27,17 @@ namespace driver {
 /// One named point in the ablation matrix.
 struct AblationConfig {
   std::string Name;
+  /// The s1lispc flag that selects this configuration from the defaults:
+  /// "" for O2, "-O0", "--cse", or "--" + Name for a single-pass ablation.
+  std::string Flag;
   CompilerOptions Opts;
 };
 
 /// The full matrix: "O2" (everything on), "O0", "O2+cse", then one entry
 /// per single-pass ablation ("no-substitute", "no-tail-calls", ...), each
 /// of which is O2 with exactly that switch off. "O2" is always first.
+/// Each entry's Opts is its Flag applied to the defaults by
+/// applyCompilerFlag.
 std::vector<AblationConfig> ablationMatrix();
 
 /// Looks a configuration up by its matrix name; nullopt when unknown.

@@ -10,6 +10,7 @@
 #include "vm/Machine.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace s1lisp;
 using namespace s1lisp::fuzz;
@@ -156,35 +157,29 @@ CheckResult fuzz::checkProgram(const GeneratedProgram &P,
   for (const std::vector<Value> &Args : P.ArgGrid)
     Ref.push_back(interpRun(RefM, P.Entry, Args, O.InterpFuel, O.GcEvery));
 
-  // Counter collection is globally gated; deltas need it on. Capturing
-  // per-configuration deltas snapshots the one shared registry, so it
-  // forces the serial path regardless of the requested job count.
-  bool PrevStatsEnabled = stats::enabled();
-  if (O.CaptureStats)
-    stats::setEnabled(true);
-  unsigned Jobs = O.CaptureStats ? 1 : std::max(1u, O.Jobs);
-
   // Every configuration is independent: it deep-clones the one converted
   // module (sharing the frontend work across the whole matrix instead of
   // re-reading and re-converting the source per config) and runs the grid
   // on its own machines, merging into a per-config result slot. The clone
-  // only reads RefM, so concurrent workers can clone from it; worker
-  // threads have stats/timing collection off (thread-local), so concurrent
-  // compiles never touch the registry. Per-config stats deltas therefore
-  // cover optimize + codegen only — frontend conversion happens once,
-  // before any config runs.
+  // only reads RefM, so concurrent workers can clone from it. A captured
+  // stats delta comes from a private tally around the config's compile,
+  // so it covers optimize + codegen only (frontend conversion happens
+  // once, before any config runs) and is the same at any job count.
   std::vector<CheckResult> PerConfig(Matrix.size());
-  support::parallelFor(Matrix.size(), Jobs, [&](size_t C) {
+  support::parallelFor(Matrix.size(), std::max(1u, O.Jobs), [&](size_t C) {
     const driver::AblationConfig &Config = Matrix[C];
     CheckResult &CR = PerConfig[C];
     ir::Module M;
     RefM.clone(M);
-    stats::StatsSnapshot Before;
+    stats::LocalTally Tally;
+    std::optional<stats::TallyScope> Scope;
     if (O.CaptureStats)
-      Before = stats::snapshotStats();
+      Scope.emplace(Tally);
     driver::CompileOutcome Out = driver::compileModule(M, Config.Opts);
-    std::string StatsJson =
-        O.CaptureStats ? stats::reportStatsDeltaJson(Before) : std::string();
+    Scope.reset();
+    std::string StatsJson = O.CaptureStats
+                                ? stats::tallyDeltasJson(Tally.deltas())
+                                : std::string();
     if (!Out.Ok) {
       // The reference converted this program, so failing to compile it is
       // itself a divergence, reported once against the first grid row.
@@ -210,8 +205,6 @@ CheckResult fuzz::checkProgram(const GeneratedProgram &P,
     for (Divergence &D : CR.Divergences)
       R.Divergences.push_back(std::move(D));
   }
-  if (O.CaptureStats)
-    stats::setEnabled(PrevStatsEnabled);
   R.St = R.Divergences.empty() ? CheckResult::Status::Agree
                                : CheckResult::Status::Diverged;
   return R;

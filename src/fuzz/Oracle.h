@@ -83,18 +83,18 @@ struct OracleOptions {
   uint64_t VmFuel = 20'000'000;
   /// Capture a src/stats counter delta per configuration compile, attached
   /// to any divergence against that configuration (and to repro files).
+  /// Each compile records into its own tally, so the deltas are the same
+  /// at any job count.
   bool CaptureStats = false;
   /// Worker threads fanning out over the ablation matrix (each
   /// configuration compiles and runs its grid independently); 1 = serial.
-  /// Forced serial when CaptureStats is set, because per-configuration
-  /// deltas are snapshots of the one shared counter registry.
   unsigned Jobs = 1;
   /// Simulator dispatch engine for the compiled side of the comparison.
   vm::Engine Engine = vm::Engine::Threaded;
   /// Forced-GC schedule: both sides collect their runtime heaps every N
   /// allocations (0 = never). Results must be identical across schedules;
   /// interpreter runs also re-verify the heap after every collection, so
-  /// N=1 is the strongest automated moving-collector test.
+  /// N=1 is the strongest automated test of both collectors' rooting.
   uint64_t GcEvery = 0;
 };
 

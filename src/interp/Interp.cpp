@@ -14,9 +14,7 @@ using namespace s1lisp::ir;
 using sexpr::Value;
 
 S1_STAT(NumGcCollections, "gc.collections", "runtime-heap collections");
-S1_STAT(NumGcMajor, "gc.major", "tenured mark-sweep passes");
-S1_STAT(NumGcCellsPromoted, "gc.cells.promoted", "cells copied out of a nursery");
-S1_STAT(NumGcCellsSwept, "gc.cells.swept", "tenured cells reclaimed");
+S1_STAT(NumGcCellsSwept, "gc.cells.swept", "runtime-heap cells reclaimed");
 S1_STAT(NumGcPauseNs, "gc.pause.ns", "total collection pause nanoseconds");
 
 std::string RtValue::str() const {
@@ -104,7 +102,9 @@ struct Evaluator {
   // Only cons() can trigger a collection, and it roots its own arguments;
   // these RAII guards cover every C++ local that holds a heap value
   // *across* a possible cons — argument vectors being filled, callee
-  // values held over argument evaluation, list cursors in primitives.
+  // values and catch tags held over evaluation. Cells never move, so a
+  // value reachable from a rooted one (a cursor into an argument list,
+  // say) needs no root of its own.
   //===--------------------------------------------------------------------===//
 
   struct RtVecRoot {
@@ -124,24 +124,6 @@ struct Evaluator {
     ~RtValRoot() { I.Roots.RtVals.pop_back(); }
     RtValRoot(const RtValRoot &) = delete;
     RtValRoot &operator=(const RtValRoot &) = delete;
-  };
-  struct ValRoot {
-    Interpreter &I;
-    ValRoot(Interpreter &I, sexpr::Value *V) : I(I) {
-      I.Roots.Vals.push_back(V);
-    }
-    ~ValRoot() { I.Roots.Vals.pop_back(); }
-    ValRoot(const ValRoot &) = delete;
-    ValRoot &operator=(const ValRoot &) = delete;
-  };
-  struct ValVecRoot {
-    Interpreter &I;
-    ValVecRoot(Interpreter &I, std::vector<sexpr::Value> *V) : I(I) {
-      I.Roots.ValVecs.push_back(V);
-    }
-    ~ValVecRoot() { I.Roots.ValVecs.pop_back(); }
-    ValVecRoot(const ValVecRoot &) = delete;
-    ValVecRoot &operator=(const ValVecRoot &) = delete;
   };
 
   /// The memoized no-environment closure for a global function. One per
@@ -967,7 +949,6 @@ Outcome Evaluator::applyPrim(Prim Op, std::vector<RtValue> &Args) {
       return wrongType("append");
     Result = dataArg(Args.size() - 1);
     std::vector<Value> Items;
-    ValVecRoot ItemsRoot(I, &Items);
     for (size_t J = Args.size() - 1; J > 0; --J) {
       Value Prefix = dataArg(J - 1);
       if (!sexpr::isProperList(Prefix))
@@ -984,10 +965,7 @@ Outcome Evaluator::applyPrim(Prim Op, std::vector<RtValue> &Args) {
     if (!Args[0].isData() || !sexpr::isProperList(dataArg(0)))
       return wrongType("reverse");
     Value Result = Value::nil();
-    Value Cur = dataArg(0);
-    // Each cons may move the cell Cur points at; keep it pinned.
-    ValRoot CurRoot(I, &Cur);
-    for (; Cur.isCons(); Cur = Cur.cdr()) {
+    for (Value Cur = dataArg(0); Cur.isCons(); Cur = Cur.cdr()) {
       Result = H.cons(Cur.car(), Result);
       ++stats().ConsAllocs;
     }
@@ -1155,17 +1133,15 @@ EnvPtr Interpreter::makeFrame(EnvPtr Parent) {
 void Interpreter::publishGcStats() {
   const sexpr::GcStats &Now = RtHeap.gcStats();
   NumGcCollections += Now.Collections - LastPublishedGc.Collections;
-  NumGcMajor += Now.MajorCollections - LastPublishedGc.MajorCollections;
-  NumGcCellsPromoted += Now.CellsPromoted - LastPublishedGc.CellsPromoted;
   NumGcCellsSwept += Now.CellsSwept - LastPublishedGc.CellsSwept;
   NumGcPauseNs += Now.PauseNsTotal - LastPublishedGc.PauseNsTotal;
   LastPublishedGc = Now;
 }
 
-void Interpreter::visitRoots(const std::function<void(sexpr::Value &)> &Visit) {
-  auto VisitRt = [&](RtValue &R) {
-    if (sexpr::Value *S = R.dataSlot())
-      Visit(*S);
+void Interpreter::visitRoots(const std::function<void(sexpr::Value)> &Visit) {
+  auto VisitRt = [&](const RtValue &R) {
+    if (R.isData())
+      Visit(R.dataValue());
   };
   for (auto &B : SpecialStack)
     VisitRt(B.second);
@@ -1179,11 +1155,6 @@ void Interpreter::visitRoots(const std::function<void(sexpr::Value &)> &Visit) {
       VisitRt(R);
   for (RtValue *R : Roots.RtVals)
     VisitRt(*R);
-  for (sexpr::Value *V : Roots.Vals)
-    Visit(*V);
-  for (std::vector<sexpr::Value> *Vec : Roots.ValVecs)
-    for (sexpr::Value &V : *Vec)
-      Visit(V);
 }
 
 Interpreter::Result Interpreter::call(const std::string &Name,

@@ -96,10 +96,6 @@ public:
   /// Lisp truthiness: only NIL is false.
   bool isTrue() const { return !isData() || !Data.isNil(); }
 
-  /// The embedded data slot, or null for non-data values. The collector
-  /// rewrites the slot in place when promotion moves the referent.
-  sexpr::Value *dataSlot() { return K == Kind::Data ? &Data : nullptr; }
-
   /// Printable rendering (closures as #<function>).
   std::string str() const;
 
@@ -153,7 +149,7 @@ struct InterpStats {
 /// environment frame (tracked by a registry fed from the single
 /// frame-creation site), the special-variable stacks, and the transient
 /// roots the evaluator registers around allocation points are enumerated
-/// precisely, so the heap's copying collector can move cells mid-run.
+/// precisely, so the heap's collector can free unreachable cells mid-run.
 class Interpreter : private sexpr::RootProvider {
 public:
   explicit Interpreter(ir::Module &M);
@@ -182,7 +178,7 @@ public:
   /// GC schedule for the runtime heap: collect every \p N runtime cons
   /// allocations (0 = never, the default).
   void setGcEvery(uint64_t N) { RtHeap.setGcEvery(N); }
-  /// Tenured-generation budget in bytes (0 = unbounded).
+  /// Runtime-heap budget in bytes (0 = unbounded).
   void setHeapBudget(size_t Bytes) { RtHeap.setHeapBudget(Bytes); }
   /// Re-verify the heap after every collection, aborting on corruption.
   void setGcVerify(bool On) { RtHeap.setVerifyAfterGc(On); }
@@ -205,17 +201,15 @@ public:
   struct TransientRoots {
     std::vector<std::vector<RtValue> *> RtVecs;
     std::vector<RtValue *> RtVals;
-    std::vector<sexpr::Value *> Vals;
-    std::vector<std::vector<sexpr::Value> *> ValVecs;
   };
 
 private:
   friend struct Evaluator;
 
-  /// sexpr::RootProvider: enumerates every slot holding a runtime-heap
-  /// value — live environment frames, the special stacks, and the
-  /// transient roots.
-  void visitRoots(const std::function<void(sexpr::Value &)> &Visit) override;
+  /// sexpr::RootProvider: enumerates every runtime-heap value held in
+  /// live environment frames, the special stacks, and the transient
+  /// roots.
+  void visitRoots(const std::function<void(sexpr::Value)> &Visit) override;
 
   /// The one way evaluator code creates environment frames: the frame is
   /// tracked in LiveFrames until its last reference dies, so the

@@ -64,28 +64,14 @@ compilerDeltas(const stats::LocalTally &T) {
   return Deltas;
 }
 
-/// Renders deltas in reportStats()'s text layout (value column, name,
-/// description), resolving descriptions from the live registry.
+/// Renders deltas in reportStats()'s text layout, resolving descriptions
+/// from the live registry.
 std::string renderStatsText(const std::vector<stats::TallyDelta> &Deltas) {
   std::vector<stats::StatValue> Values;
   for (const stats::TallyDelta &D : Deltas)
     if (uint64_t V = std::max(D.Add, D.Max))
       Values.push_back({D.Name, stats::statDesc(D.Name), V});
-  size_t ValueWidth = 0, NameWidth = 0;
-  for (const stats::StatValue &V : Values) {
-    ValueWidth = std::max(ValueWidth, std::to_string(V.Value).size());
-    NameWidth = std::max(NameWidth, V.Name.size());
-  }
-  std::string Out;
-  Out += "===-------------------------------------------------------------===\n";
-  Out += "                        ... Statistics ...\n";
-  Out += "===-------------------------------------------------------------===\n";
-  for (const stats::StatValue &V : Values) {
-    std::string Num = std::to_string(V.Value);
-    Out += std::string(ValueWidth - Num.size(), ' ') + Num + " " + V.Name +
-           std::string(NameWidth - V.Name.size(), ' ') + " - " + V.Desc + "\n";
-  }
-  return Out;
+  return stats::renderStatsTable(Values);
 }
 
 void fail(Message &Resp, std::string Error) {

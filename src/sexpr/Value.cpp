@@ -57,15 +57,11 @@ Heap::Heap() = default;
 Heap::~Heap() {
   // Only strings own out-of-line storage; conses and ratios are trivially
   // destructible.
-  for (Region &R : Regions) {
-    for (auto &Ch : R.Nursery)
-      for (size_t I = 0; I < Ch->Used; ++I)
-        destroyPayload(&Ch->Slots[I]);
-    for (auto &Ch : R.Tenured)
+  for (Region &R : Regions)
+    for (auto &Ch : R.Chunks)
       for (size_t I = 0; I < Ch->Used; ++I)
         if (!Ch->Slots[I].H.Free)
           destroyPayload(&Ch->Slots[I]);
-  }
 }
 
 Heap::Region &Heap::myRegion() {
@@ -84,9 +80,22 @@ Heap::Slot *Heap::slotOf(void *Payload) {
                                   offsetof(Slot, Payload));
 }
 
+void *Heap::payloadOf(Value V) {
+  switch (V.kind()) {
+  case ValueKind::Cons:
+    return V.C;
+  case ValueKind::String:
+    return const_cast<StringObj *>(V.Str);
+  case ValueKind::Ratio:
+    return const_cast<Ratio *>(V.Rat);
+  default:
+    return nullptr;
+  }
+}
+
 void Heap::registerChunk(Chunk *Ch) {
   std::lock_guard<std::mutex> Lock(RangeMu);
-  RangeEntry E{Ch->Slots.get(), Ch->Slots.get() + Ch->Cap, Ch};
+  RangeEntry E{Ch->Slots.get(), Ch->Slots.get() + ChunkSlots, Ch};
   Ranges.insert(std::upper_bound(Ranges.begin(), Ranges.end(), E,
                                  [](const RangeEntry &A, const RangeEntry &B) {
                                    return A.Begin < B.Begin;
@@ -94,13 +103,13 @@ void Heap::registerChunk(Chunk *Ch) {
                 E);
 }
 
-Heap::Chunk *Heap::owningChunk(const void *Payload) {
-  std::lock_guard<std::mutex> Lock(RangeMu);
-  auto It = std::upper_bound(Ranges.begin(), Ranges.end(), Payload,
+Heap::Chunk *Heap::findChunk(const std::vector<RangeEntry> &Table,
+                             const void *Payload) {
+  auto It = std::upper_bound(Table.begin(), Table.end(), Payload,
                              [](const void *P, const RangeEntry &E) {
                                return P < static_cast<const void *>(E.Begin);
                              });
-  if (It == Ranges.begin())
+  if (It == Table.begin())
     return nullptr;
   --It;
   if (Payload < static_cast<const void *>(It->End))
@@ -108,50 +117,33 @@ Heap::Chunk *Heap::owningChunk(const void *Payload) {
   return nullptr;
 }
 
-Heap::Slot *Heap::nurseryAlloc(Region &R, CellKind K) {
-  // Advance past full chunks (capacity is reused across collections; a
-  // reset just rewinds Used and ActiveNursery).
-  while (R.ActiveNursery < R.Nursery.size() &&
-         R.Nursery[R.ActiveNursery]->Used == R.Nursery[R.ActiveNursery]->Cap)
-    ++R.ActiveNursery;
-  if (R.ActiveNursery == R.Nursery.size()) {
-    auto Ch = std::make_unique<Chunk>();
-    Ch->Slots = std::make_unique<Slot[]>(ChunkSlots);
-    Ch->Cap = ChunkSlots;
-    Ch->Nursery = true;
-    Ch->RegionIdx = static_cast<size_t>(&R - Regions);
-    registerChunk(Ch.get());
-    R.Nursery.push_back(std::move(Ch));
-  }
-  Chunk &Ch = *R.Nursery[R.ActiveNursery];
-  Slot *S = &Ch.Slots[Ch.Used++];
-  S->H = CellHeader{K, 0, 0, 0, nullptr};
-  NurseryLive.fetch_add(1, std::memory_order_relaxed);
-  return S;
+Heap::Chunk *Heap::owningChunk(const void *Payload) {
+  std::lock_guard<std::mutex> Lock(RangeMu);
+  return findChunk(Ranges, Payload);
 }
 
-Heap::Slot *Heap::tenuredAlloc(size_t RegionIdx, CellKind K) {
-  Region &R = Regions[RegionIdx];
-  std::lock_guard<std::mutex> Lock(R.Mu);
-  Slot *S = nullptr;
+std::vector<Heap::RangeEntry> Heap::rangeSnapshot() {
+  std::lock_guard<std::mutex> Lock(RangeMu);
+  return Ranges;
+}
+
+Heap::Slot *Heap::alloc(Region &R, CellKind K) {
+  Slot *S;
   if (!R.FreeList.empty()) {
     S = R.FreeList.back();
     R.FreeList.pop_back();
   } else {
-    if (R.Tenured.empty() || R.Tenured.back()->Used == R.Tenured.back()->Cap) {
+    if (R.Chunks.empty() || R.Chunks.back()->Used == ChunkSlots) {
       auto Ch = std::make_unique<Chunk>();
       Ch->Slots = std::make_unique<Slot[]>(ChunkSlots);
-      Ch->Cap = ChunkSlots;
-      Ch->Nursery = false;
-      Ch->RegionIdx = RegionIdx;
       registerChunk(Ch.get());
-      R.Tenured.push_back(std::move(Ch));
+      R.Chunks.push_back(std::move(Ch));
     }
-    Chunk &Ch = *R.Tenured.back();
+    Chunk &Ch = *R.Chunks.back();
     S = &Ch.Slots[Ch.Used++];
   }
-  S->H = CellHeader{K, 0, 0, 0, nullptr};
-  ++TenuredLive;
+  S->H = CellHeader{K, 0, 0};
+  Live.fetch_add(1, std::memory_order_relaxed);
   return S;
 }
 
@@ -159,10 +151,10 @@ Value Heap::cons(Value Car, Value Cdr, SourceLocation Loc) {
   // The only collection trigger. cons() roots its own arguments, so
   // callers never need to; the trigger runs before any lock is taken.
   if (gcEnabled() && !InGc)
-    maybeCollect(&Car, &Cdr);
+    maybeCollect(Car, Cdr);
   Region &R = myRegion();
   std::lock_guard<std::mutex> Lock(R.Mu);
-  Slot *S = nurseryAlloc(R, CellKind::ConsCell);
+  Slot *S = alloc(R, CellKind::ConsCell);
   Cons *C = new (S->Payload) Cons{Car, Cdr, Loc};
   R.ConsTally.fetch_add(1, std::memory_order_release);
   return Value::cons(C);
@@ -171,7 +163,7 @@ Value Heap::cons(Value Car, Value Cdr, SourceLocation Loc) {
 Value Heap::string(std::string S) {
   Region &R = myRegion();
   std::lock_guard<std::mutex> Lock(R.Mu);
-  Slot *Sl = nurseryAlloc(R, CellKind::StringCell);
+  Slot *Sl = alloc(R, CellKind::StringCell);
   StringObj *O = new (Sl->Payload) StringObj{std::move(S)};
   return Value::string(O);
 }
@@ -191,7 +183,7 @@ Value Heap::makeRatio(int64_t Num, int64_t Den) {
     return Value::fixnum(Num);
   Region &R = myRegion();
   std::lock_guard<std::mutex> Lock(R.Mu);
-  Slot *Sl = nurseryAlloc(R, CellKind::RatioCell);
+  Slot *Sl = alloc(R, CellKind::RatioCell);
   Ratio *Rt = new (Sl->Payload) Ratio{Num, Den};
   return Value::ratio(Rt);
 }
@@ -201,19 +193,17 @@ Value Heap::list(std::initializer_list<Value> Items) {
 }
 
 Value Heap::list(const std::vector<Value> &Items) {
-  // A collection triggered by one of the conses below would move cells
-  // the remaining items still point at, so root a mutable copy. Rooting
-  // is skipped on GC-free heaps: the shadow stack is single-mutator
-  // state, and the parallel compiler pipeline (always GC-free) calls
-  // list() from worker threads.
-  std::vector<Value> Tmp(Items);
+  // A collection triggered by one of the conses below would free items
+  // nothing else reaches yet, so root them. Rooting is skipped on GC-free
+  // heaps: the shadow stack is single-mutator state, and the parallel
+  // compiler pipeline (always GC-free) calls list() from worker threads.
   RootScope Roots(*this);
   if (gcEnabled())
-    for (Value &V : Tmp)
+    for (const Value &V : Items)
       Roots.add(&V);
   Value Result = Value::nil();
-  for (size_t I = Tmp.size(); I > 0; --I)
-    Result = cons(Tmp[I - 1], Result);
+  for (size_t I = Items.size(); I > 0; --I)
+    Result = cons(Items[I - 1], Result);
   return Result;
 }
 
@@ -229,132 +219,58 @@ void Heap::unregisterRootProvider(RootProvider *P) {
 }
 
 void Heap::writeBarrier(Cons *C) {
-  if (!gcEnabled())
-    return;
-  Chunk *Ch = owningChunk(C);
-  if (!Ch) {
-    // A cell of another heap was just pointed (possibly) at our cells: it
-    // becomes a permanent external root. It is never cleared — dropping
-    // it at a major collection would let the sweep free cells the foreign
-    // heap still reaches.
+  // A cell of another heap was just pointed (possibly) at our cells: it
+  // becomes a permanent external root. It is never cleared — dropping it
+  // would let a sweep free cells the foreign heap still reaches.
+  if (gcEnabled() && !owningChunk(C))
     RememberedForeign.insert(C);
-    return;
-  }
-  // Own nursery cells are scanned when they are evacuated, so only
-  // tenured cells can hide an old-to-young edge.
-  if (!Ch->Nursery)
-    RememberedOwn.insert(C);
 }
 
-void Heap::maybeCollect(Value *Car, Value *Cdr) {
-  ++AllocSinceGc;
-  bool Trigger = false;
+void Heap::maybeCollect(Value Car, Value Cdr) {
+  bool Trigger;
   if (GcEvery != 0) {
-    Trigger = AllocSinceGc >= GcEvery;
-  } else if (BudgetBytes != 0) {
-    size_t Limit = std::min<size_t>(size_t(1) << 20,
-                                    std::max<size_t>(BudgetBytes / 4, 1));
-    Trigger = NurseryLive.load(std::memory_order_relaxed) * sizeof(Slot) >=
-              Limit;
+    Trigger = ++AllocSinceGc >= GcEvery;
+  } else {
+    // Over budget, but spaced out: a live set near the budget must not
+    // turn every cons into a collection.
+    size_t Spacing = std::min<size_t>(size_t(1) << 20,
+                                      std::max<size_t>(BudgetBytes / 4, 1));
+    size_t InUse = liveCells();
+    Trigger = InUse * sizeof(Slot) > BudgetBytes &&
+              (InUse - LiveAfterGc) * sizeof(Slot) >= Spacing;
   }
-  if (!Trigger)
-    return;
-  AllocSinceGc = 0;
-  collectImpl({Car, Cdr}, /*ForceMajor=*/false);
+  if (Trigger)
+    collectImpl({Car, Cdr});
 }
 
-void Heap::collect() { collectImpl({}, /*ForceMajor=*/true); }
+void Heap::collect() { collectImpl({}); }
 
-void Heap::forEachRootSlot(const std::function<void(Value &)> &F,
-                           std::initializer_list<Value *> Extra) {
-  for (Value *V : ShadowStack)
+void Heap::forEachRoot(const std::function<void(Value)> &F,
+                       std::initializer_list<Value> Extra) {
+  for (const Value *V : ShadowStack)
     F(*V);
   for (RootProvider *P : Providers)
     P->visitRoots(F);
-  for (Value *V : Extra)
-    if (V)
-      F(*V);
-}
-
-void Heap::evacuate(Value &V, std::vector<Cons *> &Scan) {
-  void *P = nullptr;
-  switch (V.kind()) {
-  case ValueKind::Cons:
-    P = V.C;
-    break;
-  case ValueKind::String:
-    P = const_cast<StringObj *>(V.Str);
-    break;
-  case ValueKind::Ratio:
-    P = const_cast<Ratio *>(V.Rat);
-    break;
-  default:
-    return;
-  }
-  Chunk *Ch = owningChunk(P);
-  if (!Ch || !Ch->Nursery)
-    return; // another heap's cell, or already tenured
-  Slot *S = slotOf(P);
-  if (!S->H.Forward) {
-    Slot *NS = tenuredAlloc(Ch->RegionIdx, S->H.Kind);
-    switch (S->H.Kind) {
-    case CellKind::ConsCell: {
-      Cons *NC = new (NS->Payload) Cons(*reinterpret_cast<Cons *>(P));
-      S->H.Forward = NC;
-      Scan.push_back(NC);
-      break;
-    }
-    case CellKind::StringCell: {
-      auto *Old = reinterpret_cast<StringObj *>(P);
-      S->H.Forward = new (NS->Payload) StringObj{std::move(Old->Str)};
-      break;
-    }
-    case CellKind::RatioCell:
-      S->H.Forward = new (NS->Payload) Ratio(*reinterpret_cast<Ratio *>(P));
-      break;
-    }
-    ++Stats.CellsPromoted;
-    Stats.BytesPromoted += sizeof(Slot);
-  }
-  switch (V.kind()) {
-  case ValueKind::Cons:
-    V.C = static_cast<Cons *>(S->H.Forward);
-    break;
-  case ValueKind::String:
-    V.Str = static_cast<StringObj *>(S->H.Forward);
-    break;
-  case ValueKind::Ratio:
-    V.Rat = static_cast<Ratio *>(S->H.Forward);
-    break;
-  default:
-    break;
+  for (Value V : Extra)
+    F(V);
+  // Mutated foreign cells reach into this heap from outside.
+  for (Cons *C : RememberedForeign) {
+    F(C->Car);
+    F(C->Cdr);
   }
 }
 
-void Heap::markValue(Value V, std::vector<Cons *> &Work) {
-  void *P = nullptr;
-  switch (V.kind()) {
-  case ValueKind::Cons:
-    P = V.C;
-    break;
-  case ValueKind::String:
-    P = const_cast<StringObj *>(V.Str);
-    break;
-  case ValueKind::Ratio:
-    P = const_cast<Ratio *>(V.Rat);
-    break;
-  default:
-    return;
-  }
-  Chunk *Ch = owningChunk(P);
-  if (!Ch)
-    return;
+void Heap::markValue(Value V, const std::vector<RangeEntry> &Table,
+                     std::vector<Cons *> &Work) {
+  void *P = payloadOf(V);
+  if (!P || !findChunk(Table, P))
+    return; // an immediate, or another heap's cell
   Slot *S = slotOf(P);
   if (S->H.Mark)
     return;
   S->H.Mark = 1;
   if (S->H.Kind == CellKind::ConsCell)
-    Work.push_back(reinterpret_cast<Cons *>(P));
+    Work.push_back(static_cast<Cons *>(P));
 }
 
 void Heap::destroyPayload(Slot *S) {
@@ -362,25 +278,25 @@ void Heap::destroyPayload(Slot *S) {
     reinterpret_cast<StringObj *>(S->Payload)->~StringObj();
 }
 
-void Heap::majorMarkSweep(std::initializer_list<Value *> Extra) {
-  ++Stats.MajorCollections;
+void Heap::collectImpl(std::initializer_list<Value> Extra) {
+  if (InGc)
+    return;
+  InGc = true;
+  auto T0 = std::chrono::steady_clock::now();
+
+  const std::vector<RangeEntry> Table = rangeSnapshot();
   std::vector<Cons *> Work;
-  forEachRootSlot([this, &Work](Value &V) { markValue(V, Work); }, Extra);
-  // Mutated foreign cells reach into this heap from outside; their fields
-  // are external roots for the sweep.
-  for (Cons *C : RememberedForeign) {
-    markValue(C->Car, Work);
-    markValue(C->Cdr, Work);
-  }
+  forEachRoot([&](Value V) { markValue(V, Table, Work); }, Extra);
   while (!Work.empty()) {
     Cons *C = Work.back();
     Work.pop_back();
-    markValue(C->Car, Work);
-    markValue(C->Cdr, Work);
+    markValue(C->Car, Table, Work);
+    markValue(C->Cdr, Table, Work);
   }
+  size_t Swept = 0;
   for (Region &R : Regions) {
     std::lock_guard<std::mutex> Lock(R.Mu);
-    for (auto &Ch : R.Tenured)
+    for (auto &Ch : R.Chunks)
       for (size_t I = 0; I < Ch->Used; ++I) {
         Slot &S = Ch->Slots[I];
         if (S.H.Free)
@@ -392,59 +308,14 @@ void Heap::majorMarkSweep(std::initializer_list<Value *> Extra) {
         destroyPayload(&S);
         S.H.Free = 1;
         R.FreeList.push_back(&S);
-        ++Stats.CellsSwept;
-        Stats.BytesSwept += sizeof(Slot);
-        --TenuredLive;
+        ++Swept;
       }
   }
-}
-
-void Heap::collectImpl(std::initializer_list<Value *> Extra, bool ForceMajor) {
-  if (InGc)
-    return;
-  InGc = true;
-  auto T0 = std::chrono::steady_clock::now();
-
-  // Minor collection: evacuate every reachable nursery cell into the
-  // tenured generation (Cheney-style worklist over copied conses), then
-  // reset the nursery for reuse.
-  std::vector<Cons *> Scan;
-  forEachRootSlot([this, &Scan](Value &V) { evacuate(V, Scan); }, Extra);
-  for (Cons *C : RememberedOwn) {
-    evacuate(C->Car, Scan);
-    evacuate(C->Cdr, Scan);
-  }
-  for (Cons *C : RememberedForeign) {
-    evacuate(C->Car, Scan);
-    evacuate(C->Cdr, Scan);
-  }
-  while (!Scan.empty()) {
-    Cons *C = Scan.back();
-    Scan.pop_back();
-    evacuate(C->Car, Scan);
-    evacuate(C->Cdr, Scan);
-  }
-  // Old-to-young edges were promoted along with everything else; the
-  // write barrier repopulates this set as the mutator runs on.
-  RememberedOwn.clear();
-
-  for (Region &R : Regions) {
-    std::lock_guard<std::mutex> Lock(R.Mu);
-    for (auto &Ch : R.Nursery) {
-      // Forwarded strings hold a moved-from std::string; dead ones hold a
-      // live one. Both destruct safely.
-      for (size_t I = 0; I < Ch->Used; ++I)
-        destroyPayload(&Ch->Slots[I]);
-      Ch->Used = 0;
-    }
-    R.ActiveNursery = 0;
-  }
-  NurseryLive.store(0, std::memory_order_relaxed);
+  Live.fetch_sub(Swept, std::memory_order_relaxed);
+  Stats.CellsSwept += Swept;
   ++Stats.Collections;
-
-  if (ForceMajor ||
-      (BudgetBytes != 0 && TenuredLive * sizeof(Slot) > BudgetBytes))
-    majorMarkSweep(Extra);
+  AllocSinceGc = 0;
+  LiveAfterGc = liveCells();
 
   auto Ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -471,41 +342,18 @@ bool Heap::verify(std::string *Err) {
     return false;
   };
 
-  // 1. Reachability: every cell reachable from the registered roots must
-  //    be un-forwarded, un-freed, kind-consistent, and inside its chunk's
-  //    live extent.
+  const std::vector<RangeEntry> Table = rangeSnapshot();
   std::unordered_set<const void *> Visited;
   std::vector<Value> Work;
-  forEachRootSlot([&Work](Value &V) { Work.push_back(V); }, {});
-  for (Cons *C : RememberedForeign) {
-    Work.push_back(C->Car);
-    Work.push_back(C->Cdr);
-  }
+  forEachRoot([&Work](Value V) { Work.push_back(V); }, {});
   while (!Work.empty()) {
     Value V = Work.back();
     Work.pop_back();
-    void *P = nullptr;
-    switch (V.kind()) {
-    case ValueKind::Cons:
-      P = V.C;
-      break;
-    case ValueKind::String:
-      P = const_cast<StringObj *>(V.Str);
-      break;
-    case ValueKind::Ratio:
-      P = const_cast<Ratio *>(V.Rat);
-      break;
-    default:
-      continue;
-    }
-    Chunk *Ch = owningChunk(P);
-    if (!Ch)
-      continue; // another heap's cell; it validates there
-    if (!Visited.insert(P).second)
-      continue;
+    void *P = payloadOf(V);
+    Chunk *Ch = P ? findChunk(Table, P) : nullptr;
+    if (!Ch || !Visited.insert(P).second)
+      continue; // an immediate, another heap's cell, or already checked
     Slot *S = slotOf(P);
-    if (S->H.Forward)
-      return Fail("reachable cell still carries a forwarding pointer");
     if (S->H.Free)
       return Fail("reachable cell lies in freed space");
     if (static_cast<size_t>(S - Ch->Slots.get()) >= Ch->Used)
@@ -518,38 +366,6 @@ bool Heap::verify(std::string *Err) {
       Work.push_back(V.car());
       Work.push_back(V.cdr());
     }
-  }
-
-  // 2. No live nursery cons may point at freed space, and no tenured slot
-  //    may carry a stale forwarding pointer.
-  for (Region &R : Regions) {
-    std::lock_guard<std::mutex> Lock(R.Mu);
-    for (auto &Ch : R.Nursery)
-      for (size_t I = 0; I < Ch->Used; ++I) {
-        Slot &S = Ch->Slots[I];
-        if (S.H.Free)
-          return Fail("nursery slot marked free");
-        if (S.H.Kind != CellKind::ConsCell || S.H.Forward)
-          continue;
-        Cons *C = reinterpret_cast<Cons *>(S.Payload);
-        for (Value Child : {C->Car, C->Cdr}) {
-          void *CP = nullptr;
-          if (Child.isCons())
-            CP = Child.C;
-          else if (Child.isString())
-            CP = const_cast<StringObj *>(Child.Str);
-          else if (Child.isRatio())
-            CP = const_cast<Ratio *>(Child.Rat);
-          if (!CP || !owningChunk(CP))
-            continue;
-          if (slotOf(CP)->H.Free)
-            return Fail("live nursery cell points at freed space");
-        }
-      }
-    for (auto &Ch : R.Tenured)
-      for (size_t I = 0; I < Ch->Used; ++I)
-        if (!Ch->Slots[I].H.Free && Ch->Slots[I].H.Forward)
-          return Fail("tenured slot carries a forwarding pointer");
   }
   return true;
 }

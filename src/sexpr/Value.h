@@ -8,16 +8,15 @@
 /// A Value is a small tagged union passed by value. Conses, strings and
 /// ratios live in a Heap; symbols are interned in a SymbolTable. Symbols
 /// are immortal (pointer identity is symbol identity for the lifetime of
-/// the table), but heap cells are collectible: a Heap is a generational
-/// collector with a bump-allocated nursery per thread-affine region,
-/// copying promotion into tenured chunks, and a mark-sweep fallback for
-/// the tenured generation. Collection is off by default — a heap with no
-/// GC schedule configured behaves exactly like the old grow-only
-/// allocator — and is enabled per-heap with setGcEvery()/setHeapBudget().
+/// the table), but heap cells are collectible: a Heap is a non-moving
+/// mark-sweep collector over slot chunks in thread-affine regions, each
+/// with a free list. Collection is off by default — a heap with no GC
+/// schedule configured is a grow-only allocator — and is enabled per-heap
+/// with setGcEvery()/setHeapBudget().
 ///
-/// Because promotion moves cells, a GC-enabled heap requires the precise
-/// root discipline below (see "Root discipline"); GC-enabled heaps are
-/// single-mutator.
+/// Cells never move, but a GC-enabled heap frees every cell its roots do
+/// not reach, so it requires the root discipline below (see "Root
+/// discipline"); GC-enabled heaps are single-mutator.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -169,8 +168,7 @@ public:
   bool isTrue() const { return !isNil(); }
 
 private:
-  /// The collector reads and rewrites the payload pointers in place when
-  /// promotion moves a cell.
+  /// The collector reads the payload pointers to find each cell's slot.
   friend class Heap;
 
   ValueKind Kind;
@@ -257,27 +255,21 @@ private:
   const Symbol *SymQuote;
 };
 
-/// Enumerates the Value slots a heap client keeps live across
-/// collections. The interpreter, the VM's decode path, and the driver's
-/// constant pools each implement this; the collector calls \c visitRoots
-/// with a visitor it applies to every root slot, rewriting moved cells in
-/// place.
+/// Enumerates the Values a heap client keeps live across collections.
+/// The interpreter implements this; the collector calls \c visitRoots
+/// with a visitor it applies to every root value and marks from there.
 class RootProvider {
 public:
   virtual ~RootProvider() = default;
-  virtual void visitRoots(const std::function<void(Value &)> &Visit) = 0;
+  virtual void visitRoots(const std::function<void(Value)> &Visit) = 0;
 };
 
 /// Counters one Heap's collector maintains. Kept per-heap (sexpr sits
 /// below the stats registry in the library layering); the interpreter,
 /// the VM, and the tools publish them into src/stats.
 struct GcStats {
-  uint64_t Collections = 0;      ///< minor (nursery) collections
-  uint64_t MajorCollections = 0; ///< tenured mark-sweep passes
-  uint64_t CellsPromoted = 0;
-  uint64_t BytesPromoted = 0;
+  uint64_t Collections = 0;
   uint64_t CellsSwept = 0;
-  uint64_t BytesSwept = 0;
   uint64_t PauseNsTotal = 0;
 };
 
@@ -287,24 +279,19 @@ struct GcStats {
 /// Storage is slot-chunked with thread affinity: each allocating thread
 /// is assigned a region round-robin (cached thread-locally), so pipeline
 /// workers allocate from effectively private regions and never contend on
-/// a global allocation mutex. New cells are bump-allocated into the
-/// region's nursery chunks; a collection evacuates every reachable
-/// nursery cell into the region's tenured chunks (copying promotion with
-/// forwarding pointers), resets the nursery for reuse, and — when the
-/// tenured generation exceeds the configured budget — runs a mark-sweep
-/// pass over tenured chunks, returning dead slots to per-region free
-/// lists.
+/// a global allocation mutex. A new cell takes a slot from its region's
+/// free list, or else bumps the region's newest chunk. A collection marks
+/// every cell reachable from the roots and sweeps the rest onto their
+/// regions' free lists; no cell ever moves.
 ///
-/// Root discipline (GC-enabled heaps only): collections move cells, so
-/// every Value held live across an allocation must be reachable from a
-/// registered RootProvider, from the shadow stack (pushRoot/popRoots /
-/// RootScope), or be one of cons()'s own arguments (which cons roots
-/// itself). Mutating Car/Cdr of an already-allocated cons must be
-/// followed by writeBarrier() so old-to-young and cross-heap pointers
-/// stay visible to the collector. Heaps with GC enabled are
-/// single-mutator: the parallel compiler pipeline always runs with GC off
-/// (the default), where allocation is thread-safe exactly as before and
-/// no cell ever moves.
+/// Root discipline (GC-enabled heaps only): every Value held live across
+/// an allocation must be reachable from a registered RootProvider, from
+/// the shadow stack (pushRoot/popRoots/RootScope), or be one of cons()'s
+/// own arguments (which cons roots itself). A cell of *another* heap that
+/// is mutated to point at this heap's cells must be passed to
+/// writeBarrier(). Heaps with GC enabled are single-mutator: the parallel
+/// compiler pipeline always runs with GC off (the default), where
+/// allocation is thread-safe and nothing is ever freed.
 class Heap {
 public:
   Heap();
@@ -341,17 +328,16 @@ public:
   void setGcEvery(uint64_t N) { GcEvery = N; }
   uint64_t gcEvery() const { return GcEvery; }
 
-  /// Sets the tenured-generation budget in bytes. When set, nursery
-  /// pressure also triggers minor collections, and a minor collection
-  /// that leaves the tenured generation over budget runs the mark-sweep
-  /// fallback. 0 (default) means unbounded.
+  /// Sets the heap budget in bytes. Without a gc-every schedule, a cons
+  /// collects once the cells in use exceed the budget, but never twice
+  /// within min(1 MB, budget/4) bytes of allocation. 0 (default) means
+  /// unbounded.
   void setHeapBudget(size_t Bytes) { BudgetBytes = Bytes; }
   size_t heapBudget() const { return BudgetBytes; }
 
   bool gcEnabled() const { return GcEvery != 0 || BudgetBytes != 0; }
 
-  /// Forces a full collection now: minor evacuation, then the tenured
-  /// mark-sweep regardless of budget.
+  /// Forces a collection now.
   void collect();
 
   //===--- Roots ----------------------------------------------------------===//
@@ -359,9 +345,9 @@ public:
   void registerRootProvider(RootProvider *P);
   void unregisterRootProvider(RootProvider *P);
 
-  /// Shadow stack for transient roots: the pointed-to slots are updated
-  /// in place when a collection moves their referents.
-  void pushRoot(Value *Slot) { ShadowStack.push_back(Slot); }
+  /// Shadow stack for transient roots: each collection reads the
+  /// pointed-to slots and keeps their current referents.
+  void pushRoot(const Value *Slot) { ShadowStack.push_back(Slot); }
   void popRoots(size_t N) {
     assert(N <= ShadowStack.size());
     ShadowStack.resize(ShadowStack.size() - N);
@@ -374,7 +360,7 @@ public:
     ~RootScope() { H.popRoots(N); }
     RootScope(const RootScope &) = delete;
     RootScope &operator=(const RootScope &) = delete;
-    void add(Value *Slot) {
+    void add(const Value *Slot) {
       H.pushRoot(Slot);
       ++N;
     }
@@ -384,20 +370,19 @@ public:
     size_t N = 0;
   };
 
-  /// Records that \p C's Car/Cdr were just mutated. Own tenured cells land
-  /// in the (per-minor-GC) remembered set; cells owned by *another* heap
-  /// land in the persistent cross-heap set — a mutated foreign cell (a
-  /// module literal pointing into a runtime heap, say) is an external
-  /// root that must survive major collections too.
+  /// Records that \p C's Car/Cdr were just mutated. A cell owned by
+  /// *another* heap (a module literal pointing into a runtime heap, say)
+  /// lands in the persistent cross-heap set: its fields are roots of
+  /// every later collection. Own cells need nothing, since a collection
+  /// traces them wherever they are reachable from.
   void writeBarrier(Cons *C);
 
   //===--- Verification and stats ----------------------------------------===//
 
-  /// Debug walk over the whole heap: every cell reachable from the
-  /// registered roots must lie in a live region with no surviving
-  /// forwarding pointer, and no live nursery cell may point at freed
-  /// tenured space. Returns false and fills \p Err on the first
-  /// violation.
+  /// Debug walk over everything the roots reach: every reachable cell of
+  /// this heap must be allocated (not on a free list), lie inside its
+  /// chunk's live extent, and carry the kind its Value tag says. Returns
+  /// false and fills \p Err on the first violation.
   bool verify(std::string *Err = nullptr);
 
   /// When set, every collection re-verifies the heap and aborts (with a
@@ -407,22 +392,17 @@ public:
 
   const GcStats &gcStats() const { return Stats; }
 
-  /// Cells currently live in the tenured generation (post-sweep view;
-  /// promoted minus swept).
-  size_t tenuredCells() const { return TenuredLive; }
+  /// Cells currently allocated: allocated minus swept.
+  size_t liveCells() const { return Live.load(std::memory_order_relaxed); }
 
 private:
   enum class CellKind : uint8_t { ConsCell, StringCell, RatioCell };
 
-  /// Per-cell metadata preceding every payload. \c Forward doubles as the
-  /// broken-heart pointer during evacuation; it must be null whenever the
-  /// mutator runs.
+  /// Per-cell metadata preceding every payload.
   struct CellHeader {
     CellKind Kind;
     uint8_t Mark = 0;
     uint8_t Free = 0;
-    uint8_t Pad = 0;
-    void *Forward = nullptr;
   };
 
   static constexpr size_t PayloadMax =
@@ -432,32 +412,26 @@ private:
                                                : sizeof(Ratio));
 
   /// One uniform allocation slot: header plus payload storage big enough
-  /// for any cell kind. Uniform slots keep chunk walking, forwarding, and
-  /// free-list reuse kind-agnostic.
+  /// for any cell kind. Uniform slots keep chunk walking and free-list
+  /// reuse kind-agnostic.
   struct Slot {
     CellHeader H;
     alignas(alignof(std::max_align_t)) unsigned char Payload[PayloadMax];
   };
 
-  struct Chunk {
-    std::unique_ptr<Slot[]> Slots;
-    size_t Cap = 0;
-    size_t Used = 0;
-    bool Nursery = true;
-    size_t RegionIdx = 0;
-  };
-
   static constexpr size_t NumRegions = 16;     ///< power of two
   static constexpr size_t ChunkSlots = 1024;   ///< slots per chunk
 
+  struct Chunk {
+    std::unique_ptr<Slot[]> Slots; ///< ChunkSlots of them
+    size_t Used = 0;
+  };
+
   struct Region {
     mutable std::mutex Mu;
-    /// Bump-allocated nursery chunks; ActiveNursery indexes the chunk
-    /// currently bumping. Reset (not freed) by every minor collection.
-    std::vector<std::unique_ptr<Chunk>> Nursery;
-    size_t ActiveNursery = 0;
-    /// Promotion target chunks plus the free list mark-sweep refills.
-    std::vector<std::unique_ptr<Chunk>> Tenured;
+    /// Bump-allocated in order; only the last chunk has room to bump.
+    std::vector<std::unique_ptr<Chunk>> Chunks;
+    /// Slots the sweep freed, reused before bumping.
     std::vector<Slot *> FreeList;
     /// Monotone cons-allocation count, published for lock-free consCount().
     std::atomic<size_t> ConsTally{0};
@@ -473,23 +447,31 @@ private:
   Region &myRegion();
 
   static Slot *slotOf(void *Payload);
-  void *payloadOf(Slot *S) const { return S->Payload; }
+  /// The cell \p V points at, or null for an immediate.
+  static void *payloadOf(Value V);
 
-  Slot *nurseryAlloc(Region &R, CellKind K);
-  Slot *tenuredAlloc(size_t RegionIdx, CellKind K);
+  /// Takes a slot in \p R, which the caller holds locked.
+  Slot *alloc(Region &R, CellKind K);
   void registerChunk(Chunk *Ch);
-  /// The owning chunk, or null for pointers into other heaps (or no heap).
+  /// The chunk of \p Table holding \p Payload, or null for pointers into
+  /// other heaps (or no heap).
+  static Chunk *findChunk(const std::vector<RangeEntry> &Table,
+                          const void *Payload);
+  /// findChunk over the live range table, under its lock.
   Chunk *owningChunk(const void *Payload);
+  /// A copy of the range table. Nothing allocates while a collection or a
+  /// verify runs, so a copy taken at its start stays exact and spares
+  /// them a lock per lookup.
+  std::vector<RangeEntry> rangeSnapshot();
 
-  void maybeCollect(Value *Car, Value *Cdr);
-  void collectImpl(std::initializer_list<Value *> Extra, bool ForceMajor);
-  void forEachRootSlot(const std::function<void(Value &)> &F,
-                       std::initializer_list<Value *> Extra);
-  /// Evacuates \p V's referent out of the nursery if it is ours and still
-  /// there, rewriting \p V; appends newly copied conses to \p ScanList.
-  void evacuate(Value &V, std::vector<Cons *> &ScanList);
-  void majorMarkSweep(std::initializer_list<Value *> Extra);
-  void markValue(Value V, std::vector<Cons *> &Work);
+  void maybeCollect(Value Car, Value Cdr);
+  void collectImpl(std::initializer_list<Value> Extra);
+  /// Visits every root value: the shadow stack, the providers, \p Extra,
+  /// and the fields of the cross-heap set.
+  void forEachRoot(const std::function<void(Value)> &F,
+                   std::initializer_list<Value> Extra);
+  void markValue(Value V, const std::vector<RangeEntry> &Table,
+                 std::vector<Cons *> &Work);
   void destroyPayload(Slot *S);
 
   Region Regions[NumRegions];
@@ -499,15 +481,14 @@ private:
 
   uint64_t GcEvery = 0;
   size_t BudgetBytes = 0;
-  uint64_t AllocSinceGc = 0;
-  std::atomic<size_t> NurseryLive{0}; ///< live (un-reset) nursery slots
-  size_t TenuredLive = 0;             ///< tenured slots in use
+  uint64_t AllocSinceGc = 0;      ///< conses since the last collection
+  std::atomic<size_t> Live{0};    ///< allocated slots
+  size_t LiveAfterGc = 0;         ///< Live when the last collection ended
   bool VerifyAfterGc = false;
   bool InGc = false;
 
-  std::vector<Value *> ShadowStack;
+  std::vector<const Value *> ShadowStack;
   std::vector<RootProvider *> Providers;
-  std::unordered_set<Cons *> RememberedOwn; ///< own tenured, maybe old->young
   std::unordered_set<Cons *> RememberedForeign; ///< foreign cells aimed here
 
   GcStats Stats;

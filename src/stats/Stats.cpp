@@ -228,8 +228,7 @@ void stats::resetStats() {
     S->reset();
 }
 
-std::string stats::reportStats() {
-  std::vector<StatValue> Values = allStats();
+std::string stats::renderStatsTable(const std::vector<StatValue> &Values) {
   size_t ValueWidth = 0, NameWidth = 0;
   for (const StatValue &V : Values) {
     ValueWidth = std::max(ValueWidth, formatUnsigned(V.Value).size());
@@ -247,27 +246,7 @@ std::string stats::reportStats() {
   return Out;
 }
 
-StatsSnapshot stats::snapshotStats() { return allStats(/*IncludeZeros=*/true); }
-
-std::string stats::reportStatsDeltaJson(const StatsSnapshot &Base) {
-  std::map<std::string, uint64_t> Before;
-  for (const StatValue &V : Base)
-    Before[V.Name] += V.Value;
-  std::string Out = "{";
-  bool First = true;
-  for (const StatValue &V : allStats(/*IncludeZeros=*/true)) {
-    auto It = Before.find(V.Name);
-    uint64_t Old = It == Before.end() ? 0 : It->second;
-    if (V.Value <= Old)
-      continue;
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\n  \"" + V.Name + "\": " + formatUnsigned(V.Value - Old);
-  }
-  Out += First ? "}" : "\n}";
-  return Out;
-}
+std::string stats::reportStats() { return renderStatsTable(allStats()); }
 
 std::string stats::reportStatsJson(bool IncludeZeros) {
   std::string Out = "{";

@@ -139,8 +139,8 @@ private:
 /// live counter are ignored.
 void applyTallyDeltas(const std::vector<TallyDelta> &Deltas);
 
-/// Renders deltas as one JSON object ({"name": add, ...}); zero adds are
-/// omitted, matching reportStatsDeltaJson's shape.
+/// Renders deltas as one JSON object ({"name": value, ...}), with each
+/// counter's value max(Add, Max); zero values are omitted.
 std::string tallyDeltasJson(const std::vector<TallyDelta> &Deltas);
 
 /// RAII: enables stats collection on the current thread and routes it into
@@ -201,17 +201,11 @@ uint64_t statValue(const std::string &Name);
 /// Zeroes every live counter.
 void resetStats();
 
-/// A point-in-time capture of every live counter (zeros included), for
-/// per-configuration deltas: capture, run one configuration, then render
-/// what that run alone contributed with reportStatsDeltaJson().
-using StatsSnapshot = std::vector<StatValue>;
-StatsSnapshot snapshotStats();
+/// Renders \p Values in the LLVM `-stats`-style text layout: a banner,
+/// then one line per counter (right-aligned value, name, description).
+std::string renderStatsTable(const std::vector<StatValue> &Values);
 
-/// Counter increments since \p Base as one JSON object. Counters absent
-/// from \p Base count from zero; zero deltas are omitted.
-std::string reportStatsDeltaJson(const StatsSnapshot &Base);
-
-/// The LLVM `-stats`-style text report.
+/// The text report of every nonzero live counter (renderStatsTable).
 std::string reportStats();
 
 /// The counters as one JSON object: {"opt.cse.hoisted": 3, ...}.

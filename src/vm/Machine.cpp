@@ -423,7 +423,7 @@ std::optional<Value> Machine::decode(uint64_t Word, unsigned Depth) {
     auto Car = decode(Memory[addrOf(Word)], Depth - 1);
     if (!Car)
       return std::nullopt;
-    // Decoding the cdr can collect the decode heap and move *Car; pin it.
+    // Decoding the cdr can collect the decode heap and free *Car; root it.
     // Rooting is gated like Heap::list: the shadow stack is single-mutator
     // state, and GC-free decode heaps are shared across fuzzing threads.
     sexpr::Heap::RootScope Guard(DecodeHeap);

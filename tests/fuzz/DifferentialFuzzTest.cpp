@@ -350,7 +350,10 @@ TEST(FuzzReducer, DivergenceCarriesStatsDelta) {
   driver::AblationConfig Faulted = driver::ablationMatrix().front();
   Faulted.Opts.Opt.FaultConstantFold = true;
   fuzz::OracleOptions OO;
-  OO.Configs = {Faulted};
+  // Two healthy configurations beside the faulted one, so a parallel
+  // sweep compiles several configurations at once.
+  OO.Configs = {Faulted, *driver::ablationByName("O0"),
+                *driver::ablationByName("no-tail-calls")};
   OO.CaptureStats = true;
   for (uint32_t Seed = 1; Seed <= 80; ++Seed) {
     fuzz::Generator G(Seed);
@@ -359,9 +362,20 @@ TEST(FuzzReducer, DivergenceCarriesStatsDelta) {
     if (R.St != fuzz::CheckResult::Status::Diverged)
       continue;
     // The offending configuration's compile folded at least one constant,
-    // and the delta snapshot attached to the divergence shows it.
+    // and the delta attached to the divergence shows it.
+    EXPECT_EQ(R.Divergences.front().Config, "O2");
     EXPECT_NE(R.Divergences.front().StatsJson.find("opt"), std::string::npos)
         << R.Divergences.front().StatsJson;
+    // Each compile counts into its own tally: the deltas do not depend on
+    // how many configurations compile at once.
+    fuzz::OracleOptions Parallel = OO;
+    Parallel.Jobs = 4;
+    fuzz::CheckResult RP = fuzz::checkProgram(P, Parallel);
+    ASSERT_EQ(RP.Divergences.size(), R.Divergences.size());
+    for (size_t I = 0; I < R.Divergences.size(); ++I) {
+      EXPECT_EQ(RP.Divergences[I].Config, R.Divergences[I].Config);
+      EXPECT_EQ(RP.Divergences[I].StatsJson, R.Divergences[I].StatsJson);
+    }
     return;
   }
   FAIL() << "fault injection produced no divergence in 80 seeds";

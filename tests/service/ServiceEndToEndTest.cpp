@@ -130,13 +130,14 @@ TEST_F(ServiceEndToEnd, CompileErrorsTravelBack) {
   EXPECT_EQ(Resp.getOr("ok"), "1");
 }
 
-TEST_F(ServiceEndToEnd, S1lispcServerPassthrough) {
+/// Runs s1lispc on examples/exptl.lisp with \p Args and returns its
+/// stdout and stderr together; fails the test on a nonzero exit.
+std::string runS1lispc(const std::string &Args) {
   std::string Out = "/tmp/s1lispc-server-test-" + std::to_string(getpid());
   std::string Cmd = std::string(S1LISPC_PATH) + " " + S1LISP_EXAMPLES_DIR +
-                    "/exptl.lisp --run --server=" + Socket +
-                    " > " + Out + " 2>&1";
+                    "/exptl.lisp " + Args + " > " + Out + " 2>&1";
   int Rc = std::system(Cmd.c_str());
-  ASSERT_TRUE(WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0) << "rc=" << Rc;
+  EXPECT_TRUE(WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0) << "rc=" << Rc;
 
   std::string Text;
   if (FILE *F = fopen(Out.c_str(), "r")) {
@@ -147,7 +148,24 @@ TEST_F(ServiceEndToEnd, S1lispcServerPassthrough) {
     fclose(F);
   }
   unlink(Out.c_str());
+  return Text;
+}
+
+TEST_F(ServiceEndToEnd, S1lispcServerPassthrough) {
+  std::string Text = runS1lispc("--run --server=" + Socket);
   EXPECT_NE(Text.find("=> 1024"), std::string::npos) << Text;
+}
+
+TEST_F(ServiceEndToEnd, S1lispcStatsMatchTheLocalCompile) {
+  // Both renderings of the counters, local and through the daemon, print
+  // the same bytes.
+  for (const char *Mode : {"--stats", "--stats=json"}) {
+    std::string Local = runS1lispc(std::string("--run ") + Mode);
+    EXPECT_NE(Local.find("codegen.instructions"), std::string::npos) << Local;
+    EXPECT_EQ(runS1lispc(std::string("--run ") + Mode + " --server=" + Socket),
+              Local)
+        << Mode;
+  }
 }
 
 } // namespace

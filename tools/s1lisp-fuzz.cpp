@@ -54,7 +54,7 @@ const char *UsageText =
     "  --config=NAME       test one ablation configuration instead of all\n"
     "  --list-configs      print the ablation matrix names and exit\n"
     "  --stats             attach a src/stats counter delta to divergences\n"
-    "                      (forces --jobs=1: deltas snapshot one registry)\n"
+    "                      (one tally per config's compile: any --jobs)\n"
     "  --jobs=N            worker threads fanning out over the ablation\n"
     "                      matrix (default 1 = serial)\n"
     "  --engine=E          simulator dispatch engine for the compiled side:\n"
@@ -211,18 +211,6 @@ void printDivergence(uint32_t Seed, const fuzz::Divergence &D,
 
 //===--- client/soak mode -------------------------------------------------===//
 
-/// The s1lispc flag string for one ablation-matrix configuration: the
-/// matrix names are the flag names with O2 the empty default.
-std::string configFlags(const std::string &Name) {
-  if (Name == "O2")
-    return "";
-  if (Name == "O0")
-    return "-O0";
-  if (Name == "O2+cse")
-    return "--cse";
-  return "--" + Name;
-}
-
 fuzz::Outcome outcomeOf(const service::Message &Resp) {
   if (Resp.getOr("ok") != "1")
     return fuzz::Outcome::compileError(Resp.getOr("error"));
@@ -317,7 +305,7 @@ int runServerMode(const CliOptions &Cli,
         service::Message Req;
         Req.set("cmd", "compile");
         Req.set("source", Wrapped);
-        Req.set("options", configFlags(Cfg.Name));
+        Req.set("options", Cfg.Flag);
         Req.set("entry", "__client_main");
         Req.set("run", "vm");
         Req.set("engine", vm::engineName(Cli.Engine));

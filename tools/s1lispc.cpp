@@ -57,9 +57,9 @@ const char *UsageText =
     "                      every word-heap object (conses, boxed numbers,\n"
     "                      closures, environments) under --run; results\n"
     "                      are identical with or without collections\n"
-    "  --heap-budget=BYTES collect when the heap outgrows BYTES: the\n"
-    "                      tenured generation under --interp, the live\n"
-    "                      word heap under --run\n"
+    "  --heap-budget=BYTES collect when the heap outgrows BYTES: the cells\n"
+    "                      in use under --interp, the live word heap under\n"
+    "                      --run\n"
     "  --gc-verify         re-verify the heap after every collection\n"
     "                      (debugging aid; aborts on corruption)\n"
     "\n"
