@@ -7,11 +7,9 @@
 #include "sexpr/Numbers.h"
 #include "sexpr/Printer.h"
 #include "stats/Stats.h"
-#include "support/Parallel.h"
 
 #include <deque>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -52,8 +50,8 @@ struct LiftedLambda {
 /// a private, relocatable unit: a local static pool addressed from
 /// StaticBase, unit-local symbol ordinals inside Symbol-tagged words, and
 /// unit-local lift indices inside MakeClosure operands. Units are
-/// independent, so they compile on worker threads; the serial link in
-/// codegen::compileModule relocates them in module order.
+/// independent, so they compile on worker threads; the serial link
+/// (linkUnits) relocates them in module order.
 class ModuleCompiler {
 public:
   ModuleCompiler(ir::Module &M, const CodegenOptions &Opts,
@@ -1119,36 +1117,4 @@ CompileResult codegen::linkUnits(ir::Module &M,
     NumMovsEmitted += F.countOpcode(s1::Opcode::MOV);
   }
   return Result;
-}
-
-CompileResult codegen::compileModule(ir::Module &M, const CodegenOptions &Opts) {
-  // Pre-assign module-function indices so mutually recursive calls resolve
-  // identically in every unit.
-  std::unordered_map<std::string, int> FuncIndex;
-  for (const auto &F : M.functions())
-    FuncIndex[F->name()] = static_cast<int>(FuncIndex.size());
-
-  const size_t NumUnits = M.functions().size();
-  std::vector<CompiledUnit> Units(NumUnits);
-
-  // Worker threads leave stats at their default (off); per-unit tallies
-  // applied in unit order after the join keep counter totals identical to
-  // a serial run.
-  std::vector<stats::LocalTally> Tallies(NumUnits);
-  const bool Tally = stats::enabled();
-  support::parallelFor(NumUnits, Opts.Jobs, [&](size_t U) {
-    std::optional<stats::TallyScope> Scope;
-    if (Tally)
-      Scope.emplace(Tallies[U]);
-    Units[U] = compileFunctionUnit(M, *M.functions()[U], Opts, FuncIndex);
-  });
-  if (Tally)
-    for (stats::LocalTally &T : Tallies)
-      T.apply();
-
-  std::vector<const CompiledUnit *> UnitPtrs;
-  UnitPtrs.reserve(NumUnits);
-  for (const CompiledUnit &U : Units)
-    UnitPtrs.push_back(&U);
-  return linkUnits(M, UnitPtrs);
 }

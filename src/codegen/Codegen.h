@@ -38,10 +38,9 @@ struct CodegenOptions {
   bool TailCalls = true;
   /// Let expression temporaries use registers (ablation: frame slots only).
   bool RegisterTemps = true;
-  /// Worker threads for per-function compilation units. Each module
-  /// function (plus its lifted closures) compiles into a private unit;
-  /// units are linked serially in module order, so the output is
-  /// bit-identical for any job count.
+  /// Ignored: the driver fans units out itself (driver::compileSlots,
+  /// at CompilerOptions::Jobs). The field stays only so the assignment
+  /// in s1bench/CompileWorkload.cpp still compiles; delete it with that.
   unsigned Jobs = 1;
 };
 
@@ -80,7 +79,7 @@ struct CompiledUnit {
 
 /// Compiles one function of \p M into a relocatable unit. \p FuncIndex is
 /// the module-function index assignment (name -> slot) the unit's direct
-/// calls are resolved against; compileModule builds it in module order.
+/// calls are resolved against, in module order.
 CompiledUnit compileFunctionUnit(ir::Module &M, ir::Function &F,
                                  const CodegenOptions &Opts,
                                  const std::unordered_map<std::string, int> &FuncIndex);
@@ -93,11 +92,6 @@ CompiledUnit compileFunctionUnit(ir::Module &M, ir::Function &F,
 /// units link bit-identically.
 CompileResult linkUnits(ir::Module &M,
                         const std::vector<const CompiledUnit *> &Units);
-
-/// Compiles every function in \p M. The module must already be optimized
-/// (or not — the generator handles unoptimized trees too) but NOT yet
-/// annotated: annotation runs here so its options stay consistent.
-CompileResult compileModule(ir::Module &M, const CodegenOptions &Opts = {});
 
 } // namespace codegen
 } // namespace s1lisp

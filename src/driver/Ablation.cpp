@@ -2,8 +2,6 @@
 
 #include "driver/Ablation.h"
 
-#include "vm/Machine.h"
-
 using namespace s1lisp;
 using namespace s1lisp::driver;
 
@@ -77,13 +75,6 @@ bool driver::applyCompilerFlag(std::string_view Flag, CompilerOptions &O) {
   }
   if (Flag == "--cse") {
     O.Cse = true;
-    return true;
-  }
-  if (Flag.rfind("--engine=", 0) == 0) {
-    std::string_view Name = Flag.substr(sizeof("--engine=") - 1);
-    if (!vm::engineByName(Name))
-      return false; // unknown engine: let the caller report it
-    O.Engine = std::string(Name);
     return true;
   }
   if (Flag.rfind("--", 0) != 0)

@@ -44,12 +44,12 @@ std::vector<AblationConfig> ablationMatrix();
 std::optional<AblationConfig> ablationByName(const std::string &Name);
 
 /// Applies one s1lispc-style compiler flag to \p O: "-O0", "-O2",
-/// "--cse", "--engine=<legacy|threaded|native>", or any "--no-<pass>"
-/// ablation. Returns false (leaving \p O untouched) when the token is not
-/// a compiler flag — including "--engine=" with an unknown engine name.
-/// s1lispc, the compile service, and tests all parse through this one
-/// table, so the flag surface can't drift between the CLI and the daemon
-/// protocol.
+/// "--cse", or any "--no-<pass>" ablation. Returns false (leaving \p O
+/// untouched) when the token is not a compiler flag. s1lispc, the compile
+/// service, and tests all parse through this one table, so the flag
+/// surface can't drift between the CLI and the daemon protocol. The
+/// execution engine is not a compiler flag: a daemon request names it in
+/// its own "engine" key.
 bool applyCompilerFlag(std::string_view Flag, CompilerOptions &O);
 
 } // namespace driver

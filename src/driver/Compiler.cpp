@@ -121,8 +121,6 @@ CompileOutcome compileSlots(ir::Module &M, std::vector<Slot> &Slots,
                             stats::RemarkStream *Remarks, FunctionMemo *Memo,
                             CompileOutcome Out) {
   const size_t N = Slots.size();
-  codegen::CodegenOptions CG = Opts.Codegen;
-  CG.Jobs = Opts.Jobs;
 
   // Compile the misses, fanned out per function. Each function optimizes
   // and generates code against private remark/stat sinks; folding those in
@@ -158,7 +156,7 @@ CompileOutcome compileSlots(ir::Module &M, std::vector<Slot> &Slots,
       if (Broken.hasErrors())
         MF->Unit.Error = Broken.str();
       else
-        MF->Unit = codegen::compileFunctionUnit(M, F, CG, FuncIndex);
+        MF->Unit = codegen::compileFunctionUnit(M, F, Opts.Codegen, FuncIndex);
     }
     MF->Tally = T.deltas();
     if (Remarks)

@@ -35,16 +35,10 @@ struct CompilerOptions {
   codegen::CodegenOptions Codegen;
   /// Worker threads for the per-function pipeline: optimize + CSE fan out
   /// over the module's functions, and code generation compiles each
-  /// function's unit concurrently before a serial link. Propagated into
-  /// CodegenOptions::Jobs. Output (program, listings, remark set, merged
-  /// stats) is bit-identical for any job count.
+  /// function's unit concurrently before a serial link. Output (program,
+  /// listings, remark set, merged stats) is bit-identical for any job
+  /// count.
   unsigned Jobs = 1;
-  /// Execution-engine preference ("legacy" / "threaded" / "native"),
-  /// carried by the shared flag table for --run consumers; empty = the
-  /// Machine default. Excluded from optionsFingerprint like Jobs: the
-  /// engine never changes compiled output, so cache entries stay shared
-  /// across engines (the service byte-identity test relies on this).
-  std::string Engine;
 };
 
 struct CompileOutcome {

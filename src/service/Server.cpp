@@ -227,12 +227,7 @@ void Server::handleCompile(const Message &Req, Message &Resp,
           Resp.set("run-error", R.Error);
       }
     } else {
-      // "--engine=NAME" in the options field sets the default engine for
-      // this request (it was validated by applyCompilerFlag above); the
-      // dedicated "engine" key still wins when both are present.
       vm::Engine Engine = vm::Engine::Threaded;
-      if (!Opts.Engine.empty())
-        Engine = *vm::engineByName(Opts.Engine);
       if (Req.has("engine")) {
         auto E = vm::engineByName(*Req.get("engine"));
         if (!E) {

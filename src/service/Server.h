@@ -18,7 +18,8 @@
 ///   compile   fields: source (required), options (whitespace-separated
 ///             s1lispc flags: -O0 -O2 --cse --no-*), jobs, entry (a
 ///             function to call after compiling), run ("vm" default,
-///             "interp" for the oracle), engine ("threaded"/"legacy"),
+///             "interp" for the oracle), engine ("threaded" default,
+///             "legacy", "native"; the only way to pick one),
 ///             fuel, listing=1, transcript=1, remarks=1 (JSON),
 ///             stats=text|json, timing=1, cache=0 (bypass the memo).
 ///             Answers ok, error, memo-hits, memo-misses, and — as

@@ -3,20 +3,24 @@
 // Two-pass native tier. Pass 1 is Predecode's leader sweep: every decoded
 // index that starts a basic block (function entry, branch/catch target,
 // fall-through after any control transfer or allocation) is flagged in
-// DecodedFunction::Leaders. Pass 2 compiles each block into two bodies:
+// DecodedFunction::Leaders. Pass 2 compiles each block once:
 //
-//   [block entry]    one batched safepoint — the fuel check for the first
-//                    boundary, the pending-GC check, then a block-fit test
-//                    (r14 + N <= fuel limit) that bulk-retires all N
-//                    instructions up front and falls into the batched body;
-//   [batched body]   instruction templates with no per-instruction
-//                    safepoints; trap stubs subtract the not-yet-retired
-//                    tail (r14 -= adj) so every trap reports the exact
-//                    instruction count the threaded engine would;
-//   [unbatched body] the fallback lane taken when fewer than N
-//                    instructions of fuel remain: per-boundary fuel
-//                    checks, so exhaustion lands mid-block at precisely
-//                    the right instruction with the right counters.
+//   [fit test]  r14 += N; cmp r14, r15 — bulk-retires all N instructions
+//               (plus a fused branch, below) when they fit in the
+//               remaining fuel. A block that does not fit, exhausted fuel
+//               included, jumps to a hand-off stub that un-retires the
+//               charge, stores the block's (function, pc) and returns
+//               JitStatus::Handoff; Machine::runNative continues there in
+//               the threaded loop, which retires the instructions that
+//               still fit and raises the exact fuel trap. The fall-off
+//               trailer hands off the same way, for the pc-range trap.
+//   [gc check]  with a GC schedule, a pending collection runs after the
+//               fit test, so a fuel trap wins over it as in the threaded
+//               loop;
+//   [body]      instruction templates with no per-instruction safepoints;
+//               trap stubs subtract the not-yet-retired tail (r14 -= adj)
+//               so every trap reports the exact instruction count the
+//               threaded engine would.
 //
 // Pending GC is checked only at block entries: GcPending and Halted can
 // only be raised by allocation and syscalls, and Predecode makes the
@@ -60,8 +64,9 @@
 //                                r15 = fuel limit
 //
 // The entry thunk loads the pins from the six C arguments and jumps to
-// the block entry of the resume point (every externally enterable pc is a
-// leader by construction); every exit goes through the shared epilogue,
+// the block entry of the resume point (every pc a host or a return word
+// enters at is a leader by construction); every exit goes through the
+// shared epilogue,
 // which writes the retired-instruction count back into MachineStats and
 // returns a JitStatus in eax. Trap stubs additionally store the
 // (function, decoded pc) of the boundary they represent so Machine::trap
@@ -85,8 +90,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -131,8 +134,7 @@ namespace {
 
 #if S1_JIT_AVAILABLE
 // Compile-time observability: shape of the block structure the compiler
-// produced. Counted once per compilation (the unbatched body is emitted
-// exactly once per block, so per-site counters hook there).
+// produced, counted as each block is emitted.
 S1_STAT(JitStatBlocks, "jit.blocks", "basic blocks compiled");
 S1_STAT(JitStatBlockInsns, "jit.block.insns",
         "instructions covered by compiled blocks");
@@ -148,39 +150,6 @@ S1_STAT(JitStatElided, "jit.safepoints.elided",
         "per-instruction safepoints batched into block entries");
 S1_STAT(JitStatConsSites, "jit.cons.inline.sites",
         "cons sites compiled with the inline bump-allocation fast path");
-#endif
-
-double jitAsDouble(uint64_t W) {
-  double D;
-  std::memcpy(&D, &W, sizeof(D));
-  return D;
-}
-
-uint64_t jitFromDouble(double D) {
-  uint64_t W;
-  std::memcpy(&W, &D, sizeof(W));
-  return W;
-}
-
-bool jitCondHolds(Cond C, int64_t Sign) {
-  switch (C) {
-  case Cond::EQ:
-    return Sign == 0;
-  case Cond::NEQ:
-    return Sign != 0;
-  case Cond::LT:
-    return Sign < 0;
-  case Cond::GT:
-    return Sign > 0;
-  case Cond::LE:
-    return Sign <= 0;
-  case Cond::GE:
-    return Sign >= 0;
-  }
-  return false;
-}
-
-#if S1_JIT_AVAILABLE
 
 // x86-64 register numbers.
 enum : unsigned {
@@ -559,147 +528,9 @@ struct JitAccess {
     return M->ActiveJit->addr(M->CurFunc, M->Pc);
   }
 
-  /// Single-instruction executor for the cold opcodes — same semantics,
-  /// same fault behavior (Machine::xread/xwrite/mem) as the threaded
-  /// handlers. Returns 0 = fall through, 1 = branch taken, -1 = division
-  /// by zero.
-  static int64_t coldShim(Machine *M, const XInsn *I) {
-    Machine &Mc = *M;
-    switch (I->Op) {
-    case XOp::PopM: {
-      uint64_t V = Mc.pop();
-      Mc.xwrite(I->GA, V);
-      return 0;
-    }
-    case XOp::Alu2G:
-    case XOp::Alu3G: {
-      bool Three = I->Op == XOp::Alu3G;
-      int64_t A = static_cast<int64_t>(Mc.xread(Three ? I->GB : I->GA));
-      int64_t Bv = static_cast<int64_t>(Mc.xread(Three ? I->GX : I->GB));
-      int64_t R;
-      switch (static_cast<Opcode>(I->Sub)) {
-      case Opcode::ADD:
-        R = A + Bv;
-        break;
-      case Opcode::SUB:
-        R = A - Bv;
-        break;
-      case Opcode::MULT:
-        R = A * Bv;
-        break;
-      default:
-        if (Bv == 0)
-          return -1;
-        R = A / Bv;
-        break;
-      }
-      Mc.xwrite(I->GA, static_cast<uint64_t>(R));
-      return 0;
-    }
-    case XOp::JmpzG: {
-      int64_t A = static_cast<int64_t>(Mc.xread(I->GA));
-      int64_t Bv = static_cast<int64_t>(Mc.xread(I->GB));
-      int64_t Sign = A < Bv ? -1 : (A > Bv ? 1 : 0);
-      return jitCondHolds(I->C, Sign) ? 1 : 0;
-    }
-    case XOp::FJmpzG: {
-      double A = jitAsDouble(Mc.xread(I->GA));
-      double Bv = jitAsDouble(Mc.xread(I->GB));
-      int64_t Sign = A < Bv ? -1 : (A > Bv ? 1 : 0);
-      bool Taken = (std::isnan(A) || std::isnan(Bv))
-                       ? I->C == Cond::NEQ
-                       : jitCondHolds(I->C, Sign);
-      return Taken ? 1 : 0;
-    }
-    case XOp::MovTag: {
-      uint64_t Addr = I->GB.M == XArg::Mode::Mem ? Mc.xea(I->GB.Mem)
-                                                 : addrOf(Mc.xread(I->GB));
-      Mc.xwrite(I->GA, makePointer(static_cast<Tag>(I->S1), Addr));
-      return 0;
-    }
-    case XOp::GetTag:
-      Mc.xwrite(I->GA, static_cast<uint64_t>(tagOf(Mc.xread(I->GB))));
-      return 0;
-    case XOp::Lea:
-      Mc.xwrite(I->GA, Mc.xea(I->GB.Mem));
-      return 0;
-    case XOp::FAlu2:
-    case XOp::FAlu3: {
-      bool Three = I->Op == XOp::FAlu3;
-      double A = jitAsDouble(Mc.xread(Three ? I->GB : I->GA));
-      double Bv = jitAsDouble(Mc.xread(Three ? I->GX : I->GB));
-      double R;
-      switch (static_cast<Opcode>(I->Sub)) {
-      case Opcode::FADD:
-        R = A + Bv;
-        break;
-      case Opcode::FSUB:
-        R = A - Bv;
-        break;
-      case Opcode::FMULT:
-        R = A * Bv;
-        break;
-      case Opcode::FDIV:
-        R = A / Bv;
-        break;
-      case Opcode::FMAX:
-        R = std::max(A, Bv);
-        break;
-      default:
-        R = std::min(A, Bv);
-        break;
-      }
-      Mc.xwrite(I->GA, jitFromDouble(R));
-      return 0;
-    }
-    case XOp::FUnary: {
-      double X = jitAsDouble(Mc.xread(I->GB));
-      double R;
-      switch (static_cast<Opcode>(I->Sub)) {
-      case Opcode::FNEG:
-        R = -X;
-        break;
-      case Opcode::FABS:
-        R = std::fabs(X);
-        break;
-      case Opcode::FSQRT:
-        R = std::sqrt(X);
-        break;
-      case Opcode::FSIN:
-        R = std::sin(X * 2.0 * M_PI); // the S-1 trig unit takes cycles
-        break;
-      case Opcode::FCOS:
-        R = std::cos(X * 2.0 * M_PI);
-        break;
-      case Opcode::FEXP:
-        R = std::exp(X);
-        break;
-      default:
-        R = std::log(X);
-        break;
-      }
-      Mc.xwrite(I->GA, jitFromDouble(R));
-      return 0;
-    }
-    case XOp::FAtan: {
-      double Y = jitAsDouble(Mc.xread(I->GB));
-      double X = jitAsDouble(Mc.xread(I->GX));
-      Mc.xwrite(I->GA, jitFromDouble(std::atan2(Y, X)));
-      return 0;
-    }
-    case XOp::Itof:
-      Mc.xwrite(I->GA, jitFromDouble(static_cast<double>(
-                           static_cast<int64_t>(Mc.xread(I->GB)))));
-      return 0;
-    case XOp::Ftoi:
-      Mc.xwrite(I->GA,
-                static_cast<uint64_t>(
-                    static_cast<int64_t>(jitAsDouble(Mc.xread(I->GB)))));
-      return 0;
-    default:
-      return 0; // unreachable: hot ops never route here
-    }
-  }
+  /// Cold opcodes run the threaded handlers' own executor: 0 = fall
+  /// through, 1 = branch taken, -1 = division by zero.
+  static int64_t coldShim(Machine *M, const XInsn *I) { return M->coldOp(*I); }
 
 #if S1_JIT_AVAILABLE
   static std::shared_ptr<const JitProgram>
@@ -766,9 +597,10 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   A.ret();
 
   // ---- shared GC stub (called from block entries when GcPending) -------
+  // The collector reads no run counter, so the block's precharged count
+  // stays in r14.
   const size_t GcStubOff = A.pos();
   A.subRI(4 /*rsp*/, 8);
-  A.storeQ(R14, R13, -1, 0, MO.Instr);
   A.movRR(RDI, R13);
   A.movRI(RAX, reinterpret_cast<uint64_t>(&JitAccess::gcShim));
   A.callReg(RAX);
@@ -785,6 +617,14 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   const size_t HaltDynStubOff = A.pos(); // halted with CurFunc/Pc already set
   A.movRI(RAX, static_cast<uint64_t>(JitStatus::HaltedMem));
   A.jmpFixed(EpiOff);
+  // Every address-table slot that starts no block. Only RET jumps through
+  // one, for a return word no compiled program pushes: hand the function
+  // index and pc the RET template left in edx/ecx to the threaded engine.
+  const size_t MidBlockStubOff = A.pos();
+  A.opMem(false, {0x89}, RDX, R13, -1, 0, MO.CurFunc);
+  A.opMem(false, {0x89}, RCX, R13, -1, 0, MO.Pc);
+  A.movRI(RAX, static_cast<uint64_t>(JitStatus::Handoff));
+  A.jmpFixed(EpiOff);
 
   // ---- function bodies -------------------------------------------------
   struct Fixup {
@@ -800,7 +640,6 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   /// StackHighWater high-water mark; SpCached says rbp == Regs[SP]
   /// (the segment base — Regs[SP] itself is not yet bumped).
   struct VCtx {
-    bool Batched = false; // retired (and PerOpcode bumped) at block entry
     int End = 0;   // one past the block's last instruction
     int Extra = 0; // fused-branch precharge riding on the bulk retire
     int Depth = 0;
@@ -816,46 +655,40 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   for (size_t F = 0; F < NF; ++F) {
     const DecodedFunction &DF = DP->Functions[F];
     const int Size = static_cast<int>(DF.Code.size());
-    JP->Offs[F].assign(static_cast<size_t>(Size) + 1, 0);
+    JP->Offs[F].assign(static_cast<size_t>(Size) + 1,
+                       static_cast<uint32_t>(MidBlockStubOff));
 
-    // Per-function trap stubs, deduplicated by the full reconstruction
+    // Per-function exit stubs, deduplicated by the full reconstruction
     // tuple: {status, reported pc, r14 adjustment, deferred sp delta,
-    // deferred stack peak}. The stub rolls the bulk-retired instruction
-    // count back to the trap boundary and materializes the virtual
-    // stack's deferred Regs[SP]/StackHighWater updates before exiting,
-    // so trapped state is bit-identical to the threaded engine's.
-    // The second key element is the trap boundary's unexecuted tail of
-    // the block (sorted original opcodes): when the batched lane bumped
-    // PerOpcode wholesale at block entry, the stub must subtract the
-    // tail's bumps back out to present threaded-exact histograms.
+    // deferred stack peak}, plus the sorted original opcodes of the
+    // block's unexecuted tail. A trap stub rolls the bulk-retired count
+    // back to the trap boundary, subtracts the tail's block-entry
+    // PerOpcode bumps, and materializes the virtual stack's deferred
+    // Regs[SP]/StackHighWater updates before exiting, so trapped state is
+    // bit-identical to the threaded engine's. A hand-off stub only
+    // un-retires the charge of a block that did not fit.
     using StubKey = std::pair<std::array<int32_t, 5>, std::vector<int32_t>>;
     std::map<StubKey, std::vector<size_t>> StubSites;
-    auto tailOps = [&](const VCtx &C, int Idx) {
-      std::vector<int32_t> T;
-      if (C.Batched)
-        for (int J = Idx + 1; J < C.End; ++J)
-          T.push_back(static_cast<int32_t>(
-              static_cast<size_t>(DF.Code[static_cast<size_t>(J)].OrigOp)));
-      std::sort(T.begin(), T.end());
-      return T;
+    // The sites of the stub for a trap at the boundary after Idx.
+    auto trapStub = [&](JitStatus St, int PcVal, const VCtx &C,
+                        int Idx) -> std::vector<size_t> & {
+      std::vector<int32_t> Tail;
+      for (int J = Idx + 1; J < C.End; ++J)
+        Tail.push_back(static_cast<int32_t>(
+            static_cast<size_t>(DF.Code[static_cast<size_t>(J)].OrigOp)));
+      std::sort(Tail.begin(), Tail.end());
+      return StubSites[{{static_cast<int32_t>(St), PcVal,
+                         C.End - Idx - 1 + C.Extra, C.Depth, C.Peak},
+                        std::move(Tail)}];
     };
     auto jccStubC = [&](uint8_t CC, JitStatus St, int PcVal, const VCtx &C,
                         int Idx) {
-      A.u8(0x0F);
-      A.u8(static_cast<uint8_t>(0x80 | CC));
-      int Adj = C.Batched ? C.End - Idx - 1 + C.Extra : 0;
-      StubSites[{{static_cast<int32_t>(St), PcVal, Adj, C.Depth, C.Peak},
-                 tailOps(C, Idx)}]
-          .push_back(A.pos());
-      A.u32(0);
+      trapStub(St, PcVal, C, Idx).push_back(A.jccL(CC));
     };
-    auto jmpStubC = [&](JitStatus St, int PcVal, const VCtx &C, int Idx) {
-      A.u8(0xE9);
-      int Adj = C.Batched ? C.End - Idx - 1 + C.Extra : 0;
-      StubSites[{{static_cast<int32_t>(St), PcVal, Adj, C.Depth, C.Peak},
-                 tailOps(C, Idx)}]
-          .push_back(A.pos());
-      A.u32(0);
+    auto handoffStub = [&](int Pc, int Charge) -> std::vector<size_t> & {
+      return StubSites[{{static_cast<int32_t>(JitStatus::Handoff), Pc,
+                         Charge, 0, 0},
+                        {}}];
     };
     auto jmpTo = [&](int Fn, int Idx) {
       A.u8(0xE9);
@@ -1014,42 +847,28 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
     };
 
     // Retire a fused branch inline. On entry the boolean RV word is live
-    // in rdi, the virtual stack is materialized, and the branch's block
-    // boundary is due: check fuel there (nothing on the fast path can
-    // raise Halted or GcPending, so those boundary checks are vacuous),
-    // retire the branch, and dispatch on the boolean directly. The
-    // standalone branch block is still emitted for other predecessors and
-    // for the slow path, which resumes at the branch's own entry.
-    auto emitBoolTail = [&](int Idx, const XInsn &Br, VCtx &C) {
-      int Nx = Idx + 1;
-      if (C.Batched && C.Extra > 0) {
-        // Precharged lane: the block's fit test already proved fuel for
-        // the branch and bulk-retired it, so the boundary is free.
-      } else {
-        A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-        jccStubC(CC_AE, JitStatus::Fuel, Nx, C, Idx);
-        A.incR(R14);
-      }
+    // in rdi and the virtual stack is materialized. The block's fit test
+    // already charged the branch, and nothing on the fast path can raise
+    // Halted or GcPending, so its boundary is free: bump its opcode and
+    // dispatch on the boolean directly. The standalone branch block is
+    // still emitted for other predecessors and for the slow path, which
+    // resumes at the branch's own entry.
+    auto emitBoolTail = [&](int Idx, const XInsn &Br) {
       A.incMemQ(R13, MO.PerOp0 +
                          8 * static_cast<int32_t>(
                                  static_cast<size_t>(Br.OrigOp)));
       A.testRR(RDI, RDI);
       // JmpzRK RV,0: EQ takes when the boolean is NilWord (false).
       jccTo(Br.C == Cond::EQ ? CC_E : CC_NE, Fi, Br.Target);
-      jmpTo(Fi, Nx + 1);
+      jmpTo(Fi, Idx + 2);
     };
 
     // One instruction template, emitted inside a block body. `C` carries
-    // the virtual-stack state; instruction retirement (r14) is the block
-    // loop's job. Per-site compile statistics hook the unbatched body,
-    // which is emitted exactly once per block.
+    // the virtual-stack state; instruction retirement (r14) and the
+    // PerOpcode histogram are the block loop's job.
     auto emitInsn = [&](int Idx, VCtx &C) {
       const XInsn &I = DF.Code[static_cast<size_t>(Idx)];
       const int Next = Idx + 1;
-      if (!C.Batched)
-        A.incMemQ(R13, MO.PerOp0 +
-                           8 * static_cast<int32_t>(
-                                   static_cast<size_t>(I.OrigOp)));
 
       switch (I.Op) {
       // ---- MOV family (inline, all twelve mode pairs) ------------------
@@ -1147,25 +966,19 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           mat(C); // register file full: commit and start a new segment
         ensureSpBase(C);
         unsigned V = VRegs[C.Depth];
-        const bool Combined = StackLimit <= MW;
-        if (Combined) {
-          // One combined guard on the segment base: slots below
-          // StackLimit-1 are in bounds (StackLimit <= MemoryWords), so a
-          // single compare covers both the overflow check and the store
-          // fault, and the store indexes off rbp directly. The cold stub
-          // reconstructs the slot (rbp is still live there) and
-          // separates overflow from the Sp = 2^64-1 wrap, which the
-          // threaded engine lets through its overflow check only to
-          // fault in mem() — status and boundary match either way. A
-          // wrapping rbp + Depth is unreachable for Depth > 0: the
-          // segment's earlier pushes trap first.
-          A.cmpRI(RBP, StackLimit - 1 - C.Depth);
-          jccStubC(CC_AE, PushColdStatus, Next, C, Idx);
-        } else {
-          A.lea(RCX, RBP, -1, 0, C.Depth + 1);
-          A.cmpRI(RCX, StackLimit);
-          jccStubC(CC_AE, JitStatus::StackOv, Next, C, Idx);
-        }
+        // One combined guard on the segment base: slots below
+        // StackLimit-1 are in bounds, so a single compare covers both the
+        // overflow check and the store fault, and the store indexes off
+        // rbp directly. The cold stub reconstructs the slot (rbp is still
+        // live there) and separates overflow from the Sp = 2^64-1 wrap,
+        // which the threaded engine lets through its overflow check only
+        // to fault in mem() — status and boundary match either way. A
+        // wrapping rbp + Depth is unreachable for Depth > 0: the
+        // segment's earlier pushes trap first.
+        static_assert(StackBase + StackWords <= MemoryWords,
+                      "the stack region lies inside memory");
+        A.cmpRI(RBP, StackLimit - 1 - C.Depth);
+        jccStubC(CC_AE, PushColdStatus, Next, C, Idx);
         switch (I.Op) {
         case XOp::PushR:
           A.loadQ(V, RBX, -1, 0, static_cast<int32_t>(I.B) * 8);
@@ -1184,16 +997,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           A.loadQ(V, R12, RDX, 3, 0);
           break;
         }
-        if (Combined) {
-          A.storeQ(V, R12, RBP, 3, C.Depth * 8);
-        } else {
-          // Degenerate layout (memory smaller than the stack region):
-          // keep the separate store guard so a wrapped SP faults.
-          A.lea(RAX, RBP, -1, 0, C.Depth);
-          A.cmpRI(RAX, MW);
-          jccStubC(CC_AE, JitStatus::HaltedMem, Next, C, Idx);
-          A.storeQ(V, R12, RAX, 3, 0);
-        }
+        A.storeQ(V, R12, RBP, 3, C.Depth * 8);
         C.Depth += 1;
         C.Peak = std::max(C.Peak, C.Depth);
         break;
@@ -1552,7 +1356,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           jmpTo(Fi, Next);
         } else if (S == Syscall::GenericCompare) {
           const XInsn *Br = fusedBranch(Idx);
-          if (Br && !C.Batched)
+          if (Br)
             ++JitStatFused;
           unsigned VA = RCX, VB = RDX;
           if (D0 >= 2) {
@@ -1589,7 +1393,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
             A.aluMemI(5, RBX, SpOff, 2);
           A.storeQ(RDI, RBX, -1, 0, static_cast<int32_t>(s1::RV) * 8);
           if (Br)
-            emitBoolTail(Idx, *Br, C);
+            emitBoolTail(Idx, *Br);
           else
             jmpTo(Fi, Next);
         } else if (S == Syscall::GenericNumPred &&
@@ -1597,7 +1401,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
                    static_cast<PredCode>(I.S2) <= PredCode::Minusp) {
           PredCode PC = static_cast<PredCode>(I.S2);
           const XInsn *Br = fusedBranch(Idx);
-          if (Br && !C.Batched)
+          if (Br)
             ++JitStatFused;
           unsigned VB = RDX;
           if (D0 >= 1) {
@@ -1649,7 +1453,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           A.cmov(CC, RDI, RSI);
           A.storeQ(RDI, RBX, -1, 0, static_cast<int32_t>(s1::RV) * 8);
           if (Br)
-            emitBoolTail(Idx, *Br, C);
+            emitBoolTail(Idx, *Br);
           else
             jmpTo(Fi, Next);
         } else if (S == Syscall::GenericUnary &&
@@ -1706,8 +1510,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           // exhaustion) happens before any mutation, so the generic route
           // re-runs the whole syscall — including the halt-on-exhaustion
           // protocol — exactly like the threaded engine.
-          if (!C.Batched)
-            ++JitStatConsSites;
+          ++JitStatConsSites;
           unsigned VCar = RSI, VCdr = RDX;
           if (D0 >= 2) {
             VCar = VRegs[D0 - 2]; // threaded pops Cdr first, then Car
@@ -1784,7 +1587,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           A.lea(RAX, RBP, -1, 0, D0);
           A.storeQ(RAX, RBX, -1, 0, SpOff);
         }
-        if (C.Batched && C.Extra > 0)
+        if (C.Extra > 0)
           A.subRI(R14, C.Extra); // un-retire the unexecuted fused branch
         if (S == Syscall::Cons)
           A.incMemQ(R13, MO.ConsMisses);
@@ -1794,23 +1597,15 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
 
       case XOp::Halt:
         mat(C);
-        jmpStubC(JitStatus::Halt, Next, C, Idx);
+        trapStub(JitStatus::Halt, Next, C, Idx).push_back(A.jmpL());
         break;
 
       // ---- cold opcodes: one call into the C++ executor ----------------
+      // It reads no run counter, so the bulk charge can stay in r14.
       default: {
         bool Branches = I.Op == XOp::JmpzG || I.Op == XOp::FJmpzG;
         bool CanDiv0 = I.Op == XOp::Alu2G || I.Op == XOp::Alu3G;
         mat(C);
-        // Mid-block in the batched body, r14 has pre-retired the whole
-        // block; expose the exact per-boundary count to the C++ side.
-        int Adj = C.Batched ? C.End - Idx - 1 + C.Extra : 0;
-        if (Adj > 0) {
-          A.lea(RAX, R14, -1, 0, -Adj);
-          A.storeQ(RAX, R13, -1, 0, MO.Instr);
-        } else {
-          A.storeQ(R14, R13, -1, 0, MO.Instr);
-        }
         A.movRR(RDI, R13);
         A.movRI(RSI, reinterpret_cast<uint64_t>(&I));
         A.movRI(RAX, reinterpret_cast<uint64_t>(&JitAccess::coldShim));
@@ -1837,16 +1632,11 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
     };
 
     // ---- block loop ----------------------------------------------------
-    // Every externally enterable pc is a leader (Predecode's invariant),
-    // so only block entries need the full boundary protocol. Non-leader
-    // boundaries get entry points in the unbatched body, which keeps the
-    // virtual stack materialized at every boundary precisely so a resume
-    // after a mid-block trap can land there with plain architectural
-    // state.
+    // Every pc a host or a return word enters at is a leader (Predecode's
+    // invariant), so only block entries need the boundary protocol.
     // Does the block's terminating instruction retire a fused boolean
     // branch on its fast path? Must mirror the emitInsn fast-path
-    // conditions exactly — the batched lane precharges the branch's
-    // retirement into the block fit test.
+    // conditions exactly — the fit test precharges the branch.
     auto blockFusesTail = [&](int Idx) {
       const XInsn &I = DF.Code[static_cast<size_t>(Idx)];
       if (I.Op != XOp::Syscall || !fusedBranch(Idx))
@@ -1861,20 +1651,10 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
     int L = 0;
     for (;;) {
       JP->Offs[F][static_cast<size_t>(L)] = static_cast<uint32_t>(A.pos());
-      VCtx Entry; // blocks begin with the virtual stack empty
-
       if (L == Size) {
-        // Fall-off trailer: control ran past the last real instruction.
-        // Boundary safepoint first, same order as the threaded loop.
-        A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-        jccStubC(CC_AE, JitStatus::Fuel, L, Entry, L);
-        if (GcOn) {
-          A.cmpByteMemI(R13, MO.GcPending, 0);
-          size_t Skip = A.jccL(CC_E);
-          A.callFixed(GcStubOff);
-          A.bind(Skip);
-        }
-        jmpStubC(JitStatus::PcRange, Size, Entry, L);
+        // Fall-off trailer: the threaded loop raises this boundary's fuel
+        // or pc-range trap.
+        handoffStub(Size, 0).push_back(A.jmpL());
         break;
       }
 
@@ -1885,23 +1665,6 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
       const bool Ends = endsControl(DF.Code[static_cast<size_t>(E - 1)].Op);
       const bool Fused = blockFusesTail(E - 1);
       const int Charge = N + (Fused ? 1 : 0);
-      // The explicit entry fuel check folds into the batched fit test
-      // when nothing sits between them: a non-fitting block falls to the
-      // unbatched lane, whose first boundary check traps with the same
-      // pc and count. With a GC schedule the pending-collection check
-      // must run between fuel check and fit test (fuel trap wins over a
-      // pending GC), so the explicit form stays.
-      const bool MergedEntry = N >= 2 && !GcOn;
-      if (!MergedEntry) {
-        A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-        jccStubC(CC_AE, JitStatus::Fuel, L, Entry, L);
-        if (GcOn) {
-          A.cmpByteMemI(R13, MO.GcPending, 0);
-          size_t Skip = A.jccL(CC_E);
-          A.callFixed(GcStubOff);
-          A.bind(Skip);
-        }
-      }
 
       ++JitStatBlocks;
       JitStatBlockInsns += static_cast<uint64_t>(N);
@@ -1914,73 +1677,49 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
         ++JitStatBlocks4;
       else
         ++JitStatBlocks8;
+      JitStatElided += static_cast<uint64_t>(Charge - 1);
 
-      if (N >= 2) {
-        JitStatElided += static_cast<uint64_t>(Charge - 1);
-        // Batched lane: bulk-retire the whole block (plus a fused
-        // branch, if the tail has one) when it fits in the remaining
-        // fuel — threaded runs all of it iff count + Charge <= limit.
-        A.addRI(R14, Charge);
-        A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-        size_t ToUnb = A.jccL(CC_A);
-        VCtx BC;
-        BC.Batched = true;
-        BC.End = E;
-        BC.Extra = Fused ? 1 : 0;
-        // Bulk PerOpcode: one add per distinct opcode replaces N
-        // per-boundary bumps; trap stubs subtract the unexecuted tail
-        // back out. A fused branch is NOT included — emitBoolTail bumps
-        // it, and the generic slow route retires it at the branch's own
-        // block.
-        std::map<int32_t, int32_t> OpCounts;
-        for (int J = L; J < E; ++J)
-          ++OpCounts[static_cast<int32_t>(static_cast<size_t>(
-              DF.Code[static_cast<size_t>(J)].OrigOp))];
-        for (const auto &[Op, Cnt] : OpCounts) {
-          const int32_t Off = MO.PerOp0 + 8 * Op;
-          if (Cnt == 1)
-            A.incMemQ(R13, Off);
-          else
-            A.aluMemI(0, R13, Off, Cnt);
-        }
-        for (int J = L; J < E; ++J)
-          emitInsn(J, BC);
-        if (!Ends) {
-          mat(BC);
-          jmpTo(Fi, E);
-        }
-        A.bind(ToUnb);
-        A.subRI(R14, Charge); // roll back the failed bulk charge
+      // Fit test: bulk-retire the whole block (plus a fused branch, if
+      // the tail has one) when it fits in the remaining fuel — threaded
+      // runs all of it iff count + Charge <= limit. Otherwise hand off.
+      A.addRI(R14, Charge);
+      A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
+      handoffStub(L, Charge).push_back(A.jccL(CC_A));
+      if (GcOn) {
+        A.cmpByteMemI(R13, MO.GcPending, 0);
+        size_t Skip = A.jccL(CC_E);
+        A.callFixed(GcStubOff);
+        A.bind(Skip);
       }
-
-      // Unbatched lane: taken only when fuel runs out inside the block
-      // (or for single-instruction blocks). Materializes at every
-      // boundary so each one is a valid external entry point and fuel
-      // exhaustion lands with exact counters and stack state.
-      VCtx UC;
-      UC.End = E;
-      for (int J = L; J < E; ++J) {
-        if (J > L) {
-          mat(UC);
-          JP->Offs[F][static_cast<size_t>(J)] =
-              static_cast<uint32_t>(A.pos());
-        }
-        if (J > L || MergedEntry) {
-          A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-          jccStubC(CC_AE, JitStatus::Fuel, J, UC, J);
-        }
-        A.incR(R14); // ++Stats.Instructions
-        emitInsn(J, UC);
+      // Bulk PerOpcode: one add per distinct opcode replaces N
+      // per-boundary bumps; trap stubs subtract the unexecuted tail back
+      // out. A fused branch is NOT included — emitBoolTail bumps it, and
+      // the generic slow route retires it at the branch's own block.
+      std::map<int32_t, int32_t> OpCounts;
+      for (int J = L; J < E; ++J)
+        ++OpCounts[static_cast<int32_t>(static_cast<size_t>(
+            DF.Code[static_cast<size_t>(J)].OrigOp))];
+      for (const auto &[Op, Cnt] : OpCounts) {
+        const int32_t Off = MO.PerOp0 + 8 * Op;
+        if (Cnt == 1)
+          A.incMemQ(R13, Off);
+        else
+          A.aluMemI(0, R13, Off, Cnt);
       }
+      VCtx C; // blocks begin with the virtual stack empty
+      C.End = E;
+      C.Extra = Fused ? 1 : 0;
+      for (int J = L; J < E; ++J)
+        emitInsn(J, C);
       if (!Ends) {
-        mat(UC);
+        mat(C);
         jmpTo(Fi, E);
       }
 
       L = E;
     }
 
-    // -- trap stubs for this function: roll back the bulk-retired tail,
+    // -- exit stubs for this function: roll back the bulk-retired tail,
     // settle the deferred stack state, then report ----------------------
     for (auto &[Key, Sites] : StubSites) {
       for (size_t P : Sites)

@@ -6,27 +6,29 @@
 /// into a contiguous W^X buffer with direct rel32 jumps for every resolved
 /// branch target. Hot handlers (MOV/PUSH/POP/ALU/JMPZ/CALL/RET/tail calls
 /// and the fixnum fast paths of the generic-arithmetic/compare/predicate
-/// syscalls, plus an inline bump-allocating CONS) are emitted inline; cold
-/// handlers and the full runtime-service layer fall back to calls into the
-/// existing C++ implementations, so there is exactly one copy of the
-/// semantics that matters.
+/// syscalls, plus an inline bump-allocating CONS) are emitted inline; the
+/// cold handlers call the threaded engine's own executor
+/// (Machine::coldOp) and the runtime-service layer calls doSyscall, so
+/// the C++ engines hold the only other copy of their semantics.
 ///
 /// Block-scoped optimizations (details atop vm/Jit.cpp):
 ///
-///  * safepoint batching — the per-instruction fuel/GC/counter work is
-///    hoisted into one bulk check at block entry; an unbatched fallback
-///    body and exact-state trap stubs keep every trap message, pc, and
-///    MachineStats counter byte-identical to the threaded engine;
+///  * safepoint batching — each block is compiled once, behind one fit
+///    test that bulk-retires the whole block; a block that does not fit in
+///    the remaining fuel hands off to the threaded loop, which retires
+///    the instructions that do and raises the exact trap, and trap stubs
+///    keep every other trap message, pc, and MachineStats counter
+///    byte-identical to the threaded engine;
 ///  * a write-through virtual operand stack — the top of the VM stack
 ///    rides in host registers across instruction boundaries, with
 ///    Regs[SP]/StackHighWater updates deferred to block exits and shims;
 ///  * compare+branch fusion — GenericCompare/GenericNumPred feeding
 ///    `JmpzRK RV,0` retire as a single test+jcc pair.
 ///
-/// Boundary safepoints reproduce the threaded loop's trap ordering
-/// bit-exactly: fuel first, then the pending-GC check (compiled out when
-/// no GC schedule is set — GcPending can only be raised by the allocator,
-/// and allocating instructions always terminate a block). The threaded
+/// Block entries reproduce the threaded loop's trap ordering bit-exactly:
+/// the fit test first, then the pending-GC check (compiled out when no GC
+/// schedule is set — GcPending can only be raised by the allocator, and
+/// allocating instructions always terminate a block). The threaded
 /// engine therefore remains a differential oracle for the native tier:
 /// values, error classes, and every architectural MachineStats counter
 /// must match bit-identically.
@@ -71,13 +73,14 @@ struct JitOptions {
 /// produced at the same instruction boundary.
 enum class JitStatus : int {
   Ok = 0,      ///< RET popped the host sentinel
-  Fuel,        ///< Stats.Instructions reached the fuel limit
+  Handoff,     ///< continue in the threaded loop at Machine's CurFunc/Pc:
+               ///< that block does not fit in the remaining fuel, or
+               ///< control fell off the end of a function
   HaltedMem,   ///< memory fault / halted flag observed at a boundary
   StackOv,     ///< PUSH/CALL stack-overflow guard
   Div0,        ///< integer division by zero
   SyscallErr,  ///< doSyscall trapped; Machine::NativeError holds the text
   Halt,        ///< HALT retired
-  PcRange,     ///< control fell off the end of a function
   TailOv,      ///< tail call passes more arguments than the frame holds
   HeapExh,     ///< ALLOC exhausted the word heap
   NotFunc,     ///< CALLPTR/TAILCALLPTR through a non-Function word
@@ -100,8 +103,10 @@ public:
   /// Machine whose decoded program was swapped after compilation).
   bool builtFrom(const DecodedProgram *P) const { return DP.get() == P; }
 
-  /// Native address of decoded instruction \p Pc of function \p Func
-  /// (Pc == code size resolves to the pc-out-of-range trailer).
+  /// Native address of the block that starts at decoded index \p Pc of
+  /// function \p Func (Pc == code size resolves to the fall-off trailer).
+  /// Only leaders have native code; any other pc resolves to a stub that
+  /// hands off to the threaded engine at the pc a RET left in edx/ecx.
   const void *addr(int Func, int Pc) const;
 
   /// Runs generated code starting at \p Start; returns a JitStatus value.
@@ -119,7 +124,7 @@ private:
   size_t EntryOff = 0;
   bool GcOn = false;
   /// Per function, per decoded index (plus the fall-off trailer), the
-  /// byte offset of that instruction's template.
+  /// byte offset of the block that starts there.
   std::vector<std::vector<uint32_t>> Offs;
   /// Materialized address tables, indexed by the emitted code for RET and
   /// indirect calls: FuncTable[f][pc] -> native address.

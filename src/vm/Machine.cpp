@@ -46,6 +46,12 @@ S1_STAT(VmJitConsMisses, "jit.cons.fast.misses",
 #define S1_COMPUTED_GOTO 0
 #endif
 
+#if defined(__GNUC__) || defined(__clang__)
+#define S1_ALWAYS_INLINE __attribute__((always_inline)) inline
+#else
+#define S1_ALWAYS_INLINE inline
+#endif
+
 using namespace s1lisp;
 using namespace s1lisp::vm;
 using namespace s1lisp::s1;
@@ -597,8 +603,11 @@ bool Machine::runNative(std::string &Error) {
     CurFunc = -1; // back to host
     Pc = 0;
     return true;
-  case JitStatus::Fuel:
-    return trap(Error, "instruction fuel exhausted");
+  case JitStatus::Handoff:
+    // The block at CurFunc/Pc does not fit in the remaining fuel, or
+    // control fell off the end: the threaded loop retires what is left
+    // and raises the exact trap.
+    return runThreaded(Error);
   case JitStatus::HaltedMem:
     return trap(Error,
                 "machine halted unexpectedly (memory fault or heap full)");
@@ -613,8 +622,6 @@ bool Machine::runNative(std::string &Error) {
     return false;
   case JitStatus::Halt:
     return trap(Error, "HALT executed");
-  case JitStatus::PcRange:
-    return trap(Error, "pc out of range");
   case JitStatus::TailOv:
     return trap(Error, "tail call passes more arguments than the frame holds");
   case JitStatus::HeapExh:
@@ -996,6 +1003,143 @@ void Machine::xwrite(const XArg &A, uint64_t V) {
   }
 }
 
+S1_ALWAYS_INLINE int Machine::execCold(XOp Op, const XInsn &I) {
+  switch (Op) {
+  case XOp::PopM: {
+    uint64_t V = pop();
+    xwrite(I.GA, V);
+    return 0;
+  }
+  case XOp::Alu2G:
+  case XOp::Alu3G: {
+    bool Three = Op == XOp::Alu3G;
+    int64_t A = static_cast<int64_t>(xread(Three ? I.GB : I.GA));
+    int64_t B = static_cast<int64_t>(xread(Three ? I.GX : I.GB));
+    int64_t R;
+    switch (static_cast<Opcode>(I.Sub)) {
+    case Opcode::ADD:
+      R = A + B;
+      break;
+    case Opcode::SUB:
+      R = A - B;
+      break;
+    case Opcode::MULT:
+      R = A * B;
+      break;
+    default:
+      if (B == 0)
+        return -1;
+      R = A / B;
+      break;
+    }
+    xwrite(I.GA, static_cast<uint64_t>(R));
+    return 0;
+  }
+  case XOp::JmpzG: {
+    int64_t A = static_cast<int64_t>(xread(I.GA));
+    int64_t B = static_cast<int64_t>(xread(I.GB));
+    return condHolds(I.C, A < B ? -1 : (A > B ? 1 : 0)) ? 1 : 0;
+  }
+  case XOp::FJmpzG: {
+    double A = asDouble(xread(I.GA));
+    double B = asDouble(xread(I.GB));
+    int64_t Sign = A < B ? -1 : (A > B ? 1 : 0);
+    bool Taken = (std::isnan(A) || std::isnan(B)) ? I.C == Cond::NEQ
+                                                  : condHolds(I.C, Sign);
+    return Taken ? 1 : 0;
+  }
+  case XOp::MovTag: {
+    uint64_t Addr =
+        I.GB.M == XArg::Mode::Mem ? xea(I.GB.Mem) : addrOf(xread(I.GB));
+    xwrite(I.GA, makePointer(static_cast<Tag>(I.S1), Addr));
+    return 0;
+  }
+  case XOp::GetTag:
+    xwrite(I.GA, static_cast<uint64_t>(tagOf(xread(I.GB))));
+    return 0;
+  case XOp::Lea:
+    xwrite(I.GA, xea(I.GB.Mem));
+    return 0;
+  case XOp::FAlu2:
+  case XOp::FAlu3: {
+    bool Three = Op == XOp::FAlu3;
+    double A = asDouble(xread(Three ? I.GB : I.GA));
+    double B = asDouble(xread(Three ? I.GX : I.GB));
+    double R;
+    switch (static_cast<Opcode>(I.Sub)) {
+    case Opcode::FADD:
+      R = A + B;
+      break;
+    case Opcode::FSUB:
+      R = A - B;
+      break;
+    case Opcode::FMULT:
+      R = A * B;
+      break;
+    case Opcode::FDIV:
+      R = A / B;
+      break;
+    case Opcode::FMAX:
+      R = std::max(A, B);
+      break;
+    default:
+      R = std::min(A, B);
+      break;
+    }
+    xwrite(I.GA, fromDouble(R));
+    return 0;
+  }
+  case XOp::FUnary: {
+    double X = asDouble(xread(I.GB));
+    double R;
+    switch (static_cast<Opcode>(I.Sub)) {
+    case Opcode::FNEG:
+      R = -X;
+      break;
+    case Opcode::FABS:
+      R = std::fabs(X);
+      break;
+    case Opcode::FSQRT:
+      R = std::sqrt(X);
+      break;
+    case Opcode::FSIN:
+      R = std::sin(X * 2.0 * M_PI); // the S-1 trig unit takes cycles
+      break;
+    case Opcode::FCOS:
+      R = std::cos(X * 2.0 * M_PI);
+      break;
+    case Opcode::FEXP:
+      R = std::exp(X);
+      break;
+    default:
+      R = std::log(X);
+      break;
+    }
+    xwrite(I.GA, fromDouble(R));
+    return 0;
+  }
+  case XOp::FAtan: {
+    double Y = asDouble(xread(I.GB));
+    double X = asDouble(xread(I.GX));
+    xwrite(I.GA, fromDouble(std::atan2(Y, X)));
+    return 0;
+  }
+  case XOp::Itof:
+    xwrite(I.GA, fromDouble(static_cast<double>(
+                     static_cast<int64_t>(xread(I.GB)))));
+    return 0;
+  case XOp::Ftoi:
+    xwrite(I.GA, static_cast<uint64_t>(
+                     static_cast<int64_t>(asDouble(xread(I.GB)))));
+    return 0;
+  default:
+    assert(false && "hot op routed to the cold executor");
+    return 0;
+  }
+}
+
+int Machine::coldOp(const XInsn &I) { return execCold(I.Op, I); }
+
 // Dispatch plumbing shared by the computed-goto and switch forms: each
 // handler is introduced by S1_CASE(op) and ends with S1_NEXT, which loops
 // back to the fetch/count/dispatch preamble at the top of the for-loop.
@@ -1081,7 +1225,10 @@ bool Machine::runThreaded(std::string &Error) {
     if (GcPending)
       collectGarbage();
     if (LPc < 0 || LPc >= Size) {
-      Pc = LPc;
+      // Legacy skips trailing labels before it traps, so past the end it
+      // reports the function's original length: trap() maps any pc
+      // beyond the decoded code there.
+      Pc = LPc < 0 ? LPc : Size + 1;
       return trap(Error, "pc out of range");
     }
     I = &Code[LPc++];
@@ -1211,12 +1358,6 @@ bool Machine::runThreaded(std::string &Error) {
     }
     S1_NEXT
 
-    S1_CASE(PopM) {
-      uint64_t V = pop();
-      xwrite(I->GA, V);
-    }
-    S1_NEXT
-
     S1_CASE(AddRR) {
       Regs[I->A] = static_cast<uint64_t>(static_cast<int64_t>(Regs[I->A]) +
                                          static_cast<int64_t>(Regs[I->B]));
@@ -1241,58 +1382,6 @@ bool Machine::runThreaded(std::string &Error) {
     }
     S1_NEXT
 
-    S1_CASE(Alu2G) {
-      int64_t A = static_cast<int64_t>(xread(I->GA));
-      int64_t B = static_cast<int64_t>(xread(I->GB));
-      int64_t R;
-      switch (static_cast<Opcode>(I->Sub)) {
-      case Opcode::ADD:
-        R = A + B;
-        break;
-      case Opcode::SUB:
-        R = A - B;
-        break;
-      case Opcode::MULT:
-        R = A * B;
-        break;
-      default:
-        if (B == 0) {
-          Pc = LPc;
-          return trap(Error, rtErrorMessage(RtError::DivisionByZero));
-        }
-        R = A / B;
-        break;
-      }
-      xwrite(I->GA, static_cast<uint64_t>(R));
-    }
-    S1_NEXT
-
-    S1_CASE(Alu3G) {
-      int64_t A = static_cast<int64_t>(xread(I->GB));
-      int64_t B = static_cast<int64_t>(xread(I->GX));
-      int64_t R;
-      switch (static_cast<Opcode>(I->Sub)) {
-      case Opcode::ADD:
-        R = A + B;
-        break;
-      case Opcode::SUB:
-        R = A - B;
-        break;
-      case Opcode::MULT:
-        R = A * B;
-        break;
-      default:
-        if (B == 0) {
-          Pc = LPc;
-          return trap(Error, rtErrorMessage(RtError::DivisionByZero));
-        }
-        R = A / B;
-        break;
-      }
-      xwrite(I->GA, static_cast<uint64_t>(R));
-    }
-    S1_NEXT
-
     S1_CASE(Jmp) {
       LPc = I->Target;
     }
@@ -1312,25 +1401,6 @@ bool Machine::runThreaded(std::string &Error) {
       int64_t B = static_cast<int64_t>(I->K);
       int64_t Sign = A < B ? -1 : (A > B ? 1 : 0);
       if (condHolds(I->C, Sign))
-        LPc = I->Target;
-    }
-    S1_NEXT
-
-    S1_CASE(JmpzG) {
-      int64_t A = static_cast<int64_t>(xread(I->GA));
-      int64_t B = static_cast<int64_t>(xread(I->GB));
-      int64_t Sign = A < B ? -1 : (A > B ? 1 : 0);
-      if (condHolds(I->C, Sign))
-        LPc = I->Target;
-    }
-    S1_NEXT
-
-    S1_CASE(FJmpzG) {
-      double A = asDouble(xread(I->GA));
-      double B = asDouble(xread(I->GB));
-      int64_t Sign = A < B ? -1 : (A > B ? 1 : 0);
-      if ((std::isnan(A) || std::isnan(B)) ? I->C == Cond::NEQ
-                                           : condHolds(I->C, Sign))
         LPc = I->Target;
     }
     S1_NEXT
@@ -1403,127 +1473,34 @@ bool Machine::runThreaded(std::string &Error) {
     }
     S1_NEXT
 
-    S1_CASE(MovTag) {
-      uint64_t Addr = I->GB.M == XArg::Mode::Mem ? xea(I->GB.Mem)
-                                                 : addrOf(xread(I->GB));
-      xwrite(I->GA, makePointer(static_cast<Tag>(I->S1), Addr));
-    }
-    S1_NEXT
-
-    S1_CASE(GetTag) {
-      xwrite(I->GA, static_cast<uint64_t>(tagOf(xread(I->GB))));
-    }
-    S1_NEXT
-
-    S1_CASE(Lea) {
-      xwrite(I->GA, xea(I->GB.Mem));
-    }
-    S1_NEXT
-
-    S1_CASE(FAlu2) {
-      double A = asDouble(xread(I->GA));
-      double B = asDouble(xread(I->GB));
-      double R;
-      switch (static_cast<Opcode>(I->Sub)) {
-      case Opcode::FADD:
-        R = A + B;
-        break;
-      case Opcode::FSUB:
-        R = A - B;
-        break;
-      case Opcode::FMULT:
-        R = A * B;
-        break;
-      case Opcode::FDIV:
-        R = A / B;
-        break;
-      case Opcode::FMAX:
-        R = std::max(A, B);
-        break;
-      default:
-        R = std::min(A, B);
-        break;
-      }
-      xwrite(I->GA, fromDouble(R));
-    }
-    S1_NEXT
-
-    S1_CASE(FAlu3) {
-      double A = asDouble(xread(I->GB));
-      double B = asDouble(xread(I->GX));
-      double R;
-      switch (static_cast<Opcode>(I->Sub)) {
-      case Opcode::FADD:
-        R = A + B;
-        break;
-      case Opcode::FSUB:
-        R = A - B;
-        break;
-      case Opcode::FMULT:
-        R = A * B;
-        break;
-      case Opcode::FDIV:
-        R = A / B;
-        break;
-      case Opcode::FMAX:
-        R = std::max(A, B);
-        break;
-      default:
-        R = std::min(A, B);
-        break;
-      }
-      xwrite(I->GA, fromDouble(R));
-    }
-    S1_NEXT
-
-    S1_CASE(FUnary) {
-      double X = asDouble(xread(I->GB));
-      double R;
-      switch (static_cast<Opcode>(I->Sub)) {
-      case Opcode::FNEG:
-        R = -X;
-        break;
-      case Opcode::FABS:
-        R = std::fabs(X);
-        break;
-      case Opcode::FSQRT:
-        R = std::sqrt(X);
-        break;
-      case Opcode::FSIN:
-        R = std::sin(X * 2.0 * M_PI); // the S-1 trig unit takes cycles
-        break;
-      case Opcode::FCOS:
-        R = std::cos(X * 2.0 * M_PI);
-        break;
-      case Opcode::FEXP:
-        R = std::exp(X);
-        break;
-      default:
-        R = std::log(X);
-        break;
-      }
-      xwrite(I->GA, fromDouble(R));
-    }
-    S1_NEXT
-
-    S1_CASE(FAtan) {
-      double Y = asDouble(xread(I->GB));
-      double X = asDouble(xread(I->GX));
-      xwrite(I->GA, fromDouble(std::atan2(Y, X)));
-    }
-    S1_NEXT
-
-    S1_CASE(Itof) {
-      xwrite(I->GA, fromDouble(static_cast<double>(
-                        static_cast<int64_t>(xread(I->GB)))));
-    }
-    S1_NEXT
-
-    S1_CASE(Ftoi) {
-      xwrite(I->GA, static_cast<uint64_t>(
-                        static_cast<int64_t>(asDouble(xread(I->GB)))));
-    }
-    S1_NEXT
+    // The cold ops share one definition with the native tier's coldShim;
+    // inlined with a constant op, the executor's switch folds away.
+#define S1_COLD(op)                                                            \
+  S1_CASE(op) {                                                                \
+    int R = execCold(XOp::op, *I);                                             \
+    if (R > 0)                                                                 \
+      LPc = I->Target;                                                         \
+    else if (R < 0) {                                                          \
+      Pc = LPc;                                                                \
+      return trap(Error, rtErrorMessage(RtError::DivisionByZero));             \
+    }                                                                          \
+  }                                                                            \
+  S1_NEXT
+    S1_COLD(PopM)
+    S1_COLD(Alu2G)
+    S1_COLD(Alu3G)
+    S1_COLD(JmpzG)
+    S1_COLD(FJmpzG)
+    S1_COLD(MovTag)
+    S1_COLD(GetTag)
+    S1_COLD(Lea)
+    S1_COLD(FAlu2)
+    S1_COLD(FAlu3)
+    S1_COLD(FUnary)
+    S1_COLD(FAtan)
+    S1_COLD(Itof)
+    S1_COLD(Ftoi)
+#undef S1_COLD
 
     S1_CASE(Alloc) {
       uint64_t W = allocate(static_cast<Tag>(I->S1),

@@ -17,7 +17,10 @@
 ///    where the compiler supports it (portable switch fallback behind the
 ///    S1LISP_THREADED_DISPATCH CMake option).
 ///  * **Native** — the x86-64 block compiler (vm/Jit.h) over the same
-///    pre-decoded form; hosts without it fall back to Threaded.
+///    pre-decoded form. Its cold ops call the threaded engine's executor,
+///    and a block that does not fit in the remaining fuel continues in the
+///    threaded loop, which raises the exact trap; hosts without the tier
+///    fall back to Threaded.
 ///
 /// All three engines retire **bit-identical architectural counters**
 /// (Instructions, Movs, PerOpcode, SpecialSearchSteps, ...) — the
@@ -213,6 +216,13 @@ private:
   uint64_t xea(const XMem &M);
   uint64_t xread(const XArg &A);
   void xwrite(const XArg &A, uint64_t V);
+  /// Executes one cold pre-decoded instruction (PopM, the generic ALU and
+  /// compare-branch forms, MovTag/GetTag/Lea, the float unit): 0 = fall
+  /// through, 1 = branch taken, -1 = division by zero. The threaded
+  /// handlers inline execCold with a constant \p Op; the native tier
+  /// calls coldOp.
+  int execCold(XOp Op, const XInsn &I);
+  int coldOp(const XInsn &I);
   bool trap(std::string &Error, const std::string &Msg);
 
   // Runtime services. Immediate operands and the resolved catch-handler

@@ -19,9 +19,11 @@
 ///
 /// The decoded form preserves the architectural counter semantics of the
 /// legacy engine exactly: each decoded instruction remembers its original
-/// opcode for the PerOpcode histogram, and the decoded index of "one past
-/// the last real instruction" reproduces the legacy "pc out of range"
-/// trap for control that falls off the end through trailing labels.
+/// opcode for the PerOpcode histogram, and OrigPc maps decoded pcs back
+/// for trap messages. Control that falls off the end reaches decoded
+/// index Code.size(), where the threaded loop reports the "pc out of
+/// range" trap at the function's original length, as legacy does after
+/// skipping trailing labels.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -163,11 +163,11 @@ TEST(Server, TranscriptAfterPlainFillMatchesUncached) {
   EXPECT_EQ(WithoutMemo(Resp), WithoutMemo(Want));
 }
 
-// The per-request engine choice rides the options field through the
-// shared driver flag table. An engine is an execution preference, not a
-// compilation input: it is excluded from the memo fingerprint, so every
-// engine shares cache entries and is served byte-identical compile
-// output (listing included) and the same run value.
+// A request picks its engine in the "engine" key. An engine is an
+// execution preference, not a compilation input: it is not part of the
+// memo fingerprint, so every engine shares cache entries and is served
+// byte-identical compile output (listing included) and the same run
+// value. The options field carries compiler flags only.
 TEST(Server, EngineRowsShareCacheAndServeIdenticalBytes) {
   Server Srv({});
   Message Base = compileReq(ExptSrc);
@@ -178,11 +178,10 @@ TEST(Server, EngineRowsShareCacheAndServeIdenticalBytes) {
   ASSERT_EQ(Cold.getOr("memo-misses"), "2");
   ASSERT_EQ(Cold.getOr("value"), "1024");
 
-  for (const char *Eng :
-       {"--engine=legacy", "--engine=threaded", "--engine=native"}) {
+  for (const char *Eng : {"legacy", "threaded", "native"}) {
     Message Req = compileReq(ExptSrc);
     Req.set("listing", "1");
-    Req.set("options", Eng);
+    Req.set("engine", Eng);
     Message Resp = Srv.handle(Req);
     ASSERT_EQ(Resp.getOr("ok"), "1") << Eng;
     // Same fingerprint as the engine-less cold request: pure cache hits.
@@ -194,7 +193,9 @@ TEST(Server, EngineRowsShareCacheAndServeIdenticalBytes) {
 
   Message BadEngineOpt = compileReq(ExptSrc);
   BadEngineOpt.set("options", "--engine=abacus");
-  EXPECT_EQ(Srv.handle(BadEngineOpt).getOr("ok"), "0");
+  Message Resp = Srv.handle(BadEngineOpt);
+  EXPECT_EQ(Resp.getOr("ok"), "0");
+  EXPECT_EQ(Resp.getOr("error"), "unknown compiler option '--engine=abacus'");
 }
 
 TEST(Server, ErrorPaths) {

@@ -8,12 +8,16 @@
 //  * safepoint batching — fuel exhaustion is forced at EVERY instruction
 //    offset of a synthetic multi-instruction block, so the bulk
 //    fuel-charge, the fused-branch precharge, the bulk PerOpcode bump,
-//    and the trap stubs' exact-state rollback are each observed mid-block
+//    the hand-off of a block that does not fit, and the trap stubs'
+//    exact-state rollback are each observed mid-block
 //    (trap message and every MachineStats counter must match threaded
 //    byte-for-byte / bit-for-bit);
 //  * the inlined cons fast path under forced collections, cross-checked
 //    against the interpreter with its after-every-GC heap verifier on
 //    (the library behind --gc-verify);
+//  * a cons loop that must take the inline fast path for every cons, so
+//    the native tier is shown to run its own code rather than hand every
+//    block to the threaded loop;
 //  * compare+branch fusion over the full NumPred × GenericCompare ×
 //    branch-polarity matrix;
 //  * a 100-seed fuzz sweep per engine at --gc-every={1,7}.
@@ -26,6 +30,7 @@
 #include "fuzz/Oracle.h"
 #include "interp/Interp.h"
 #include "sexpr/Printer.h"
+#include "stats/Stats.h"
 #include "vm/Jit.h"
 #include "vm/Machine.h"
 
@@ -134,10 +139,10 @@ void expectNativeMatchesThreaded(const std::string &Source,
 // its arguments on the stack) capped by a fused compare+branch, then the
 // taken arm conses onto a fresh list — so a fuel sweep from 1 to the
 // total retired count lands the trap on every batched offset, on the
-// precharged fused branch, and inside the inline-cons block. The stubs
-// must reconstruct the exact instruction counter, per-opcode histogram,
-// SP/StackHighWater, and trap text the threaded loop produces when its
-// per-instruction check fires at the same boundary.
+// precharged fused branch, and inside the inline-cons block. A block that
+// does not fit must hand off with the exact instruction counter,
+// per-opcode histogram and SP/StackHighWater, so the threaded loop's
+// per-instruction check fires at the same boundary with the same text.
 //===----------------------------------------------------------------------===//
 
 constexpr char SweepSource[] =
@@ -181,9 +186,9 @@ void fuelSweep(uint64_t GcEvery) {
 TEST(JitBlock, FuelTrapAtEveryOffsetDetailed) { fuelSweep(/*GcEvery=*/0); }
 
 TEST(JitBlock, FuelTrapAtEveryOffsetUnderGc) {
-  // With a schedule set the batched lane is compiled differently (entry
-  // GC check kept, fuel check not merged into the fit test) — sweep that
-  // shape too.
+  // With a schedule set each block entry also checks for a pending
+  // collection, after the fit test so a fuel trap wins over it — sweep
+  // that shape too.
   fuelSweep(/*GcEvery=*/1);
 }
 
@@ -232,6 +237,50 @@ TEST(JitBlock, InlineConsSurvivesHeapVerifier) {
       I.call("drive", {interp::RtValue::data(Args[0])});
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Value.str(), T.Text);
+}
+
+//===----------------------------------------------------------------------===//
+// Native code actually runs. Threaded is the reference, so every other
+// tier would still pass if each block handed off to it; the inline cons
+// fast path exists only in generated code, so its hit count shows that
+// the loop ran natively. Fuel that runs out inside the loop hands one
+// block off, and the trap must still match threaded's exactly.
+//===----------------------------------------------------------------------===//
+
+TEST(JitBlock, ConsLoopRunsNatively) {
+  if (!vm::jitAvailable())
+    GTEST_SKIP() << "no native tier on this host";
+  ir::Module M;
+  driver::CompileOutcome Out = compileOrDie(M, ConsLoopSource);
+  if (!Out.Ok)
+    return;
+  constexpr uint64_t N = 1000;
+  std::vector<Value> Args = {Value::fixnum(N)};
+  vm::Machine VM(Out.Program, M.Syms, M.DataHeap);
+  VM.setEngine(vm::Engine::Native);
+  vm::Machine::RunResult R = VM.call("drive", Args);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Result->fixnum(), static_cast<int64_t>(N));
+  stats::LocalTally T;
+  {
+    stats::TallyScope Scope(T);
+    VM.publishStats();
+  }
+  uint64_t Hits = 0;
+  for (const stats::TallyDelta &D : T.deltas())
+    if (D.Name == "jit.cons.fast.hits")
+      Hits = D.Add;
+  EXPECT_EQ(Hits, N) << "conses that took the inline fast path";
+
+  const uint64_t Fuel = VM.stats().Instructions / 2;
+  EngineRun Th = runOn(Out.Program, M, "drive", Args, vm::Engine::Threaded,
+                       Fuel);
+  EngineRun Na = runOn(Out.Program, M, "drive", Args, vm::Engine::Native,
+                       Fuel);
+  ASSERT_FALSE(Th.Ok) << Th.Text;
+  ASSERT_FALSE(Na.Ok) << Na.Text;
+  EXPECT_EQ(Th.Text, Na.Text);
+  EXPECT_EQ(diffStats(Th.Stats, Na.Stats, "threaded", "native"), "");
 }
 
 //===----------------------------------------------------------------------===//

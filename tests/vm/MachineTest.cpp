@@ -307,6 +307,101 @@ void returnDistance(AsmFunction &F, uint8_t A, uint8_t B) {
        Operand::imm(0), Operand::imm(0));
 }
 
+//===----------------------------------------------------------------------===//
+// Control flow that compiled code never produces, on hand-assembled
+// functions: every engine must match legacy's result or trap text and
+// every MachineStats counter.
+//===----------------------------------------------------------------------===//
+
+std::vector<uint64_t> statFields(const MachineStats &S) {
+  std::vector<uint64_t> V = {S.Instructions,    S.Movs,
+                             S.Calls,           S.TailCalls,
+                             S.Syscalls,        S.HeapObjects,
+                             S.HeapWordsUsed,   S.StackHighWater,
+                             S.SpecialSearches, S.SpecialSearchSteps,
+                             S.GcRuns,          S.GcWordsReclaimed};
+  V.insert(V.end(), S.PerOpcode.begin(), S.PerOpcode.end());
+  return V;
+}
+
+/// Calls the function \p F, finalized, on every engine with \p Setup
+/// applied to each Machine, and expects threaded and native to match
+/// legacy. Returns legacy's outcome: its trap text, or "=> " and the raw
+/// result word.
+std::string expectEnginesAgree(AsmFunction F,
+                               const std::function<void(Machine &)> &Setup) {
+  std::string Error;
+  EXPECT_TRUE(F.finalize(Error)) << Error;
+  Program P;
+  P.Functions.push_back(std::move(F));
+  sexpr::SymbolTable Syms;
+  sexpr::Heap H;
+  auto Run = [&](Engine E, std::string &Outcome) {
+    Machine M(P, Syms, H);
+    M.setEngine(E);
+    Setup(M);
+    auto R = M.call(P.Functions[0].Name, {});
+    Outcome = R.Ok ? "=> " + std::to_string(R.ResultWord) : R.Error;
+    return statFields(M.stats());
+  };
+  std::string Want;
+  std::vector<uint64_t> WantStats = Run(Engine::Legacy, Want);
+  std::vector<Engine> Engines = {Engine::Threaded};
+  if (jitAvailable())
+    Engines.push_back(Engine::Native);
+  for (Engine E : Engines) {
+    std::string Got;
+    EXPECT_EQ(Run(E, Got), WantStats) << engineName(E);
+    EXPECT_EQ(Got, Want) << engineName(E);
+  }
+  return Want;
+}
+
+// Falling off the end. Legacy skips trailing labels before it traps, so
+// it reports the pc one past them; it collects a pending collection
+// first, and when the fuel runs out at exactly that boundary it raises
+// the fuel trap instead, at the pc before the labels.
+TEST_F(MachineTest, FallingOffTheEndTrapsAlikeOnEveryEngine) {
+  for (bool Label : {false, true})
+    for (uint64_t GcEvery : {0, 1})
+      for (bool ExactFuel : {false, true}) {
+        SCOPED_TRACE(std::string(Label ? "trailing label" : "no label") +
+                     ", gc-every=" + std::to_string(GcEvery) +
+                     (ExactFuel ? ", fuel ends there" : ", ample fuel"));
+        AsmFunction F;
+        F.Name = "f";
+        emit(F, Opcode::PUSH, Operand::reg(FP));
+        emit(F, Opcode::MOV, Operand::reg(FP), Operand::reg(SP));
+        emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(7));
+        alloc(F, 8, Tag::Cons, 2); // under gc-every=1 a collection is due
+        if (Label)
+          F.placeLabel(F.newLabel());
+        std::string Trap = expectEnginesAgree(F, [&](Machine &M) {
+          M.setGcEvery(GcEvery);
+          if (ExactFuel)
+            M.setFuel(4);
+        });
+        EXPECT_EQ(Trap, ExactFuel ? "instruction fuel exhausted [in f at pc 4]"
+                        : Label   ? "pc out of range [in f at pc 5]"
+                                  : "pc out of range [in f at pc 4]");
+      }
+}
+
+// A return word that names the middle of a block. Native code exists only
+// for block leaders, so the native engine hands such a pc to the
+// threaded loop.
+TEST_F(MachineTest, ReturnIntoTheMiddleOfABlock) {
+  AsmFunction F;
+  F.Name = "f";
+  emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(10));
+  emit(F, Opcode::PUSH, Operand::imm(int64_t{1} << 32 | 4)); // f at pc 4
+  emit(F, Opcode::RET);
+  emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(0)); // a leader
+  emit(F, Opcode::ADD, Operand::reg(RV), Operand::imm(5)); // pc 4
+  emit(F, Opcode::RET); // to the host
+  EXPECT_EQ(expectEnginesAgree(F, [](Machine &) {}), "=> 15");
+}
+
 TEST_F(MachineGcTest, InteriorPointerKeepsBlockAlive) {
   forEachEngine(
       [](AsmFunction &F) {

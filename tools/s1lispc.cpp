@@ -150,10 +150,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
         return false;
       }
       O.Engine = *E;
-      // Also route through the shared flag table so --server forwards the
-      // engine exactly like every other compiler flag.
-      if (driver::applyCompilerFlag(A, O.Compiler))
-        O.CompilerFlags.push_back(A);
     } else if (startsWith(A, "--server=")) {
       O.Server = A + 9;
       if (O.Server.empty()) {

@@ -29,9 +29,8 @@ const char *UsageText =
     "length-prefixed protocol and receive values, listings, remarks, or\n"
     "stats (the s1lispc surface); per-function compilation is memoized\n"
     "in a content-addressed cache shared across requests. Run requests\n"
-    "pick their simulator dispatch engine per request: pass\n"
-    "\"--engine=<legacy|threaded|native>\" in the options field (the\n"
-    "dedicated \"engine\" key overrides it); compiled output is\n"
+    "pick their simulator dispatch engine per request in the \"engine\"\n"
+    "key (legacy, threaded or native); compiled output is\n"
     "byte-identical across engines, so cache entries are shared.\n"
     "\n"
     "  --socket=PATH       listen on a unix-domain socket at PATH\n"
