@@ -146,17 +146,6 @@ Timed timeLoopKernel(vm::Engine Eng) {
   return T;
 }
 
-bool sameCounters(const vm::MachineStats &A, const vm::MachineStats &B) {
-  return A.Instructions == B.Instructions && A.Movs == B.Movs &&
-         A.Calls == B.Calls && A.TailCalls == B.TailCalls &&
-         A.Syscalls == B.Syscalls && A.HeapObjects == B.HeapObjects &&
-         A.HeapWordsUsed == B.HeapWordsUsed &&
-         A.StackHighWater == B.StackHighWater &&
-         A.SpecialSearches == B.SpecialSearches &&
-         A.SpecialSearchSteps == B.SpecialSearchSteps &&
-         A.PerOpcode == B.PerOpcode;
-}
-
 bool nativeOverThreaded() {
   const char *Gate = "native over threaded, loop kernel";
   if (!vm::jitAvailable())
@@ -167,7 +156,7 @@ bool nativeOverThreaded() {
          static_cast<unsigned long long>(Threaded.Stats.Instructions),
          Threaded.BestNs / 1e6, Native.BestNs / 1e6);
   return report(Gate, Threaded.BestNs / Native.BestNs, true, 5.0, "",
-                sameCounters(Threaded.Stats, Native.Stats)
+                Threaded.Stats == Native.Stats
                     ? ""
                     : "the engines disagree on the kernel's counters");
 }

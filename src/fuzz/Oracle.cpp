@@ -108,35 +108,46 @@ Outcome vmRun(const s1::Program &P, ir::Module &M, const std::string &Entry,
                                  : "#<undecodable>");
 }
 
-/// The fixnum-width / fuel taint: either side overflowing (or running out
-/// of fuel) makes the grid point incomparable across engines.
-bool tainted(const Outcome &O) {
-  return O.EC == ErrorClass::Overflow || O.EC == ErrorClass::Fuel;
-}
-
-void compareOne(const Outcome &Ref, const Outcome &Act, bool Optimizes,
-                const std::string &Config, size_t ArgIndex,
+void compareOne(const Outcome &Ref, const Outcome &Act,
+                const driver::AblationConfig &Config, size_t ArgIndex,
                 const std::string &StatsJson, CheckResult &R) {
   ++R.RowsCompared;
-  if (tainted(Ref) || tainted(Act)) {
+  switch (judgeOutcome(Ref, Act, Config.Opts)) {
+  case Judgement::Agree:
+    return;
+  case Judgement::ToleratedOverflow:
     ++R.ToleratedOverflows;
     return;
-  }
-  if (Ref.K == Outcome::Kind::Error && Act.K == Outcome::Kind::Value &&
-      Optimizes) {
+  case Judgement::ToleratedElision:
     ++R.ToleratedElisions;
     return;
+  case Judgement::Diverge:
+    R.Divergences.push_back({Config.Name, ArgIndex, Ref, Act, StatsJson});
+    return;
   }
+}
+
+} // namespace
+
+Judgement fuzz::judgeOutcome(const Outcome &Ref, const Outcome &Act,
+                             const driver::CompilerOptions &Opts) {
+  // The fixnum-width / fuel taint: either side overflowing (or running
+  // out of fuel) makes the grid point incomparable across engines.
+  auto Tainted = [](const Outcome &O) {
+    return O.EC == ErrorClass::Overflow || O.EC == ErrorClass::Fuel;
+  };
+  if (Tainted(Ref) || Tainted(Act))
+    return Judgement::ToleratedOverflow;
+  if (Ref.K == Outcome::Kind::Error && Act.K == Outcome::Kind::Value &&
+      (Opts.Optimize || Opts.Cse))
+    return Judgement::ToleratedElision;
   bool Agree = false;
   if (Ref.K == Outcome::Kind::Value && Act.K == Outcome::Kind::Value)
     Agree = Ref.Text == Act.Text;
   else if (Ref.K == Outcome::Kind::Error && Act.K == Outcome::Kind::Error)
     Agree = Ref.EC == Act.EC;
-  if (!Agree)
-    R.Divergences.push_back({Config, ArgIndex, Ref, Act, StatsJson});
+  return Agree ? Judgement::Agree : Judgement::Diverge;
 }
-
-} // namespace
 
 CheckResult fuzz::checkProgram(const GeneratedProgram &P,
                                const OracleOptions &O) {
@@ -190,11 +201,10 @@ CheckResult fuzz::checkProgram(const GeneratedProgram &P,
     }
     std::shared_ptr<const vm::DecodedProgram> Decoded =
         O.Engine != vm::Engine::Legacy ? vm::predecode(Out.Program) : nullptr;
-    bool Optimizes = Config.Opts.Optimize || Config.Opts.Cse;
     for (size_t I = 0; I < P.ArgGrid.size(); ++I) {
       Outcome Act = vmRun(Out.Program, M, P.Entry, P.ArgGrid[I], O.VmFuel,
                           O.Engine, O.GcEvery, Decoded);
-      compareOne(Ref[I], Act, Optimizes, Config.Name, I, StatsJson, CR);
+      compareOne(Ref[I], Act, Config, I, StatsJson, CR);
     }
   });
   // Merge in matrix order so reports are deterministic under any schedule.

@@ -67,6 +67,16 @@ struct Outcome {
   static Outcome compileError(std::string Message);
 };
 
+/// How an outcome compares with the reference's under the rules above.
+enum class Judgement { Agree, Diverge, ToleratedOverflow, ToleratedElision };
+
+/// Judges \p Act, from a compile under \p Opts, against the
+/// interpreter's \p Ref. A point where either side overflowed or ran out
+/// of fuel is a tolerated overflow; a configuration that optimizes
+/// (Optimize or Cse) may succeed where the reference erred.
+Judgement judgeOutcome(const Outcome &Ref, const Outcome &Act,
+                       const driver::CompilerOptions &Opts);
+
 /// One reference/actual disagreement.
 struct Divergence {
   std::string Config;   ///< ablation-matrix name, or "compile"

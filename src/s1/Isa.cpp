@@ -97,11 +97,14 @@ void AsmFunction::placeLabel(int L, std::string Comment) {
 
 bool AsmFunction::finalize(std::string &Error) {
   LabelPos.assign(NextLabel, -1);
+  int RunStart = 0; // index of the first label of the current run
   for (size_t Idx = 0; Idx < Code.size(); ++Idx) {
     const Instruction &I = Code[Idx];
     if (I.Op == Opcode::LABEL) {
       assert(I.A.Label >= 0 && I.A.Label < NextLabel && "label out of range");
-      LabelPos[I.A.Label] = static_cast<int>(Idx);
+      if (Idx == 0 || Code[Idx - 1].Op != Opcode::LABEL)
+        RunStart = static_cast<int>(Idx);
+      LabelPos[I.A.Label] = RunStart;
     }
     if (!validOperandPattern(I)) {
       Error = Name + ": instruction " + std::to_string(Idx) + " (" +

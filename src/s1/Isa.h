@@ -269,7 +269,10 @@ public:
   unsigned MaxArgs = 0;     ///< fixed params (optionals included)
   bool HasRest = false;
 
-  /// Label id -> instruction index; built by finalize().
+  /// Label id -> index of the first label in the run of consecutive
+  /// labels that holds it; built by finalize(). Labels retire nothing, so
+  /// every label of a run names the same point, and a trap there reports
+  /// the run's start on every engine (the decoded engines strip labels).
   std::vector<int> LabelPos;
 
   int newLabel() { return NextLabel++; }

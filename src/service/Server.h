@@ -78,7 +78,6 @@ public:
   void requestStop();
 
   CompileCache &cache() { return Cache; }
-  const ServerOptions &options() const { return Opts; }
   uint64_t requestCount() const { return Requests.load(); }
 
 private:

@@ -55,12 +55,6 @@ unsigned NextSlot = 0;
 
 std::string formatUnsigned(uint64_t V) { return std::to_string(V); }
 
-void appendJsonNumber(std::string &Out, double V) {
-  char Buf[64];
-  snprintf(Buf, sizeof(Buf), "%.9g", V);
-  Out += Buf;
-}
-
 } // namespace
 
 bool stats::enabled() { return StatsEnabled; }
@@ -367,26 +361,5 @@ std::string stats::reportPhaseTimes() {
              static_cast<unsigned long long>(T.Invocations), T.Name.c_str());
     Out += Buf;
   }
-  return Out;
-}
-
-std::string stats::reportPhaseTimesJson() {
-  std::string Out = "[";
-  bool First = true;
-  for (const PhaseTime &T : phaseTimes()) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\n  {\"phase\": \"" + T.Name +
-           "\", \"invocations\": " + std::to_string(T.Invocations) +
-           ", \"wall\": ";
-    appendJsonNumber(Out, T.WallSeconds);
-    Out += ", \"self\": ";
-    appendJsonNumber(Out, T.SelfWallSeconds);
-    Out += ", \"cpu\": ";
-    appendJsonNumber(Out, T.CpuSeconds);
-    Out += "}";
-  }
-  Out += First ? "]" : "\n]";
   return Out;
 }

@@ -251,9 +251,6 @@ void resetPhaseTimes();
 /// The `-time-passes`-style table.
 std::string reportPhaseTimes();
 
-/// Timing as a JSON array of {"phase","invocations","wall","self","cpu"}.
-std::string reportPhaseTimesJson();
-
 } // namespace stats
 } // namespace s1lisp
 

@@ -37,21 +37,6 @@ S1_STAT(VmJitConsHits, "jit.cons.fast.hits",
 S1_STAT(VmJitConsMisses, "jit.cons.fast.misses",
         "cons allocations that fell back to the C++ allocator");
 
-// Computed-goto dispatch needs the GNU labels-as-values extension; fall
-// back to a dense switch elsewhere or when disabled via CMake.
-#if defined(S1LISP_THREADED_DISPATCH) && S1LISP_THREADED_DISPATCH && \
-    (defined(__GNUC__) || defined(__clang__))
-#define S1_COMPUTED_GOTO 1
-#else
-#define S1_COMPUTED_GOTO 0
-#endif
-
-#if defined(__GNUC__) || defined(__clang__)
-#define S1_ALWAYS_INLINE __attribute__((always_inline)) inline
-#else
-#define S1_ALWAYS_INLINE inline
-#endif
-
 using namespace s1lisp;
 using namespace s1lisp::vm;
 using namespace s1lisp::s1;
@@ -452,6 +437,13 @@ bool Machine::setGlobalSpecial(const sexpr::Symbol *Name, Value V) {
 }
 
 uint64_t Machine::makeArrayF(size_t Dim0, size_t Dim1) {
+  uint64_t W = allocArrayF(Dim0, Dim1);
+  // The host holds this word outside the scanned address space.
+  HostPinned.push_back(W);
+  return W;
+}
+
+uint64_t Machine::allocArrayF(size_t Dim0, size_t Dim1) {
   bool Rank2 = Dim1 != 0;
   size_t D1 = Rank2 ? Dim1 : 1;
   uint64_t W = allocate(Tag::ArrayF, 3 + Dim0 * D1);
@@ -460,8 +452,6 @@ uint64_t Machine::makeArrayF(size_t Dim0, size_t Dim1) {
   mem(addrOf(W) + 2) = Rank2;
   for (size_t I = 0; I < Dim0 * D1; ++I)
     mem(addrOf(W) + 3 + I) = fromDouble(0.0);
-  // The host holds this word outside the scanned address space.
-  HostPinned.push_back(W);
   return W;
 }
 
@@ -1003,7 +993,7 @@ void Machine::xwrite(const XArg &A, uint64_t V) {
   }
 }
 
-S1_ALWAYS_INLINE int Machine::execCold(XOp Op, const XInsn &I) {
+[[gnu::always_inline]] inline int Machine::execCold(XOp Op, const XInsn &I) {
   switch (Op) {
   case XOp::PopM: {
     uint64_t V = pop();
@@ -1016,7 +1006,7 @@ S1_ALWAYS_INLINE int Machine::execCold(XOp Op, const XInsn &I) {
     int64_t A = static_cast<int64_t>(xread(Three ? I.GB : I.GA));
     int64_t B = static_cast<int64_t>(xread(Three ? I.GX : I.GB));
     int64_t R;
-    switch (static_cast<Opcode>(I.Sub)) {
+    switch (I.OrigOp) {
     case Opcode::ADD:
       R = A + B;
       break;
@@ -1066,7 +1056,7 @@ S1_ALWAYS_INLINE int Machine::execCold(XOp Op, const XInsn &I) {
     double A = asDouble(xread(Three ? I.GB : I.GA));
     double B = asDouble(xread(Three ? I.GX : I.GB));
     double R;
-    switch (static_cast<Opcode>(I.Sub)) {
+    switch (I.OrigOp) {
     case Opcode::FADD:
       R = A + B;
       break;
@@ -1092,7 +1082,7 @@ S1_ALWAYS_INLINE int Machine::execCold(XOp Op, const XInsn &I) {
   case XOp::FUnary: {
     double X = asDouble(xread(I.GB));
     double R;
-    switch (static_cast<Opcode>(I.Sub)) {
+    switch (I.OrigOp) {
     case Opcode::FNEG:
       R = -X;
       break;
@@ -1140,16 +1130,6 @@ S1_ALWAYS_INLINE int Machine::execCold(XOp Op, const XInsn &I) {
 
 int Machine::coldOp(const XInsn &I) { return execCold(I.Op, I); }
 
-// Dispatch plumbing shared by the computed-goto and switch forms: each
-// handler is introduced by S1_CASE(op) and ends with S1_NEXT, which loops
-// back to the fetch/count/dispatch preamble at the top of the for-loop.
-#if S1_COMPUTED_GOTO
-#define S1_CASE(op) H_##op:
-#else
-#define S1_CASE(op) case XOp::op:
-#endif
-#define S1_NEXT continue;
-
 bool Machine::runThreaded(std::string &Error) {
   const DecodedProgram &DP = *Decoded;
   const XInsn *Code = nullptr;
@@ -1191,8 +1171,10 @@ bool Machine::runThreaded(std::string &Error) {
                                  (static_cast<int64_t>(Regs[M.Index]) << M.Scale));
   };
 
-#if S1_COMPUTED_GOTO
-  // Must match the XOp enumerator order exactly.
+  // Dispatch by computed goto (GNU labels-as-values, which GCC and Clang
+  // provide): each handler ends in `continue`, back to the boundary
+  // checks and the fetch at the top of the loop. Must match the XOp
+  // enumerator order exactly.
   static const void *Table[] = {
       &&H_MovRR,  &&H_MovRK,  &&H_MovRM,  &&H_MovRX,
       &&H_MovMR,  &&H_MovMK,  &&H_MovMM,  &&H_MovMX,
@@ -1207,7 +1189,7 @@ bool Machine::runThreaded(std::string &Error) {
       &&H_FAlu2,  &&H_FAlu3,  &&H_FUnary, &&H_FAtan,  &&H_Itof, &&H_Ftoi,
       &&H_Alloc,  &&H_Syscall, &&H_Halt,
   };
-#endif
+  static_assert(std::size(Table) == static_cast<size_t>(XOp::Halt) + 1);
 
   for (;;) {
     // Identical trap ordering to runLegacy: halted, fuel, pc range —
@@ -1235,177 +1217,173 @@ bool Machine::runThreaded(std::string &Error) {
     ++Stats.Instructions;
     ++Stats.PerOpcode[static_cast<size_t>(I->OrigOp)];
 
-#if S1_COMPUTED_GOTO
     goto *Table[static_cast<size_t>(I->Op)];
-#else
-    switch (I->Op) {
-#endif
 
-    S1_CASE(MovRR) {
+    H_MovRR: {
       ++Stats.Movs;
       Regs[I->A] = Regs[I->B];
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovRK) {
+    H_MovRK: {
       ++Stats.Movs;
       Regs[I->A] = I->K;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovRM) {
+    H_MovRM: {
       ++Stats.Movs;
       Regs[I->A] = mem(EaS(I->MB));
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovRX) {
+    H_MovRX: {
       ++Stats.Movs;
       Regs[I->A] = mem(EaX(I->MB));
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovMR) {
+    H_MovMR: {
       ++Stats.Movs;
       mem(EaS(I->MA)) = Regs[I->B];
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovMK) {
+    H_MovMK: {
       ++Stats.Movs;
       mem(EaS(I->MA)) = I->K;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovMM) {
+    H_MovMM: {
       ++Stats.Movs;
       uint64_t V = mem(EaS(I->MB));
       mem(EaS(I->MA)) = V;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovMX) {
+    H_MovMX: {
       ++Stats.Movs;
       uint64_t V = mem(EaX(I->MB));
       mem(EaS(I->MA)) = V;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovXR) {
+    H_MovXR: {
       ++Stats.Movs;
       mem(EaX(I->MA)) = Regs[I->B];
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovXK) {
+    H_MovXK: {
       ++Stats.Movs;
       mem(EaX(I->MA)) = I->K;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovXM) {
+    H_MovXM: {
       ++Stats.Movs;
       uint64_t V = mem(EaS(I->MB));
       mem(EaX(I->MA)) = V;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(MovXX) {
+    H_MovXX: {
       ++Stats.Movs;
       uint64_t V = mem(EaX(I->MB));
       mem(EaX(I->MA)) = V;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(PushR) {
+    H_PushR: {
       if (Regs[SP] + 1 >= StackBase + StackWords) {
         Pc = LPc;
         return trap(Error, "stack overflow");
       }
       push(Regs[I->B]);
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(PushK) {
+    H_PushK: {
       if (Regs[SP] + 1 >= StackBase + StackWords) {
         Pc = LPc;
         return trap(Error, "stack overflow");
       }
       push(I->K);
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(PushM) {
+    H_PushM: {
       if (Regs[SP] + 1 >= StackBase + StackWords) {
         Pc = LPc;
         return trap(Error, "stack overflow");
       }
       push(mem(EaS(I->MB)));
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(PushX) {
+    H_PushX: {
       if (Regs[SP] + 1 >= StackBase + StackWords) {
         Pc = LPc;
         return trap(Error, "stack overflow");
       }
       push(mem(EaX(I->MB)));
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(PopR) {
+    H_PopR: {
       Regs[I->A] = pop();
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(AddRR) {
+    H_AddRR: {
       Regs[I->A] = static_cast<uint64_t>(static_cast<int64_t>(Regs[I->A]) +
                                          static_cast<int64_t>(Regs[I->B]));
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(AddRK) {
+    H_AddRK: {
       Regs[I->A] = static_cast<uint64_t>(static_cast<int64_t>(Regs[I->A]) +
                                          static_cast<int64_t>(I->K));
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(SubRR) {
+    H_SubRR: {
       Regs[I->A] = static_cast<uint64_t>(static_cast<int64_t>(Regs[I->A]) -
                                          static_cast<int64_t>(Regs[I->B]));
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(SubRK) {
+    H_SubRK: {
       Regs[I->A] = static_cast<uint64_t>(static_cast<int64_t>(Regs[I->A]) -
                                          static_cast<int64_t>(I->K));
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(Jmp) {
+    H_Jmp: {
       LPc = I->Target;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(JmpzRR) {
+    H_JmpzRR: {
       int64_t A = static_cast<int64_t>(Regs[I->A]);
       int64_t B = static_cast<int64_t>(Regs[I->B]);
       int64_t Sign = A < B ? -1 : (A > B ? 1 : 0);
       if (condHolds(I->C, Sign))
         LPc = I->Target;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(JmpzRK) {
+    H_JmpzRK: {
       int64_t A = static_cast<int64_t>(Regs[I->A]);
       int64_t B = static_cast<int64_t>(I->K);
       int64_t Sign = A < B ? -1 : (A > B ? 1 : 0);
       if (condHolds(I->C, Sign))
         LPc = I->Target;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(Call) {
+    H_Call: {
       ++Stats.Calls;
       if (Regs[SP] + 4 >= StackBase + StackWords) {
         Pc = LPc;
@@ -1416,9 +1394,9 @@ bool Machine::runThreaded(std::string &Error) {
       Reload();
       LPc = 0;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(CallPtr) {
+    H_CallPtr: {
       ++Stats.Calls;
       uint64_t Fn = xread(I->GA);
       if (tagOf(Fn) != Tag::Function) {
@@ -1431,9 +1409,9 @@ bool Machine::runThreaded(std::string &Error) {
       Reload();
       LPc = 0;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(TailCall) {
+    H_TailCall: {
       ++Stats.TailCalls;
       if (!TailTransfer(static_cast<uint64_t>(I->S2), I->Target)) {
         Pc = LPc;
@@ -1441,9 +1419,9 @@ bool Machine::runThreaded(std::string &Error) {
                     "tail call passes more arguments than the frame holds");
       }
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(TailCallPtr) {
+    H_TailCallPtr: {
       ++Stats.TailCalls;
       uint64_t Fn = xread(I->GA);
       if (tagOf(Fn) != Tag::Function) {
@@ -1458,9 +1436,9 @@ bool Machine::runThreaded(std::string &Error) {
                     "tail call passes more arguments than the frame holds");
       }
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(Ret) {
+    H_Ret: {
       uint64_t RetW = pop();
       if (RetW == makeRetWord(-1, 0)) {
         CurFunc = -1; // back to host
@@ -1471,12 +1449,12 @@ bool Machine::runThreaded(std::string &Error) {
       LPc = static_cast<int>(RetW & 0xFFFFFFFF);
       Reload();
     }
-    S1_NEXT
+    continue;
 
     // The cold ops share one definition with the native tier's coldShim;
     // inlined with a constant op, the executor's switch folds away.
 #define S1_COLD(op)                                                            \
-  S1_CASE(op) {                                                                \
+  H_##op: {                                                                    \
     int R = execCold(XOp::op, *I);                                             \
     if (R > 0)                                                                 \
       LPc = I->Target;                                                         \
@@ -1485,7 +1463,7 @@ bool Machine::runThreaded(std::string &Error) {
       return trap(Error, rtErrorMessage(RtError::DivisionByZero));             \
     }                                                                          \
   }                                                                            \
-  S1_NEXT
+  continue;
     S1_COLD(PopM)
     S1_COLD(Alu2G)
     S1_COLD(Alu3G)
@@ -1502,7 +1480,7 @@ bool Machine::runThreaded(std::string &Error) {
     S1_COLD(Ftoi)
 #undef S1_COLD
 
-    S1_CASE(Alloc) {
+    H_Alloc: {
       uint64_t W = allocate(static_cast<Tag>(I->S1),
                             static_cast<uint64_t>(I->S2));
       if (Halted) {
@@ -1511,9 +1489,9 @@ bool Machine::runThreaded(std::string &Error) {
       }
       xwrite(I->GA, W);
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(Syscall) {
+    H_Syscall: {
       ++Stats.Syscalls;
       Pc = LPc;
       if (!doSyscall(static_cast<Syscall>(I->S1), I->S2, I->S3, I->Target,
@@ -1523,24 +1501,13 @@ bool Machine::runThreaded(std::string &Error) {
       Reload();
       LPc = Pc;
     }
-    S1_NEXT
+    continue;
 
-    S1_CASE(Halt) {
+    H_Halt:
       Pc = LPc;
       return trap(Error, "HALT executed");
-    }
-    S1_NEXT
-
-#if !S1_COMPUTED_GOTO
-    }
-    Pc = LPc;
-    return trap(Error, "unimplemented opcode");
-#endif
   }
 }
-
-#undef S1_CASE
-#undef S1_NEXT
 
 //===----------------------------------------------------------------------===//
 // Runtime services
@@ -2172,7 +2139,7 @@ bool Machine::doSyscall(Syscall S, int64_t SubCode, int64_t XImm,
     } else if (tagOf(D1W) != Tag::Nil) {
       return TypeError();
     }
-    Regs[RV] = makeArrayF(static_cast<size_t>(fixnumValue(D0W)), D1);
+    Regs[RV] = allocArrayF(static_cast<size_t>(fixnumValue(D0W)), D1);
     return true;
   }
 

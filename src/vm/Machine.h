@@ -9,23 +9,23 @@
 /// Three execution engines share one runtime-service layer:
 ///
 ///  * **Legacy** — the original interpretive switch over s1::Instruction,
-///    decoding operand modes on every step. Kept as the semantic baseline
-///    the other engines are differentially tested against.
+///    decoding operand modes on every step. Kept as the reference the
+///    other engines are differentially tested against.
 ///  * **Threaded** (default) — executes the pre-decoded internal form
 ///    (vm/Predecode.h): labels stripped, branch targets resolved, operand
 ///    modes fused into specialized handlers, dispatched by computed goto
-///    where the compiler supports it (portable switch fallback behind the
-///    S1LISP_THREADED_DISPATCH CMake option).
+///    (GNU labels-as-values; the build requires GCC or Clang).
 ///  * **Native** — the x86-64 block compiler (vm/Jit.h) over the same
 ///    pre-decoded form. Its cold ops call the threaded engine's executor,
 ///    and a block that does not fit in the remaining fuel continues in the
 ///    threaded loop, which raises the exact trap; hosts without the tier
 ///    fall back to Threaded.
 ///
-/// All three engines retire **bit-identical architectural counters**
-/// (Instructions, Movs, PerOpcode, SpecialSearchSteps, ...) — the
-/// measurements behind every benchmark table in EXPERIMENTS.md — which is
-/// asserted over fuzzed programs by tests/vm/EngineEquivalenceTest.
+/// All three engines return the same value or the same trap text, pc
+/// included, and retire **bit-identical MachineStats** (Instructions,
+/// Movs, PerOpcode, SpecialSearchSteps, GcRuns, ...) — the measurements
+/// behind every benchmark table in EXPERIMENTS.md. tests/vm/EngineHarness.h
+/// holds every engine-against-engine test to that one rule.
 ///
 /// Special-variable lookups additionally go through a per-symbol shallow
 /// cache over the deep-binding stack: hits skip the linear search but
@@ -106,12 +106,14 @@ struct MachineStats {
   uint64_t GcRuns = 0;
   uint64_t GcWordsReclaimed = 0;
   std::array<uint64_t, 64> PerOpcode{};
+
+  bool operator==(const MachineStats &) const = default;
 };
 
 /// Which dispatch loop executes compiled code.
 enum class Engine : uint8_t {
   Legacy,   ///< interpretive switch over s1::Instruction
-  Threaded, ///< pre-decoded fused handlers (computed goto / dense switch)
+  Threaded, ///< pre-decoded fused handlers, dispatched by computed goto
   Native,   ///< template-JIT over the XInsn stream (x86-64 only; falls
             ///< back to Threaded elsewhere, see vm/Jit.h)
 };
@@ -233,6 +235,9 @@ private:
   void push(uint64_t W);
   bool wordEql(uint64_t A, uint64_t B);
   uint64_t allocate(s1::Tag T, uint64_t NWords);
+  /// A zero-filled float array, rooted like any other word: only the
+  /// host API (makeArrayF) pins its arrays.
+  uint64_t allocArrayF(size_t Dim0, size_t Dim1);
   uint64_t boxFlonum(double D);
   uint64_t certify(uint64_t W);
   uint64_t symbolWord(const sexpr::Symbol *S);

@@ -140,7 +140,6 @@ XInsn decodeOne(const AsmFunction &F, const Instruction &I,
   case Opcode::SUB:
   case Opcode::MULT:
   case Opcode::DIV: {
-    D.Sub = static_cast<uint8_t>(I.Op);
     bool TwoOp = I.X.M == Operand::Mode::None;
     if (TwoOp && shapeOf(I.A) == Shape::Reg &&
         (I.Op == Opcode::ADD || I.Op == Opcode::SUB)) {
@@ -171,7 +170,6 @@ XInsn decodeOne(const AsmFunction &F, const Instruction &I,
   case Opcode::FDIV:
   case Opcode::FMAX:
   case Opcode::FMIN:
-    D.Sub = static_cast<uint8_t>(I.Op);
     D.Op = I.X.M == Operand::Mode::None ? XOp::FAlu2 : XOp::FAlu3;
     D.GA = genArg(I.A);
     D.GB = genArg(I.B);
@@ -185,7 +183,6 @@ XInsn decodeOne(const AsmFunction &F, const Instruction &I,
   case Opcode::FCOS:
   case Opcode::FEXP:
   case Opcode::FLOG:
-    D.Sub = static_cast<uint8_t>(I.Op);
     D.Op = XOp::FUnary;
     D.GA = genArg(I.A);
     D.GB = genArg(I.B);
@@ -314,21 +311,22 @@ std::shared_ptr<const DecodedProgram> vm::predecode(const s1::Program &P) {
   DP->Functions.reserve(P.Functions.size());
   for (const AsmFunction &F : P.Functions) {
     DecodedFunction DF;
-    // Pass 1: map original pcs to decoded indices (labels occupy no slot).
-    DF.PcMap.assign(F.Code.size() + 1, 0);
+    // Pass 1: map each original pc to the decoded index of the first real
+    // instruction at or after it (labels occupy no slot).
+    std::vector<int32_t> PcMap(F.Code.size() + 1, 0);
     int32_t Next = 0;
     for (size_t Pc = 0; Pc < F.Code.size(); ++Pc) {
-      DF.PcMap[Pc] = Next;
+      PcMap[Pc] = Next;
       if (F.Code[Pc].Op != Opcode::LABEL)
         ++Next;
     }
-    DF.PcMap[F.Code.size()] = Next;
+    PcMap[F.Code.size()] = Next;
     // Pass 2: lower every real instruction.
     DF.Code.reserve(static_cast<size_t>(Next));
     DF.OrigPc.reserve(static_cast<size_t>(Next));
     for (size_t Pc = 0; Pc < F.Code.size(); ++Pc)
       if (F.Code[Pc].Op != Opcode::LABEL) {
-        DF.Code.push_back(decodeOne(F, F.Code[Pc], DF.PcMap));
+        DF.Code.push_back(decodeOne(F, F.Code[Pc], PcMap));
         DF.OrigPc.push_back(static_cast<int32_t>(Pc));
       }
     // Pass 3: basic-block leaders. Branch/catch targets are already

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Lowers an assembled s1::Program into the dense internal form executed
-/// by the simulator's threaded dispatch engine:
+/// by the simulator's threaded loop and compiled by its native tier:
 ///
 ///  * LABEL pseudo-ops are stripped and every branch target is resolved to
 ///    a decoded instruction index, so the hot loop never skips pseudo-ops;
@@ -19,11 +19,15 @@
 ///
 /// The decoded form preserves the architectural counter semantics of the
 /// legacy engine exactly: each decoded instruction remembers its original
-/// opcode for the PerOpcode histogram, and OrigPc maps decoded pcs back
-/// for trap messages. Control that falls off the end reaches decoded
-/// index Code.size(), where the threaded loop reports the "pc out of
-/// range" trap at the function's original length, as legacy does after
-/// skipping trailing labels.
+/// opcode, which feeds the PerOpcode histogram and selects a cold op's
+/// ALU or float operation. OrigPc maps decoded pcs back for trap
+/// messages, so every engine reports the same text: decoded pc P > 0
+/// reports as OrigPc[P-1]+1, the start of any run of labels before it,
+/// which is where s1::AsmFunction::finalize places each label of a run.
+/// Control that falls off the end reaches decoded index Code.size(),
+/// where the threaded loop reports the "pc out of range" trap at the
+/// function's original length, as legacy does after skipping trailing
+/// labels.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,9 +90,10 @@ struct XArg {
 /// fields; the XArg tail serves the cold generic handlers.
 struct XInsn {
   XOp Op = XOp::Halt;
-  s1::Opcode OrigOp = s1::Opcode::HALT; ///< for the PerOpcode histogram
+  /// For the PerOpcode histogram; also selects the operation of the
+  /// generic ALU, float and unary cold ops.
+  s1::Opcode OrigOp = s1::Opcode::HALT;
   s1::Cond C = s1::Cond::EQ;
-  uint8_t Sub = 0;   ///< ALU/float sub-opcode (the original Opcode)
   uint8_t A = 0;     ///< fused register field (dst)
   uint8_t B = 0;     ///< fused register field (src)
   int32_t Target = -1; ///< decoded branch target / callee / catch handler
@@ -103,10 +108,6 @@ struct XInsn {
 /// One function in decoded form.
 struct DecodedFunction {
   std::vector<XInsn> Code;
-  /// Original instruction index -> decoded index of the first real
-  /// instruction at or after it (Code.size() when none). Used to resolve
-  /// label positions and host-visible pcs.
-  std::vector<int32_t> PcMap;
   /// Decoded index -> original instruction index, for trap messages that
   /// report pcs in assembly-listing units.
   std::vector<int32_t> OrigPc;

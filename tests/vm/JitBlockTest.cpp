@@ -1,17 +1,15 @@
 //===- tests/vm/JitBlockTest.cpp ------------------------------------------===//
 //
-// Block-compiler-specific equivalence tiers. EngineEquivalenceTest pins
-// the three engines to each other on ordinary runs; this file aims the
-// same oracle at the spots the block compiler's optimizations could
-// plausibly diverge:
+// Block-compiler-specific equivalence tiers. EngineEquivalenceTest holds
+// the three engines to the contract of EngineHarness.h on ordinary runs;
+// this file aims the same contract at the spots the block compiler's
+// optimizations could plausibly diverge:
 //
 //  * safepoint batching — fuel exhaustion is forced at EVERY instruction
 //    offset of a synthetic multi-instruction block, so the bulk
 //    fuel-charge, the fused-branch precharge, the bulk PerOpcode bump,
 //    the hand-off of a block that does not fit, and the trap stubs'
-//    exact-state rollback are each observed mid-block
-//    (trap message and every MachineStats counter must match threaded
-//    byte-for-byte / bit-for-bit);
+//    exact-state rollback are each observed mid-block;
 //  * the inlined cons fast path under forced collections, cross-checked
 //    against the interpreter with its after-every-GC heap verifier on
 //    (the library behind --gc-verify);
@@ -24,12 +22,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineHarness.h"
+
 #include "driver/Ablation.h"
 #include "driver/Compiler.h"
 #include "fuzz/Generator.h"
 #include "fuzz/Oracle.h"
 #include "interp/Interp.h"
-#include "sexpr/Printer.h"
 #include "stats/Stats.h"
 #include "vm/Jit.h"
 #include "vm/Machine.h"
@@ -39,97 +38,15 @@
 #include <sstream>
 
 using namespace s1lisp;
+using namespace s1lisp::enginetest;
 using sexpr::Value;
 
 namespace {
-
-struct EngineRun {
-  bool Ok = false;
-  std::string Text; ///< printed value, or the error message
-  vm::MachineStats Stats;
-};
-
-EngineRun runOn(const s1::Program &P, ir::Module &M, const std::string &Entry,
-                const std::vector<Value> &Args, vm::Engine Eng, uint64_t Fuel,
-                uint64_t GcEvery = 0) {
-  vm::Machine VM(P, M.Syms, M.DataHeap);
-  VM.setEngine(Eng);
-  VM.setGcEvery(GcEvery);
-  VM.setFuel(Fuel);
-  vm::Machine::RunResult R = VM.call(Entry, Args);
-  EngineRun Out;
-  Out.Ok = R.Ok;
-  Out.Text = R.Ok ? (R.Result ? sexpr::toString(*R.Result) : "#<undecodable>")
-                  : R.Error;
-  Out.Stats = VM.stats();
-  return Out;
-}
-
-std::string diffStats(const vm::MachineStats &L, const vm::MachineStats &T,
-                      const char *LName, const char *TName) {
-  std::ostringstream Out;
-  auto Cmp = [&](const char *Name, uint64_t A, uint64_t B) {
-    if (A != B)
-      Out << "  " << Name << ": " << LName << " " << A << " vs " << TName
-          << " " << B << "\n";
-  };
-  Cmp("Instructions", L.Instructions, T.Instructions);
-  Cmp("Movs", L.Movs, T.Movs);
-  Cmp("Calls", L.Calls, T.Calls);
-  Cmp("TailCalls", L.TailCalls, T.TailCalls);
-  Cmp("Syscalls", L.Syscalls, T.Syscalls);
-  Cmp("HeapObjects", L.HeapObjects, T.HeapObjects);
-  Cmp("HeapWordsUsed", L.HeapWordsUsed, T.HeapWordsUsed);
-  Cmp("StackHighWater", L.StackHighWater, T.StackHighWater);
-  Cmp("SpecialSearches", L.SpecialSearches, T.SpecialSearches);
-  Cmp("SpecialSearchSteps", L.SpecialSearchSteps, T.SpecialSearchSteps);
-  Cmp("GcRuns", L.GcRuns, T.GcRuns);
-  Cmp("GcWordsReclaimed", L.GcWordsReclaimed, T.GcWordsReclaimed);
-  for (size_t I = 0; I < L.PerOpcode.size(); ++I)
-    if (L.PerOpcode[I] != T.PerOpcode[I])
-      Out << "  PerOpcode[" << I << "]: " << LName << " " << L.PerOpcode[I]
-          << " vs " << TName << " " << T.PerOpcode[I] << "\n";
-  return Out.str();
-}
 
 driver::CompileOutcome compileOrDie(ir::Module &M, const std::string &Source) {
   driver::CompileOutcome Out = driver::compileSource(M, Source, {});
   EXPECT_TRUE(Out.Ok) << Out.Error;
   return Out;
-}
-
-/// Compiles and runs one grid point on every engine against the threaded
-/// baseline — exact text (including trap messages) and bit-identical
-/// stats. Used by the fusion and cons tiers; the fuel sweep drives runOn
-/// directly because it varies the fuel limit.
-void expectNativeMatchesThreaded(const std::string &Source,
-                                 const std::string &Entry,
-                                 const std::vector<Value> &Args,
-                                 uint64_t GcEvery = 0) {
-  ir::Module M;
-  driver::CompileOutcome Out = compileOrDie(M, Source);
-  if (!Out.Ok)
-    return;
-  EngineRun T = runOn(Out.Program, M, Entry, Args, vm::Engine::Threaded,
-                      2'000'000, GcEvery);
-  if (vm::jitAvailable()) {
-    EngineRun N = runOn(Out.Program, M, Entry, Args, vm::Engine::Native,
-                        2'000'000, GcEvery);
-    ASSERT_EQ(T.Ok, N.Ok) << "threaded: " << T.Text
-                          << "\nnative:   " << N.Text;
-    EXPECT_EQ(T.Text, N.Text);
-    EXPECT_EQ(diffStats(T.Stats, N.Stats, "threaded", "native"), "")
-        << "gc-every=" << GcEvery;
-  }
-  EngineRun L = runOn(Out.Program, M, Entry, Args, vm::Engine::Legacy,
-                      2'000'000, GcEvery);
-  ASSERT_EQ(T.Ok, L.Ok) << "threaded: " << T.Text << "\nlegacy: " << L.Text;
-  if (T.Ok)
-    EXPECT_EQ(T.Text, L.Text);
-  else
-    EXPECT_EQ(fuzz::classifyError(T.Text), fuzz::classifyError(L.Text));
-  EXPECT_EQ(diffStats(T.Stats, L.Stats, "threaded", "legacy"), "")
-      << "gc-every=" << GcEvery;
 }
 
 //===----------------------------------------------------------------------===//
@@ -152,34 +69,20 @@ constexpr char SweepSource[] =
     "      (list n n)))";
 
 void fuelSweep(uint64_t GcEvery) {
-  if (!vm::jitAvailable())
-    GTEST_SKIP() << "no native tier on this host";
   ir::Module M;
   driver::CompileOutcome Out = compileOrDie(M, SweepSource);
   if (!Out.Ok)
     return;
   std::vector<Value> Args = {Value::fixnum(7)};
-  // Total retired instructions for the full run, from the oracle engine.
-  EngineRun Full = runOn(Out.Program, M, "sweep", Args, vm::Engine::Threaded,
-                         2'000'000, GcEvery);
+  EngineRun Full = runOn(Out.Program, M.Syms, M.DataHeap, "sweep", Args,
+                         vm::Engine::Legacy, {.GcEvery = GcEvery});
   ASSERT_TRUE(Full.Ok) << Full.Text;
   uint64_t Total = Full.Stats.Instructions;
   ASSERT_GT(Total, 10u) << "synthetic block too short to sweep";
   for (uint64_t Fuel = 1; Fuel <= Total + 1; ++Fuel) {
-    EngineRun T = runOn(Out.Program, M, "sweep", Args, vm::Engine::Threaded,
-                        Fuel, GcEvery);
-    EngineRun N = runOn(Out.Program, M, "sweep", Args, vm::Engine::Native,
-                        Fuel, GcEvery);
-    ASSERT_EQ(T.Ok, N.Ok) << "fuel=" << Fuel << "\n  threaded: " << T.Text
-                          << "\n  native:   " << N.Text;
-    // Byte-identical even for traps: the stubs must reproduce the
-    // threaded engine's message, not merely its error class.
-    EXPECT_EQ(T.Text, N.Text) << "fuel=" << Fuel;
-    EXPECT_EQ(diffStats(T.Stats, N.Stats, "threaded", "native"), "")
-        << "fuel=" << Fuel << " gc-every=" << GcEvery;
-    if (Fuel < Total) {
-      EXPECT_FALSE(T.Ok) << "fuel=" << Fuel << " of " << Total;
-    }
+    EngineRun L = expectEnginesAgree(Out.Program, M.Syms, M.DataHeap, "sweep",
+                                     Args, {Fuel, GcEvery});
+    EXPECT_EQ(L.Ok, Fuel >= Total) << "fuel=" << Fuel << " of " << Total;
   }
 }
 
@@ -203,8 +106,8 @@ constexpr char ConsLoopSource[] =
 
 TEST(JitBlock, InlineConsAgreesUnderForcedGc) {
   for (uint64_t GcEvery : {0, 1, 3, 7})
-    expectNativeMatchesThreaded(ConsLoopSource, "drive",
-                                {Value::fixnum(300)}, GcEvery);
+    expectEquivalent(ConsLoopSource, "drive", {Value::fixnum(300)}, {},
+                     {.GcEvery = GcEvery});
 }
 
 TEST(JitBlock, InlineConsSurvivesHeapVerifier) {
@@ -219,16 +122,9 @@ TEST(JitBlock, InlineConsSurvivesHeapVerifier) {
   if (!Out.Ok)
     return;
   std::vector<Value> Args = {Value::fixnum(120)};
-  EngineRun T = runOn(Out.Program, M, "drive", Args, vm::Engine::Threaded,
-                      2'000'000, /*GcEvery=*/1);
-  ASSERT_TRUE(T.Ok) << T.Text;
-  if (vm::jitAvailable()) {
-    EngineRun N = runOn(Out.Program, M, "drive", Args, vm::Engine::Native,
-                        2'000'000, /*GcEvery=*/1);
-    ASSERT_TRUE(N.Ok) << N.Text;
-    EXPECT_EQ(T.Text, N.Text);
-    EXPECT_EQ(diffStats(T.Stats, N.Stats, "threaded", "native"), "");
-  }
+  EngineRun L = expectEnginesAgree(Out.Program, M.Syms, M.DataHeap, "drive",
+                                   Args, {.GcEvery = 1});
+  ASSERT_TRUE(L.Ok) << L.Text;
   interp::Interpreter I(M);
   I.setFuel(2'000'000);
   I.setGcEvery(1);
@@ -236,15 +132,15 @@ TEST(JitBlock, InlineConsSurvivesHeapVerifier) {
   interp::Interpreter::Result R =
       I.call("drive", {interp::RtValue::data(Args[0])});
   ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.Value.str(), T.Text);
+  EXPECT_EQ(R.Value.str(), L.Text);
 }
 
 //===----------------------------------------------------------------------===//
-// Native code actually runs. Threaded is the reference, so every other
-// tier would still pass if each block handed off to it; the inline cons
+// Native code actually runs. Every other tier would still pass if each
+// block handed off to the threaded loop; the inline cons
 // fast path exists only in generated code, so its hit count shows that
 // the loop ran natively. Fuel that runs out inside the loop hands one
-// block off, and the trap must still match threaded's exactly.
+// block off, and the trap must still keep the contract.
 //===----------------------------------------------------------------------===//
 
 TEST(JitBlock, ConsLoopRunsNatively) {
@@ -272,15 +168,9 @@ TEST(JitBlock, ConsLoopRunsNatively) {
       Hits = D.Add;
   EXPECT_EQ(Hits, N) << "conses that took the inline fast path";
 
-  const uint64_t Fuel = VM.stats().Instructions / 2;
-  EngineRun Th = runOn(Out.Program, M, "drive", Args, vm::Engine::Threaded,
-                       Fuel);
-  EngineRun Na = runOn(Out.Program, M, "drive", Args, vm::Engine::Native,
-                       Fuel);
-  ASSERT_FALSE(Th.Ok) << Th.Text;
-  ASSERT_FALSE(Na.Ok) << Na.Text;
-  EXPECT_EQ(Th.Text, Na.Text);
-  EXPECT_EQ(diffStats(Th.Stats, Na.Stats, "threaded", "native"), "");
+  EngineRun L = expectEnginesAgree(Out.Program, M.Syms, M.DataHeap, "drive",
+                                   Args, {.Fuel = VM.stats().Instructions / 2});
+  EXPECT_FALSE(L.Ok) << L.Text;
 }
 
 //===----------------------------------------------------------------------===//
@@ -300,8 +190,9 @@ TEST(JitBlock, FusionMatrixNumPreds) {
           << " a)" << (Negated ? ")" : "") << " (+ b 1) (- b 1)))";
       for (int64_t A : {-3, -2, 0, 2, 5})
         for (uint64_t GcEvery : {0, 1})
-          expectNativeMatchesThreaded(
-              Src.str(), "f", {Value::fixnum(A), Value::fixnum(10)}, GcEvery);
+          expectEquivalent(Src.str(), "f",
+                           {Value::fixnum(A), Value::fixnum(10)}, {},
+                           {.GcEvery = GcEvery});
     }
 }
 
@@ -316,8 +207,9 @@ TEST(JitBlock, FusionMatrixGenericCompares) {
                           {7, 3},
                           {4, 4}})
         for (uint64_t GcEvery : {0, 1})
-          expectNativeMatchesThreaded(
-              Src.str(), "f", {Value::fixnum(A), Value::fixnum(B)}, GcEvery);
+          expectEquivalent(Src.str(), "f",
+                           {Value::fixnum(A), Value::fixnum(B)}, {},
+                           {.GcEvery = GcEvery});
     }
 }
 
@@ -336,10 +228,7 @@ TEST_P(JitGcFuzz, EnginesAgreeUnderForcedGc) {
   std::vector<driver::AblationConfig> Configs = {
       driver::ablationMatrix().front()};
   ASSERT_EQ(Configs.front().Name, "O2");
-  std::vector<vm::Engine> Engines = {vm::Engine::Legacy,
-                                     vm::Engine::Threaded};
-  if (vm::jitAvailable())
-    Engines.push_back(vm::Engine::Native);
+  std::vector<vm::Engine> Engines = enginesUnderTest();
   for (unsigned Seed = GetParam(); Seed < GetParam() + JitFuzzBatch; ++Seed) {
     fuzz::Generator G(Seed, {});
     fuzz::GeneratedProgram P = G.generate();

@@ -9,13 +9,14 @@
 
 #include "vm/Machine.h"
 
+#include "EngineHarness.h"
 #include "sexpr/Printer.h"
-#include "vm/Jit.h"
 
 #include <functional>
 #include <gtest/gtest.h>
 
 using namespace s1lisp;
+using namespace s1lisp::enginetest;
 using namespace s1lisp::s1;
 using namespace s1lisp::vm;
 using sexpr::Value;
@@ -265,10 +266,7 @@ protected:
                      const std::function<void(Machine &)> &Check) {
     Program P;
     P.Functions.push_back(makeFunction("gc", 0, 0, Body));
-    std::vector<Engine> Engines = {Engine::Legacy, Engine::Threaded};
-    if (jitAvailable())
-      Engines.push_back(Engine::Native);
-    for (Engine E : Engines) {
+    for (Engine E : enginesUnderTest()) {
       SCOPED_TRACE(engineName(E));
       Machine M = makeMachine(P);
       M.setEngine(E);
@@ -309,52 +307,19 @@ void returnDistance(AsmFunction &F, uint8_t A, uint8_t B) {
 
 //===----------------------------------------------------------------------===//
 // Control flow that compiled code never produces, on hand-assembled
-// functions: every engine must match legacy's result or trap text and
-// every MachineStats counter.
+// functions: every engine must keep the contract of EngineHarness.h.
 //===----------------------------------------------------------------------===//
 
-std::vector<uint64_t> statFields(const MachineStats &S) {
-  std::vector<uint64_t> V = {S.Instructions,    S.Movs,
-                             S.Calls,           S.TailCalls,
-                             S.Syscalls,        S.HeapObjects,
-                             S.HeapWordsUsed,   S.StackHighWater,
-                             S.SpecialSearches, S.SpecialSearchSteps,
-                             S.GcRuns,          S.GcWordsReclaimed};
-  V.insert(V.end(), S.PerOpcode.begin(), S.PerOpcode.end());
-  return V;
-}
-
-/// Calls the function \p F, finalized, on every engine with \p Setup
-/// applied to each Machine, and expects threaded and native to match
-/// legacy. Returns legacy's outcome: its trap text, or "=> " and the raw
-/// result word.
-std::string expectEnginesAgree(AsmFunction F,
-                               const std::function<void(Machine &)> &Setup) {
+/// Finalizes \p F as a program's only function and expects every engine
+/// to keep the contract on a call of it. Returns legacy's run.
+EngineRun expectAgreeOn(AsmFunction F, const RunConfig &C = {}) {
   std::string Error;
   EXPECT_TRUE(F.finalize(Error)) << Error;
   Program P;
   P.Functions.push_back(std::move(F));
   sexpr::SymbolTable Syms;
   sexpr::Heap H;
-  auto Run = [&](Engine E, std::string &Outcome) {
-    Machine M(P, Syms, H);
-    M.setEngine(E);
-    Setup(M);
-    auto R = M.call(P.Functions[0].Name, {});
-    Outcome = R.Ok ? "=> " + std::to_string(R.ResultWord) : R.Error;
-    return statFields(M.stats());
-  };
-  std::string Want;
-  std::vector<uint64_t> WantStats = Run(Engine::Legacy, Want);
-  std::vector<Engine> Engines = {Engine::Threaded};
-  if (jitAvailable())
-    Engines.push_back(Engine::Native);
-  for (Engine E : Engines) {
-    std::string Got;
-    EXPECT_EQ(Run(E, Got), WantStats) << engineName(E);
-    EXPECT_EQ(Got, Want) << engineName(E);
-  }
-  return Want;
+  return expectEnginesAgree(P, Syms, H, P.Functions[0].Name, {}, C);
 }
 
 // Falling off the end. Legacy skips trailing labels before it traps, so
@@ -376,15 +341,35 @@ TEST_F(MachineTest, FallingOffTheEndTrapsAlikeOnEveryEngine) {
         alloc(F, 8, Tag::Cons, 2); // under gc-every=1 a collection is due
         if (Label)
           F.placeLabel(F.newLabel());
-        std::string Trap = expectEnginesAgree(F, [&](Machine &M) {
-          M.setGcEvery(GcEvery);
-          if (ExactFuel)
-            M.setFuel(4);
-        });
-        EXPECT_EQ(Trap, ExactFuel ? "instruction fuel exhausted [in f at pc 4]"
-                        : Label   ? "pc out of range [in f at pc 5]"
-                                  : "pc out of range [in f at pc 4]");
+        EngineRun L =
+            expectAgreeOn(F, {ExactFuel ? 4 : RunConfig().Fuel, GcEvery});
+        EXPECT_EQ(L.Text,
+                  ExactFuel ? "instruction fuel exhausted [in f at pc 4]"
+                  : Label   ? "pc out of range [in f at pc 5]"
+                            : "pc out of range [in f at pc 4]");
       }
+}
+
+// A branch to the second label of a run. Labels retire nothing, so every
+// engine reports the pc it lands at as the run's first label, which is
+// also where the decoded engines map the pc of the instruction after it.
+TEST_F(MachineTest, BranchIntoALabelRunTrapsAlikeOnEveryEngine) {
+  for (bool MovFirst : {false, true}) {
+    SCOPED_TRACE(MovFirst ? "a MOV before the labels" : "labels first");
+    AsmFunction F;
+    F.Name = "f";
+    if (MovFirst)
+      emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(0));
+    int L1 = F.newLabel(), L2 = F.newLabel();
+    F.placeLabel(L1);
+    F.placeLabel(L2);
+    emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(1));
+    emit(F, Opcode::JMPA, Operand::label(L2));
+    // The fuel runs out just as the branch lands.
+    EngineRun L = expectAgreeOn(F, {.Fuel = MovFirst ? 3u : 2u});
+    EXPECT_EQ(L.Text, MovFirst ? "instruction fuel exhausted [in f at pc 1]"
+                               : "instruction fuel exhausted [in f at pc 0]");
+  }
 }
 
 // A return word that names the middle of a block. Native code exists only
@@ -399,7 +384,9 @@ TEST_F(MachineTest, ReturnIntoTheMiddleOfABlock) {
   emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(0)); // a leader
   emit(F, Opcode::ADD, Operand::reg(RV), Operand::imm(5)); // pc 4
   emit(F, Opcode::RET); // to the host
-  EXPECT_EQ(expectEnginesAgree(F, [](Machine &) {}), "=> 15");
+  EngineRun L = expectAgreeOn(F);
+  ASSERT_TRUE(L.Ok) << L.Text;
+  EXPECT_EQ(L.ResultWord, 15u);
 }
 
 TEST_F(MachineGcTest, InteriorPointerKeepsBlockAlive) {
@@ -481,6 +468,25 @@ TEST_F(MachineGcTest, SweptStringDropsItsContents) {
     EXPECT_EQ(M.encode(H.string("bye")), W);
     EXPECT_EQ(sexpr::toString(*M.decode(W)), "\"bye\"");
   });
+}
+
+TEST_F(MachineGcTest, HostArraySurvivesCollections) {
+  forEachEngine(
+      [](AsmFunction &F) {
+        alloc(F, 8, Tag::ArrayF, 7); // the host array's size
+        clear(F, 8);
+        alloc(F, 9, Tag::ArrayF, 1); // collects the block above
+      },
+      [](Machine &M) {
+        // Made after the schedule is set, so tracked; the call's first
+        // instruction boundary collects, and only the pin keeps it.
+        uint64_t A = M.makeArrayF(2, 2);
+        M.writeArrayF(A, 1, 1, 6.5);
+        ASSERT_TRUE(M.call("gc", {}).Ok);
+        EXPECT_GE(M.stats().GcRuns, 2u);
+        EXPECT_EQ(M.stats().GcWordsReclaimed, 7u) << "only the dropped block";
+        EXPECT_DOUBLE_EQ(M.readArrayF(A, 1, 1), 6.5);
+      });
 }
 
 TEST_F(MachineGcTest, SameSizeReuseIsLifo) {

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -112,41 +113,36 @@ bool startsWith(const char *Arg, const char *Prefix) {
   return std::strncmp(Arg, Prefix, std::strlen(Prefix)) == 0;
 }
 
-bool parseUnsigned(const char *S, unsigned &Out) {
-  unsigned V = 0;
-  if (!*S)
+/// Parses a decimal into \p Out, rejecting a value past its type's range.
+template <typename T> bool parseField(const char *S, T &Out) {
+  uint64_t V = 0;
+  if (!service::parseU64(S, V) || V > std::numeric_limits<T>::max())
     return false;
-  for (; *S; ++S) {
-    if (*S < '0' || *S > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned>(*S - '0');
-  }
-  Out = V;
+  Out = static_cast<T>(V);
   return true;
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &O) {
+  // A numeric flag stores through parseField; a malformed or out-of-range
+  // value falls through to the unknown-option error.
   for (int I = 1; I < Argc; ++I) {
     const char *A = Argv[I];
-    unsigned N = 0;
     if (std::strcmp(A, "--help") == 0 || std::strcmp(A, "-h") == 0) {
       fputs(UsageText, stdout);
       std::exit(0);
-    } else if (startsWith(A, "--seed=") && parseUnsigned(A + 7, N)) {
-      O.Seed = N;
-    } else if (startsWith(A, "--budget=") && parseUnsigned(A + 9, N)) {
-      O.Budget = N;
+    } else if (startsWith(A, "--seed=") && parseField(A + 7, O.Seed)) {
+    } else if (startsWith(A, "--budget=") && parseField(A + 9, O.Budget)) {
     } else if (startsWith(A, "--weights=")) {
       if (!fuzz::applyWeightOverride(O.Gen.W, A + 10)) {
         fprintf(stderr, "s1lisp-fuzz: bad weight spec '%s'\n", A + 10);
         return false;
       }
-    } else if (startsWith(A, "--depth=") && parseUnsigned(A + 8, N)) {
-      O.Gen.MaxDepth = N;
-    } else if (startsWith(A, "--size=") && parseUnsigned(A + 7, N)) {
-      O.Gen.SizeBudget = N;
-    } else if (startsWith(A, "--helpers=") && parseUnsigned(A + 10, N)) {
-      O.Gen.Helpers = N;
+    } else if (startsWith(A, "--depth=") &&
+               parseField(A + 8, O.Gen.MaxDepth)) {
+    } else if (startsWith(A, "--size=") &&
+               parseField(A + 7, O.Gen.SizeBudget)) {
+    } else if (startsWith(A, "--helpers=") &&
+               parseField(A + 10, O.Gen.Helpers)) {
     } else if (std::strcmp(A, "--no-floats") == 0) {
       O.Gen.Floats = false;
     } else if (startsWith(A, "--config=")) {
@@ -155,8 +151,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.ListConfigs = true;
     } else if (std::strcmp(A, "--stats") == 0) {
       O.Stats = true;
-    } else if (startsWith(A, "--jobs=") && parseUnsigned(A + 7, N)) {
-      O.Jobs = N;
+    } else if (startsWith(A, "--jobs=") && parseField(A + 7, O.Jobs)) {
     } else if (startsWith(A, "--engine=")) {
       auto E = vm::engineByName(A + 9);
       if (!E) {
@@ -167,8 +162,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
         return false;
       }
       O.Engine = *E;
-    } else if (startsWith(A, "--gc-every=") && parseUnsigned(A + 11, N)) {
-      O.GcEvery = N;
+    } else if (startsWith(A, "--gc-every=") &&
+               parseField(A + 11, O.GcEvery)) {
     } else if (startsWith(A, "--server=")) {
       O.Server = A + 9;
     } else if (std::strcmp(A, "--reduce") == 0) {
@@ -217,11 +212,6 @@ fuzz::Outcome outcomeOf(const service::Message &Resp) {
   if (const std::string *E = Resp.get("run-error"))
     return fuzz::Outcome::error(*E);
   return fuzz::Outcome::value(Resp.getOr("value"));
-}
-
-/// The fixnum-width / fuel taint, as in the in-process oracle.
-bool tainted(const fuzz::Outcome &O) {
-  return O.EC == fuzz::ErrorClass::Overflow || O.EC == fuzz::ErrorClass::Fuel;
 }
 
 /// The observable surface of a run response, listing, counters and
@@ -336,26 +326,19 @@ int runServerMode(const CliOptions &Cli,
         }
         ++Rows;
         fuzz::Outcome Act = outcomeOf(R1);
-        if (tainted(Ref) || tainted(Act)) {
+        switch (fuzz::judgeOutcome(Ref, Act, Cfg.Opts)) {
+        case fuzz::Judgement::Agree:
+          break;
+        case fuzz::Judgement::ToleratedOverflow:
           ++TolOverflow;
-          continue;
-        }
-        if (Ref.K == fuzz::Outcome::Kind::Error &&
-            Act.K == fuzz::Outcome::Kind::Value && Cfg.Opts.Optimize) {
+          break;
+        case fuzz::Judgement::ToleratedElision:
           ++TolElision;
-          continue;
-        }
-        bool Agree = false;
-        if (Ref.K == fuzz::Outcome::Kind::Value &&
-            Act.K == fuzz::Outcome::Kind::Value)
-          Agree = Ref.Text == Act.Text;
-        else if (Ref.K == fuzz::Outcome::Kind::Error &&
-                 Act.K == fuzz::Outcome::Kind::Error)
-          Agree = Ref.EC == Act.EC;
-        if (!Agree) {
+          break;
+        case fuzz::Judgement::Diverge:
           ++Diverged;
-          fuzz::Divergence D{Cfg.Name, Row, Ref, Act, ""};
-          printDivergence(Seed, D, P);
+          printDivergence(Seed, {Cfg.Name, Row, Ref, Act, ""}, P);
+          break;
         }
       }
     }

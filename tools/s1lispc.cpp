@@ -13,6 +13,7 @@
 #include "frontend/Convert.h"
 #include "interp/Interp.h"
 #include "service/Client.h"
+#include "service/Protocol.h"
 #include "sexpr/Printer.h"
 #include "stats/Remark.h"
 #include "stats/Stats.h"
@@ -49,7 +50,8 @@ const char *UsageText =
     "  --listing           print the generated assembly (Table 4 style)\n"
     "  --server=SOCKET     submit the compile to a running s1lispd at the\n"
     "                      given unix socket instead of compiling locally\n"
-    "                      (same output; warm daemons reuse cached units)\n"
+    "                      (same output; warm daemons reuse cached units;\n"
+    "                      the garbage-collection flags are refused)\n"
     "\n"
     "Garbage collection (--run / --interp):\n"
     "  --gc-every=N        collect the runtime heap every N allocations\n"
@@ -107,14 +109,10 @@ struct CliOptions {
 };
 
 bool parseUnsignedArg(const char *Text, const char *Flag, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Text, &End, 10);
-  if (End == Text || *End != '\0') {
-    fprintf(stderr, "s1lispc: %s needs a non-negative integer\n", Flag);
-    return false;
-  }
-  Out = V;
-  return true;
+  if (service::parseU64(Text, Out))
+    return true;
+  fprintf(stderr, "s1lispc: %s needs an integer from 0 to 2^64-1\n", Flag);
+  return false;
 }
 
 bool startsWith(const char *Arg, const char *Prefix) {
@@ -123,6 +121,7 @@ bool startsWith(const char *Arg, const char *Prefix) {
 
 /// Parses argv; returns false (after printing a message) on bad usage.
 bool parseArgs(int Argc, char **Argv, CliOptions &O) {
+  const char *GcFlag = nullptr; // a collector flag given, for --server
   for (int I = 1; I < Argc; ++I) {
     const char *A = Argv[I];
     if (std::strcmp(A, "--help") == 0 || std::strcmp(A, "-h") == 0) {
@@ -171,12 +170,15 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
     } else if (std::strcmp(A, "--transcript") == 0) {
       O.Transcript = true;
     } else if (startsWith(A, "--gc-every=")) {
-      if (!parseUnsignedArg(A + 11, "--gc-every", O.GcEvery))
+      GcFlag = "--gc-every";
+      if (!parseUnsignedArg(A + 11, GcFlag, O.GcEvery))
         return false;
     } else if (startsWith(A, "--heap-budget=")) {
-      if (!parseUnsignedArg(A + 14, "--heap-budget", O.HeapBudget))
+      GcFlag = "--heap-budget";
+      if (!parseUnsignedArg(A + 14, GcFlag, O.HeapBudget))
         return false;
     } else if (std::strcmp(A, "--gc-verify") == 0) {
+      GcFlag = "--gc-verify";
       O.GcVerify = true;
     } else if (A[0] == '-' && A[1] != '\0') {
       // -O0/-O2/--cse and every --no-* ablation go through the shared
@@ -198,6 +200,11 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
   }
   if (O.Run && O.Interp) {
     fprintf(stderr, "s1lispc: --run and --interp are mutually exclusive\n");
+    return false;
+  }
+  if (GcFlag && !O.Server.empty()) {
+    // The daemon runs every request with its own heap settings.
+    fprintf(stderr, "s1lispc: %s cannot be used with --server\n", GcFlag);
     return false;
   }
   return true;

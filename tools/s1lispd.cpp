@@ -62,7 +62,8 @@ int main(int Argc, char **Argv) {
       Opts.SocketPath = A + 9;
     } else if (std::strcmp(A, "--stdio") == 0) {
       Stdio = true;
-    } else if (startsWith(A, "--workers=") && service::parseU64(A + 10, N)) {
+    } else if (startsWith(A, "--workers=") && service::parseU64(A + 10, N) &&
+               N <= std::numeric_limits<unsigned>::max()) {
       Opts.Workers = static_cast<unsigned>(N);
     } else if (startsWith(A, "--cache-max-mb=") &&
                service::parseU64(A + 15, N) &&
