@@ -10,6 +10,8 @@
 //  4. compiler scaling >= 2.0x at 4 jobs;
 //  5. differential-oracle scaling >= 2.0x at 4 jobs.
 //
+// Every gate that compares two sides alternates their timed samples, so a
+// change in the host's speed between samples reaches both sides alike.
 // Gates 1 and 2 need the native tier and are skipped loudly without it.
 // Gates 4 and 5 are checked only where 4 threads can run in parallel: the
 // host has at least 4 hardware threads, and a capacity probe timed right
@@ -124,34 +126,39 @@ struct Timed {
   vm::MachineStats Stats;
 };
 
-/// One warm-up call (it also pays the native tier's compile), then the
-/// best of five timed calls, each on a fresh stats window.
-Timed timeLoopKernel(vm::Engine Eng) {
-  Compiled P = compileOrDie(
-      "(defun kernel (n) (let ((s 0)) (dotimes (i n) (setq s (+ s i))) s))");
-  P.VM->setEngine(Eng);
-  const std::vector<sexpr::Value> Args = {fx(60000)};
-  runOrDie(P, "kernel", Args);
-  Timed T;
-  for (int Rep = 0; Rep < 5; ++Rep) {
-    P.VM->resetStats();
-    auto Start = Clock::now();
-    runOrDie(P, "kernel", Args);
-    double Ns = nsSince(Start);
-    if (Ns < T.BestNs) {
-      T.BestNs = Ns;
-      T.Stats = P.VM->stats();
-    }
+const char *LoopKernelSrc =
+    "(defun kernel (n) (let ((s 0)) (dotimes (i n) (setq s (+ s i))) s))";
+
+/// Times one call of \p P's kernel on a fresh stats window; \p T keeps
+/// the fastest.
+void timeLoopCall(Compiled &P, Timed &T) {
+  P.VM->resetStats();
+  auto Start = Clock::now();
+  runOrDie(P, "kernel", {fx(60000)});
+  double Ns = nsSince(Start);
+  if (Ns < T.BestNs) {
+    T.BestNs = Ns;
+    T.Stats = P.VM->stats();
   }
-  return T;
 }
 
 bool nativeOverThreaded() {
   const char *Gate = "native over threaded, loop kernel";
   if (!vm::jitAvailable())
     return report(Gate, 0, true, 5.0, noNativeTier());
-  Timed Threaded = timeLoopKernel(vm::Engine::Threaded);
-  Timed Native = timeLoopKernel(vm::Engine::Native);
+  // One warm-up call per engine (it also pays the native tier's compile),
+  // then the best of five timed calls each, alternating.
+  Compiled ThreadedP = compileOrDie(LoopKernelSrc);
+  Compiled NativeP = compileOrDie(LoopKernelSrc);
+  ThreadedP.VM->setEngine(vm::Engine::Threaded);
+  NativeP.VM->setEngine(vm::Engine::Native);
+  runOrDie(ThreadedP, "kernel", {fx(60000)});
+  runOrDie(NativeP, "kernel", {fx(60000)});
+  Timed Threaded, Native;
+  for (int Rep = 0; Rep < 5; ++Rep) {
+    timeLoopCall(ThreadedP, Threaded);
+    timeLoopCall(NativeP, Native);
+  }
   printf("  loop: %llu instructions, threaded %.2f ms, native %.2f ms\n",
          static_cast<unsigned long long>(Threaded.Stats.Instructions),
          Threaded.BestNs / 1e6, Native.BestNs / 1e6);
@@ -174,44 +181,46 @@ std::string slurp(const char *Name) {
   return Buf.str();
 }
 
-/// The run workload's map-chain: 40 calls at n = 500 per sample. Best of
-/// five samples, each on a fresh Machine (a collector-off heap only
-/// grows) that pays the native compile in an untimed n = 0 call; every
-/// call's checksum is checked.
-double timeMapChain(uint64_t BudgetBytes) {
+/// One sample of the run workload's map-chain: 40 calls at n = 500 under
+/// \p BudgetBytes, on a fresh Machine (a collector-off heap only grows)
+/// that pays the native compile in an untimed n = 0 call. Every call's
+/// checksum is checked.
+double mapChainSampleNs(
+    const Compiled &C, const std::shared_ptr<const vm::DecodedProgram> &Decoded,
+    uint64_t BudgetBytes) {
   constexpr int64_t N = 500;
   constexpr int Reps = 40;
-  Compiled C = compileOrDie(slurp("map-chain.lisp"));
-  auto Decoded = vm::predecode(C.Program);
   int64_t SumSquares = N * (N - 1) * (2 * N - 1) / 6;
   std::string Want = std::to_string(3 * (SumSquares + N));
-  double BestNs = 1e300;
-  for (int Sample = 0; Sample < 5; ++Sample) {
-    vm::Machine VM(C.Program, C.M->Syms, C.M->DataHeap);
-    VM.setDecodedProgram(Decoded);
-    VM.setEngine(vm::Engine::Native);
-    VM.setFuel(4'000'000'000ull);
-    VM.setGcBudget(BudgetBytes);
-    VM.call("map-chain-workload", {fx(0)});
-    VM.resetStats();
-    auto Start = Clock::now();
-    for (int Rep = 0; Rep < Reps; ++Rep) {
-      auto R = VM.call("map-chain-workload", {fx(N)});
-      if (!R.Ok || !R.Result || sexpr::toString(*R.Result) != Want)
-        die(std::string("map-chain failed: ") +
-            (R.Ok ? "checksum mismatch" : R.Error));
-    }
-    BestNs = std::min(BestNs, nsSince(Start));
+  vm::Machine VM(C.Program, C.M->Syms, C.M->DataHeap);
+  VM.setDecodedProgram(Decoded);
+  VM.setEngine(vm::Engine::Native);
+  VM.setFuel(4'000'000'000ull);
+  VM.setGcBudget(BudgetBytes);
+  VM.call("map-chain-workload", {fx(0)});
+  VM.resetStats();
+  auto Start = Clock::now();
+  for (int Rep = 0; Rep < Reps; ++Rep) {
+    auto R = VM.call("map-chain-workload", {fx(N)});
+    if (!R.Ok || !R.Result || sexpr::toString(*R.Result) != Want)
+      die(std::string("map-chain failed: ") +
+          (R.Ok ? "checksum mismatch" : R.Error));
   }
-  return BestNs;
+  return nsSince(Start);
 }
 
 bool mapChainUnderBudget() {
   const char *Gate = "native map-chain, 256 KB budget over GC off";
   if (!vm::jitAvailable())
     return report(Gate, 0, false, 1.5, noNativeTier());
-  double Off = timeMapChain(0);
-  double On = timeMapChain(256u << 10);
+  // Best of five samples per side, alternating.
+  Compiled C = compileOrDie(slurp("map-chain.lisp"));
+  auto Decoded = vm::predecode(C.Program);
+  double Off = 1e300, On = 1e300;
+  for (int Sample = 0; Sample < 5; ++Sample) {
+    Off = std::min(Off, mapChainSampleNs(C, Decoded, 0));
+    On = std::min(On, mapChainSampleNs(C, Decoded, 256u << 10));
+  }
   printf("  map-chain: GC off %.2f ms, 256 KB budget %.2f ms\n", Off / 1e6,
          On / 1e6);
   return report(Gate, On / Off, false, 1.5);
@@ -236,22 +245,14 @@ service::Message compileRequest() {
   return Req;
 }
 
-/// Requests per second over 8 sequential requests; \p ClearCache empties
-/// the cache before each one.
-double requestsPerSec(service::Server &Srv, const service::Message &Req,
-                      bool ClearCache) {
-  constexpr unsigned Reps = 8;
-  double Seconds = 0;
-  for (unsigned R = 0; R < Reps; ++R) {
-    if (ClearCache)
-      Srv.cache().clear();
-    auto Start = Clock::now();
-    service::Message Resp = Srv.handle(Req);
-    Seconds += nsSince(Start) / 1e9;
-    if (Resp.getOr("ok") != "1")
-      die("service request failed: " + Resp.getOr("error"));
-  }
-  return Reps / Seconds;
+/// Seconds \p Srv takes to answer \p Req.
+double requestSeconds(service::Server &Srv, const service::Message &Req) {
+  auto Start = Clock::now();
+  service::Message Resp = Srv.handle(Req);
+  double Seconds = nsSince(Start) / 1e9;
+  if (Resp.getOr("ok") != "1")
+    die("service request failed: " + Resp.getOr("error"));
+  return Seconds;
 }
 
 bool serviceColdOverUncached() {
@@ -259,8 +260,16 @@ bool serviceColdOverUncached() {
   service::Message Cold = compileRequest();
   service::Message Uncached = Cold;
   Uncached.set("cache", "0");
-  double ColdRps = requestsPerSec(Srv, Cold, /*ClearCache=*/true);
-  double UncachedRps = requestsPerSec(Srv, Uncached, /*ClearCache=*/false);
+  // Requests per second over 8 requests per side, alternating; the cache
+  // is emptied before each cold one.
+  constexpr unsigned Reps = 8;
+  double ColdSeconds = 0, UncachedSeconds = 0;
+  for (unsigned R = 0; R < Reps; ++R) {
+    Srv.cache().clear();
+    ColdSeconds += requestSeconds(Srv, Cold);
+    UncachedSeconds += requestSeconds(Srv, Uncached);
+  }
+  double ColdRps = Reps / ColdSeconds, UncachedRps = Reps / UncachedSeconds;
   printf("  service: cold %.2f ms, uncached %.2f ms per request\n",
          1000.0 / ColdRps, 1000.0 / UncachedRps);
   return report("service cold over uncached", UncachedRps / ColdRps, false,
@@ -323,25 +332,20 @@ std::string cannotRunFourJobs() {
   return Why;
 }
 
-/// Best of 12 compiles of a converted 100-function module (after one
-/// warm-up), each on a fresh clone so the frontend is not timed.
-double timeCompileNs(const ir::Module &Base, unsigned Jobs) {
+/// Wall time of one compile of a fresh clone of \p Base, so the frontend
+/// is not timed.
+double compileNs(const ir::Module &Base, unsigned Jobs) {
   driver::CompilerOptions Opts;
   Opts.Cse = true;
   Opts.Jobs = Jobs;
-  double Best = 1e300;
-  for (unsigned R = 0; R <= 12; ++R) {
-    ir::Module M;
-    Base.clone(M);
-    auto Start = Clock::now();
-    driver::CompileOutcome Out = driver::compileModule(M, Opts);
-    double Ns = nsSince(Start);
-    if (!Out.Ok)
-      die("compile failed: " + Out.Error);
-    if (R > 0)
-      Best = std::min(Best, Ns);
-  }
-  return Best;
+  ir::Module M;
+  Base.clone(M);
+  auto Start = Clock::now();
+  driver::CompileOutcome Out = driver::compileModule(M, Opts);
+  double Ns = nsSince(Start);
+  if (!Out.Ok)
+    die("compile failed: " + Out.Error);
+  return Ns;
 }
 
 bool compileScaling() {
@@ -355,8 +359,15 @@ bool compileScaling() {
   std::string Source = fuzz::Generator(7000, GO).generate().Source;
   if (!frontend::convertSource(Base, Source, Diags))
     die("compile module failed to convert: " + Diags.str());
-  double Serial = timeCompileNs(Base, 1);
-  double Jobs4 = timeCompileNs(Base, 4);
+  // Best of 12 compiles per job count after one warm-up each, alternating.
+  double Serial = 1e300, Jobs4 = 1e300;
+  for (unsigned R = 0; R <= 12; ++R) {
+    double One = compileNs(Base, 1), Four = compileNs(Base, 4);
+    if (R > 0) {
+      Serial = std::min(Serial, One);
+      Jobs4 = std::min(Jobs4, Four);
+    }
+  }
   printf("  compile: 1 job %.1f ms, 4 jobs %.1f ms\n", Serial / 1e6,
          Jobs4 / 1e6);
   return report("compile scaling at 4 jobs", Serial / Jobs4, true, 2.0,

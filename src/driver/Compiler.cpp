@@ -250,6 +250,28 @@ CompileOutcome driver::convertAndCompile(ir::Module &M, std::string_view Source,
   return compileModule(M, Opts, Remarks, Memo);
 }
 
+namespace {
+
+/// One top-level form on the front-cache path: its span, its front key,
+/// the front entry that key found, and its datum once it has been read.
+struct TopLevelForm {
+  sexpr::FormSpan Span;
+  uint64_t FrontKey = 0;
+  std::shared_ptr<const FrontEntry> Front;
+  std::optional<sexpr::Value> Datum;
+
+  /// The function name when the form is a defun, else null. A front
+  /// miss has been read by the time this is asked.
+  const std::string *functionName() const {
+    if (Front)
+      return &Front->Name;
+    const sexpr::Symbol *Name = defunName(*Datum);
+    return Name ? &Name->name() : nullptr;
+  }
+};
+
+} // namespace
+
 CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
                                      const CompilerOptions &Opts,
                                      stats::RemarkStream *Remarks,
@@ -261,54 +283,83 @@ CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
   DiagEngine Diags;
   FuncIndexMap FuncIndex;
   std::vector<Slot> Slots;
+  bool Scanned = true;
   {
     stats::PhaseTimer Timer("frontend.convert");
-    std::vector<sexpr::Value> Forms =
-        sexpr::readAll(M.Syms, M.DataHeap, Source, Diags);
-    if (Diags.hasErrors()) {
-      Out.Error = Diags.str();
-      return Out;
+    sexpr::Reader R(M.Syms, M.DataHeap, Source, Diags);
+    std::vector<TopLevelForm> Forms;
+    {
+      stats::PhaseTimer ReadTimer("frontend.read");
+      std::vector<sexpr::FormSpan> Spans;
+      Scanned = R.scan(Spans);
+      if (!Scanned)
+        Spans.clear(); // converted whole below
+      // A form's front key is its text mixed with the names of the
+      // specials proclaimed before it, which conversion reads. Only the
+      // forms the front cache misses are read here; a proclamation always
+      // misses, and adds the specials it proclaims to the keys after it.
+      uint64_t SpecialsKey = ir::hashString(0, "s1lisp.front.v1");
+      Forms.reserve(Spans.size());
+      for (const sexpr::FormSpan &Span : Spans) {
+        TopLevelForm &F = Forms.emplace_back();
+        F.Span = Span;
+        F.FrontKey = ir::hashString(SpecialsKey,
+                                    Source.substr(Span.Offset, Span.Length));
+        F.Front = Memo->lookupFront(F.FrontKey);
+        if (F.Front)
+          continue;
+        R.seek(Span);
+        F.Datum = R.read();
+        if (Diags.hasErrors()) {
+          // The first form that fails to read, as readAll reports it.
+          Out.Error = Diags.str();
+          return Out;
+        }
+        for (const sexpr::Symbol *S : frontend::proclaimedSpecials(*F.Datum))
+          SpecialsKey = ir::hashString(SpecialsKey, S->name());
+      }
     }
     // The index compileModule would build, from the defun names alone.
-    for (sexpr::Value Form : Forms)
-      if (const sexpr::Symbol *Name = defunName(Form))
-        FuncIndex[Name->name()] = static_cast<int>(FuncIndex.size());
+    for (const TopLevelForm &F : Forms)
+      if (const std::string *Name = F.functionName())
+        FuncIndex[*Name] = static_cast<int>(FuncIndex.size());
 
     const uint64_t OptsFp = optionsFingerprint(Opts);
     const bool WantRemarks = Remarks != nullptr;
-    // The names of the specials proclaimed so far, in order: conversion
-    // reads them, so they are part of every front key.
-    uint64_t SpecialsKey = ir::hashString(0, "s1lisp.front.v1");
-    size_t SpecialsSeen = 0;
-    for (sexpr::Value Form : Forms) {
-      const sexpr::Symbol *Name = defunName(Form);
+    // A front hit is read only if it has to convert.
+    auto DatumOf = [&R](TopLevelForm &F) {
+      if (!F.Datum) {
+        stats::PhaseTimer ReadTimer("frontend.read");
+        R.seek(F.Span);
+        F.Datum = R.read();
+      }
+      return F.Datum.value_or(sexpr::Value::nil());
+    };
+    for (TopLevelForm &F : Forms) {
       // Proclamations always convert. After an error every form converts,
       // as convertAndCompile would, and the memo is not probed again.
-      if (!Name || Diags.hasErrors()) {
-        frontend::convertTopLevel(M, Form, Diags);
-        for (; SpecialsSeen < M.Specials.size(); ++SpecialsSeen)
-          SpecialsKey =
-              ir::hashString(SpecialsKey, M.Specials[SpecialsSeen]->name());
+      if (Diags.hasErrors() || !F.functionName()) {
+        frontend::convertTopLevel(M, DatumOf(F), Diags);
         continue;
       }
-      const uint64_t FrontKey = ir::stableDatumHash(SpecialsKey, Form);
       Slot S;
-      if (std::shared_ptr<const FrontEntry> E = Memo->lookupFront(FrontKey)) {
-        probe(S, memoKey(*E, OptsFp, FuncIndex), *Memo, WantRemarks, Out);
+      if (F.Front) {
+        probe(S, memoKey(*F.Front, OptsFp, FuncIndex), *Memo, WantRemarks,
+              Out);
         if (S.Hit) {
           // Replay what converting the form would have recorded.
-          stats::applyTallyDeltas(E->Tally);
+          stats::applyTallyDeltas(F.Front->Tally);
           Slots.push_back(std::move(S));
           continue;
         }
-        S.F = frontend::convertTopLevel(M, Form, Diags);
+        S.F = frontend::convertTopLevel(M, DatumOf(F), Diags);
       } else {
         // Convert under a private tally, so the entry can replay it.
         const size_t DiagsBefore = Diags.diagnostics().size();
         stats::LocalTally T;
         {
           stats::TallyScope Scope(T);
-          S.F = frontend::convertTopLevel(M, Form, Diags);
+          S.F = frontend::convertTopLevel(M, *F.Datum, Diags);
         }
         std::vector<stats::TallyDelta> Deltas = T.deltas();
         stats::applyTallyDeltas(Deltas);
@@ -320,12 +371,16 @@ CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
         // A hit must leave Diags as converting would, so a form that
         // reported anything (a warning included) is not remembered.
         if (Diags.diagnostics().size() == DiagsBefore)
-          Memo->insertFront(FrontKey, std::move(Entry));
+          Memo->insertFront(F.FrontKey, std::move(Entry));
       }
       if (S.F)
         Slots.push_back(std::move(S));
     }
   }
+  // Input the reader rejects: read and convert it whole, as without a
+  // memo, so the diagnostics are the reader's own.
+  if (!Scanned)
+    return convertAndCompile(M, Source, Opts, Remarks, Memo);
   if (Diags.hasErrors()) {
     // As without a memo: no memo traffic is reported for a failed convert.
     CompileOutcome Failed;

@@ -70,8 +70,9 @@ struct MemoizedFunction {
 
 /// What a function's memo key needs from its converted tree, plus the
 /// counter deltas converting the defun recorded. The front cache keys it
-/// by the defun's datum, so a form seen before reaches its memo key with
-/// no conversion and no IR hashing, and replays the deltas instead.
+/// by the defun's source text, so a form sent before reaches its memo key
+/// with no reading, no conversion and no IR hashing, and replays the
+/// deltas instead.
 struct FrontEntry {
   uint64_t IrHash = 0; ///< ir::stableFunctionHash of the converted tree
   std::string Name;
@@ -91,11 +92,13 @@ struct FrontEntry {
 /// unit mid-link.
 ///
 /// In front of it sits the front cache (lookupFront/insertFront): keys
-/// are structural hashes of a defun datum mixed with the names of the
-/// specials proclaimed before it, in a domain of their own. It has to be
-/// a second level: the memo key fixes how every referenced global
-/// resolves, and those names are known only after conversion. A memo
-/// without a front cache keeps the defaults, and every form converts.
+/// are ir::hashString of a top-level form's source text mixed with the
+/// names of the specials proclaimed before it, in a domain of their own.
+/// Every top-level form is looked up, proclamations included, before it
+/// is read; only defuns are stored. It has to be a second level: the memo
+/// key fixes how every referenced global resolves, and those names are
+/// known only after conversion. A memo without a front cache keeps the
+/// defaults, and every form is read and converted.
 class FunctionMemo {
 public:
   virtual ~FunctionMemo() = default;
@@ -118,12 +121,17 @@ uint64_t optionsFingerprint(const CompilerOptions &Opts);
 /// \p Source into \p M. When \p Remarks is given, every optimizer rewrite
 /// is recorded there as a structured remark.
 ///
-/// With \p Memo, a defun the front cache has seen (same datum, same
-/// specials before it) goes from the reader straight to its memo probe;
-/// it is converted only when the memo misses, or when \p Remarks is given
-/// and the hit was stored without remarks (see compileModule). \p M then
-/// holds only the functions that were converted. Output, counters and
-/// remarks are those of convertAndCompile.
+/// With \p Memo, the source is first split into the spans of its
+/// top-level forms (sexpr::Reader::scan), and only the forms the front
+/// cache misses are read. A defun it has seen (same text, same specials
+/// before it) goes straight to its memo probe; it is read and converted
+/// only when the memo misses, or when \p Remarks is given and the hit was
+/// stored without remarks (see compileModule). Forms still convert in
+/// source order, each seeing only the specials proclaimed before it.
+/// \p M then holds only the forms that were read and the functions that
+/// were converted. Input the scan gives up on is read whole, as without a
+/// memo. Output, diagnostics, counters and remarks are those of
+/// convertAndCompile.
 CompileOutcome compileSource(ir::Module &M, std::string_view Source,
                              const CompilerOptions &Opts = {},
                              stats::RemarkStream *Remarks = nullptr,

@@ -838,6 +838,32 @@ Node *Converter::convertProg1(Value Form, size_t KeepIndex) {
 
 } // namespace
 
+std::vector<const sexpr::Symbol *> frontend::proclaimedSpecials(Value Form) {
+  std::vector<const sexpr::Symbol *> Out;
+  if (!Form.isCons() || !Form.car().isSymbol())
+    return Out;
+  const std::string &Head = Form.car().symbol()->name();
+  auto Second = [](Value L) {
+    return L.isCons() && L.cdr().isCons() ? L.cdr().car() : Value::nil();
+  };
+  Value Arg = Second(Form);
+  if (Head == "defvar" || Head == "defparameter") {
+    if (Arg.isSymbol())
+      Out.push_back(Arg.symbol());
+  } else if (Head == "proclaim") {
+    // (proclaim (special a b ...)) — we accept the quoted form too.
+    if (Arg.isCons() && Arg.car().isSymbol() &&
+        Arg.car().symbol()->name() == "quote")
+      Arg = Second(Arg);
+    if (Arg.isCons() && Arg.car().isSymbol() &&
+        Arg.car().symbol()->name() == "special")
+      for (Value S = Arg.cdr(); S.isCons(); S = S.cdr())
+        if (S.car().isSymbol())
+          Out.push_back(S.car().symbol());
+  }
+  return Out;
+}
+
 ir::Function *frontend::convertTopLevel(Module &M, Value Form, DiagEngine &Diags) {
   if (!Form.isCons() || !Form.car().isSymbol()) {
     Diags.error(locOf(Form), "top-level form must be defun, defvar, or proclaim");
@@ -846,29 +872,16 @@ ir::Function *frontend::convertTopLevel(Module &M, Value Form, DiagEngine &Diags
   const std::string &Head = Form.car().symbol()->name();
   ++NumTopLevelForms;
 
-  if (Head == "defvar" || Head == "defparameter") {
-    Value Rest = Form.cdr();
-    if (!Rest.isCons() || !Rest.car().isSymbol()) {
+  if (Head == "defvar" || Head == "defparameter" || Head == "proclaim") {
+    std::vector<const sexpr::Symbol *> Proclaimed = proclaimedSpecials(Form);
+    if (Head != "proclaim" && Proclaimed.empty()) {
       Diags.error(locOf(Form), "defvar needs a symbol");
       return nullptr;
     }
-    M.Specials.push_back(Rest.car().symbol());
-    ++NumSpecialsProclaimed;
-    return nullptr;
-  }
-  if (Head == "proclaim") {
-    // (proclaim (special a b ...)) — we accept the quoted form too.
-    Value Arg = Form.cdr().car();
-    if (Arg.isCons() && Arg.car().isSymbol() &&
-        Arg.car().symbol()->name() == "quote")
-      Arg = Arg.cdr().car();
-    if (Arg.isCons() && Arg.car().isSymbol() &&
-        Arg.car().symbol()->name() == "special")
-      for (Value S = Arg.cdr(); S.isCons(); S = S.cdr())
-        if (S.car().isSymbol()) {
-          M.Specials.push_back(S.car().symbol());
-          ++NumSpecialsProclaimed;
-        }
+    for (const sexpr::Symbol *S : Proclaimed) {
+      M.Specials.push_back(S);
+      ++NumSpecialsProclaimed;
+    }
     return nullptr;
   }
   if (Head != "defun") {
@@ -902,7 +915,11 @@ ir::Function *frontend::convertTopLevel(Module &M, Value Form, DiagEngine &Diags
 }
 
 bool frontend::convertSource(Module &M, std::string_view Source, DiagEngine &Diags) {
-  auto Forms = sexpr::readAll(M.Syms, M.DataHeap, Source, Diags);
+  std::vector<Value> Forms;
+  {
+    stats::PhaseTimer Timer("frontend.read");
+    Forms = sexpr::readAll(M.Syms, M.DataHeap, Source, Diags);
+  }
   if (Diags.hasErrors())
     return false;
   for (Value Form : Forms)

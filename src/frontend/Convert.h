@@ -17,6 +17,7 @@
 #include "support/Diag.h"
 
 #include <string_view>
+#include <vector>
 
 namespace s1lisp {
 namespace frontend {
@@ -27,8 +28,15 @@ namespace frontend {
 /// null otherwise (including on error — check \p Diags).
 ir::Function *convertTopLevel(ir::Module &M, sexpr::Value Form, DiagEngine &Diags);
 
-/// Reads and converts every form in \p Source. Returns false if any
-/// diagnostics were errors.
+/// The specials \p Form proclaims, in order: the symbol of (defvar sym
+/// ...) or (defparameter sym ...), the symbols of (proclaim (special
+/// ...)), quoted or not; none for any other form. convertTopLevel adds
+/// exactly these to the module, and the front cache keys each defun by
+/// the ones proclaimed before it (driver::compileSource).
+std::vector<const sexpr::Symbol *> proclaimedSpecials(sexpr::Value Form);
+
+/// Reads (timed as frontend.read) and converts every form in \p Source.
+/// Returns false if any diagnostics were errors.
 bool convertSource(ir::Module &M, std::string_view Source, DiagEngine &Diags);
 
 /// Convenience for tests: converts the single defun in \p Source and

@@ -5,7 +5,6 @@
 #include "sexpr/Printer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 #include <unordered_map>
 
@@ -25,54 +24,16 @@ uint64_t ir::hashCombine(uint64_t Seed, uint64_t V) {
 }
 
 uint64_t ir::hashString(uint64_t Seed, std::string_view S) {
+  // Eight bytes per mixing step, packed in a fixed order so the hash is
+  // the same on every host: a front key hashes a defun's whole text.
   uint64_t H = hashCombine(Seed, S.size());
-  for (char C : S)
-    H = hashCombine(H, static_cast<uint8_t>(C));
-  return H;
-}
-
-uint64_t ir::stableDatumHash(uint64_t Seed, sexpr::Value V) {
-  // Eight bytes per mixing step: symbol names and strings dominate a
-  // defun's datum, and this hash stands in for converting it.
-  auto Chars = [](uint64_t H, std::string_view S) {
-    H = hashCombine(H, S.size());
-    for (size_t I = 0; I < S.size(); I += 8) {
-      uint64_t W = 0;
-      for (size_t J = I; J < S.size() && J < I + 8; ++J)
-        W = (W << 8) | static_cast<uint8_t>(S[J]);
-      H = hashCombine(H, W);
-    }
-    return H;
-  };
-  uint64_t H = Seed;
-  for (;;) {
-    H = hashCombine(H, static_cast<uint64_t>(V.kind()));
-    switch (V.kind()) {
-    case sexpr::ValueKind::Nil:
-      return H;
-    case sexpr::ValueKind::Symbol:
-      return Chars(H, V.symbol()->name());
-    case sexpr::ValueKind::Fixnum:
-      return hashCombine(H, static_cast<uint64_t>(V.fixnum()));
-    case sexpr::ValueKind::Flonum: {
-      uint64_t Bits;
-      double D = V.flonum();
-      std::memcpy(&Bits, &D, sizeof(Bits));
-      return hashCombine(H, Bits);
-    }
-    case sexpr::ValueKind::Ratio:
-      H = hashCombine(H, static_cast<uint64_t>(V.ratio().Num));
-      return hashCombine(H, static_cast<uint64_t>(V.ratio().Den));
-    case sexpr::ValueKind::String:
-      return Chars(H, V.stringValue());
-    case sexpr::ValueKind::Cons:
-      // Recurse into the car, iterate down the cdr: long lists stay flat.
-      H = stableDatumHash(H, V.car());
-      V = V.cdr();
-      continue;
-    }
-    return H;
+  for (size_t I = 0; I < S.size(); I += 8) {
+    uint64_t W = 0;
+    for (size_t J = I; J < S.size() && J < I + 8; ++J)
+      W = (W << 8) | static_cast<uint8_t>(S[J]);
+    H = hashCombine(H, W);
   }
+  return H;
 }
 
 namespace {

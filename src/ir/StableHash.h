@@ -31,12 +31,11 @@ namespace ir {
 /// Deterministic 64-bit mixing step (splitmix64 finalizer over FNV-style
 /// accumulation); stable across platforms and runs.
 uint64_t hashCombine(uint64_t Seed, uint64_t V);
-uint64_t hashString(uint64_t Seed, std::string_view S);
 
-/// Structural hash of a datum, seeded with \p Seed: cons shape, symbol
-/// names, fixnum, flonum and ratio values, and string contents. Source
-/// positions are not part of it.
-uint64_t stableDatumHash(uint64_t Seed, sexpr::Value V);
+/// \p S's length and bytes mixed into \p Seed, eight bytes per step. The
+/// one string hash: names in memo keys, and the source text of a
+/// top-level form in its front key (driver::FunctionMemo).
+uint64_t hashString(uint64_t Seed, std::string_view S);
 
 /// Alpha-normalized structural hash of \p F's tree (the function's own
 /// name is NOT included; callers that key caches mix it in themselves).

@@ -10,10 +10,12 @@
 /// fresh compile would have produced, so a warm daemon links
 /// bit-identical programs without running the middle end.
 ///
-/// The same LRU and budget hold the front cache's entries (defun datum ×
-/// specials → driver::FrontEntry), so a warm daemon skips the front end
-/// too. entries(), hits(), misses() and evictions() count function units
-/// only; the front* accessors count front entries.
+/// The same LRU and budget hold the front cache's entries (a defun's
+/// source text × the specials before it → driver::FrontEntry), so a warm
+/// daemon skips the reader and the front end too. entries(), hits(),
+/// misses() and evictions() count function units only; the front*
+/// accessors count front traffic, which includes a miss for every
+/// top-level form that is not a remembered defun.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -85,7 +85,7 @@ char Reader::advance() {
   return C;
 }
 
-void Reader::skipWhitespaceAndComments() {
+std::optional<SourceLocation> Reader::skipBlanks() {
   while (!atEnd()) {
     char C = peek();
     if (C == ' ' || C == '\t' || C == '\n' || C == '\r') {
@@ -113,11 +113,41 @@ void Reader::skipWhitespaceAndComments() {
         }
       }
       if (Depth > 0)
-        Diags.error(Open, "unterminated block comment");
+        return Open;
       continue;
     }
-    return;
+    break;
   }
+  return std::nullopt;
+}
+
+void Reader::skipWhitespaceAndComments() {
+  if (std::optional<SourceLocation> Open = skipBlanks())
+    Diags.error(*Open, "unterminated block comment");
+}
+
+Reader::StringStep Reader::stringChar(char &C) {
+  if (atEnd())
+    return StringStep::Unterminated;
+  C = advance();
+  if (C == '"')
+    return StringStep::Close;
+  if (C != '\\')
+    return StringStep::Char;
+  if (atEnd())
+    return StringStep::Unterminated;
+  C = advance();
+  if (C == 'n')
+    C = '\n';
+  else if (C == 't')
+    C = '\t';
+  // \" and \\ and anything else: literal.
+  return StringStep::Char;
+}
+
+void Reader::skipAtom() {
+  while (!atEnd() && !isDelimiter(peek()))
+    advance();
 }
 
 std::optional<Value> Reader::read() {
@@ -230,42 +260,21 @@ std::optional<Value> Reader::readList(SourceLocation Open) {
 
 std::optional<Value> Reader::readString(SourceLocation Open) {
   std::string Out;
-  while (true) {
-    if (atEnd()) {
+  char C;
+  for (StringStep S; (S = stringChar(C)) != StringStep::Close;) {
+    if (S == StringStep::Unterminated) {
       Diags.error(Open, "unterminated string literal");
       return std::nullopt;
     }
-    char C = advance();
-    if (C == '"')
-      return H.string(std::move(Out));
-    if (C == '\\') {
-      if (atEnd()) {
-        Diags.error(Open, "unterminated string literal");
-        return std::nullopt;
-      }
-      char E = advance();
-      switch (E) {
-      case 'n':
-        Out += '\n';
-        break;
-      case 't':
-        Out += '\t';
-        break;
-      default:
-        Out += E; // \" and \\ and anything else: literal.
-        break;
-      }
-      continue;
-    }
     Out += C;
   }
+  return H.string(std::move(Out));
 }
 
 Value Reader::readAtom() {
   SourceLocation Loc = here();
   size_t Start = Pos;
-  while (!atEnd() && !isDelimiter(peek()))
-    advance();
+  skipAtom();
   std::string_view Text = Src.substr(Start, Pos - Start);
   assert(!Text.empty() && "readAtom with no characters");
 
@@ -299,6 +308,62 @@ Value Reader::readAtom() {
   if (Text == "nil")
     return Value::nil();
   return Value::symbol(Symbols.intern(Text));
+}
+
+bool Reader::scan(std::vector<FormSpan> &Spans) {
+  // What read() would be nested in at this point, innermost last: '('
+  // for an open list, '\'' for a quote waiting for its datum. read()
+  // bounds the two together.
+  char Open[MaxNestingDepth];
+  unsigned Nesting = 0;
+  FormSpan Span;
+  while (true) {
+    if (skipBlanks())
+      return false;
+    if (atEnd())
+      return Nesting == 0;
+    if (Nesting == 0) {
+      Span.Offset = Pos;
+      Span.Loc = here();
+    }
+    char C = peek();
+    if (C == '(' || C == '\'') {
+      if (Nesting >= MaxNestingDepth)
+        return false;
+      Open[Nesting++] = C;
+      advance();
+      continue;
+    }
+    if (C == ')') {
+      if (Nesting == 0 || Open[Nesting - 1] != '(')
+        return false;
+      --Nesting;
+      advance();
+    } else if (C == '"') {
+      advance();
+      StringStep S;
+      char Ignored;
+      while ((S = stringChar(Ignored)) == StringStep::Char) {
+      }
+      if (S == StringStep::Unterminated)
+        return false;
+    } else {
+      skipAtom();
+    }
+    // A datum just ended, and with it every quote that was waiting for it.
+    while (Nesting > 0 && Open[Nesting - 1] == '\'')
+      --Nesting;
+    if (Nesting == 0) {
+      Span.Length = Pos - Span.Offset;
+      Spans.push_back(Span);
+    }
+  }
+}
+
+void Reader::seek(const FormSpan &S) {
+  Pos = S.Offset;
+  Line = S.Loc.Line;
+  Column = S.Loc.Column;
 }
 
 std::vector<Value> sexpr::readAll(SymbolTable &Symbols, Heap &H,

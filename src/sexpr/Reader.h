@@ -5,6 +5,14 @@
 /// pairs, 'quote, strings with escapes, ; line comments, #| block comments,
 /// fixnums, flonums, and ratios (e.g. 2/3). Symbols are case-sensitive.
 ///
+/// The reader can also split a source into the spans of its top-level
+/// data without building any (scan), and read one span on its own
+/// (seek, then read): the compile service keys each top-level form by
+/// its text and reads only the forms it has not seen before. Both use
+/// the same whitespace, comment, delimiter and string-escape rules as
+/// read, and a span read after seek carries the same SourceLocations as
+/// a read of the whole source.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef S1LISP_SEXPR_READER_H
@@ -19,6 +27,14 @@
 
 namespace s1lisp {
 namespace sexpr {
+
+/// Where one top-level datum lies in its source: the text
+/// Source.substr(Offset, Length), starting at Loc.
+struct FormSpan {
+  size_t Offset = 0;
+  size_t Length = 0;
+  SourceLocation Loc;
+};
 
 /// A recursive-descent reader over one source buffer.
 class Reader {
@@ -38,11 +54,38 @@ public:
   /// Reads every remaining datum. Stops at the first syntax error.
   std::vector<Value> readAll();
 
+  /// Appends the span of every remaining top-level datum to \p Spans,
+  /// building nothing and reporting nothing. It is iterative, so any
+  /// depth is safe. It gives up, returning false, only on input read()
+  /// rejects: an unterminated list, string or block comment, a ')' with
+  /// no list to close, a quote with no datum, or nesting past
+  /// MaxNestingDepth. Other malformed data (a misplaced dot, a zero
+  /// denominator) scan as spans and fail when read.
+  bool scan(std::vector<FormSpan> &Spans);
+
+  /// Places the reader at the start of \p S, a span scan() found in this
+  /// source, as if it had just read everything before it.
+  void seek(const FormSpan &S);
+
 private:
+  /// One step through a string literal's body (see stringChar).
+  enum class StringStep { Char, Close, Unterminated };
+
   bool atEnd() const { return Pos >= Src.size(); }
   char peek() const { return Src[Pos]; }
   char advance();
+  /// Skips whitespace, ; comments and nested #| |# comments. At an
+  /// unterminated block comment it consumes the rest of the input and
+  /// returns where the comment began.
+  std::optional<SourceLocation> skipBlanks();
+  /// skipBlanks, reporting an unterminated block comment.
   void skipWhitespaceAndComments();
+  /// Consumes one character of a string literal's body, after its
+  /// opening quote, with escapes applied into \p C: a backslash takes
+  /// the next character literally, except \n and \t.
+  StringStep stringChar(char &C);
+  /// Consumes an atom's characters: everything up to a delimiter.
+  void skipAtom();
   SourceLocation here() const { return {Line, Column}; }
 
   std::optional<Value> readDatum();

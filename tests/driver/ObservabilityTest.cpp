@@ -6,7 +6,8 @@
 // stream was given; a plain miss would store none). All three must
 // link the same listing and static pool and record the same counters, and
 // every rewrite a counter reports must have left exactly one remark. Phase
-// timing must count each phase once per function.
+// timing must count each phase once per function, and time reading inside
+// conversion.
 //
 //===----------------------------------------------------------------------===//
 
@@ -122,6 +123,28 @@ TEST(Observability, PhaseTimingCountsEachPhaseOnce) {
   EXPECT_EQ(Runs["opt.cse"], 3u);
   EXPECT_EQ(Runs["codegen"], 3u);
   EXPECT_EQ(Runs["codegen.link"], 1u);
+}
+
+// Reading is a phase of its own, nested inside conversion.
+TEST(Observability, ReadIsTimedInsideConvert) {
+  const bool OldTiming = stats::timingEnabled();
+  stats::setTimingEnabled(true);
+  stats::resetPhaseTimes();
+  ir::Module M;
+  driver::CompileOutcome R =
+      driver::compileSource(M, fuzz::Generator(7).generate().Source);
+  std::map<std::string, stats::PhaseTime> Phases;
+  for (const stats::PhaseTime &T : stats::phaseTimes())
+    Phases[T.Name] = T;
+  stats::resetPhaseTimes();
+  stats::setTimingEnabled(OldTiming);
+
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(Phases["frontend.read"].Invocations, 1u);
+  EXPECT_EQ(Phases["frontend.convert"].Invocations, 1u);
+  EXPECT_GT(Phases["frontend.read"].WallSeconds, 0.0);
+  EXPECT_LE(Phases["frontend.read"].WallSeconds,
+            Phases["frontend.convert"].WallSeconds);
 }
 
 } // namespace

@@ -217,6 +217,41 @@ TEST_F(ConvertTest, SpecialBoundAsParameter) {
   EXPECT_TRUE(F->Root->Required[0]->isSpecial());
 }
 
+// convertTopLevel proclaims exactly what proclaimedSpecials returns, which
+// the front cache keys later defuns by. A malformed proclamation proclaims
+// nothing; a dotted one used to crash the converter.
+TEST_F(ConvertTest, ProclamationsAddExactlyProclaimedSpecials) {
+  const std::vector<std::pair<const char *, std::vector<std::string>>> Cases =
+      {{"(defvar a)", {"a"}},
+       {"(defparameter b 1)", {"b"}},
+       {"(proclaim '(special c d))", {"c", "d"}},
+       {"(proclaim (special e 7 f))", {"e", "f"}},
+       {"(proclaim (special . g))", {}},
+       {"(proclaim . 5)", {}},
+       {"(proclaim (quote . 7))", {}},
+       {"(proclaim)", {}},
+       {"(defun h () 1)", {}}};
+  for (const auto &[Src, Want] : Cases) {
+    SCOPED_TRACE(Src);
+    sexpr::Value Form = sexpr::readOne(M.Syms, M.DataHeap, Src);
+    std::vector<std::string> Names;
+    for (const sexpr::Symbol *S : frontend::proclaimedSpecials(Form))
+      Names.push_back(S->name());
+    EXPECT_EQ(Names, Want);
+    const size_t Before = M.Specials.size();
+    DiagEngine Diags;
+    frontend::convertTopLevel(M, Form, Diags);
+    EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+    ASSERT_EQ(M.Specials.size(), Before + Want.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      EXPECT_EQ(M.Specials[Before + I]->name(), Want[I]);
+  }
+  EXPECT_TRUE(frontend::proclaimedSpecials(
+                  sexpr::readOne(M.Syms, M.DataHeap, "(defvar 5)"))
+                  .empty());
+  EXPECT_TRUE(fails("(defvar 5)"));
+}
+
 TEST_F(ConvertTest, DoLoopExpands) {
   Function *F = defun("(defun iota-sum (n)"
                       " (do ((i 0 (1+ i)) (acc 0 (+ acc i)))"

@@ -10,6 +10,7 @@
 
 #include "service/Server.h"
 
+#include "driver/Compiler.h"
 #include "fuzz/Generator.h"
 
 #include "gtest/gtest.h"
@@ -398,6 +399,119 @@ TEST(Server, ConvertErrorAfterFrontHitsMatchesFresh) {
   EXPECT_NE(Resp.getOr("error").find("'zz'"), std::string::npos);
   Message Want = Server({}).handle(Req);
   EXPECT_EQ(Resp.getOr("error"), Want.getOr("error"));
+}
+
+/// The service workload's shape: a 60-function generated library, then
+/// one entry that calls the library's.
+struct Library {
+  fuzz::GeneratedProgram Lib;
+  Library() {
+    fuzz::GenOptions GO;
+    GO.Helpers = 59;
+    Lib = fuzz::Generator(7600, GO).generate();
+  }
+  std::string entry(const std::string &Q) const {
+    return "(defun " + Q + " () (" + Lib.Entry + " 1 2 0.5))\n";
+  }
+  Message request(const std::string &Source, const std::string &Q) const {
+    Message Req = fullReq(Source + "\n" + entry(Q));
+    Req.set("entry", Q);
+    Req.set("options", "--cse");
+    return Req;
+  }
+};
+
+// Resending the library byte for byte reads none of it: the module holds
+// no more conses than one compiled from the new entry alone.
+TEST(Server, ResentLibraryReadsOnlyTheNewForm) {
+  const Library L;
+  driver::CompilerOptions Opts;
+  Opts.Cse = true;
+  CompileCache Cache;
+  {
+    ir::Module M;
+    ASSERT_TRUE(driver::compileSource(M, L.Lib.Source + "\n" + L.entry("q1"),
+                                      Opts, nullptr, &Cache)
+                    .Ok);
+  }
+  ir::Module Warm;
+  driver::CompileOutcome Out = driver::compileSource(
+      Warm, L.Lib.Source + "\n" + L.entry("q2"), Opts, nullptr, &Cache);
+  ASSERT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_EQ(Out.MemoHits, 60u);
+  EXPECT_EQ(Out.MemoMisses, 1u);
+
+  ir::Module Alone;
+  ASSERT_TRUE(driver::compileSource(Alone, L.entry("q2"), Opts).Ok);
+  EXPECT_GT(Alone.DataHeap.consCount(), 0u);
+  EXPECT_LE(Warm.DataHeap.consCount(), Alone.DataHeap.consCount());
+}
+
+// The front key is the form's text: a whitespace-only edit of one library
+// defun misses the front cache for that form alone, and its conversion
+// still hits the memo, like every other library function.
+TEST(Server, WhitespaceEditMissesTheFrontForThatFormOnly) {
+  const Library L;
+  std::string Edited = L.Lib.Source;
+  size_t At = 0;
+  for (int I = 0; I < 10; ++I)
+    At = Edited.find("(defun ", At + 1);
+  ASSERT_NE(At, std::string::npos);
+  Edited.insert(At + 6, "  \n ");
+
+  Server Srv({});
+  ASSERT_EQ(Srv.handle(L.request(L.Lib.Source, "q1")).getOr("ok"), "1");
+  const uint64_t Hits = Srv.cache().frontHits();
+  const uint64_t Misses = Srv.cache().frontMisses();
+
+  Message Req = L.request(Edited, "q2");
+  Message Resp = Srv.handle(Req);
+  ASSERT_EQ(Resp.getOr("ok"), "1") << Resp.getOr("error");
+  EXPECT_EQ(Srv.cache().frontHits() - Hits, 59u);
+  EXPECT_EQ(Srv.cache().frontMisses() - Misses, 2u);
+  EXPECT_EQ(Resp.getOr("memo-hits"), "60");
+  EXPECT_EQ(Resp.getOr("memo-misses"), "1");
+  expectSameAsFresh(Req, Resp, "whitespace edit");
+}
+
+// f is a front hit and a memo miss, so it converts after the span pass has
+// read the (defvar x) behind it; it must still convert before that defvar
+// and bind x lexically, as a fresh server does.
+TEST(Server, LateConversionDoesNotSeeALaterDefvar) {
+  const std::string Source = "(defun f (x) (g)) (defvar x) (defun g () x) "
+                             "(defun fut () (f 5))";
+  Server Srv({});
+  Message NoOpt = fullReq(Source);
+  NoOpt.set("options", "-O0");
+  ASSERT_EQ(Srv.handle(NoOpt).getOr("ok"), "1");
+
+  Message Req = fullReq(Source);
+  Message Resp = Srv.handle(Req);
+  ASSERT_EQ(Resp.getOr("ok"), "1") << Resp.getOr("error");
+  EXPECT_EQ(Srv.cache().frontHits(), 3u);
+  EXPECT_EQ(Resp.getOr("memo-misses"), "3");
+  EXPECT_NE(Resp.getOr("run-error"), "");
+  expectSameAsFresh(Req, Resp, "default after -O0");
+}
+
+// Input the scan gives up on is read whole, so it fails with the reader's
+// own error, the same with the cache as without, and nothing overflows.
+TEST(Server, HostileInputFailsAlikeWithAndWithoutTheCache) {
+  const unsigned Deep = 100000;
+  for (const std::string &Source :
+       {std::string(Deep, '(') + "x" + std::string(Deep, ')'),
+        "(defun f () \"" + std::string(1u << 20, 'a')}) {
+    Server Srv({});
+    Message Cached = compileReq(Source);
+    Message Uncached = Cached;
+    Uncached.set("cache", "0");
+    Message Want = Srv.handle(Uncached);
+    Message Got = Srv.handle(Cached);
+    EXPECT_EQ(Want.getOr("ok"), "0");
+    EXPECT_EQ(Got.getOr("ok"), "0");
+    EXPECT_NE(Got.getOr("error"), "");
+    EXPECT_EQ(Got.getOr("error"), Want.getOr("error"));
+  }
 }
 
 TEST(Server, ShutdownCmdAcknowledges) {

@@ -3,7 +3,13 @@
 #include "sexpr/Printer.h"
 #include "sexpr/Reader.h"
 
+#include "fuzz/Generator.h"
+
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace s1lisp;
 using namespace s1lisp::sexpr;
@@ -165,6 +171,190 @@ TEST_F(ReaderTest, PaperQuadraticReads) {
   EXPECT_TRUE(isProperList(V));
   EXPECT_EQ(V.car().symbol()->name(), "defun");
   EXPECT_EQ(listLength(V), 4u);
+}
+
+//===----------------------------------------------------------------------===//
+// scan and seek: the spans of a source's top-level data, read one by one
+//===----------------------------------------------------------------------===//
+
+/// \p V printed, then the location of every cons in it, in preorder: two
+/// reads agree on this only if they built the same datum from the same
+/// places.
+std::string located(Value V) {
+  std::string Out = toString(V);
+  std::vector<Value> Todo{V};
+  while (!Todo.empty()) {
+    Value X = Todo.back();
+    Todo.pop_back();
+    if (!X.isCons())
+      continue;
+    Out += ' ' + X.consCell()->Loc.str();
+    Todo.push_back(X.cdr());
+    Todo.push_back(X.car());
+  }
+  return Out;
+}
+
+/// The line and column of byte \p Offset of \p Src, counted afresh.
+SourceLocation positionOf(std::string_view Src, size_t Offset) {
+  SourceLocation L{1, 1};
+  for (size_t I = 0; I < Offset; ++I) {
+    if (Src[I] == '\n') {
+      ++L.Line;
+      L.Column = 1;
+    } else {
+      ++L.Column;
+    }
+  }
+  return L;
+}
+
+/// Holds scan() to readAll() on \p Src. Where readAll reports no error,
+/// the scan succeeds and each span, read after seek, prints the datum
+/// readAll gave with the same locations; the span's text read alone is
+/// that one datum. Where readAll fails, reading the spans in order stops
+/// at the same diagnostics. Where the scan fails, readAll fails. Returns
+/// whether the scan succeeded.
+bool expectScanMatchesReadAll(std::string_view Src) {
+  SymbolTable Syms;
+  Heap H;
+  DiagEngine WholeDiags;
+  std::vector<Value> Whole = readAll(Syms, H, Src, WholeDiags);
+
+  DiagEngine Diags;
+  Reader R(Syms, H, Src, Diags);
+  std::vector<FormSpan> Spans;
+  const bool Scanned = R.scan(Spans);
+  EXPECT_TRUE(Diags.diagnostics().empty()) << "the scan reported something";
+  if (!Scanned) {
+    EXPECT_TRUE(WholeDiags.hasErrors()) << "the scan gave up on good input";
+    return false;
+  }
+  for (size_t I = 0; I < Spans.size(); ++I) {
+    SCOPED_TRACE("span " + std::to_string(I));
+    const FormSpan &S = Spans[I];
+    EXPECT_EQ(S.Loc, positionOf(Src, S.Offset));
+    R.seek(S);
+    std::optional<Value> V = R.read();
+    if (Diags.hasErrors()) {
+      EXPECT_EQ(Diags.str(), WholeDiags.str());
+      return true;
+    }
+    EXPECT_TRUE(V.has_value());
+    EXPECT_LT(I, Whole.size());
+    if (!V || I >= Whole.size())
+      return true;
+    EXPECT_EQ(located(*V), located(Whole[I]));
+
+    DiagEngine AloneDiags;
+    std::vector<Value> Alone =
+        readAll(Syms, H, Src.substr(S.Offset, S.Length), AloneDiags);
+    EXPECT_FALSE(AloneDiags.hasErrors());
+    EXPECT_EQ(Alone.size(), 1u) << Src.substr(S.Offset, S.Length);
+    if (!Alone.empty()) {
+      EXPECT_EQ(toString(Alone[0]), toString(Whole[I]));
+    }
+  }
+  EXPECT_FALSE(WholeDiags.hasErrors()) << WholeDiags.str();
+  EXPECT_EQ(Spans.size(), Whole.size());
+  return true;
+}
+
+std::string slurp(const std::filesystem::path &Path) {
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+TEST_F(ReaderTest, ScanMatchesReadAllOnExamples) {
+  unsigned Files = 0;
+  for (const char *Dir : {"", "/gc"})
+    for (const auto &E : std::filesystem::directory_iterator(
+             std::string(S1LISP_EXAMPLES_DIR) + Dir))
+      if (E.path().extension() == ".lisp") {
+        SCOPED_TRACE(E.path().string());
+        std::string Src = slurp(E.path());
+        ASSERT_FALSE(Src.empty());
+        EXPECT_TRUE(expectScanMatchesReadAll(Src));
+        ++Files;
+      }
+  EXPECT_GE(Files, 5u);
+}
+
+TEST_F(ReaderTest, ScanMatchesReadAllOnGeneratedPrograms) {
+  for (uint32_t Seed = 1; Seed <= 500; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    EXPECT_TRUE(
+        expectScanMatchesReadAll(fuzz::Generator(Seed).generate().Source));
+  }
+}
+
+TEST_F(ReaderTest, ScanMatchesReadAllOnLexicalCorners) {
+  const unsigned Limit = Reader::MaxNestingDepth;
+  const std::string AtLimit =
+      std::string(Limit, '(') + "x" + std::string(Limit, ')');
+  const std::string QuotedAtLimit = "(a) ('" + std::string(Limit - 2, '(') +
+                                    "x" + std::string(Limit - 1, ')');
+  for (const std::string &Src : std::vector<std::string>{
+           // Strings holding parens, a semicolon, and escaped quote and
+           // backslash.
+           "(f \"a(b\" \")\" \";\" \"q\\\"(\" \"s\\\\\") (g)",
+           "\"(\" \")\" \"\\\"\" \"\\\\\"",
+           // Line comments holding parens and quotes.
+           "(a ; ) ( \" '\n b) ; (\n(c)",
+           // Nested block comments, between forms and inside one.
+           "#| outer #| inner ) |# ( \" |# (x) #|#||#|# y",
+           "(a #|c|# b)(a#|c|#b)",
+           // Quotes: of an atom, of a dotted pair, nested, and a quote
+           // whose datum follows a comment.
+           "'x '(a . b) ''y '('a ''b) ' ; c\n z '#|c|#w",
+           "(a . b) (a b . c) (a .b) (a. b)",
+           // Atoms containing #, | and ., and atoms that end at a
+           // delimiter with no blank.
+           "a#b |x| a|b x.y #foo .5 a#|b|# (a#|b c) 1.5e3 2/3",
+           "a\"s\"b'c(d)e",
+           // CRLF line ends, no trailing newline, a trailing comment.
+           "(defun f (x)\r\n  x)\r\n(f 1)\r\n(g)",
+           "(a b)",
+           "(a) ; done",
+           "(a) #| done |#",
+           "",
+           "  ; only a comment\n #| and a block |# \t\r\n",
+           AtLimit,
+           QuotedAtLimit,
+           // Malformed data the scan passes: the read of the span fails
+           // as readAll does.
+           "(ok) (a . ) (b)",
+           "(ok) (. b)",
+           "(a . b c)",
+           "(ok) (+ 1 3/0 4/0) (c)",
+       }) {
+    SCOPED_TRACE(Src.substr(0, 80));
+    EXPECT_TRUE(expectScanMatchesReadAll(Src));
+  }
+}
+
+TEST_F(ReaderTest, ScanGivesUpOnlyWhereReadAllFails) {
+  const unsigned Deep = Reader::MaxNestingDepth + 1;
+  for (const std::string &Src : std::vector<std::string>{
+           std::string(Deep, '(') + "x" + std::string(Deep, ')'),
+           "(ok) " + std::string(Deep, '\'') + "x",
+           // A quote nests like a list: one, between lists, one past the limit.
+           "(a) ('" + std::string(Deep - 2, '(') + "x" +
+               std::string(Deep - 1, ')'),
+           "(a (b c)",
+           "(f \"abc",
+           "(f \"abc\\",
+           "(a) #| never #| closed |#",
+           "(a)) (b)",
+           ")",
+           "(a ')",
+           "(a) '",
+       }) {
+    SCOPED_TRACE(Src.substr(0, 80));
+    EXPECT_FALSE(expectScanMatchesReadAll(Src));
+  }
 }
 
 // Property: print(read(print(read(s)))) == print(read(s)) over a corpus.
