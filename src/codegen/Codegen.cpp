@@ -209,30 +209,28 @@ private:
   }
 
   void emit(Opcode Op, Operand A = {}, Operand B = {}, Operand X = {},
-            std::string Comment = "") {
+            std::string_view Comment = {}) {
     Instruction I;
     I.Op = Op;
     I.A = A;
     I.B = B;
     I.X = X;
-    I.Comment = std::move(Comment);
-    Out.emit(std::move(I));
+    Out.emit(I, Comment);
   }
-  void emitJcc(Cond C, Operand A, Operand B, int Label, std::string Comment = "",
-               bool FloatCmp = false) {
+  void emitJcc(Cond C, Operand A, Operand B, int Label,
+               std::string_view Comment = {}, bool FloatCmp = false) {
     Instruction I;
     I.Op = FloatCmp ? Opcode::FJMPZ : Opcode::JMPZ;
     I.C = C;
     I.A = A;
     I.B = B;
     I.X = Operand::label(Label);
-    I.Comment = std::move(Comment);
-    Out.emit(std::move(I));
+    Out.emit(I, Comment);
   }
   void emitSyscall(Syscall S, int64_t Sub = 0, int64_t Extra = 0,
-                   std::string Comment = "") {
+                   std::string_view Comment = {}) {
     emit(Opcode::SYSCALL, Operand::imm(static_cast<int64_t>(S)),
-         Operand::imm(Sub), Operand::imm(Extra), std::move(Comment));
+         Operand::imm(Sub), Operand::imm(Extra), Comment);
   }
 
   //===--- resources ------------------------------------------------------===//
@@ -975,9 +973,7 @@ size_t CompiledUnit::byteSize() const {
   for (const s1::AsmFunction &F : Fns) {
     Bytes += sizeof(s1::AsmFunction) + F.Name.size() +
              F.Code.size() * sizeof(s1::Instruction) +
-             F.LabelPos.size() * sizeof(int);
-    for (const s1::Instruction &I : F.Code)
-      Bytes += I.Comment.size();
+             F.LabelPos.size() * sizeof(int) + F.commentBytes();
   }
   Bytes += Static.size() * sizeof(uint64_t);
   Bytes += PtrSlots.size() * sizeof(size_t);

@@ -79,6 +79,11 @@ private:
   Node *convertLambdaForm(Value Form);
   bool parseLambdaList(LambdaNode *L, Value LambdaList, ScopeMark &BodyMark);
 
+  /// Walks a let or prog binding list, converting each init form in the
+  /// enclosing scope; false after reporting a malformed binding.
+  bool convertBindings(Value Form, Value Bindings, const char *What,
+                       std::vector<const sexpr::Symbol *> &Names,
+                       std::vector<Node *> &Inits);
   Node *convertLet(Value Form, bool Sequential);
   Node *convertCond(Value Form);
   Node *convertAnd(Value Rest);
@@ -135,9 +140,13 @@ void Converter::scanDeclarations(Value &BodyForms) {
     if (!First.isCons() || !First.car().isSymbol() ||
         First.car().symbol() != sym("declare"))
       return;
+    if (!sexpr::isProperList(First))
+      Diags.error(locOf(First), "dotted list in declare");
     for (Value D = First.cdr(); D.isCons(); D = D.cdr()) {
       Value Decl = D.car();
-      if (Decl.isCons() && Decl.car().isSymbol() &&
+      if (Decl.isCons() && !sexpr::isProperList(Decl))
+        Diags.error(locOf(First), "dotted list in declaration");
+      else if (Decl.isCons() && Decl.car().isSymbol() &&
           Decl.car().symbol() == sym("special")) {
         for (Value S = Decl.cdr(); S.isCons(); S = S.cdr())
           if (S.car().isSymbol())
@@ -195,6 +204,9 @@ bool Converter::parseLambdaList(LambdaNode *L, Value LambdaList, ScopeMark &) {
       Node *Default = nullptr;
       if (Item.isSymbol()) {
         Name = Item.symbol();
+      } else if (Item.isCons() && !sexpr::isProperList(Item)) {
+        Diags.error(locOf(LambdaList), "dotted list in &optional parameter");
+        return false;
       } else if (Item.isCons() && Item.car().isSymbol()) {
         Name = Item.car().symbol();
         if (Item.cdr().isCons())
@@ -268,6 +280,12 @@ Node *Converter::convert(Value Form) {
 
   assert(Form.isCons() && "unexpected value kind");
   Value Head = Form.car();
+  // Code must be a proper list; quoted data may still be dotted.
+  if (!sexpr::isProperList(Form))
+    return errorAt(Form, Head.isSymbol()
+                             ? "dotted list in '" + Head.symbol()->name() +
+                                   "' form"
+                             : std::string("dotted list in form"));
 
   // ((lambda ...) args): direct lambda application (LET after expansion).
   if (Head.isCons()) {
@@ -429,6 +447,33 @@ Node *Converter::convertLambdaForm(Value Form) {
   return L;
 }
 
+bool Converter::convertBindings(Value Form, Value Bindings, const char *What,
+                                std::vector<const sexpr::Symbol *> &Names,
+                                std::vector<Node *> &Inits) {
+  for (Value B = Bindings; !B.isNil(); B = B.cdr()) {
+    if (!B.isCons()) {
+      errorAt(Form, std::string("malformed ") + What + " binding list");
+      return false;
+    }
+    Value Binding = B.car();
+    if (Binding.isSymbol()) {
+      Names.push_back(Binding.symbol());
+      Inits.push_back(F.makeNil());
+    } else if (Binding.isCons() && !sexpr::isProperList(Binding)) {
+      errorAt(Form, std::string("dotted list in ") + What + " binding");
+      return false;
+    } else if (Binding.isCons() && Binding.car().isSymbol()) {
+      Names.push_back(Binding.car().symbol());
+      Inits.push_back(Binding.cdr().isCons() ? convert(Binding.cdr().car())
+                                             : F.makeNil());
+    } else {
+      errorAt(Form, std::string("malformed ") + What + " binding");
+      return false;
+    }
+  }
+  return true;
+}
+
 Node *Converter::convertLet(Value Form, bool Sequential) {
   Value Rest = Form.cdr();
   if (!Rest.isCons())
@@ -450,21 +495,8 @@ Node *Converter::convertLet(Value Form, bool Sequential) {
   // (let ((v1 e1) (v2 e2) v3) body) => ((lambda (v1 v2 v3) body) e1 e2 nil)
   std::vector<const sexpr::Symbol *> Names;
   std::vector<Node *> Inits; // converted in the OUTER scope
-  for (Value B = Bindings; !B.isNil(); B = B.cdr()) {
-    if (!B.isCons())
-      return errorAt(Form, "malformed let binding list");
-    Value Binding = B.car();
-    if (Binding.isSymbol()) {
-      Names.push_back(Binding.symbol());
-      Inits.push_back(F.makeNil());
-    } else if (Binding.isCons() && Binding.car().isSymbol()) {
-      Names.push_back(Binding.car().symbol());
-      Inits.push_back(Binding.cdr().isCons() ? convert(Binding.cdr().car())
-                                             : F.makeNil());
-    } else {
-      return errorAt(Form, "malformed let binding");
-    }
-  }
+  if (!convertBindings(Form, Bindings, "let", Names, Inits))
+    return F.makeNil();
 
   LambdaNode *L = F.makeLambda();
   L->Loc = locOf(Form);
@@ -495,6 +527,8 @@ Node *Converter::convertCond(Value Form) {
   Value Clause = Clauses.car();
   if (!Clause.isCons())
     return errorAt(Form, "malformed cond clause");
+  if (!sexpr::isProperList(Clause))
+    return errorAt(Form, "dotted list in cond clause");
   Value Test = Clause.car();
   Value Body = Clause.cdr();
   Value RestClauses =
@@ -510,7 +544,9 @@ Node *Converter::convertCond(Value Form) {
   if (TestIsT)
     return convertBody(Body, locOf(Form));
   Node *Then = convertBody(Body, locOf(Form));
-  Node *Else = convert(RestClauses);
+  // What convert() would do with the rest, minus its spine check, which
+  // the whole form has passed: rechecking it per clause is quadratic.
+  Node *Else = convertCond(RestClauses);
   IfNode *I = F.makeIf(convert(Test), Then, Else);
   I->Loc = locOf(Form);
   return I;
@@ -596,21 +632,8 @@ Node *Converter::convertProg(Value Form) {
   // Bind the prog variables exactly like let.
   std::vector<const sexpr::Symbol *> Names;
   std::vector<Node *> Inits;
-  for (Value B = Bindings; !B.isNil(); B = B.cdr()) {
-    if (!B.isCons())
-      return errorAt(Form, "malformed prog binding list");
-    Value Binding = B.car();
-    if (Binding.isSymbol()) {
-      Names.push_back(Binding.symbol());
-      Inits.push_back(F.makeNil());
-    } else if (Binding.isCons() && Binding.car().isSymbol()) {
-      Names.push_back(Binding.car().symbol());
-      Inits.push_back(Binding.cdr().isCons() ? convert(Binding.cdr().car())
-                                             : F.makeNil());
-    } else {
-      return errorAt(Form, "malformed prog binding");
-    }
-  }
+  if (!convertBindings(Form, Bindings, "prog", Names, Inits))
+    return F.makeNil();
 
   LambdaNode *L = F.makeLambda();
   L->Loc = locOf(Form);
@@ -666,9 +689,13 @@ Node *Converter::convertDo(Value Form) {
   Value Body = Rest.cdr().cdr();
   if (!EndClause.isCons())
     return errorAt(Form, "do needs an (end-test result...) clause");
+  if (!sexpr::isProperList(EndClause))
+    return errorAt(Form, "dotted list in do end clause");
 
   std::vector<Value> Bindings;
   std::vector<std::pair<Value, Value>> Steps; // (var, step-expr)
+  if (VarSpecs.isCons() && !sexpr::isProperList(VarSpecs))
+    return errorAt(Form, "dotted list in do variable specs");
   for (Value VS = VarSpecs; VS.isCons(); VS = VS.cdr()) {
     Value Spec = VS.car();
     if (Spec.isSymbol()) {
@@ -677,6 +704,8 @@ Node *Converter::convertDo(Value Form) {
     }
     if (!Spec.isCons() || !Spec.car().isSymbol())
       return errorAt(Form, "malformed do variable spec");
+    if (!sexpr::isProperList(Spec))
+      return errorAt(Form, "dotted list in do variable spec");
     Value Var = Spec.car();
     Value Init = Spec.cdr().isCons() ? Spec.cdr().car() : Value::nil();
     Bindings.push_back(H.list({Var, Init}));
@@ -728,6 +757,8 @@ Node *Converter::convertDotimesDolist(Value Form, bool IsDotimes) {
   if (!Rest.isCons() || !Rest.car().isCons())
     return errorAt(Form, "malformed dotimes/dolist header");
   Value Header = Rest.car();
+  if (!sexpr::isProperList(Header))
+    return errorAt(Form, "dotted list in dotimes/dolist header");
   Value Var = Header.car();
   if (!Var.isSymbol())
     return errorAt(Form, "dotimes/dolist variable must be a symbol");
@@ -777,6 +808,9 @@ Node *Converter::convertCase(Value Form) {
     if (!Clause.isCons())
       return errorAt(Form, "malformed case clause");
     Value Keys = Clause.car();
+    if (!sexpr::isProperList(Clause) ||
+        (Keys.isCons() && !sexpr::isProperList(Keys)))
+      return errorAt(Form, "dotted list in case clause");
     Node *Body = convertBody(Clause.cdr(), locOf(Form));
     bool IsDefault =
         Keys.isSymbol() &&
@@ -886,6 +920,10 @@ ir::Function *frontend::convertTopLevel(Module &M, Value Form, DiagEngine &Diags
   }
   if (Head != "defun") {
     Diags.error(locOf(Form), "unsupported top-level form '" + Head + "'");
+    return nullptr;
+  }
+  if (!sexpr::isProperList(Form)) {
+    Diags.error(locOf(Form), "dotted list in defun");
     return nullptr;
   }
 

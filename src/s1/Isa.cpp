@@ -87,12 +87,42 @@ bool s1::validOperandPattern(const Instruction &I) {
   return I.A.isRt() || I.B.isRt();
 }
 
-void AsmFunction::placeLabel(int L, std::string Comment) {
+void AsmFunction::emit(Instruction I, std::string_view Comment) {
+  if (!Comment.empty()) {
+    if (!Comments || Comments.use_count() > 1)
+      Comments = std::make_shared<CommentTable>(Comments ? *Comments
+                                                         : CommentTable());
+    // The one owner of a table made non-const just above or by an
+    // earlier emit, so writing through it is sound.
+    auto &T = const_cast<CommentTable &>(*Comments);
+    // Instructions since the last comment get empty ranges.
+    T.Offsets.resize(Code.size() + 1, static_cast<uint32_t>(T.Text.size()));
+    T.Text.append(Comment);
+    T.Offsets.push_back(static_cast<uint32_t>(T.Text.size()));
+  }
+  Code.push_back(I);
+}
+
+void AsmFunction::placeLabel(int L, std::string_view Comment) {
   Instruction I;
   I.Op = Opcode::LABEL;
   I.A = Operand::label(L);
-  I.Comment = std::move(Comment);
-  Code.push_back(std::move(I));
+  emit(I, Comment);
+}
+
+std::string_view AsmFunction::comment(size_t Pc) const {
+  if (!Comments || Pc + 1 >= Comments->Offsets.size())
+    return {};
+  const CommentTable &T = *Comments;
+  return std::string_view(T.Text).substr(T.Offsets[Pc],
+                                         T.Offsets[Pc + 1] - T.Offsets[Pc]);
+}
+
+size_t AsmFunction::commentBytes() const {
+  if (!Comments)
+    return 0;
+  return sizeof(CommentTable) + Comments->Text.capacity() +
+         Comments->Offsets.capacity() * sizeof(uint32_t);
 }
 
 bool AsmFunction::finalize(std::string &Error) {
@@ -295,7 +325,8 @@ std::string s1::printListing(const AsmFunction &F) {
   Out += ";;; Function " + F.Name + "   [frame " + std::to_string(F.FrameSize) +
          " words, args " + std::to_string(F.MinArgs) + ".." +
          (F.HasRest ? "*" : std::to_string(F.MaxArgs)) + "]\n";
-  for (const Instruction &I : F.Code) {
+  for (size_t Pc = 0; Pc < F.Code.size(); ++Pc) {
+    const Instruction &I = F.Code[Pc];
     std::string Line;
     if (I.Op == Opcode::LABEL) {
       Line = "L" + std::to_string(I.A.Label);
@@ -313,10 +344,11 @@ std::string s1::printListing(const AsmFunction &F) {
       }
       Line += ")";
     }
-    if (!I.Comment.empty()) {
+    if (std::string_view Comment = F.comment(Pc); !Comment.empty()) {
       if (Line.size() < 48)
         Line.append(48 - Line.size(), ' ');
-      Line += " ;" + I.Comment;
+      Line += " ;";
+      Line += Comment;
     }
     Out += Line + "\n";
   }

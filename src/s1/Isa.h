@@ -28,7 +28,9 @@
 #include "sexpr/Value.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -240,12 +242,12 @@ struct Operand {
   bool isRt() const { return M == Mode::Reg && (R == RTA || R == RTB); }
 };
 
-/// One instruction plus its listing comment.
+/// One instruction. Its listing comment lives in its function's
+/// CommentTable, so an instruction is plain data the linker copies as is.
 struct Instruction {
   Opcode Op;
   Cond C = Cond::EQ;
   Operand A, B, X; ///< up to three operands (dst first)
-  std::string Comment;
 };
 
 /// True for the binary arithmetic opcodes bound by the 2 1/2-address rule.
@@ -258,6 +260,14 @@ bool validOperandPattern(const Instruction &I);
 //===----------------------------------------------------------------------===//
 // Assembled functions and programs
 //===----------------------------------------------------------------------===//
+
+/// The listing comments of one function, packed: instruction I's comment
+/// is Text[Offsets[I], Offsets[I + 1]). Instructions past the end of
+/// Offsets have none.
+struct CommentTable {
+  std::string Text;
+  std::vector<uint32_t> Offsets;
+};
 
 /// A compiled function: a linear instruction list with resolved labels.
 class AsmFunction {
@@ -276,8 +286,13 @@ public:
   std::vector<int> LabelPos;
 
   int newLabel() { return NextLabel++; }
-  void emit(Instruction I) { Code.push_back(std::move(I)); }
-  void placeLabel(int L, std::string Comment = "");
+  void emit(Instruction I, std::string_view Comment = {});
+  void placeLabel(int L, std::string_view Comment = {});
+
+  /// Instruction \p Pc's listing comment; empty when it has none.
+  std::string_view comment(size_t Pc) const;
+  /// The comment table's heap bytes, for cache accounting.
+  size_t commentBytes() const;
 
   /// Resolves labels; verifies operand patterns. Returns false and fills
   /// \p Error on malformed code.
@@ -288,6 +303,11 @@ public:
 
 private:
   int NextLabel = 0;
+  /// Shared by every copy of the function: a cached unit's functions are
+  /// copied into each program linked from it. emit() appends in place only
+  /// while this function is the table's one owner, and copies it first
+  /// otherwise, so a table is never written once shared.
+  std::shared_ptr<const CommentTable> Comments;
 };
 
 /// Runtime error codes raised via Syscall::Error or machine traps.

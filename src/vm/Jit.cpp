@@ -550,7 +550,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   const int32_t StackLimit = static_cast<int32_t>(StackBase + StackWords);
   const int32_t HeapEnd = static_cast<int32_t>(HeapBase + HeapWords);
   const int32_t SpOff = static_cast<int32_t>(s1::SP) * 8;
-  const size_t NF = DP->Functions.size();
+  const size_t NF = DP->size();
   // The virtual operand stack's register file, top of stack last.
   static constexpr unsigned VRegs[4] = {R8, R9, R10, R11};
 
@@ -653,7 +653,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   constexpr JitStatus PushColdStatus = static_cast<JitStatus>(1000);
 
   for (size_t F = 0; F < NF; ++F) {
-    const DecodedFunction &DF = DP->Functions[F];
+    const DecodedFunction &DF = DP->function(static_cast<int>(F));
     const int Size = static_cast<int>(DF.Code.size());
     JP->Offs[F].assign(static_cast<size_t>(Size) + 1,
                        static_cast<uint32_t>(MidBlockStubOff));

@@ -36,8 +36,9 @@
 /// Buffer lifecycle: code is emitted into ordinary memory, then copied
 /// into a fresh anonymous mmap that is made PROT_READ|PROT_EXEC (never
 /// writable and executable at once). A JitProgram is immutable after
-/// construction and shared_ptr-shareable across Machines, exactly like
-/// DecodedProgram. On non-x86-64 hosts compileJit() returns nullptr and
+/// construction and shared_ptr-shareable across Machines, like the
+/// DecodedProgram it was compiled from (compileJit() decodes each function
+/// as it compiles it). On non-x86-64 hosts compileJit() returns nullptr and
 /// the Machine falls back to the threaded engine with a loud remark.
 ///
 //===----------------------------------------------------------------------===//

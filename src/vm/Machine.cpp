@@ -539,11 +539,13 @@ bool Machine::trap(std::string &Error, const std::string &Msg) {
     int ShowPc = Pc;
     // The threaded and native engines count pcs in decoded units; report
     // them in original assembly-listing units like the legacy engine does.
-    if (Eng != Engine::Legacy && Decoded) {
-      const DecodedFunction &DF = Decoded->Functions[CurFunc];
-      if (Pc > 0 && Pc <= static_cast<int>(DF.OrigPc.size()))
+    // Pc 0 is the same in both, and the only pc a trap can report in a
+    // function not yet decoded.
+    if (Eng != Engine::Legacy && Decoded && Pc > 0) {
+      const DecodedFunction &DF = Decoded->function(CurFunc);
+      if (Pc <= static_cast<int>(DF.OrigPc.size()))
         ShowPc = DF.OrigPc[Pc - 1] + 1;
-      else if (Pc > static_cast<int>(DF.OrigPc.size()))
+      else
         ShowPc = static_cast<int>(P.Functions[CurFunc].Code.size());
     }
     Error += " [in " + P.Functions[CurFunc].Name + " at pc " +
@@ -1130,14 +1132,24 @@ void Machine::xwrite(const XArg &A, uint64_t V) {
 
 int Machine::coldOp(const XInsn &I) { return execCold(I.Op, I); }
 
+void Machine::decodeOnEntry(const XInsn &Stub) {
+  --Stats.Instructions;
+  --Stats.PerOpcode[static_cast<size_t>(Stub.OrigOp)];
+  Decoded->function(CurFunc);
+}
+
 bool Machine::runThreaded(std::string &Error) {
   const DecodedProgram &DP = *Decoded;
   const XInsn *Code = nullptr;
   int Size = 0;
-  auto Reload = [&] {
-    const DecodedFunction &DF = DP.Functions[CurFunc];
-    Code = DF.Code.data();
-    Size = static_cast<int>(DF.Code.size());
+  // An undecoded function's entry is the decode stub (H_Decode). Code,
+  // Size and LPc must stay in registers: a helper that captures them
+  // and is not inlined costs the dispatch a store and a load per
+  // instruction, hence always_inline.
+  auto Reload = [&]() __attribute__((always_inline)) {
+    const DecodedProgram::Entry &E = DP.entry(CurFunc);
+    Code = E.Code.load(std::memory_order_acquire);
+    Size = E.Size.load(std::memory_order_relaxed);
   };
   Reload();
   int LPc = Pc;
@@ -1145,7 +1157,8 @@ bool Machine::runThreaded(std::string &Error) {
 
   // Performs the frame surgery shared by TAILCALL/TAILCALLPTR; returns
   // false when the argument count cannot fit (the caller traps).
-  auto TailTransfer = [&](uint64_t K, int Target) -> bool {
+  auto TailTransfer = [&](uint64_t K, int Target)
+                          __attribute__((always_inline)) -> bool {
     if (K > mem(Regs[FP] + 1))
       return false;
     uint64_t ArgBase = Regs[FP] - 2 - K;
@@ -1187,9 +1200,9 @@ bool Machine::runThreaded(std::string &Error) {
       &&H_Call,   &&H_CallPtr, &&H_TailCall, &&H_TailCallPtr, &&H_Ret,
       &&H_MovTag, &&H_GetTag, &&H_Lea,
       &&H_FAlu2,  &&H_FAlu3,  &&H_FUnary, &&H_FAtan,  &&H_Itof, &&H_Ftoi,
-      &&H_Alloc,  &&H_Syscall, &&H_Halt,
+      &&H_Alloc,  &&H_Syscall, &&H_Halt,   &&H_Decode,
   };
-  static_assert(std::size(Table) == static_cast<size_t>(XOp::Halt) + 1);
+  static_assert(std::size(Table) == static_cast<size_t>(XOp::Decode) + 1);
 
   for (;;) {
     // Identical trap ordering to runLegacy: halted, fuel, pc range —
@@ -1506,6 +1519,15 @@ bool Machine::runThreaded(std::string &Error) {
     H_Halt:
       Pc = LPc;
       return trap(Error, "HALT executed");
+
+    H_Decode: {
+      // First entry into CurFunc: restart at pc 0 once decoded, where the
+      // boundary checks run again on unchanged state.
+      decodeOnEntry(*I);
+      Reload();
+      LPc = 0;
+    }
+    continue;
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include "vm/Predecode.h"
 
+#include "stats/Stats.h"
+
 #include <cstring>
+
+S1_STAT(VmDecodeFunctions, "vm.decode.functions",
+        "functions decoded, on first entry or for the native tier");
 
 using namespace s1lisp;
 using namespace s1lisp::vm;
@@ -304,70 +309,97 @@ XInsn decodeOne(const AsmFunction &F, const Instruction &I,
   return D;
 }
 
+/// Lowers one function: labels stripped, targets resolved, leaders marked.
+std::unique_ptr<const DecodedFunction> decodeFunction(const AsmFunction &F) {
+  auto DF = std::make_unique<DecodedFunction>();
+  // Pass 1: map each original pc to the decoded index of the first real
+  // instruction at or after it (labels occupy no slot).
+  std::vector<int32_t> PcMap(F.Code.size() + 1, 0);
+  int32_t Next = 0;
+  for (size_t Pc = 0; Pc < F.Code.size(); ++Pc) {
+    PcMap[Pc] = Next;
+    if (F.Code[Pc].Op != Opcode::LABEL)
+      ++Next;
+  }
+  PcMap[F.Code.size()] = Next;
+  // Pass 2: lower every real instruction.
+  DF->Code.reserve(static_cast<size_t>(Next));
+  DF->OrigPc.reserve(static_cast<size_t>(Next));
+  for (size_t Pc = 0; Pc < F.Code.size(); ++Pc)
+    if (F.Code[Pc].Op != Opcode::LABEL) {
+      DF->Code.push_back(decodeOne(F, F.Code[Pc], PcMap));
+      DF->OrigPc.push_back(static_cast<int32_t>(Pc));
+    }
+  // Pass 3: basic-block leaders. Branch/catch targets are already
+  // decoded indices, so this is a single linear sweep. Alloc ends a
+  // block because it can raise GcPending/Halted, which the threaded
+  // engine observes at the next instruction boundary — making the
+  // successor a leader keeps those checks at block entries only.
+  DF->Leaders.assign(DF->Code.size() + 1, 0);
+  DF->Leaders[0] = 1;
+  for (size_t I = 0; I < DF->Code.size(); ++I) {
+    const XInsn &D = DF->Code[I];
+    switch (D.Op) {
+    case XOp::Jmp:
+    case XOp::JmpzRR:
+    case XOp::JmpzRK:
+    case XOp::JmpzG:
+    case XOp::FJmpzG:
+    case XOp::Syscall: // PushCatch resolves its handler label into Target
+      if (D.Target >= 0)
+        DF->Leaders[static_cast<size_t>(D.Target)] = 1;
+      DF->Leaders[I + 1] = 1;
+      break;
+    case XOp::Call:
+    case XOp::CallPtr:
+    case XOp::TailCall:
+    case XOp::TailCallPtr:
+    case XOp::Ret:
+    case XOp::Halt:
+    case XOp::Alloc:
+      DF->Leaders[I + 1] = 1;
+      break;
+    default:
+      break;
+    }
+  }
+  return DF;
+}
+
 } // namespace
 
-std::shared_ptr<const DecodedProgram> vm::predecode(const s1::Program &P) {
-  auto DP = std::make_shared<DecodedProgram>();
-  DP->Functions.reserve(P.Functions.size());
-  for (const AsmFunction &F : P.Functions) {
-    DecodedFunction DF;
-    // Pass 1: map each original pc to the decoded index of the first real
-    // instruction at or after it (labels occupy no slot).
-    std::vector<int32_t> PcMap(F.Code.size() + 1, 0);
-    int32_t Next = 0;
-    for (size_t Pc = 0; Pc < F.Code.size(); ++Pc) {
-      PcMap[Pc] = Next;
-      if (F.Code[Pc].Op != Opcode::LABEL)
-        ++Next;
-    }
-    PcMap[F.Code.size()] = Next;
-    // Pass 2: lower every real instruction.
-    DF.Code.reserve(static_cast<size_t>(Next));
-    DF.OrigPc.reserve(static_cast<size_t>(Next));
-    for (size_t Pc = 0; Pc < F.Code.size(); ++Pc)
-      if (F.Code[Pc].Op != Opcode::LABEL) {
-        DF.Code.push_back(decodeOne(F, F.Code[Pc], PcMap));
-        DF.OrigPc.push_back(static_cast<int32_t>(Pc));
-      }
-    // Pass 3: basic-block leaders. Branch/catch targets are already
-    // decoded indices, so this is a single linear sweep. Alloc ends a
-    // block because it can raise GcPending/Halted, which the threaded
-    // engine observes at the next instruction boundary — making the
-    // successor a leader keeps those checks at block entries only.
-    DF.Leaders.assign(DF.Code.size() + 1, 0);
-    DF.Leaders[0] = 1;
-    for (size_t I = 0; I < DF.Code.size(); ++I) {
-      const XInsn &D = DF.Code[I];
-      switch (D.Op) {
-      case XOp::Jmp:
-      case XOp::JmpzRR:
-      case XOp::JmpzRK:
-      case XOp::JmpzG:
-      case XOp::FJmpzG:
-        if (D.Target >= 0)
-          DF.Leaders[static_cast<size_t>(D.Target)] = 1;
-        DF.Leaders[I + 1] = 1;
-        break;
-      case XOp::Syscall:
-        // PushCatch resolves its handler label into Target.
-        if (D.Target >= 0)
-          DF.Leaders[static_cast<size_t>(D.Target)] = 1;
-        DF.Leaders[I + 1] = 1;
-        break;
-      case XOp::Call:
-      case XOp::CallPtr:
-      case XOp::TailCall:
-      case XOp::TailCallPtr:
-      case XOp::Ret:
-      case XOp::Halt:
-      case XOp::Alloc:
-        DF.Leaders[I + 1] = 1;
-        break;
-      default:
-        break;
-      }
-    }
-    DP->Functions.push_back(std::move(DF));
+const XInsn DecodedProgram::DecodeStub = [] {
+  XInsn I;
+  I.Op = XOp::Decode;
+  return I;
+}();
+
+DecodedProgram::DecodedProgram(const s1::Program &P)
+    : P(P), Entries(std::make_unique<Entry[]>(P.Functions.size())),
+      Bodies(P.Functions.size()) {
+  for (size_t F = 0; F < P.Functions.size(); ++F) {
+    Entries[F].Code.store(&DecodeStub, std::memory_order_relaxed);
+    Entries[F].Size.store(1, std::memory_order_relaxed);
   }
-  return DP;
+}
+
+const DecodedFunction &DecodedProgram::function(int F) const {
+  const size_t Idx = static_cast<size_t>(F);
+  Entry &E = Entries[Idx];
+  if (E.Code.load(std::memory_order_acquire) != &DecodeStub)
+    return *Bodies[Idx];
+  std::lock_guard<std::mutex> Guard(Lock);
+  if (!Bodies[Idx]) {
+    stats::PhaseTimer Timer("vm.decode");
+    ++VmDecodeFunctions;
+    Bodies[Idx] = decodeFunction(P.Functions[Idx]);
+    E.Size.store(static_cast<int32_t>(Bodies[Idx]->Code.size()),
+                 std::memory_order_relaxed);
+    E.Code.store(Bodies[Idx]->Code.data(), std::memory_order_release);
+  }
+  return *Bodies[Idx];
+}
+
+std::shared_ptr<const DecodedProgram> vm::predecode(const s1::Program &P) {
+  return std::make_shared<DecodedProgram>(P);
 }

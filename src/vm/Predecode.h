@@ -12,10 +12,20 @@
 ///    including float immediates, are pre-folded into raw machine words;
 ///  * catch handler labels and call targets are resolved at decode time.
 ///
-/// Decoding is a pure function of the Program; a DecodedProgram is
-/// immutable after construction and can be shared (shared_ptr) by any
-/// number of Machines running concurrently, which is how the parallel
-/// differential fuzzer amortizes decode cost across an argument grid.
+/// Decoding is demand-driven, one function at a time. predecode() lowers
+/// nothing: every function starts as a one-instruction decode stub. The
+/// threaded loop lowers a function the first time control enters it (the
+/// stub un-retires itself, decodes, and restarts at pc 0, so counters and
+/// trap text are those of the decoded function), and compileJit lowers
+/// every function it compiles. Each decode is timed as phase `vm.decode`
+/// and counted as `vm.decode.functions`.
+///
+/// A DecodedProgram reads its s1::Program on demand, so the Program must
+/// outlive it (and every Machine or JitProgram that shares it). Decoded
+/// functions are published with release/acquire atomics under one lock,
+/// so any number of Machines on any threads may share one
+/// DecodedProgram: each function is decoded once, by whichever Machine
+/// enters it first, and never changes afterwards.
 ///
 /// The decoded form preserves the architectural counter semantics of the
 /// legacy engine exactly: each decoded instruction remembers its original
@@ -36,7 +46,9 @@
 
 #include "s1/Isa.h"
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 namespace s1lisp {
@@ -65,6 +77,9 @@ enum class XOp : uint8_t {
   MovTag, GetTag, Lea,
   FAlu2, FAlu3, FUnary, FAtan, Itof, Ftoi,
   Alloc, Syscall, Halt,
+  // The stub an undecoded function holds: decodes the function, then
+  // restarts it at pc 0. Never part of a decoded function.
+  Decode,
 };
 
 /// A pre-decoded memory reference: base register + word displacement
@@ -124,13 +139,46 @@ struct DecodedFunction {
   std::vector<uint8_t> Leaders;
 };
 
-/// A whole program in decoded form. Immutable; share freely.
-struct DecodedProgram {
-  std::vector<DecodedFunction> Functions;
+/// A whole program, decoded one function at a time on first use.
+class DecodedProgram {
+public:
+  /// What the threaded loop loads when control enters a function: the
+  /// decoded code and its length, or the one-instruction decode stub
+  /// until the function is decoded. Size is stored before Code is
+  /// released, so a thread that acquires decoded Code sees its Size.
+  struct Entry {
+    std::atomic<const XInsn *> Code;
+    std::atomic<int32_t> Size;
+  };
+
+  explicit DecodedProgram(const s1::Program &P);
+
+  size_t size() const { return Bodies.size(); }
+  const Entry &entry(int F) const { return Entries[static_cast<size_t>(F)]; }
+
+  /// Function \p F in decoded form, lowered now if nothing has entered it
+  /// yet. Safe to call from any thread.
+  const DecodedFunction &function(int F) const;
+
+  /// True once function \p F has been decoded.
+  bool isDecoded(int F) const {
+    return entry(F).Code.load(std::memory_order_acquire) != &DecodeStub;
+  }
+
+private:
+  /// The decode stub every undecoded function's Entry points at.
+  static const XInsn DecodeStub;
+
+  const s1::Program &P;
+  std::unique_ptr<Entry[]> Entries;
+  /// Bodies[F] is written once, under Lock, before Entries[F].Code is
+  /// released, and read only by a thread that acquired the decoded Code.
+  mutable std::vector<std::unique_ptr<const DecodedFunction>> Bodies;
+  mutable std::mutex Lock;
 };
 
-/// Lowers \p P. Never fails: finalize() has already validated labels and
-/// operand patterns, and unknown shapes fall back to generic handlers.
+/// A DecodedProgram over \p P that has decoded nothing yet. \p P must
+/// outlive it.
 std::shared_ptr<const DecodedProgram> predecode(const s1::Program &P);
 
 } // namespace vm

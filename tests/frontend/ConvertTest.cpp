@@ -381,6 +381,51 @@ TEST_F(ConvertTest, UnsuppliedOptionalFallsBackPerCallSite) {
   EXPECT_EQ(run("use3"), "(2 5 9)");
 }
 
+// Code is a proper list: a dotted tail anywhere in a form's spine, a
+// binding, a clause, a parameter or a declaration is reported once,
+// where it used to be dropped silently (or crash, for and/or). Quoted
+// data may still be dotted.
+TEST_F(ConvertTest, DottedFormsReportOneErrorEach) {
+  const char *Bodies[] = {
+      // Every special form, a call and a lambda application.
+      "(quote . a)", "(if x 1 . 2)", "(progn 1 . 5)", "(lambda (y) y . 5)",
+      "(setq . 5)", "(setq x 1 . 5)", "(prog () a (go . a))",
+      "(prog () (return . 5))", "(let ((y 1)) . 5)", "(let* ((y 1)) . 5)",
+      "(cond (x 1) . 5)", "(and . 5)", "(and x . 5)", "(or 1 . 5)",
+      "(when x . 5)", "(unless x . 5)", "(prog () . 5)",
+      "(do ((i 0 (1+ i))) ((> i 3)) . 5)", "(dotimes (i 5) . 3)",
+      "(dolist (e x) . 3)", "(case x . 5)", "(caseq x . 5)",
+      "(catch 'a . 5)", "(catcher 'a . 5)", "(prog1 1 . 5)",
+      "(prog2 1 2 . 5)", "(function . car)", "(car . x)", "(g 1 . 2)",
+      "((lambda (y) y) 1 . 2)",
+      // Bindings, clauses, parameters and declarations.
+      "(let ((y . 5)) y)", "(let* ((y 1) (z . 5)) z)",
+      "(prog ((y . 5)) (return y))", "(cond (x . 5))", "(case x (a . 5))",
+      "(case x ((a . b) 1))", "(caseq x (a . 5))",
+      "(do ((i 0 . 1)) ((> i 3)))", "(do ((i 0 (1+ i)) . 5) ((> i 3)))",
+      "(do ((i 0 (1+ i))) ((> i 3) . 5))", "(dotimes (i . 5))",
+      "(dolist (e . 5))", "((lambda (&optional (y . 5)) y))",
+      "(let () (declare . 5) 1)", "(let () (declare (special . y)) 1)"};
+  for (const char *Body : Bodies) {
+    SCOPED_TRACE(Body);
+    DiagEngine Diags;
+    EXPECT_FALSE(frontend::convertSource(
+        M, std::string("(defun f (x) ") + Body + ")", Diags));
+    unsigned Errors = 0;
+    for (const Diagnostic &D : Diags.diagnostics())
+      Errors += D.Severity == DiagSeverity::Error;
+    EXPECT_EQ(Errors, 1u) << Diags.str();
+    EXPECT_NE(Diags.str().find("dotted list in"), std::string::npos)
+        << Diags.str();
+  }
+  DiagEngine Diags;
+  EXPECT_FALSE(frontend::convertSource(M, "(defun f (x) x . 5)", Diags));
+  EXPECT_NE(Diags.str().find("dotted list in defun"), std::string::npos)
+      << Diags.str();
+  EXPECT_EQ(convertExpr("'(a . b)"), "(quote (a . b))");
+  EXPECT_EQ(convertExpr("(car '(1 . 2))"), "(car (quote (1 . 2)))");
+}
+
 TEST_F(ConvertTest, VerifierAcceptsAllConversions) {
   const char *Sources[] = {
       "(defun a (x) (+ x 1))",

@@ -141,8 +141,7 @@ TEST(IsaTest, ListingStyle) {
   I.A = Operand::reg(RTA);
   I.B = Operand::mem(FP, -3);
   I.X = Operand::mem(FP, -4);
-  I.Comment = "(+$F C B)";
-  F.emit(I);
+  F.emit(I, "(+$F C B)");
   std::string L = printListing(F);
   EXPECT_NE(L.find("(FADD RTA (FP -3) (FP -4))"), std::string::npos) << L;
   EXPECT_NE(L.find(";(+$F C B)"), std::string::npos) << L;

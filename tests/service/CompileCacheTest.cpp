@@ -20,8 +20,11 @@
 
 #include "gtest/gtest.h"
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 using namespace s1lisp;
 using namespace s1lisp::service;
@@ -235,6 +238,65 @@ TEST(CompileCache, WarmCacheLinksBitIdenticalPrograms) {
   EXPECT_EQ(FreshRemarks.Remarks, WarmRemarks.Remarks);
   EXPECT_EQ(stats::tallyDeltasJson(compilerDeltas(FreshTally)),
             stats::tallyDeltasJson(compilerDeltas(WarmTally)));
+}
+
+// Listing comments live in one packed table per function, shared by the
+// cached unit and every program linked from it. On every example, a
+// program linked from cached units prints the fresh compile's listing
+// byte for byte.
+TEST(CompileCache, LinkedListingsMatchFreshCompilesOnEveryExample) {
+  std::vector<std::string> Sources = {remarkHeavySource()};
+  const std::filesystem::path Dir = S1LISP_EXAMPLES_DIR;
+  for (const std::filesystem::path &Sub : {Dir, Dir / "gc"})
+    for (const auto &E : std::filesystem::directory_iterator(Sub))
+      if (E.path().extension() == ".lisp") {
+        std::ifstream In(E.path());
+        std::stringstream Buf;
+        Buf << In.rdbuf();
+        Sources.push_back(Buf.str());
+      }
+  ASSERT_GE(Sources.size(), 6u);
+  for (const std::string &Source : Sources) {
+    SCOPED_TRACE(Source.substr(0, 60));
+    ir::Module MFresh;
+    driver::CompileOutcome Fresh = compileWith(MFresh, Source, nullptr);
+    ASSERT_TRUE(Fresh.Ok) << Fresh.Error;
+    CompileCache Cache;
+    ir::Module MPrime, MWarm;
+    ASSERT_TRUE(compileWith(MPrime, Source, &Cache).Ok);
+    driver::CompileOutcome Warm = compileWith(MWarm, Source, &Cache);
+    ASSERT_TRUE(Warm.Ok) << Warm.Error;
+    EXPECT_EQ(Warm.MemoMisses, 0u);
+    EXPECT_EQ(driver::listing(Warm.Program), driver::listing(Fresh.Program));
+  }
+}
+
+// A unit's byte size counts its comment table: the same code with
+// comments weighs at least the comment text more.
+TEST(CompileCache, UnitBytesCountTheCommentTable) {
+  s1::Instruction Mov;
+  Mov.Op = s1::Opcode::MOV;
+  Mov.A = s1::Operand::reg(7);
+  Mov.B = s1::Operand::reg(8);
+  const std::string Comment(200, 'c');
+  codegen::CompiledUnit Plain, Commented;
+  Plain.Ok = Commented.Ok = true;
+  Plain.Fns.emplace_back();
+  Commented.Fns.emplace_back();
+  for (int I = 0; I < 10; ++I) {
+    Plain.Fns[0].emit(Mov);
+    Commented.Fns[0].emit(Mov, Comment);
+  }
+  EXPECT_EQ(Commented.Fns[0].comment(3), Comment);
+  EXPECT_GE(Commented.byteSize(), Plain.byteSize() + 10 * Comment.size());
+
+  // Copies share the table; emitting into a copy leaves the original as it
+  // was.
+  s1::AsmFunction Copy = Commented.Fns[0];
+  Copy.emit(Mov, "only in the copy");
+  EXPECT_EQ(Copy.comment(10), "only in the copy");
+  EXPECT_EQ(Commented.Fns[0].comment(10), "");
+  EXPECT_EQ(Commented.Fns[0].Code.size(), 10u);
 }
 
 // A compile with no remark stream stores no remarks, so its entries are

@@ -413,10 +413,16 @@ struct Library {
   std::string entry(const std::string &Q) const {
     return "(defun " + Q + " () (" + Lib.Entry + " 1 2 0.5))\n";
   }
+  /// A full request that runs \p Q. (fullReq sets entry=fut, and a
+  /// second entry field would be ignored: get() returns the first.)
   Message request(const std::string &Source, const std::string &Q) const {
-    Message Req = fullReq(Source + "\n" + entry(Q));
+    Message Req;
+    Req.set("cmd", "compile");
+    Req.set("source", Source + "\n" + entry(Q));
     Req.set("entry", Q);
     Req.set("options", "--cse");
+    Req.set("listing", "1");
+    Req.set("stats", "json");
     return Req;
   }
 };
@@ -445,6 +451,33 @@ TEST(Server, ResentLibraryReadsOnlyTheNewForm) {
   ASSERT_TRUE(driver::compileSource(Alone, L.entry("q2"), Opts).Ok);
   EXPECT_GT(Alone.DataHeap.consCount(), 0u);
   EXPECT_LE(Warm.DataHeap.consCount(), Alone.DataHeap.consCount());
+}
+
+// A warm request links all 61 functions but enters two, the new entry and
+// the library's fut: the threaded loop decodes only those, and the answer
+// is the one an uncached compile gives, listing and stats included.
+TEST(Server, WarmLibraryRequestDecodesOnlyTheFunctionsItEnters) {
+  const Library L;
+  Server Srv({});
+  ASSERT_EQ(Srv.handle(L.request(L.Lib.Source, "q1")).getOr("ok"), "1");
+  Message Req = L.request(L.Lib.Source, "q2");
+  Message Warm = Srv.handle(Req);
+  ASSERT_EQ(Warm.getOr("ok"), "1") << Warm.getOr("error");
+  EXPECT_EQ(Warm.getOr("memo-hits"), "60");
+  EXPECT_EQ(Warm.getOr("run-error"), "");
+  EXPECT_NE(Warm.getOr("value"), "");
+  const std::string Stats = Warm.getOr("stats");
+  EXPECT_NE(Stats.find("\"codegen.functions\": 61,"), std::string::npos)
+      << Stats;
+  EXPECT_NE(Stats.find("\"vm.decode.functions\": 2,"), std::string::npos)
+      << Stats;
+
+  Message Uncached = Req;
+  Uncached.set("cache", "0");
+  Message Fresh = Server({}).handle(Uncached);
+  for (const char *Key : {"ok", "value", "run-error", "output", "listing",
+                          "stats"})
+    EXPECT_EQ(Fresh.getOr(Key), Warm.getOr(Key)) << "field '" << Key << "'";
 }
 
 // The front key is the form's text: a whitespace-only edit of one library
@@ -498,9 +531,19 @@ TEST(Server, LateConversionDoesNotSeeALaterDefvar) {
 // own error, the same with the cache as without, and nothing overflows.
 TEST(Server, HostileInputFailsAlikeWithAndWithoutTheCache) {
   const unsigned Deep = 100000;
-  for (const std::string &Source :
-       {std::string(Deep, '(') + "x" + std::string(Deep, ')'),
-        "(defun f () \"" + std::string(1u << 20, 'a')}) {
+  const std::string Dotted[] = {
+      "(defun fut () (and . 5))",         "(defun fut (x) (and x . 5))",
+      "(defun fut () (or 1 . 5))",        "(defun fut () (+ 1 2 . 5))",
+      "(defun fut () (list 1 . 2))",      "(defun fut () (progn 1 . 5))",
+      "(defun fut () (let ((x . 5)) x))", "(defun fut () (setq . 5))",
+      "(defun fut () (cond (t . 5)))",    "(defun fut (x) (case x (a . 5)))"};
+  std::vector<std::string> Sources = {
+      std::string(Deep, '(') + "x" + std::string(Deep, ')'),
+      "(defun f () \"" + std::string(1u << 20, 'a')};
+  for (const std::string &D : Dotted)
+    Sources.push_back(std::string(ExptSrc) + D);
+  for (const std::string &Source : Sources) {
+    SCOPED_TRACE(Source.substr(0, 80));
     Server Srv({});
     Message Cached = compileReq(Source);
     Message Uncached = Cached;
@@ -511,6 +554,10 @@ TEST(Server, HostileInputFailsAlikeWithAndWithoutTheCache) {
     EXPECT_EQ(Got.getOr("ok"), "0");
     EXPECT_NE(Got.getOr("error"), "");
     EXPECT_EQ(Got.getOr("error"), Want.getOr("error"));
+    // The server survives: the next request on it succeeds.
+    Message Next = Srv.handle(compileReq(ExptSrc));
+    EXPECT_EQ(Next.getOr("ok"), "1") << Next.getOr("error");
+    EXPECT_EQ(Next.getOr("value"), "1024");
   }
 }
 
