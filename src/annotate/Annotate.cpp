@@ -255,6 +255,12 @@ Rep deliveredRepOf(const Node *N) {
   }
 }
 
+/// Postorder ISREP: children first, then the node.
+void refreshIsReps(Node *N) {
+  forEachChild(N, refreshIsReps);
+  N->Ann.IsRep = deliveredRepOf(N);
+}
+
 void annotateReps(Function &F, bool Enable, AnnotateStats &Stats) {
   // Default: everything is a pointer.
   forEachNode(static_cast<Node *>(F.Root), [](Node *N) {
@@ -274,15 +280,7 @@ void annotateReps(Function &F, bool Enable, AnnotateStats &Stats) {
     // postorder recomputation).
     forEachNode(static_cast<Node *>(F.Root),
                 [](Node *N) { N->Ann.WantRep = wantedRepOf(N); });
-    // Postorder ISREP.
-    std::function<void(Node *)> Post = [&](Node *N) {
-      forEachChild(N, [&Post](Node *C) { Post(C); });
-      Rep R = deliveredRepOf(N);
-      if (N->Ann.IsRep != R) {
-        N->Ann.IsRep = R;
-      }
-    };
-    Post(F.Root);
+    refreshIsReps(F.Root);
 
     // Variables: a non-special, non-heap, unwritten-or-consistent variable
     // whose every read is wanted raw and whose initializer delivers raw is

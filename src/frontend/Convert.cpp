@@ -25,6 +25,23 @@ SourceLocation locOf(Value Form) {
   return Form.isCons() ? Form.consCell()->Loc : SourceLocation();
 }
 
+/// The operators Converter::convert expands by name before it considers
+/// a call. A function named after one of them could never be called.
+constexpr std::string_view SpecialForms[] = {
+    // The basic set.
+    "quote", "if", "progn", "lambda", "setq", "go", "return",
+    // Macros expanded into it.
+    "let", "let*", "cond", "and", "or", "when", "unless", "prog", "do",
+    "dotimes", "dolist", "case", "caseq", "catch", "catcher", "prog1",
+    "prog2", "function"};
+
+bool isSpecialForm(std::string_view Name) {
+  for (std::string_view S : SpecialForms)
+    if (S == Name)
+      return true;
+  return false;
+}
+
 /// One defun's conversion state.
 class Converter {
 public:
@@ -933,6 +950,16 @@ ir::Function *frontend::convertTopLevel(Module &M, Value Form, DiagEngine &Diags
     return nullptr;
   }
   const sexpr::Symbol *Name = Rest.car().symbol();
+  // A call to such a name converts as the special form or the primitive,
+  // never as a call to the defun.
+  const char *Taken = isSpecialForm(Name->name()) ? "special form"
+                      : lookupPrim(Name)           ? "primitive"
+                                                   : nullptr;
+  if (Taken) {
+    Diags.error(locOf(Form),
+                "cannot define '" + Name->name() + "': it names a " + Taken);
+    return nullptr;
+  }
   if (!Rest.cdr().isCons()) {
     Diags.error(locOf(Form), "defun needs a lambda list");
     return nullptr;

@@ -550,10 +550,9 @@ struct Evaluator {
     if (Args.empty())
       return Outcome::ok(RtValue::data(Unit));
     Value Acc = Args[0].dataValue();
-    // A lone argument is still an operand: (+ nil) is a type error, as
-    // in compiled code.
-    if (Args.size() == 1 && !Acc.isNumber() &&
-        (Op == sexpr::ArithOp::Add || Op == sexpr::ArithOp::Mul))
+    // A lone argument is still an operand: (+ nil) and (max nil) are type
+    // errors, as in compiled code.
+    if (Args.size() == 1 && !Acc.isNumber())
       return wrongType(Name);
     if (Args.size() == 1 && UnitIsInverse) {
       auto R = sexpr::arith(heap(), Op, Unit, Acc);

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <unordered_map>
 
 using namespace s1lisp;
@@ -240,84 +241,8 @@ ReturnNode *Function::makeReturn(Node *ValueExpr, ProgBodyNode *Target) {
 }
 
 //===----------------------------------------------------------------------===//
-// Traversal
+// Structural utilities
 //===----------------------------------------------------------------------===//
-
-void ir::forEachChild(Node *N, const std::function<void(Node *)> &Fn) {
-  switch (N->kind()) {
-  case NodeKind::Literal:
-  case NodeKind::VarRef:
-  case NodeKind::Go:
-    return;
-  case NodeKind::Setq:
-    Fn(cast<SetqNode>(N)->ValueExpr);
-    return;
-  case NodeKind::If: {
-    auto *I = cast<IfNode>(N);
-    Fn(I->Test);
-    Fn(I->Then);
-    Fn(I->Else);
-    return;
-  }
-  case NodeKind::Progn:
-    for (Node *C : cast<PrognNode>(N)->Forms)
-      Fn(C);
-    return;
-  case NodeKind::Lambda: {
-    auto *L = cast<LambdaNode>(N);
-    for (auto &O : L->Optionals)
-      if (O.Default)
-        Fn(O.Default);
-    Fn(L->Body);
-    return;
-  }
-  case NodeKind::Call: {
-    auto *C = cast<CallNode>(N);
-    if (C->CalleeExpr)
-      Fn(C->CalleeExpr);
-    for (Node *AN : C->Args)
-      Fn(AN);
-    return;
-  }
-  case NodeKind::Caseq: {
-    auto *C = cast<CaseqNode>(N);
-    Fn(C->Key);
-    for (auto &Cl : C->Clauses)
-      Fn(Cl.Body);
-    Fn(C->Default);
-    return;
-  }
-  case NodeKind::Catcher: {
-    auto *C = cast<CatcherNode>(N);
-    Fn(C->TagExpr);
-    Fn(C->Body);
-    return;
-  }
-  case NodeKind::ProgBody:
-    for (auto &I : cast<ProgBodyNode>(N)->Items)
-      if (I.Stmt)
-        Fn(I.Stmt);
-    return;
-  case NodeKind::Return:
-    Fn(cast<ReturnNode>(N)->ValueExpr);
-    return;
-  }
-}
-
-void ir::forEachChild(const Node *N, const std::function<void(const Node *)> &Fn) {
-  forEachChild(const_cast<Node *>(N),
-               [&Fn](Node *C) { Fn(static_cast<const Node *>(C)); });
-}
-
-void ir::forEachNode(Node *Root, const std::function<void(Node *)> &Fn) {
-  Fn(Root);
-  forEachChild(Root, [&Fn](Node *C) { forEachNode(C, Fn); });
-}
-
-void ir::forEachNode(const Node *Root, const std::function<void(const Node *)> &Fn) {
-  Fn(Root);
-  forEachChild(Root, [&Fn](const Node *C) { forEachNode(C, Fn); });
-}
 
 void ir::replaceChild(Node *Parent, Node *Old, Node *New) {
   assert(Parent && Old && New && "replaceChild on null");

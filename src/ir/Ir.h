@@ -24,9 +24,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -489,13 +489,85 @@ private:
 // Structural utilities
 //===----------------------------------------------------------------------===//
 
-/// Invokes \p Fn on every direct child of \p N, in evaluation order.
-void forEachChild(Node *N, const std::function<void(Node *)> &Fn);
-void forEachChild(const Node *N, const std::function<void(const Node *)> &Fn);
+/// The node type a walk hands its callback: const Node for a walk from
+/// a const node, Node otherwise.
+template <typename T>
+using WalkNode = std::conditional_t<std::is_const_v<T>, const Node, Node>;
 
-/// Invokes \p Fn on \p N and all descendants, preorder.
-void forEachNode(Node *Root, const std::function<void(Node *)> &Fn);
-void forEachNode(const Node *Root, const std::function<void(const Node *)> &Fn);
+/// Invokes \p Fn on every direct child of \p N, in evaluation order. A
+/// template, so every pass's callback inlines into the walk; \p N may
+/// point to any node class, const or not.
+template <typename T, typename FnT> void forEachChild(T *N, FnT &&Fn) {
+  using NodeT = WalkNode<T>;
+  NodeT *P = N;
+  auto Visit = [&Fn](NodeT *C) { Fn(C); };
+  switch (P->kind()) {
+  case NodeKind::Literal:
+  case NodeKind::VarRef:
+  case NodeKind::Go:
+    return;
+  case NodeKind::Setq:
+    Visit(cast<SetqNode>(P)->ValueExpr);
+    return;
+  case NodeKind::If: {
+    auto *I = cast<IfNode>(P);
+    Visit(I->Test);
+    Visit(I->Then);
+    Visit(I->Else);
+    return;
+  }
+  case NodeKind::Progn:
+    for (Node *C : cast<PrognNode>(P)->Forms)
+      Visit(C);
+    return;
+  case NodeKind::Lambda: {
+    auto *L = cast<LambdaNode>(P);
+    for (auto &O : L->Optionals)
+      if (O.Default)
+        Visit(O.Default);
+    Visit(L->Body);
+    return;
+  }
+  case NodeKind::Call: {
+    auto *C = cast<CallNode>(P);
+    if (C->CalleeExpr)
+      Visit(C->CalleeExpr);
+    for (Node *A : C->Args)
+      Visit(A);
+    return;
+  }
+  case NodeKind::Caseq: {
+    auto *C = cast<CaseqNode>(P);
+    Visit(C->Key);
+    for (auto &Cl : C->Clauses)
+      Visit(Cl.Body);
+    Visit(C->Default);
+    return;
+  }
+  case NodeKind::Catcher: {
+    auto *C = cast<CatcherNode>(P);
+    Visit(C->TagExpr);
+    Visit(C->Body);
+    return;
+  }
+  case NodeKind::ProgBody:
+    for (auto &I : cast<ProgBodyNode>(P)->Items)
+      if (I.Stmt)
+        Visit(I.Stmt);
+    return;
+  case NodeKind::Return:
+    Visit(cast<ReturnNode>(P)->ValueExpr);
+    return;
+  }
+}
+
+/// Invokes \p Fn on \p Root and all descendants, preorder.
+template <typename T, typename FnT> void forEachNode(T *Root, FnT &&Fn) {
+  using NodeT = WalkNode<T>;
+  NodeT *P = Root;
+  Fn(P);
+  forEachChild(P, [&Fn](NodeT *C) { forEachNode(C, Fn); });
+}
 
 /// Replaces the child slot of \p Parent currently holding \p Old with
 /// \p New, updating New's parent link. Asserts that Old is found.

@@ -256,7 +256,13 @@ const std::unordered_map<std::string, const PrimInfo *> &nameIndex() {
 } // namespace
 
 const PrimInfo *ir::lookupPrim(const sexpr::Symbol *Name) {
-  return lookupPrim(Name->name());
+  int32_t Index = Name->PrimIndex.load(std::memory_order_relaxed);
+  if (Index == -2) {
+    const PrimInfo *P = lookupPrim(Name->name());
+    Index = P ? static_cast<int32_t>(P - table().data()) : -1;
+    Name->PrimIndex.store(Index, std::memory_order_relaxed);
+  }
+  return Index < 0 ? nullptr : &table()[Index];
 }
 
 const PrimInfo *ir::lookupPrim(const std::string &Name) {

@@ -81,6 +81,8 @@ struct PrimInfo {
 };
 
 /// Looks up a primitive by name ("+$f", "car", …); null when unknown.
+/// The symbol form hashes a symbol's name only on its first lookup and
+/// answers from the symbol's PrimIndex slot after that.
 const PrimInfo *lookupPrim(const sexpr::Symbol *Name);
 const PrimInfo *lookupPrim(const std::string &Name);
 

@@ -51,6 +51,13 @@ public:
   explicit Symbol(std::string Name) : Name(std::move(Name)) {}
   const std::string &name() const { return Name; }
 
+  /// The index of this symbol's entry in ir's primitive table, filled by
+  /// ir::lookupPrim on its first lookup: -2 until then, -1 when the name
+  /// is not a primitive. Every thread that fills it stores the same
+  /// value, so relaxed loads and stores keep concurrent compiles
+  /// race-free.
+  mutable std::atomic<int32_t> PrimIndex{-2};
+
 private:
   std::string Name;
 };

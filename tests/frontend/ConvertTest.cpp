@@ -8,6 +8,7 @@
 #include "frontend/Convert.h"
 #include "interp/Interp.h"
 #include "ir/BackTranslate.h"
+#include "ir/Primitives.h"
 #include "sexpr/Printer.h"
 #include "sexpr/Reader.h"
 
@@ -424,6 +425,50 @@ TEST_F(ConvertTest, DottedFormsReportOneErrorEach) {
       << Diags.str();
   EXPECT_EQ(convertExpr("'(a . b)"), "(quote (a . b))");
   EXPECT_EQ(convertExpr("(car '(1 . 2))"), "(car (quote (1 . 2)))");
+}
+
+TEST_F(ConvertTest, DefunOfASpecialFormOrPrimitiveIsRejected) {
+  // A call to such a name converts as the special form or the primitive,
+  // so the defun could never be called: one error names it.
+  auto OnlyError = [this](const std::string &Src) {
+    DiagEngine Diags;
+    EXPECT_FALSE(frontend::convertSource(M, Src, Diags));
+    std::string Errors;
+    for (const Diagnostic &D : Diags.diagnostics())
+      if (D.Severity == DiagSeverity::Error)
+        Errors += D.Message + "\n";
+    return Errors;
+  };
+  const char *SpecialForms[] = {
+      "quote", "if", "progn", "lambda", "setq", "go", "return", "let",
+      "let*", "cond", "and", "or", "when", "unless", "prog", "do",
+      "dotimes", "dolist", "case", "caseq", "catch", "catcher", "prog1",
+      "prog2", "function"};
+  for (const char *Name : SpecialForms)
+    EXPECT_EQ(OnlyError(std::string("(defun ") + Name + " (x) x)"),
+              std::string("cannot define '") + Name +
+                  "': it names a special form\n");
+  for (int Op = 0; Op <= static_cast<int>(Prim::Print); ++Op) {
+    std::string Name = primInfo(static_cast<Prim>(Op)).Name;
+    if (Name == "function")
+      continue; // a special form first
+    EXPECT_EQ(OnlyError("(defun " + Name + " (x) x)"),
+              "cannot define '" + Name + "': it names a primitive\n");
+  }
+
+  // Programs whose later call would convert as the catch form and as the
+  // car primitive.
+  EXPECT_EQ(OnlyError("(defun catcher (x) (throw 'tag (* x 2)))\n"
+                      "(defun main () (catcher 20))"),
+            "cannot define 'catcher': it names a special form\n");
+  EXPECT_EQ(OnlyError("(defun car (x) 42)\n(defun main () (car '(1 2)))"),
+            "cannot define 'car': it names a primitive\n");
+
+  // Names that merely contain one stay legal.
+  DiagEngine Diags;
+  EXPECT_TRUE(frontend::convertSource(
+      M, "(defun catcher2 (x) x) (defun cars (x) x) (defun my-if (x) x)", Diags))
+      << Diags.str();
 }
 
 TEST_F(ConvertTest, VerifierAcceptsAllConversions) {

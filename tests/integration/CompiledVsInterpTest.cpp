@@ -255,6 +255,13 @@ std::vector<ProgramCase> corpus() {
       {"jump-thunk-keeps-referents-live",
        "(defun fut (a b c) (if (and c (do ((acc5 0)) (0 acc5))) b))", "fut",
        {{fx(1), fx(7), fl(2.25)}, {fx(1), fx(7), Value::nil()}}},
+      // Unary max and min type-check their argument like unary + and *.
+      {"unary-max-nil", "(defun fut () (max nil))", "fut", {{}}},
+      {"unary-min-symbol", "(defun fut () (min 'a))", "fut", {{}}},
+      {"unary-max-param", "(defun f (x) (max x))", "f",
+       {{Value::nil()}, {fx(3)}, {fl(-2.5)}}},
+      {"unary-min-param", "(defun f (x) (min x))", "f",
+       {{Value::nil()}, {fx(-4)}}},
   };
 }
 

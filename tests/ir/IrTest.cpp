@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <type_traits>
+
 using namespace s1lisp;
 using namespace s1lisp::ir;
 using sexpr::Value;
@@ -62,14 +67,100 @@ TEST_F(IrTest, VariableBackPointers) {
   EXPECT_TRUE(V->Written);
 }
 
+/// The children forEachChild hands its callback, in order, from the
+/// mutable and the const instantiation alike.
+std::vector<const Node *> childrenOf(Node *N) {
+  std::vector<const Node *> Mutable, Const;
+  forEachChild(N, [&Mutable](auto *C) {
+    static_assert(std::is_same_v<decltype(C), Node *>);
+    Mutable.push_back(C);
+  });
+  forEachChild(static_cast<const Node *>(N), [&Const](auto *C) {
+    static_assert(std::is_same_v<decltype(C), const Node *>);
+    Const.push_back(C);
+  });
+  EXPECT_EQ(Mutable, Const);
+  return Mutable;
+}
+
+using Nodes = std::vector<const Node *>;
+
 TEST_F(IrTest, ForEachChildOrder) {
-  Node *A = F->makeLiteral(Value::fixnum(1));
-  Node *B = F->makeLiteral(Value::fixnum(2));
-  Node *C = F->makeLiteral(Value::fixnum(3));
-  IfNode *If = F->makeIf(A, B, C);
-  std::vector<Node *> Seen;
-  forEachChild(If, [&Seen](Node *N) { Seen.push_back(N); });
-  EXPECT_EQ(Seen, (std::vector<Node *>{A, B, C}));
+  auto Lit = [this](int64_t N) { return F->makeLiteral(Value::fixnum(N)); };
+  Node *A = Lit(1), *B = Lit(2), *C = Lit(3), *D = Lit(4);
+
+  EXPECT_EQ(childrenOf(F->makeIf(A, B, C)), (Nodes{A, B, C}));
+
+  Variable *V = F->makeVariable(sym("v"));
+  Node *Value1 = Lit(5);
+  EXPECT_EQ(childrenOf(F->makeSetq(V, Value1)), (Nodes{Value1}));
+
+  Node *P1 = Lit(6), *P2 = Lit(7), *P3 = Lit(8);
+  EXPECT_EQ(childrenOf(F->makeProgn({P1, P2, P3})), (Nodes{P1, P2, P3}));
+  EXPECT_EQ(childrenOf(F->makeProgn({})), Nodes{});
+
+  // Defaults in parameter order, skipping an &optional without one, then
+  // the body.
+  LambdaNode *L = F->makeLambda();
+  Node *D1 = Lit(9), *D3 = Lit(10), *Body = Lit(11);
+  L->Optionals = {{F->makeVariable(sym("o1")), D1},
+                  {F->makeVariable(sym("o2")), nullptr},
+                  {F->makeVariable(sym("o3")), D3}};
+  L->Body = Body;
+  EXPECT_EQ(childrenOf(L), (Nodes{D1, D3, Body}));
+
+  // The callee expression comes before the arguments; a named call has
+  // only its arguments.
+  Node *Callee = F->makeVarRef(V), *Arg1 = Lit(12), *Arg2 = Lit(13);
+  EXPECT_EQ(childrenOf(F->makeCallExpr(Callee, {Arg1, Arg2})),
+            (Nodes{Callee, Arg1, Arg2}));
+  Node *Arg3 = Lit(14);
+  EXPECT_EQ(childrenOf(F->makeCall(sym("car"), {Arg3})), (Nodes{Arg3}));
+
+  // Key, then each clause body, then the default.
+  Node *Key = Lit(15), *Body1 = Lit(16), *Body2 = Lit(17), *Default = Lit(18);
+  EXPECT_EQ(childrenOf(F->makeCaseq(Key,
+                                    {{{Value::fixnum(1)}, Body1},
+                                     {{Value::fixnum(2)}, Body2}},
+                                    Default)),
+            (Nodes{Key, Body1, Body2, Default}));
+
+  Node *Tag = Lit(19), *CatchBody = Lit(20);
+  EXPECT_EQ(childrenOf(F->makeCatcher(Tag, CatchBody)), (Nodes{Tag, CatchBody}));
+
+  // Label items have no child; statements keep their order around them.
+  Node *S1 = Lit(21), *S2 = Lit(22);
+  ProgBodyNode *PB = F->makeProgBody(
+      {{sym("a"), nullptr}, {nullptr, S1}, {sym("b"), nullptr}, {nullptr, S2},
+       {sym("c"), nullptr}});
+  EXPECT_EQ(childrenOf(PB), (Nodes{S1, S2}));
+  EXPECT_EQ(childrenOf(F->makeProgBody({{sym("only"), nullptr}})), Nodes{});
+
+  EXPECT_EQ(childrenOf(F->makeReturn(D, PB)), (Nodes{D}));
+
+  // Leaves.
+  EXPECT_EQ(childrenOf(Lit(23)), Nodes{});
+  EXPECT_EQ(childrenOf(F->makeVarRef(V)), Nodes{});
+  EXPECT_EQ(childrenOf(F->makeGo(sym("a"), PB)), Nodes{});
+}
+
+TEST_F(IrTest, ForEachNodeIsPreorder) {
+  // (if (progn a b) (f c (setq v d)) e)
+  auto Lit = [this](int64_t N) { return F->makeLiteral(Value::fixnum(N)); };
+  Node *A = Lit(1), *B = Lit(2), *C = Lit(3), *D = Lit(4), *E = Lit(5);
+  Node *P = F->makeProgn({A, B});
+  Node *Set = F->makeSetq(F->makeVariable(sym("v")), D);
+  Node *Call = F->makeCall(sym("f"), {C, Set});
+  IfNode *If = F->makeIf(P, Call, E);
+  Nodes Expected{If, P, A, B, Call, C, Set, D, E};
+
+  Nodes Mutable, Const;
+  forEachNode(If, [&Mutable](Node *N) { Mutable.push_back(N); });
+  forEachNode(static_cast<const IfNode *>(If),
+              [&Const](const Node *N) { Const.push_back(N); });
+  EXPECT_EQ(Mutable, Expected);
+  EXPECT_EQ(Const, Expected);
+  EXPECT_EQ(treeSize(If), Expected.size());
 }
 
 TEST_F(IrTest, ReplaceChild) {
@@ -259,6 +350,62 @@ TEST_F(IrTest, PrimitiveTable) {
   EXPECT_EQ(lookupPrim("no-such-fn"), nullptr);
   EXPECT_FALSE(lookupPrim("eq")->acceptsArgCount(3));
   EXPECT_TRUE(lookupPrim("list")->acceptsArgCount(17));
+
+  // A symbol answers what its name does, on the first lookup and from its
+  // slot after that, in two independent symbol tables alike.
+  sexpr::SymbolTable One, Two;
+  for (int Op = 0; Op <= static_cast<int>(Prim::Print); ++Op) {
+    const PrimInfo &P = primInfo(static_cast<Prim>(Op));
+    SCOPED_TRACE(P.Name);
+    ASSERT_EQ(lookupPrim(std::string(P.Name)), &P);
+    for (sexpr::SymbolTable *Syms : {&One, &Two}) {
+      const sexpr::Symbol *S = Syms->intern(P.Name);
+      EXPECT_EQ(lookupPrim(S), &P);
+      EXPECT_EQ(lookupPrim(S), &P);
+    }
+  }
+  for (const char *Name : {"no-such-fn", "fut", "catch"}) {
+    const sexpr::Symbol *S = One.intern(Name);
+    EXPECT_EQ(lookupPrim(S), nullptr) << Name;
+    EXPECT_EQ(lookupPrim(S), nullptr) << Name;
+  }
+}
+
+TEST_F(IrTest, ConcurrentPrimitiveLookupsAgree) {
+  // Four threads resolve the same never-looked-up symbols at once: every
+  // primitive name and as many names that are not primitives. Each thread
+  // must see the name lookup's answer, and filling the per-symbol slots
+  // must not race.
+  sexpr::SymbolTable Fresh;
+  std::vector<const sexpr::Symbol *> Syms;
+  std::vector<const PrimInfo *> Expected;
+  for (int Op = 0; Op <= static_cast<int>(Prim::Print); ++Op) {
+    const char *Name = primInfo(static_cast<Prim>(Op)).Name;
+    for (std::string N : {std::string(Name), std::string(Name) + "-not"}) {
+      Syms.push_back(Fresh.intern(N));
+      Expected.push_back(lookupPrim(N));
+    }
+  }
+  constexpr int Threads = 4;
+  std::atomic<int> Ready{0};
+  std::vector<std::vector<const PrimInfo *>> Seen(Threads);
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      ++Ready;
+      while (Ready.load() < Threads) {
+      }
+      // Half the threads walk the symbols backwards, so first lookups
+      // meet from both ends.
+      for (size_t I = 0; I < Syms.size(); ++I)
+        Seen[T].push_back(lookupPrim(Syms[T % 2 ? Syms.size() - 1 - I : I]));
+      if (T % 2)
+        std::reverse(Seen[T].begin(), Seen[T].end());
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  for (int T = 0; T < Threads; ++T)
+    EXPECT_EQ(Seen[T], Expected) << "thread " << T;
 }
 
 TEST_F(IrTest, VerifyCatchesBadParent) {
