@@ -6,12 +6,21 @@
 #include "stats/Stats.h"
 
 S1_STAT(NumAnalyzeRuns, "analysis.runs", "full re-analyses of a function tree");
+S1_STAT(NumRuleEvals, "analysis.rule_evals",
+        "nodes the effect and complexity rules evaluated, on demand or in "
+        "analyze's walk");
 
 using namespace s1lisp;
 using namespace s1lisp::analysis;
 using namespace s1lisp::ir;
 
-EffectInfo analysis::effectsOf(const Node *N) {
+namespace {
+
+/// The side-effect rule of one node. \p Child gives the effects of a
+/// direct child, or of a manifest callee lambda's defaults and body:
+/// effectsOf computes them on demand, analyze reads the annotations its
+/// postorder walk has already written.
+template <typename ChildFx> EffectInfo effectRule(const Node *N, ChildFx &&Child) {
   EffectInfo E;
   switch (N->kind()) {
   case NodeKind::Literal:
@@ -29,7 +38,7 @@ EffectInfo analysis::effectsOf(const Node *N) {
 
   case NodeKind::Setq: {
     const auto *S = cast<SetqNode>(N);
-    E = effectsOf(S->ValueExpr);
+    E = Child(S->ValueExpr);
     E.Bits |= EffectWrites;
     return E;
   }
@@ -38,7 +47,7 @@ EffectInfo analysis::effectsOf(const Node *N) {
   case NodeKind::Progn:
   case NodeKind::Caseq:
   case NodeKind::ProgBody: {
-    forEachChild(N, [&E](const Node *C) { E |= effectsOf(C); });
+    forEachChild(N, [&E, &Child](const Node *C) { E |= Child(C); });
     return E;
   }
 
@@ -50,8 +59,8 @@ EffectInfo analysis::effectsOf(const Node *N) {
 
   case NodeKind::Catcher: {
     const auto *C = cast<CatcherNode>(N);
-    E = effectsOf(C->TagExpr);
-    E |= effectsOf(C->Body);
+    E = Child(C->TagExpr);
+    E |= Child(C->Body);
     // A catcher stops only throws with a matching tag; conservatively the
     // control bit stays if the body has one.
     return E;
@@ -61,24 +70,24 @@ EffectInfo analysis::effectsOf(const Node *N) {
   case NodeKind::Return: {
     E.Bits |= EffectControl;
     if (const auto *R = dyn_cast<ReturnNode>(N))
-      E |= effectsOf(R->ValueExpr);
+      E |= Child(R->ValueExpr);
     return E;
   }
 
   case NodeKind::Call: {
     const auto *C = cast<CallNode>(N);
     for (const Node *A : C->Args)
-      E |= effectsOf(A);
+      E |= Child(A);
     if (C->CalleeExpr) {
       if (const auto *L = dyn_cast<LambdaNode>(C->CalleeExpr)) {
         // Calling a manifest lambda (LET): the body executes here. Optional
         // defaults may execute too.
         for (const auto &O : L->Optionals)
           if (O.Default)
-            E |= effectsOf(O.Default);
-        E |= effectsOf(L->Body);
+            E |= Child(O.Default);
+        E |= Child(L->Body);
       } else {
-        E |= effectsOf(C->CalleeExpr);
+        E |= Child(C->CalleeExpr);
         E.Bits |= EffectUnknownCall;
       }
       return E;
@@ -96,7 +105,9 @@ EffectInfo analysis::effectsOf(const Node *N) {
   return E;
 }
 
-unsigned analysis::complexityOf(const Node *N) {
+/// The complexity rule of one node; \p Child gives a direct child's
+/// complexity, as for effectRule.
+template <typename ChildCx> unsigned complexityRule(const Node *N, ChildCx &&Child) {
   unsigned Weight = 1;
   switch (N->kind()) {
   case NodeKind::Call:
@@ -117,7 +128,47 @@ unsigned analysis::complexityOf(const Node *N) {
     break;
   }
   unsigned Total = Weight;
-  forEachChild(N, [&Total](const Node *C) { Total += complexityOf(C); });
+  forEachChild(N, [&Total, &Child](const Node *C) { Total += Child(C); });
+  return Total;
+}
+
+/// On-demand evaluation: each rule recurses into the children, counting
+/// the nodes it evaluates in \p Evals.
+EffectInfo effectsBelow(const Node *N, uint64_t &Evals) {
+  ++Evals;
+  return effectRule(N, [&Evals](const Node *C) { return effectsBelow(C, Evals); });
+}
+
+unsigned complexityBelow(const Node *N, uint64_t &Evals) {
+  ++Evals;
+  return complexityRule(
+      N, [&Evals](const Node *C) { return complexityBelow(C, Evals); });
+}
+
+/// analyze's walk: children first, then each rule once over the
+/// children's annotations. Returns the nodes visited.
+uint64_t annotateBelow(Node *N) {
+  uint64_t Visited = 1;
+  forEachChild(N, [&Visited](Node *C) { Visited += annotateBelow(C); });
+  N->Ann.Effects = effectRule(N, [](const Node *C) { return C->Ann.Effects; });
+  N->Ann.Complexity =
+      complexityRule(N, [](const Node *C) { return C->Ann.Complexity; });
+  return Visited;
+}
+
+} // namespace
+
+EffectInfo analysis::effectsOf(const Node *N) {
+  uint64_t Evals = 0;
+  EffectInfo E = effectsBelow(N, Evals);
+  NumRuleEvals += Evals;
+  return E;
+}
+
+unsigned analysis::complexityOf(const Node *N) {
+  uint64_t Evals = 0;
+  unsigned Total = complexityBelow(N, Evals);
+  NumRuleEvals += Evals;
   return Total;
 }
 
@@ -212,10 +263,8 @@ void analysis::analyze(Function &F) {
   stats::PhaseTimer Timer("analysis");
   ++NumAnalyzeRuns;
   recomputeVariableRefs(F);
-  forEachNode(static_cast<Node *>(F.Root), [](Node *N) {
-    N->Ann.Effects = effectsOf(N);
-    N->Ann.Complexity = complexityOf(N);
-  });
+  // Two rule evaluations per node: its effects and its complexity.
+  NumRuleEvals += 2 * annotateBelow(F.Root);
   analyzeTails(F);
 }
 

@@ -18,15 +18,21 @@ namespace s1lisp {
 namespace analysis {
 
 /// Computes the side-effect classification of executing \p N, on demand
-/// (no caching — trees are small and the optimizer mutates them freely).
+/// by walking its subtree: the meta-evaluator mutates the tree between
+/// queries, so it asks here rather than read Ann.Effects.
 ir::EffectInfo effectsOf(const ir::Node *N);
 
 /// Estimated object-code size of \p N (complexity analysis): a unit per
-/// node with extra weight for calls and dispatch constructs.
+/// node with extra weight for calls and dispatch constructs. On demand,
+/// like effectsOf.
 unsigned complexityOf(const ir::Node *N);
 
 /// Runs all per-node analyses over \p F, filling Ann.Effects,
 /// Ann.Complexity, and Ann.Tail, and rebuilding variable referent lists.
+/// Linear: one postorder walk applies effectsOf's and complexityOf's
+/// rules to each node over its children's annotations, so every node's
+/// Ann.Effects and Ann.Complexity equal those queries on it until the
+/// tree next changes.
 void analyze(ir::Function &F);
 
 /// Marks Ann.Tail: a node is in tail position when its value is the value

@@ -26,7 +26,9 @@ SourceLocation locOf(Value Form) {
 }
 
 /// The operators Converter::convert expands by name before it considers
-/// a call. A function named after one of them could never be called.
+/// a call. A function named after one of them could never be called, nor
+/// could a lexical variable (a call through a variable names it in
+/// function position).
 constexpr std::string_view SpecialForms[] = {
     // The basic set.
     "quote", "if", "progn", "lambda", "setq", "go", "return",
@@ -41,6 +43,13 @@ bool isSpecialForm(std::string_view Name) {
       return true;
   return false;
 }
+
+/// Bound on Converter::Depth. let*, cond, and and or expand a flat list
+/// into a nested tree, past the reader's nesting bound; every later phase
+/// walks that tree recursively. At this bound the costliest mixes (a
+/// let* chain around forms nested to the reader's bound) still compile,
+/// interpret and run on an 8 MB thread stack.
+constexpr unsigned MaxConvertDepth = 4000;
 
 /// One defun's conversion state.
 class Converter {
@@ -59,6 +68,16 @@ private:
   ScopeMark markScope() const { return {Scope.size()}; }
   void popScope(ScopeMark Mark) { Scope.resize(Mark.Depth); }
   void bind(const sexpr::Symbol *Name, Variable *Var) { Scope.push_back({Name, Var}); }
+
+  /// False, after one error, when a parameter or a let or prog variable
+  /// is named after a special form: (when 5) would convert as the form,
+  /// never as a call through the variable.
+  bool bindable(const sexpr::Symbol *Name, SourceLocation Loc) {
+    if (!isSpecialForm(Name->name()))
+      return true;
+    Diags.error(Loc, "cannot bind '" + Name->name() + "': it names a special form");
+    return false;
+  }
 
   Variable *lookupLexical(const sexpr::Symbol *Name) {
     for (size_t I = Scope.size(); I > 0; --I)
@@ -87,6 +106,30 @@ private:
     return F.makeNil();
   }
 
+  /// RAII: one step of conversion that nests \p Levels tree levels below
+  /// the enclosing one. Past MaxConvertDepth, tooDeep() reports the
+  /// reader's error (once per defun) and the step converts to nil.
+  class Nest {
+  public:
+    Nest(Converter &C, unsigned Levels) : C(C), Levels(Levels) { C.Depth += Levels; }
+    ~Nest() { C.Depth -= Levels; }
+    Nest(const Nest &) = delete;
+    Nest &operator=(const Nest &) = delete;
+
+    bool tooDeep(Value Form) {
+      if (C.Depth <= MaxConvertDepth)
+        return false;
+      if (!C.ReportedTooDeep)
+        C.Diags.error(locOf(Form), "expression nesting too deep");
+      C.ReportedTooDeep = true;
+      return true;
+    }
+
+  private:
+    Converter &C;
+    unsigned Levels;
+  };
+
   const sexpr::Symbol *sym(const char *Name) { return Syms.intern(Name); }
 
   // --- conversion ---
@@ -97,7 +140,8 @@ private:
   bool parseLambdaList(LambdaNode *L, Value LambdaList, ScopeMark &BodyMark);
 
   /// Walks a let or prog binding list, converting each init form in the
-  /// enclosing scope; false after reporting a malformed binding.
+  /// enclosing scope; false after reporting a malformed binding or a
+  /// name that is not bindable.
   bool convertBindings(Value Form, Value Bindings, const char *What,
                        std::vector<const sexpr::Symbol *> &Names,
                        std::vector<Node *> &Inits);
@@ -130,6 +174,12 @@ private:
     std::vector<const sexpr::Symbol *> Tags;
   };
   std::vector<ProgCtx> ProgStack;
+
+  /// Tree levels the conversion in progress nests below the defun's
+  /// lambda: one per convert() and per step of the cond and and
+  /// expansions, two per step of or's (a call and a thunk).
+  unsigned Depth = 0;
+  bool ReportedTooDeep = false;
 };
 
 bool Converter::convertDefunBody(Value LambdaList, Value BodyForms,
@@ -199,6 +249,11 @@ bool Converter::parseLambdaList(LambdaNode *L, Value LambdaList, ScopeMark &) {
       Mode = Mode::Rest;
       continue;
     }
+
+    // The parameter's name: the item, or the car of an &optional item.
+    Value NameV = Item.isCons() ? Item.car() : Item;
+    if (NameV.isSymbol() && !bindable(NameV.symbol(), locOf(LambdaList)))
+      return false;
 
     auto makeParam = [&](const sexpr::Symbol *Name) {
       Variable *V = F.makeVariable(Name, isSpecialName(Name));
@@ -276,6 +331,9 @@ Node *Converter::convertBody(Value Forms, SourceLocation Loc) {
 }
 
 Node *Converter::convert(Value Form) {
+  Nest Level(*this, 1);
+  if (Level.tooDeep(Form))
+    return F.makeNil();
   // Self-evaluating atoms.
   if (Form.isNumber() || Form.isString() || Form.isNil()) {
     Node *N = F.makeLiteral(Form);
@@ -488,6 +546,9 @@ bool Converter::convertBindings(Value Form, Value Bindings, const char *What,
       return false;
     }
   }
+  for (const sexpr::Symbol *Name : Names)
+    if (!bindable(Name, locOf(Form)))
+      return false;
   return true;
 }
 
@@ -536,6 +597,9 @@ Node *Converter::convertCond(Value Form) {
   // (cond) => nil ; (cond (test) rest) => (or test (cond rest...))
   // (cond (test body..) rest) => (if test (progn body..) (cond rest...))
   // (cond (t body..)) => (progn body..)
+  Nest Level(*this, 1);
+  if (Level.tooDeep(Form))
+    return F.makeNil();
   Value Clauses = Form.cdr();
   if (Clauses.isNil())
     return F.makeNil();
@@ -571,6 +635,9 @@ Node *Converter::convertCond(Value Form) {
 
 Node *Converter::convertAnd(Value Rest) {
   // (and) => t ; (and a) => a ; (and a more..) => (if a (and more..) nil)
+  Nest Level(*this, 1);
+  if (Level.tooDeep(Rest))
+    return F.makeNil();
   if (Rest.isNil())
     return F.makeLiteral(Value::symbol(Syms.t()));
   if (Rest.cdr().isNil())
@@ -584,6 +651,9 @@ Node *Converter::convertOr(Value Rest) {
   // (or) => nil ; (or a) => a
   // (or a more..) => ((lambda (v f) (if v v (f))) a (lambda () (or more..)))
   // — the paper's expansion, avoiding double evaluation of a (§5).
+  Nest Level(*this, 2);
+  if (Level.tooDeep(Rest))
+    return F.makeNil();
   if (Rest.isNil())
     return F.makeNil();
   if (Rest.cdr().isNil())

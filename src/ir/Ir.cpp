@@ -247,69 +247,12 @@ ReturnNode *Function::makeReturn(Node *ValueExpr, ProgBodyNode *Target) {
 void ir::replaceChild(Node *Parent, Node *Old, Node *New) {
   assert(Parent && Old && New && "replaceChild on null");
   bool Found = false;
-  auto Swap = [&](Node *&Slot) {
+  forEachChild(Parent, [&](Node *&Slot) {
     if (Slot == Old && !Found) {
       Slot = New;
       Found = true;
     }
-  };
-  switch (Parent->kind()) {
-  case NodeKind::Literal:
-  case NodeKind::VarRef:
-  case NodeKind::Go:
-    break;
-  case NodeKind::Setq:
-    Swap(cast<SetqNode>(Parent)->ValueExpr);
-    break;
-  case NodeKind::If: {
-    auto *I = cast<IfNode>(Parent);
-    Swap(I->Test);
-    Swap(I->Then);
-    Swap(I->Else);
-    break;
-  }
-  case NodeKind::Progn:
-    for (Node *&C : cast<PrognNode>(Parent)->Forms)
-      Swap(C);
-    break;
-  case NodeKind::Lambda: {
-    auto *L = cast<LambdaNode>(Parent);
-    for (auto &O : L->Optionals)
-      Swap(O.Default);
-    Swap(L->Body);
-    break;
-  }
-  case NodeKind::Call: {
-    auto *C = cast<CallNode>(Parent);
-    if (C->CalleeExpr)
-      Swap(C->CalleeExpr);
-    for (Node *&AN : C->Args)
-      Swap(AN);
-    break;
-  }
-  case NodeKind::Caseq: {
-    auto *C = cast<CaseqNode>(Parent);
-    Swap(C->Key);
-    for (auto &Cl : C->Clauses)
-      Swap(Cl.Body);
-    Swap(C->Default);
-    break;
-  }
-  case NodeKind::Catcher: {
-    auto *C = cast<CatcherNode>(Parent);
-    Swap(C->TagExpr);
-    Swap(C->Body);
-    break;
-  }
-  case NodeKind::ProgBody:
-    for (auto &I : cast<ProgBodyNode>(Parent)->Items)
-      if (I.Stmt)
-        Swap(I.Stmt);
-    break;
-  case NodeKind::Return:
-    Swap(cast<ReturnNode>(Parent)->ValueExpr);
-    break;
-  }
+  });
   assert(Found && "replaceChild: Old is not a child of Parent");
   New->Parent = Parent;
 }

@@ -496,11 +496,18 @@ using WalkNode = std::conditional_t<std::is_const_v<T>, const Node, Node>;
 
 /// Invokes \p Fn on every direct child of \p N, in evaluation order. A
 /// template, so every pass's callback inlines into the walk; \p N may
-/// point to any node class, const or not.
+/// point to any node class, const or not. A walk from a mutable node
+/// hands over the child's slot, so a callback taking `Node *&` may
+/// replace the child in place.
 template <typename T, typename FnT> void forEachChild(T *N, FnT &&Fn) {
   using NodeT = WalkNode<T>;
   NodeT *P = N;
-  auto Visit = [&Fn](NodeT *C) { Fn(C); };
+  auto Visit = [&Fn](auto &Slot) {
+    if constexpr (std::is_const_v<T>)
+      Fn(static_cast<const Node *>(Slot));
+    else
+      Fn(Slot);
+  };
   switch (P->kind()) {
   case NodeKind::Literal:
   case NodeKind::VarRef:
@@ -517,7 +524,7 @@ template <typename T, typename FnT> void forEachChild(T *N, FnT &&Fn) {
     return;
   }
   case NodeKind::Progn:
-    for (Node *C : cast<PrognNode>(P)->Forms)
+    for (auto &C : cast<PrognNode>(P)->Forms)
       Visit(C);
     return;
   case NodeKind::Lambda: {
@@ -532,7 +539,7 @@ template <typename T, typename FnT> void forEachChild(T *N, FnT &&Fn) {
     auto *C = cast<CallNode>(P);
     if (C->CalleeExpr)
       Visit(C->CalleeExpr);
-    for (Node *A : C->Args)
+    for (auto &A : C->Args)
       Visit(A);
     return;
   }

@@ -48,16 +48,15 @@ std::string keyOf(const Node *N) {
 
 /// Collects candidate occurrences below \p Root without descending into
 /// lambdas (hoisting across a lambda boundary would change how often the
-/// expression evaluates) or into progbodies (loops re-evaluate).
+/// expression evaluates) or into progbodies (loops re-evaluate). Reads
+/// the effects and complexity analysis::analyze left on each node.
 void collectOccurrences(Node *Root, std::map<std::string, std::vector<Node *>> &Out,
                         const CseOptions &Opts) {
   if (Root->kind() == NodeKind::Lambda || Root->kind() == NodeKind::ProgBody)
     return;
-  if (Root->kind() == NodeKind::Call) {
-    EffectInfo Fx = analysis::effectsOf(Root);
-    if (Fx.duplicable() && analysis::complexityOf(Root) >= Opts.MinComplexity)
-      Out[keyOf(Root)].push_back(Root);
-  }
+  if (Root->kind() == NodeKind::Call && Root->Ann.Effects.duplicable() &&
+      Root->Ann.Complexity >= Opts.MinComplexity)
+    Out[keyOf(Root)].push_back(Root);
   forEachChild(Root, [&](Node *C) { collectOccurrences(C, Out, Opts); });
 }
 
@@ -76,6 +75,8 @@ unsigned opt::eliminateCommonSubexpressions(Function &F, const CseOptions &Opts,
   stats::PhaseTimer Timer("opt.cse");
   unsigned Hoisted = 0;
   for (unsigned Round = 0; Round < Opts.MaxRounds; ++Round) {
+    // Fills the Ann.Effects and Ann.Complexity that the search below
+    // reads; the tree does not change until the hoist.
     analysis::analyze(F);
     std::map<std::string, std::vector<Node *>> Occurrences;
     collectOccurrences(F.Root->Body, Occurrences, Opts);
@@ -98,7 +99,7 @@ unsigned opt::eliminateCommonSubexpressions(Function &F, const CseOptions &Opts,
       }
       if (Disjoint.size() < 2)
         continue;
-      unsigned Size = analysis::complexityOf(Disjoint[0]);
+      unsigned Size = Disjoint[0]->Ann.Complexity;
       if (Size > BestSize) {
         BestSize = Size;
         Best = Disjoint[0];

@@ -9,6 +9,8 @@
 #include "sexpr/Printer.h"
 #include "stats/Stats.h"
 
+#include <span>
+
 using namespace s1lisp;
 using namespace s1lisp::opt;
 using namespace s1lisp::ir;
@@ -171,20 +173,73 @@ private:
       LastBefore = render(N);
   }
 
-  /// Applies \p Rule named \p Name; on success logs the rewrite.
-  template <typename RuleFn>
-  Node *apply(const char *Name, Node *N, RuleFn Rule) {
-    Node *R = Rule(N);
-    if (!R)
+  /// One rewrite rule: its transcript name, its method, and the
+  /// OptOptions switch that enables it.
+  struct NamedRule {
+    const char *Name;
+    Node *(MetaEvaluator::*Fn)(Node *);
+    bool OptOptions::*Enabled;
+  };
+
+  /// The rules that can fire on a node of kind \p K, in the order they
+  /// are tried. Each rule matches one or two kinds; a kind with no rules
+  /// (literals, variables, setqs, lambdas, ...) tries none.
+  static std::span<const NamedRule> rulesFor(NodeKind K) {
+    using M = MetaEvaluator;
+    static constexpr NamedRule CallRules[] = {
+        {"META-COMPILE-TIME-EVAL", &M::tryConstantFold, &OptOptions::ConstantFold},
+        {"META-EVALUATE-ASSOC-COMMUT-CALL", &M::tryAssocCommut,
+         &OptOptions::AssocCommut},
+        {"META-EXPAND-NARY-CALL", &M::tryExpandNary, &OptOptions::AssocCommut},
+        {"CONSIDER-REVERSING-ARGUMENTS", &M::tryReverseArgs,
+         &OptOptions::AssocCommut},
+        {"META-IDENTITY-ELIMINATION", &M::tryIdentity, &OptOptions::IdentityElim},
+        {"META-SIN-TO-SINC", &M::tryMachineTrig, &OptOptions::MachineTrig},
+        {"META-CALL-LAMBDA", &M::tryCallLambda, &OptOptions::Substitute},
+        {"META-DROP-UNUSED-ARGUMENT", &M::tryDropUnused, &OptOptions::Substitute},
+        {"META-SUBSTITUTE", &M::trySubstitute, &OptOptions::Substitute},
+    };
+    static constexpr NamedRule IfRules[] = {
+        {"META-DEAD-CODE", &M::tryDeadCode, &OptOptions::DeadCode},
+        {"META-REDUNDANT-TEST", &M::tryRedundantTest, &OptOptions::RedundantTest},
+        {"META-IF-OF-PROGN", &M::tryIfOfProgn, &OptOptions::DeadCode},
+        {"META-IF-OF-LET", &M::tryIfOfLet, &OptOptions::IfDistribute},
+        {"META-DISTRIBUTE-NESTED-IF", &M::tryIfDistribute,
+         &OptOptions::IfDistribute},
+    };
+    static constexpr NamedRule CaseqRules[] = {
+        {"META-DEAD-CODE", &M::tryDeadCode, &OptOptions::DeadCode},
+    };
+    static constexpr NamedRule PrognRules[] = {
+        {"META-PROGN-FLATTEN", &M::tryPrognFlatten, &OptOptions::DeadCode},
+    };
+    switch (K) {
+    case NodeKind::Call:
+      return CallRules;
+    case NodeKind::If:
+      return IfRules;
+    case NodeKind::Caseq:
+      return CaseqRules;
+    case NodeKind::Progn:
+      return PrognRules;
+    default:
+      return {};
+    }
+  }
+
+  /// Applies \p R to \p N; on success logs the rewrite.
+  Node *apply(const NamedRule &R, Node *N) {
+    Node *New = (this->*R.Fn)(N);
+    if (!New)
       return nullptr;
     assert((!Log || !LastBefore.empty()) && "rule fired without commit()");
     Changed = true;
     ++PassRewrites;
     if (Log)
-      log(Name, LastBefore, render(R), std::move(LastDetail));
+      log(R.Name, LastBefore, render(New), std::move(LastDetail));
     LastBefore.clear();
     LastDetail.clear();
-    return R;
+    return New;
   }
   std::string LastBefore;
   std::string LastDetail;
@@ -193,45 +248,15 @@ private:
     // Children first (post-order), so rules see simplified operands.
     rewriteChildren(N);
 
+    // After a rewrite fires, the replacement's rules are tried from the
+    // start of its kind's list.
     bool Any = true;
     while (Any) {
       Any = false;
-      struct NamedRule {
-        const char *Name;
-        Node *(MetaEvaluator::*Fn)(Node *);
-        bool Enabled;
-      };
-      const NamedRule Rules[] = {
-          {"META-COMPILE-TIME-EVAL", &MetaEvaluator::tryConstantFold,
-           Opts.ConstantFold},
-          {"META-EVALUATE-ASSOC-COMMUT-CALL", &MetaEvaluator::tryAssocCommut,
-           Opts.AssocCommut},
-          {"META-EXPAND-NARY-CALL", &MetaEvaluator::tryExpandNary,
-           Opts.AssocCommut},
-          {"CONSIDER-REVERSING-ARGUMENTS", &MetaEvaluator::tryReverseArgs,
-           Opts.AssocCommut},
-          {"META-IDENTITY-ELIMINATION", &MetaEvaluator::tryIdentity,
-           Opts.IdentityElim},
-          {"META-SIN-TO-SINC", &MetaEvaluator::tryMachineTrig, Opts.MachineTrig},
-          {"META-DEAD-CODE", &MetaEvaluator::tryDeadCode, Opts.DeadCode},
-          {"META-REDUNDANT-TEST", &MetaEvaluator::tryRedundantTest,
-           Opts.RedundantTest},
-          {"META-IF-OF-PROGN", &MetaEvaluator::tryIfOfProgn, Opts.DeadCode},
-          {"META-IF-OF-LET", &MetaEvaluator::tryIfOfLet, Opts.IfDistribute},
-          {"META-DISTRIBUTE-NESTED-IF", &MetaEvaluator::tryIfDistribute,
-           Opts.IfDistribute},
-          {"META-PROGN-FLATTEN", &MetaEvaluator::tryPrognFlatten, Opts.DeadCode},
-          {"META-CALL-LAMBDA", &MetaEvaluator::tryCallLambda, Opts.Substitute},
-          {"META-DROP-UNUSED-ARGUMENT", &MetaEvaluator::tryDropUnused,
-           Opts.Substitute},
-          {"META-SUBSTITUTE", &MetaEvaluator::trySubstitute, Opts.Substitute},
-      };
-      for (const NamedRule &R : Rules) {
-        if (!R.Enabled)
+      for (const NamedRule &R : rulesFor(N->kind())) {
+        if (!(Opts.*R.Enabled))
           continue;
-        if (Node *New = apply(R.Name, N, [this, &R](Node *M) {
-              return (this->*(R.Fn))(M);
-            })) {
+        if (Node *New = apply(R, N)) {
           N = New;
           Any = true;
           break;
@@ -241,14 +266,16 @@ private:
     return N;
   }
 
+  /// Rewrites each child in its slot. A rule changes only the subtree it
+  /// is applied to, so \p N's child lists keep their size meanwhile.
   void rewriteChildren(Node *N) {
-    std::vector<Node *> Children;
-    forEachChild(N, [&Children](Node *C) { Children.push_back(C); });
-    for (Node *C : Children) {
-      Node *NewC = rewrite(C);
-      if (NewC != C)
-        replaceChild(N, C, NewC);
-    }
+    forEachChild(N, [this, N](Node *&Slot) {
+      Node *NewC = rewrite(Slot);
+      if (NewC != Slot) {
+        Slot = NewC;
+        NewC->Parent = N;
+      }
+    });
   }
 
   //===--------------------------------------------------------------------===//

@@ -188,15 +188,18 @@ enum class ListCode : int64_t {
 };
 
 /// One operand: register, immediate, memory (base + displacement
-/// [+ index << scale]), or a label reference.
+/// [+ index << scale]), or a label reference. The mode says which member
+/// of the Imm/F union is live: F for FImm, Imm for every other mode.
 struct Operand {
   enum class Mode : uint8_t { None, Reg, Imm, FImm, Mem, Label } M = Mode::None;
   uint8_t R = 0;       ///< Reg; Mem base
-  int64_t Imm = 0;     ///< Imm payload; Mem displacement (words)
-  double F = 0;        ///< FImm payload
   uint8_t Index = 0;   ///< Mem index register (0xFF = none)
   uint8_t Scale = 0;   ///< Mem index shift (0..3)
-  int Label = -1;
+  int32_t Label = -1;
+  union {
+    int64_t Imm = 0; ///< Imm payload; Mem displacement (words)
+    double F;        ///< FImm payload
+  };
 
   static Operand reg(uint8_t R) {
     Operand O;
@@ -249,6 +252,12 @@ struct Instruction {
   Cond C = Cond::EQ;
   Operand A, B, X; ///< up to three operands (dst first)
 };
+
+// Codegen grows, the link copies and the compile cache stores vectors of
+// these: the operand's byte fields and label pack ahead of the union.
+static_assert(sizeof(Operand) == 16, "Operand must stay 16 bytes");
+static_assert(alignof(int64_t) != 8 || sizeof(Instruction) == 56,
+              "Instruction must stay 56 bytes");
 
 /// True for the binary arithmetic opcodes bound by the 2 1/2-address rule.
 bool isTwoAndAHalfAddress(Opcode Op);

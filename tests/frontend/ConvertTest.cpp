@@ -12,6 +12,8 @@
 #include "sexpr/Printer.h"
 #include "sexpr/Reader.h"
 
+#include "harness/DeepStack.h"
+
 #include <gtest/gtest.h>
 
 using namespace s1lisp;
@@ -34,6 +36,17 @@ protected:
   bool fails(const std::string &Src) {
     DiagEngine Diags;
     return !frontend::convertSource(M, Src, Diags);
+  }
+
+  /// Converts \p Src, expecting failure; its error messages, one a line.
+  std::string errorsOf(const std::string &Src) {
+    DiagEngine Diags;
+    EXPECT_FALSE(frontend::convertSource(M, Src, Diags));
+    std::string Errors;
+    for (const Diagnostic &D : Diags.diagnostics())
+      if (D.Severity == DiagSeverity::Error)
+        Errors += D.Message + "\n";
+    return Errors;
   }
 };
 
@@ -430,15 +443,7 @@ TEST_F(ConvertTest, DottedFormsReportOneErrorEach) {
 TEST_F(ConvertTest, DefunOfASpecialFormOrPrimitiveIsRejected) {
   // A call to such a name converts as the special form or the primitive,
   // so the defun could never be called: one error names it.
-  auto OnlyError = [this](const std::string &Src) {
-    DiagEngine Diags;
-    EXPECT_FALSE(frontend::convertSource(M, Src, Diags));
-    std::string Errors;
-    for (const Diagnostic &D : Diags.diagnostics())
-      if (D.Severity == DiagSeverity::Error)
-        Errors += D.Message + "\n";
-    return Errors;
-  };
+  auto OnlyError = [this](const std::string &Src) { return errorsOf(Src); };
   const char *SpecialForms[] = {
       "quote", "if", "progn", "lambda", "setq", "go", "return", "let",
       "let*", "cond", "and", "or", "when", "unless", "prog", "do",
@@ -469,6 +474,81 @@ TEST_F(ConvertTest, DefunOfASpecialFormOrPrimitiveIsRejected) {
   EXPECT_TRUE(frontend::convertSource(
       M, "(defun catcher2 (x) x) (defun cars (x) x) (defun my-if (x) x)", Diags))
       << Diags.str();
+}
+
+TEST_F(ConvertTest, BindingOfASpecialFormIsRejected) {
+  // A call through such a variable converts as the special form: (when 5)
+  // never reaches the let-bound when. Every binder reports one error.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"(defun main () (let ((when (lambda (x) (* x 2)))) (when 5)))", "when"},
+      {"(defun f (if) (if 1 2 3)) (defun main () (f 7))", "if"},
+      {"(defun f (x &optional (and 3)) x)", "and"},
+      {"(defun f (x &optional or) x)", "or"},
+      {"(defun f (x &rest cond) x)", "cond"},
+      {"(defun f (x) ((lambda (prog1) prog1) x))", "prog1"},
+      {"(defun f () (let ((a 1) (case 2)) a))", "case"},
+      {"(defun f () (let* ((a 1) (catch a)) a))", "catch"},
+      {"(defun f () (prog (go) (return 1)))", "go"},
+      {"(defun f () (dotimes (do 3) 1))", "do"},
+      {"(defun f () (dolist (quote '(1 2)) 1))", "quote"},
+      {"(defun f () (do ((lambda 0 (1+ lambda))) ((> lambda 2) 1)))", "lambda"},
+  };
+  for (const auto &[Src, Name] : Cases)
+    EXPECT_EQ(errorsOf(Src), std::string("cannot bind '") + Name +
+                                 "': it names a special form\n")
+        << Src;
+
+  // A primitive's name binds: the call goes through the variable.
+  DiagEngine Diags;
+  EXPECT_TRUE(frontend::convertSource(
+      M, "(defun g () (let ((car (lambda (x) 42))) (car '(1 2))))", Diags))
+      << Diags.str();
+}
+
+TEST_F(ConvertTest, ExpansionsNestedPastTheBoundReportTheReadersError) {
+  // let*, cond, and and or expand a flat list into a nested tree, past
+  // the reader's nesting bound. The largest of each that converts, then
+  // one more and 5,000, which fail with the reader's error, once.
+  auto LetStar = [](unsigned N) {
+    std::string S = "(defun f (x) (let* ((v0 x)";
+    for (unsigned I = 1; I < N; ++I)
+      S += " (v" + std::to_string(I) + " (+ v" + std::to_string(I - 1) + " 1))";
+    return S + ") v" + std::to_string(N - 1) + "))";
+  };
+  auto Cond = [](unsigned N) {
+    std::string S = "(defun f (x) (cond";
+    for (unsigned I = 0; I < N; ++I)
+      S += " ((= x " + std::to_string(I) + ") " + std::to_string(I) + ")";
+    return S + "))";
+  };
+  auto Or = [](unsigned N) {
+    std::string S = "(defun f (x) (or";
+    for (unsigned I = 0; I < N; ++I)
+      S += " (= x " + std::to_string(I) + ")";
+    return S + "))";
+  };
+  auto And = [](unsigned N) {
+    std::string S = "(defun f (x) (and";
+    for (unsigned I = 0; I < N; ++I)
+      S += " (< x " + std::to_string(I) + ")";
+    return S + "))";
+  };
+  const struct {
+    const char *Name;
+    std::string (*Source)(unsigned);
+    unsigned Largest;
+  } Shapes[] = {{"let*", LetStar, 1999}, {"cond", Cond, 3997},
+                {"or", Or, 1998},        {"and", And, 3997}};
+  deepstack::run([&] {
+    for (const auto &Sh : Shapes) {
+      SCOPED_TRACE(Sh.Name);
+      DiagEngine Diags;
+      EXPECT_TRUE(frontend::convertSource(M, Sh.Source(Sh.Largest), Diags))
+          << Diags.str();
+      for (unsigned N : {Sh.Largest + 1, 5000u})
+        EXPECT_EQ(errorsOf(Sh.Source(N)), "expression nesting too deep\n") << N;
+    }
+  });
 }
 
 TEST_F(ConvertTest, VerifierAcceptsAllConversions) {

@@ -13,6 +13,8 @@
 #include "driver/Compiler.h"
 #include "fuzz/Generator.h"
 
+#include "harness/DeepStack.h"
+
 #include "gtest/gtest.h"
 
 #include <string>
@@ -559,6 +561,35 @@ TEST(Server, HostileInputFailsAlikeWithAndWithoutTheCache) {
     EXPECT_EQ(Next.getOr("ok"), "1") << Next.getOr("error");
     EXPECT_EQ(Next.getOr("value"), "1024");
   }
+}
+
+TEST(Server, DeepExpansionsFailWithTheReadersError) {
+  // A let* of 5,000 bindings and a cond of 5,000 clauses read in a few
+  // levels but convert to trees 5,000 deep. The compile stops with the
+  // reader's error before any recursive phase walks them, and the server
+  // serves the next request, on a daemon worker's 8 MB stack.
+  std::string LetStar = "(defun fut () (let* ((v0 0)";
+  std::string Cond = "(defun fut () (cond";
+  for (unsigned I = 1; I <= 5000; ++I) {
+    LetStar += " (v" + std::to_string(I) + " (+ v" + std::to_string(I - 1) + " 1))";
+    Cond += " ((= " + std::to_string(I) + " 0) " + std::to_string(I) + ")";
+  }
+  LetStar += ") v5000))";
+  Cond += "))";
+  Server Srv({});
+  deepstack::run([&] {
+    for (const std::string &Source : {LetStar, Cond}) {
+      SCOPED_TRACE(Source.substr(0, 40));
+      Message Resp = Srv.handle(compileReq(Source));
+      EXPECT_EQ(Resp.getOr("ok"), "0");
+      EXPECT_NE(Resp.getOr("error").find("expression nesting too deep"),
+                std::string::npos)
+          << Resp.getOr("error");
+      Message Next = Srv.handle(compileReq(ExptSrc));
+      EXPECT_EQ(Next.getOr("ok"), "1") << Next.getOr("error");
+      EXPECT_EQ(Next.getOr("value"), "1024");
+    }
+  });
 }
 
 TEST(Server, ShutdownCmdAcknowledges) {
