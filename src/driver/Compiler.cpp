@@ -234,10 +234,14 @@ CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
   return compileSlots(M, Slots, FuncIndex, Opts, Remarks, Memo, std::move(Out));
 }
 
-CompileOutcome driver::convertAndCompile(ir::Module &M, std::string_view Source,
-                                         const CompilerOptions &Opts,
-                                         stats::RemarkStream *Remarks,
-                                         FunctionMemo *Memo) {
+namespace {
+
+/// Converts every top-level form in \p Source into \p M, then runs
+/// compileModule.
+CompileOutcome convertAndCompile(ir::Module &M, std::string_view Source,
+                                 const CompilerOptions &Opts,
+                                 stats::RemarkStream *Remarks,
+                                 FunctionMemo *Memo = nullptr) {
   CompileOutcome Out;
   DiagEngine Diags;
   {
@@ -249,8 +253,6 @@ CompileOutcome driver::convertAndCompile(ir::Module &M, std::string_view Source,
   }
   return compileModule(M, Opts, Remarks, Memo);
 }
-
-namespace {
 
 /// One top-level form on the front-cache path: its span, its front key,
 /// the front entry that key found, and its datum once it has been read.

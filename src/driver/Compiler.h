@@ -130,20 +130,15 @@ uint64_t optionsFingerprint(const CompilerOptions &Opts);
 /// source order, each seeing only the specials proclaimed before it.
 /// \p M then holds only the forms that were read and the functions that
 /// were converted. Input the scan gives up on is read whole, as without a
-/// memo. Output, diagnostics, counters and remarks are those of
-/// convertAndCompile.
+/// memo. Output, diagnostics, counters and remarks are those of a compile
+/// without a memo.
+///
+/// \p M's trees are the optimized ones, or unoptimized where the memo hit,
+/// so a caller that interprets the program converts \p Source afresh.
 CompileOutcome compileSource(ir::Module &M, std::string_view Source,
                              const CompilerOptions &Opts = {},
                              stats::RemarkStream *Remarks = nullptr,
                              FunctionMemo *Memo = nullptr);
-
-/// Converts every top-level form in \p Source into \p M, then runs
-/// compileModule: for callers that need every function's tree (the
-/// interpreter), with or without a memo for the back end.
-CompileOutcome convertAndCompile(ir::Module &M, std::string_view Source,
-                                 const CompilerOptions &Opts = {},
-                                 stats::RemarkStream *Remarks = nullptr,
-                                 FunctionMemo *Memo = nullptr);
 
 /// Compiles an already-converted module: optimize + CSE + codegen, fanned
 /// out per function when Opts.Jobs > 1. Remarks, when given, arrive merged

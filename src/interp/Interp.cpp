@@ -53,6 +53,451 @@ bool interp::rtEqual(RtValue A, RtValue B) {
   return rtEql(A, B);
 }
 
+//===----------------------------------------------------------------------===//
+// The foldable primitives
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool allData(std::span<const RtValue> Args) {
+  for (const RtValue &A : Args)
+    if (!A.isData())
+      return false;
+  return true;
+}
+
+std::string wrongTypeText(const char *Op) {
+  return std::string("wrong type of argument to '") + Op + "'";
+}
+
+/// Coerces a data number to double for the $f operators (the run-time
+/// type check + dereference of §6.2).
+bool toF(const RtValue &A, double &Out) {
+  if (!A.isData())
+    return false;
+  auto D = sexpr::toDouble(A.dataValue());
+  if (!D)
+    return false;
+  Out = *D;
+  return true;
+}
+
+/// applyFoldable's definitions, over the heap their numbers live in.
+struct Foldable {
+  sexpr::Heap &H;
+  const sexpr::SymbolTable &Syms;
+
+  using Args = std::span<const RtValue>;
+
+  static PrimResult ok(Value V) { return {true, RtValue::data(V), {}}; }
+  static PrimResult okFlo(double D) { return ok(Value::flonum(D)); }
+  PrimResult okBool(bool B) {
+    return ok(B ? Value::symbol(Syms.t()) : Value::nil());
+  }
+  static PrimResult wrongType(const char *Op) {
+    return {false, RtValue(), wrongTypeText(Op)};
+  }
+  static PrimResult okOrWrongType(std::optional<Value> V, const char *Op) {
+    return V ? ok(*V) : wrongType(Op);
+  }
+
+  /// Generic n-ary arithmetic reduction, CL style: no arguments give
+  /// \p Unit, and one gives \p Unary of it (itself when null).
+  PrimResult reduceArith(sexpr::ArithOp Op, Args As, Value Unit,
+                         std::optional<Value> (*Unary)(sexpr::Heap &, Value),
+                         const char *Name) {
+    if (!allData(As))
+      return wrongType(Name);
+    if (As.empty())
+      return ok(Unit);
+    Value Acc = As[0].dataValue();
+    // A lone argument is still an operand: (+ nil) and (max nil) are type
+    // errors, as in compiled code.
+    if (As.size() == 1 && !Acc.isNumber())
+      return wrongType(Name);
+    if (As.size() == 1 && Unary)
+      return okOrWrongType(Unary(H, Acc), Name);
+    for (size_t J = 1; J < As.size(); ++J) {
+      auto R = sexpr::arith(H, Op, Acc, As[J].dataValue());
+      if (!R)
+        return wrongType(Name);
+      Acc = *R;
+    }
+    return ok(Acc);
+  }
+
+  PrimResult chainCompare(sexpr::CompareOp Op, Args As, const char *Name) {
+    if (!allData(As))
+      return wrongType(Name);
+    for (size_t J = 0; J + 1 < As.size(); ++J) {
+      auto R = sexpr::compare(Op, As[J].dataValue(), As[J + 1].dataValue());
+      if (!R)
+        return wrongType(Name);
+      if (!*R)
+        return ok(Value::nil());
+    }
+    return okBool(true);
+  }
+
+  /// The n-ary $f operators: one argument gives \p Unary of it (itself
+  /// when null).
+  static PrimResult foldF(Args As, const char *Name,
+                          double (*Step)(double, double),
+                          double (*Unary)(double)) {
+    double Acc = 0;
+    for (size_t J = 0; J < As.size(); ++J) {
+      double X = 0;
+      if (!toF(As[J], X))
+        return wrongType(Name);
+      Acc = J == 0 ? X : Step(Acc, X);
+    }
+    return okFlo(As.size() == 1 && Unary ? Unary(Acc) : Acc);
+  }
+
+  PrimResult cmpF(Args As, const char *Name, bool (*Pred)(double, double)) {
+    double A = 0, B = 0;
+    if (As.size() != 2 || !toF(As[0], A) || !toF(As[1], B))
+      return wrongType(Name);
+    return okBool(Pred(A, B));
+  }
+
+  PrimResult apply(Prim Op, Args As);
+};
+
+PrimResult Foldable::apply(Prim Op, Args As) {
+  using sexpr::ArithOp;
+  using sexpr::CompareOp;
+  auto dataArg = [&](size_t J) { return As[J].dataValue(); };
+
+  switch (Op) {
+  // --- generic arithmetic ---
+  case Prim::Add:
+    return reduceArith(ArithOp::Add, As, Value::fixnum(0), nullptr, "+");
+  case Prim::Sub:
+    // Unary minus negates, so (- 0.0) is -0.0 as in Common Lisp.
+    return reduceArith(ArithOp::Sub, As, Value::fixnum(0), sexpr::negate, "-");
+  case Prim::Mul:
+    return reduceArith(ArithOp::Mul, As, Value::fixnum(1), nullptr, "*");
+  case Prim::Div:
+    return reduceArith(
+        ArithOp::Div, As, Value::fixnum(1),
+        [](sexpr::Heap &H, Value X) {
+          return sexpr::arith(H, ArithOp::Div, Value::fixnum(1), X);
+        },
+        "/");
+  case Prim::Add1:
+    if (!allData(As))
+      return wrongType("1+");
+    return okOrWrongType(sexpr::add1(H, dataArg(0)), "1+");
+  case Prim::Sub1:
+    if (!allData(As))
+      return wrongType("1-");
+    return okOrWrongType(sexpr::sub1(H, dataArg(0)), "1-");
+  case Prim::Neg:
+    if (!allData(As))
+      return wrongType("neg");
+    return okOrWrongType(sexpr::negate(H, dataArg(0)), "neg");
+  case Prim::Abs:
+    if (!allData(As))
+      return wrongType("abs");
+    return okOrWrongType(sexpr::numAbs(H, dataArg(0)), "abs");
+  case Prim::Max:
+    return reduceArith(ArithOp::Max, As, Value::fixnum(0), nullptr, "max");
+  case Prim::Min:
+    return reduceArith(ArithOp::Min, As, Value::fixnum(0), nullptr, "min");
+  case Prim::Floor:
+  case Prim::Ceiling:
+  case Prim::Truncate:
+  case Prim::Round:
+  case Prim::Mod:
+  case Prim::Rem:
+  case Prim::Expt: {
+    static const std::pair<Prim, ArithOp> Map[] = {
+        {Prim::Floor, ArithOp::Floor},       {Prim::Ceiling, ArithOp::Ceiling},
+        {Prim::Truncate, ArithOp::Truncate}, {Prim::Round, ArithOp::Round},
+        {Prim::Mod, ArithOp::Mod},           {Prim::Rem, ArithOp::Rem},
+        {Prim::Expt, ArithOp::Expt}};
+    ArithOp AOp = ArithOp::Floor;
+    for (auto [P, A] : Map)
+      if (P == Op)
+        AOp = A;
+    if (!allData(As))
+      return wrongType("integer-division");
+    return okOrWrongType(sexpr::arith(H, AOp, dataArg(0), dataArg(1)),
+                         "integer-division");
+  }
+  case Prim::Sqrt: {
+    double X;
+    if (!toF(As[0], X) || X < 0)
+      return wrongType("sqrt");
+    return okFlo(std::sqrt(X));
+  }
+  case Prim::ToFloat: {
+    double X;
+    if (!toF(As[0], X))
+      return wrongType("float");
+    return okFlo(X);
+  }
+
+  // --- generic comparisons ---
+  case Prim::NumEq:
+    return chainCompare(CompareOp::Eq, As, "=");
+  case Prim::NumNe:
+    return chainCompare(CompareOp::Ne, As, "/=");
+  case Prim::Lt:
+    return chainCompare(CompareOp::Lt, As, "<");
+  case Prim::Gt:
+    return chainCompare(CompareOp::Gt, As, ">");
+  case Prim::Le:
+    return chainCompare(CompareOp::Le, As, "<=");
+  case Prim::Ge:
+    return chainCompare(CompareOp::Ge, As, ">=");
+  case Prim::Zerop:
+  case Prim::Oddp:
+  case Prim::Evenp:
+  case Prim::Plusp:
+  case Prim::Minusp: {
+    if (!allData(As))
+      return wrongType("numeric predicate");
+    std::optional<bool> R;
+    switch (Op) {
+    case Prim::Zerop:
+      R = sexpr::isZero(dataArg(0));
+      break;
+    case Prim::Oddp:
+      R = sexpr::isOdd(dataArg(0));
+      break;
+    case Prim::Evenp:
+      R = sexpr::isEven(dataArg(0));
+      break;
+    case Prim::Plusp:
+      R = sexpr::isPlus(dataArg(0));
+      break;
+    default:
+      R = sexpr::isMinus(dataArg(0));
+      break;
+    }
+    return R ? okBool(*R) : wrongType("numeric predicate");
+  }
+
+  // --- $f float world ---
+  case Prim::FAdd:
+    return foldF(As, "+$f", [](double A, double B) { return A + B; }, nullptr);
+  case Prim::FSub:
+    return foldF(As, "-$f", [](double A, double B) { return A - B; },
+                 [](double X) { return -X; });
+  case Prim::FMul:
+    return foldF(As, "*$f", [](double A, double B) { return A * B; }, nullptr);
+  case Prim::FDiv:
+    return foldF(As, "/$f", [](double A, double B) { return A / B; },
+                 [](double X) { return 1 / X; });
+  case Prim::FMax:
+    return foldF(As, "max$f",
+                 [](double A, double B) { return std::max(A, B); }, nullptr);
+  case Prim::FMin:
+    return foldF(As, "min$f",
+                 [](double A, double B) { return std::min(A, B); }, nullptr);
+  case Prim::FNeg: {
+    double X;
+    if (!toF(As[0], X))
+      return wrongType("neg$f");
+    return okFlo(-X);
+  }
+  case Prim::FAbs: {
+    double X;
+    if (!toF(As[0], X))
+      return wrongType("abs$f");
+    return okFlo(std::fabs(X));
+  }
+  case Prim::FSqrt:
+  case Prim::FSin:
+  case Prim::FCos:
+  case Prim::FExp:
+  case Prim::FLog:
+  case Prim::FSinc:
+  case Prim::FCosc: {
+    double X;
+    if (!toF(As[0], X))
+      return wrongType("float unary");
+    switch (Op) {
+    case Prim::FSqrt:
+      return okFlo(std::sqrt(X));
+    case Prim::FSin:
+      return okFlo(std::sin(X));
+    case Prim::FCos:
+      return okFlo(std::cos(X));
+    case Prim::FExp:
+      return okFlo(std::exp(X));
+    case Prim::FLog:
+      return okFlo(std::log(X));
+    case Prim::FSinc: // sine of an argument in cycles (the S-1 SIN unit)
+      return okFlo(std::sin(X * 2.0 * M_PI));
+    default:
+      return okFlo(std::cos(X * 2.0 * M_PI));
+    }
+  }
+  case Prim::FAtan: {
+    double Y, X;
+    if (!toF(As[0], Y) || !toF(As[1], X))
+      return wrongType("atan$f");
+    return okFlo(std::atan2(Y, X));
+  }
+  case Prim::FLt:
+    return cmpF(As, "<$f", [](double A, double B) { return A < B; });
+  case Prim::FGt:
+    return cmpF(As, ">$f", [](double A, double B) { return A > B; });
+  case Prim::FLe:
+    return cmpF(As, "<=$f", [](double A, double B) { return A <= B; });
+  case Prim::FGe:
+    return cmpF(As, ">=$f", [](double A, double B) { return A >= B; });
+  case Prim::FEq:
+    return cmpF(As, "=$f", [](double A, double B) { return A == B; });
+
+  // --- & fixnum world (wrapping 64-bit, like raw machine words) ---
+  case Prim::XAdd:
+  case Prim::XSub:
+  case Prim::XMul:
+  case Prim::XNeg:
+  case Prim::XLt:
+  case Prim::XGt:
+  case Prim::XLe:
+  case Prim::XGe:
+  case Prim::XEq: {
+    std::vector<int64_t> Xs(As.size());
+    for (size_t J = 0; J < As.size(); ++J) {
+      if (!As[J].isData() || !As[J].dataValue().isFixnum())
+        return wrongType("fixnum operator");
+      Xs[J] = As[J].dataValue().fixnum();
+    }
+    auto Wrap = [](uint64_t X) {
+      return ok(Value::fixnum(static_cast<int64_t>(X)));
+    };
+    switch (Op) {
+    case Prim::XNeg:
+      return Wrap(-static_cast<uint64_t>(Xs[0]));
+    case Prim::XLt:
+      return okBool(Xs[0] < Xs[1]);
+    case Prim::XGt:
+      return okBool(Xs[0] > Xs[1]);
+    case Prim::XLe:
+      return okBool(Xs[0] <= Xs[1]);
+    case Prim::XGe:
+      return okBool(Xs[0] >= Xs[1]);
+    case Prim::XEq:
+      return okBool(Xs[0] == Xs[1]);
+    default: {
+      uint64_t Acc = static_cast<uint64_t>(Xs[0]);
+      if (Xs.size() == 1 && Op == Prim::XSub)
+        return Wrap(-Acc);
+      for (size_t J = 1; J < Xs.size(); ++J) {
+        uint64_t B = static_cast<uint64_t>(Xs[J]);
+        Acc = Op == Prim::XAdd ? Acc + B : Op == Prim::XSub ? Acc - B : Acc * B;
+      }
+      return Wrap(Acc);
+    }
+    }
+  }
+
+  // --- predicates ---
+  case Prim::Null:
+  case Prim::Not:
+    return okBool(!As[0].isTrue());
+  case Prim::Atom:
+    return okBool(!As[0].isData() || dataArg(0).isAtom());
+  case Prim::Consp:
+    return okBool(As[0].isData() && dataArg(0).isCons());
+  case Prim::Listp:
+    return okBool(As[0].isData() &&
+                  (dataArg(0).isCons() || dataArg(0).isNil()));
+  case Prim::Symbolp:
+    return okBool(As[0].isData() && dataArg(0).isSymbol());
+  case Prim::Numberp:
+    return okBool(As[0].isData() && dataArg(0).isNumber());
+  case Prim::Floatp:
+    return okBool(As[0].isData() && dataArg(0).isFlonum());
+  case Prim::Integerp:
+    return okBool(As[0].isData() && dataArg(0).isFixnum());
+  case Prim::Stringp:
+    return okBool(As[0].isData() && dataArg(0).isString());
+  case Prim::Eq:
+    // eq is not guaranteed on numbers (§6.3); on data we approximate with
+    // eql, which the paper notes is the dependable predicate.
+    return okBool(rtEql(As[0], As[1]));
+  case Prim::Eql:
+    return okBool(rtEql(As[0], As[1]));
+  case Prim::Equal:
+    return okBool(rtEqual(As[0], As[1]));
+
+  // --- lists ---
+  case Prim::Car:
+  case Prim::Cdr:
+  case Prim::Caar:
+  case Prim::Cadr:
+  case Prim::Cddr:
+  case Prim::Cdar: {
+    // The steps of c[ad]+r, applied right to left; as in compiled code,
+    // each one needs a list.
+    std::string_view Steps = Op == Prim::Car    ? "a"
+                             : Op == Prim::Cdr  ? "d"
+                             : Op == Prim::Caar ? "aa"
+                             : Op == Prim::Cadr ? "ad"
+                             : Op == Prim::Cddr ? "dd"
+                                                : "da";
+    if (!As[0].isData())
+      return wrongType("car/cdr");
+    Value V = dataArg(0);
+    for (size_t J = Steps.size(); J > 0; --J) {
+      if (!V.isNil() && !V.isCons())
+        return wrongType("car/cdr");
+      V = Steps[J - 1] == 'a' ? V.car() : V.cdr();
+    }
+    return ok(V);
+  }
+  case Prim::Nth:
+  case Prim::NthCdr: {
+    if (!allData(As) || !dataArg(0).isFixnum())
+      return wrongType("nth");
+    int64_t K = dataArg(0).fixnum();
+    Value L = dataArg(1);
+    for (int64_t J = 0; J < K && L.isCons(); ++J)
+      L = L.cdr();
+    if (Op == Prim::NthCdr)
+      return ok(L);
+    // As in compiled code, nth past the last cons is nil.
+    return ok(L.isCons() ? L.car() : Value::nil());
+  }
+  case Prim::Length: {
+    if (!As[0].isData())
+      return wrongType("length");
+    Value V = dataArg(0);
+    if (V.isString())
+      return ok(Value::fixnum(static_cast<int64_t>(V.stringValue().size())));
+    if (!sexpr::isProperList(V))
+      return wrongType("length");
+    return ok(Value::fixnum(static_cast<int64_t>(sexpr::listLength(V))));
+  }
+  case Prim::Identity:
+    return {true, As[0], {}};
+
+  default:
+    break;
+  }
+  assert(false && "not a foldable primitive");
+  return {false, RtValue(), "not a foldable primitive"};
+}
+
+} // namespace
+
+PrimResult interp::applyFoldable(Prim Op, std::span<const RtValue> Args,
+                                 sexpr::Heap &H,
+                                 const sexpr::SymbolTable &Syms) {
+  return Foldable{H, Syms}.apply(Op, Args);
+}
+
+//===----------------------------------------------------------------------===//
+// The evaluator
+//===----------------------------------------------------------------------===//
+
 namespace {
 
 /// Evaluation outcome: a value, an error, or an in-flight control transfer.
@@ -167,6 +612,11 @@ struct Evaluator {
   // Application
   //===--------------------------------------------------------------------===//
 
+  static Outcome wrongArgCount(size_t N) {
+    return Outcome::error("wrong number of arguments (" + std::to_string(N) +
+                          ")");
+  }
+
   Outcome apply(RtValue Callee, std::vector<RtValue> Args) {
     ++ApplyDepth;
     stats().MaxApplyDepth = std::max(stats().MaxApplyDepth, ApplyDepth);
@@ -187,7 +637,9 @@ struct Evaluator {
         break;
       }
       if (Callee.kind() == RtValue::Kind::Builtin) {
-        Result = applyPrim(Callee.builtinValue()->Op, Args);
+        const PrimInfo &P = *Callee.builtinValue();
+        Result = P.acceptsArgCount(Args.size()) ? applyPrim(P, Args)
+                                                : wrongArgCount(Args.size());
         break;
       }
       if (Callee.kind() != RtValue::Kind::Closure) {
@@ -198,8 +650,7 @@ struct Evaluator {
       Closure *C = Callee.closureValue();
       const LambdaNode *L = C->Lambda;
       if (!L->acceptsArgCount(Args.size())) {
-        Result = Outcome::error("wrong number of arguments (" +
-                                std::to_string(Args.size()) + ")");
+        Result = wrongArgCount(Args.size());
         break;
       }
 
@@ -511,7 +962,7 @@ struct Evaluator {
       return AO;
 
     if (P)
-      return applyPrim(P->Op, Args);
+      return applyPrim(*P, Args);
 
     // User-defined global function.
     if (Function *F = I.M.lookup(Name->name()))
@@ -531,108 +982,26 @@ struct Evaluator {
   // Primitives
   //===--------------------------------------------------------------------===//
 
-  static bool allData(const std::vector<RtValue> &Args) {
-    for (const RtValue &A : Args)
-      if (!A.isData())
-        return false;
-    return true;
+  static Outcome wrongType(const char *Op) {
+    return Outcome::error(wrongTypeText(Op));
   }
 
-  Outcome wrongType(const char *Op) {
-    return Outcome::error(std::string("wrong type of argument to '") + Op + "'");
+  static Outcome okFlo(double D) {
+    return Outcome::ok(RtValue::data(Value::flonum(D)));
   }
 
-  /// Generic n-ary arithmetic reduction, CL style.
-  Outcome reduceArith(sexpr::ArithOp Op, const std::vector<RtValue> &Args,
-                      Value Unit, bool UnitIsInverse, const char *Name) {
-    if (!allData(Args))
-      return wrongType(Name);
-    if (Args.empty())
-      return Outcome::ok(RtValue::data(Unit));
-    Value Acc = Args[0].dataValue();
-    // A lone argument is still an operand: (+ nil) and (max nil) are type
-    // errors, as in compiled code.
-    if (Args.size() == 1 && !Acc.isNumber())
-      return wrongType(Name);
-    if (Args.size() == 1 && UnitIsInverse) {
-      auto R = sexpr::arith(heap(), Op, Unit, Acc);
-      if (!R)
-        return wrongType(Name);
-      return Outcome::ok(RtValue::data(*R));
-    }
-    for (size_t J = 1; J < Args.size(); ++J) {
-      auto R = sexpr::arith(heap(), Op, Acc, Args[J].dataValue());
-      if (!R)
-        return wrongType(Name);
-      Acc = *R;
-    }
-    return Outcome::ok(RtValue::data(Acc));
-  }
-
-  Outcome chainCompare(sexpr::CompareOp Op, const std::vector<RtValue> &Args,
-                       const char *Name) {
-    if (!allData(Args))
-      return wrongType(Name);
-    for (size_t J = 0; J + 1 < Args.size(); ++J) {
-      auto R = sexpr::compare(Op, Args[J].dataValue(), Args[J + 1].dataValue());
-      if (!R)
-        return wrongType(Name);
-      if (!*R)
-        return Outcome::ok(RtValue::data(Value::nil()));
-    }
-    return okBool(true);
-  }
-
-  Outcome okBool(bool B) {
-    return Outcome::ok(RtValue::data(B ? Value::symbol(I.M.Syms.t()) : Value::nil()));
-  }
-
-  Outcome okFlo(double D) { return Outcome::ok(RtValue::data(Value::flonum(D))); }
-
-  /// Coerces a data number to double for the $f operators (the run-time
-  /// type check + dereference of §6.2).
-  bool toF(const RtValue &A, double &Out) {
-    if (!A.isData())
-      return false;
-    auto D = sexpr::toDouble(A.dataValue());
-    if (!D)
-      return false;
-    Out = *D;
-    return true;
-  }
-
-  Outcome foldF(const std::vector<RtValue> &Args, const char *Name,
-                double (*Step)(double, double), bool InverseWhenUnary,
-                double Unit) {
-    std::vector<double> Xs(Args.size());
-    for (size_t J = 0; J < Args.size(); ++J)
-      if (!toF(Args[J], Xs[J]))
-        return wrongType(Name);
-    if (Xs.size() == 1)
-      return okFlo(InverseWhenUnary ? Step(Unit, Xs[0]) : Xs[0]);
-    double Acc = Xs[0];
-    for (size_t J = 1; J < Xs.size(); ++J)
-      Acc = Step(Acc, Xs[J]);
-    return okFlo(Acc);
-  }
-
-  Outcome cmpF(const std::vector<RtValue> &Args, const char *Name,
-               bool (*Pred)(double, double)) {
-    double A, B;
-    if (Args.size() != 2 || !toF(Args[0], A) || !toF(Args[1], B))
-      return wrongType(Name);
-    return okBool(Pred(A, B));
-  }
-
-  Outcome applyPrim(Prim Op, std::vector<RtValue> &Args);
+  Outcome applyPrim(const PrimInfo &P, std::vector<RtValue> &Args);
 };
 
 } // namespace interp
 } // namespace s1lisp
 
-Outcome Evaluator::applyPrim(Prim Op, std::vector<RtValue> &Args) {
-  using sexpr::ArithOp;
-  using sexpr::CompareOp;
+Outcome Evaluator::applyPrim(const PrimInfo &P, std::vector<RtValue> &Args) {
+  if (P.Foldable) {
+    PrimResult R = applyFoldable(P.Op, Args, heap(), I.M.Syms);
+    return R.Ok ? Outcome::ok(R.Value) : Outcome::error(std::move(R.Error));
+  }
+  const Prim Op = P.Op;
   sexpr::Heap &H = heap();
   // Arguments survive any collection a consing primitive triggers.
   RtVecRoot ArgsRoot(I, &Args);
@@ -640,295 +1009,12 @@ Outcome Evaluator::applyPrim(Prim Op, std::vector<RtValue> &Args) {
   auto dataArg = [&](size_t J) { return Args[J].dataValue(); };
 
   switch (Op) {
-  // --- generic arithmetic ---
-  case Prim::Add:
-    return reduceArith(ArithOp::Add, Args, Value::fixnum(0), false, "+");
-  case Prim::Sub:
-    return reduceArith(ArithOp::Sub, Args, Value::fixnum(0), true, "-");
-  case Prim::Mul:
-    return reduceArith(ArithOp::Mul, Args, Value::fixnum(1), false, "*");
-  case Prim::Div:
-    return reduceArith(ArithOp::Div, Args, Value::fixnum(1), true, "/");
-  case Prim::Add1: {
-    if (!allData(Args))
-      return wrongType("1+");
-    auto R = sexpr::add1(H, dataArg(0));
-    return R ? Outcome::ok(RtValue::data(*R)) : wrongType("1+");
-  }
-  case Prim::Sub1: {
-    if (!allData(Args))
-      return wrongType("1-");
-    auto R = sexpr::sub1(H, dataArg(0));
-    return R ? Outcome::ok(RtValue::data(*R)) : wrongType("1-");
-  }
-  case Prim::Neg: {
-    if (!allData(Args))
-      return wrongType("neg");
-    auto R = sexpr::negate(H, dataArg(0));
-    return R ? Outcome::ok(RtValue::data(*R)) : wrongType("neg");
-  }
-  case Prim::Abs: {
-    if (!allData(Args))
-      return wrongType("abs");
-    auto R = sexpr::numAbs(H, dataArg(0));
-    return R ? Outcome::ok(RtValue::data(*R)) : wrongType("abs");
-  }
-  case Prim::Max:
-    return reduceArith(ArithOp::Max, Args, Value::fixnum(0), false, "max");
-  case Prim::Min:
-    return reduceArith(ArithOp::Min, Args, Value::fixnum(0), false, "min");
-  case Prim::Floor:
-  case Prim::Ceiling:
-  case Prim::Truncate:
-  case Prim::Round:
-  case Prim::Mod:
-  case Prim::Rem:
-  case Prim::Expt: {
-    static const std::pair<Prim, ArithOp> Map[] = {
-        {Prim::Floor, ArithOp::Floor},       {Prim::Ceiling, ArithOp::Ceiling},
-        {Prim::Truncate, ArithOp::Truncate}, {Prim::Round, ArithOp::Round},
-        {Prim::Mod, ArithOp::Mod},           {Prim::Rem, ArithOp::Rem},
-        {Prim::Expt, ArithOp::Expt}};
-    ArithOp AOp = ArithOp::Floor;
-    for (auto [P, A] : Map)
-      if (P == Op)
-        AOp = A;
-    if (!allData(Args))
-      return wrongType("integer-division");
-    auto R = sexpr::arith(H, AOp, dataArg(0), dataArg(1));
-    return R ? Outcome::ok(RtValue::data(*R)) : wrongType("integer-division");
-  }
-  case Prim::Sqrt: {
-    double X;
-    if (!toF(Args[0], X) || X < 0)
-      return wrongType("sqrt");
-    return okFlo(std::sqrt(X));
-  }
-  case Prim::ToFloat: {
-    double X;
-    if (!toF(Args[0], X))
-      return wrongType("float");
-    return okFlo(X);
-  }
-
-  // --- generic comparisons ---
-  case Prim::NumEq:
-    return chainCompare(CompareOp::Eq, Args, "=");
-  case Prim::NumNe:
-    return chainCompare(CompareOp::Ne, Args, "/=");
-  case Prim::Lt:
-    return chainCompare(CompareOp::Lt, Args, "<");
-  case Prim::Gt:
-    return chainCompare(CompareOp::Gt, Args, ">");
-  case Prim::Le:
-    return chainCompare(CompareOp::Le, Args, "<=");
-  case Prim::Ge:
-    return chainCompare(CompareOp::Ge, Args, ">=");
-  case Prim::Zerop:
-  case Prim::Oddp:
-  case Prim::Evenp:
-  case Prim::Plusp:
-  case Prim::Minusp: {
-    if (!allData(Args))
-      return wrongType("numeric predicate");
-    std::optional<bool> R;
-    switch (Op) {
-    case Prim::Zerop:
-      R = sexpr::isZero(dataArg(0));
-      break;
-    case Prim::Oddp:
-      R = sexpr::isOdd(dataArg(0));
-      break;
-    case Prim::Evenp:
-      R = sexpr::isEven(dataArg(0));
-      break;
-    case Prim::Plusp:
-      R = sexpr::isPlus(dataArg(0));
-      break;
-    default:
-      R = sexpr::isMinus(dataArg(0));
-      break;
-    }
-    return R ? okBool(*R) : wrongType("numeric predicate");
-  }
-
-  // --- $f float world ---
-  case Prim::FAdd:
-    return foldF(Args, "+$f", [](double A, double B) { return A + B; }, false, 0);
-  case Prim::FSub:
-    return foldF(Args, "-$f", [](double A, double B) { return A - B; }, true, 0);
-  case Prim::FMul:
-    return foldF(Args, "*$f", [](double A, double B) { return A * B; }, false, 0);
-  case Prim::FDiv:
-    return foldF(Args, "/$f", [](double A, double B) { return A / B; }, true, 1);
-  case Prim::FMax:
-    return foldF(Args, "max$f", [](double A, double B) { return std::max(A, B); },
-                 false, 0);
-  case Prim::FMin:
-    return foldF(Args, "min$f", [](double A, double B) { return std::min(A, B); },
-                 false, 0);
-  case Prim::FNeg: {
-    double X;
-    if (!toF(Args[0], X))
-      return wrongType("neg$f");
-    return okFlo(-X);
-  }
-  case Prim::FAbs: {
-    double X;
-    if (!toF(Args[0], X))
-      return wrongType("abs$f");
-    return okFlo(std::fabs(X));
-  }
-  case Prim::FSqrt:
-  case Prim::FSin:
-  case Prim::FCos:
-  case Prim::FExp:
-  case Prim::FLog:
-  case Prim::FSinc:
-  case Prim::FCosc: {
-    double X;
-    if (!toF(Args[0], X))
-      return wrongType("float unary");
-    switch (Op) {
-    case Prim::FSqrt:
-      return okFlo(std::sqrt(X));
-    case Prim::FSin:
-      return okFlo(std::sin(X));
-    case Prim::FCos:
-      return okFlo(std::cos(X));
-    case Prim::FExp:
-      return okFlo(std::exp(X));
-    case Prim::FLog:
-      return okFlo(std::log(X));
-    case Prim::FSinc: // sine of an argument in cycles (the S-1 SIN unit)
-      return okFlo(std::sin(X * 2.0 * M_PI));
-    default:
-      return okFlo(std::cos(X * 2.0 * M_PI));
-    }
-  }
-  case Prim::FAtan: {
-    double Y, X;
-    if (!toF(Args[0], Y) || !toF(Args[1], X))
-      return wrongType("atan$f");
-    return okFlo(std::atan2(Y, X));
-  }
-  case Prim::FLt:
-    return cmpF(Args, "<$f", [](double A, double B) { return A < B; });
-  case Prim::FGt:
-    return cmpF(Args, ">$f", [](double A, double B) { return A > B; });
-  case Prim::FLe:
-    return cmpF(Args, "<=$f", [](double A, double B) { return A <= B; });
-  case Prim::FGe:
-    return cmpF(Args, ">=$f", [](double A, double B) { return A >= B; });
-  case Prim::FEq:
-    return cmpF(Args, "=$f", [](double A, double B) { return A == B; });
-
-  // --- & fixnum world (wrapping 64-bit, like raw machine words) ---
-  case Prim::XAdd:
-  case Prim::XSub:
-  case Prim::XMul:
-  case Prim::XNeg:
-  case Prim::XLt:
-  case Prim::XGt:
-  case Prim::XLe:
-  case Prim::XGe:
-  case Prim::XEq: {
-    std::vector<int64_t> Xs(Args.size());
-    for (size_t J = 0; J < Args.size(); ++J) {
-      if (!Args[J].isData() || !Args[J].dataValue().isFixnum())
-        return wrongType("fixnum operator");
-      Xs[J] = Args[J].dataValue().fixnum();
-    }
-    auto Wrap = [](uint64_t X) { return Outcome::ok(RtValue::data(
-                                     Value::fixnum(static_cast<int64_t>(X)))); };
-    switch (Op) {
-    case Prim::XNeg:
-      return Wrap(-static_cast<uint64_t>(Xs[0]));
-    case Prim::XLt:
-      return okBool(Xs[0] < Xs[1]);
-    case Prim::XGt:
-      return okBool(Xs[0] > Xs[1]);
-    case Prim::XLe:
-      return okBool(Xs[0] <= Xs[1]);
-    case Prim::XGe:
-      return okBool(Xs[0] >= Xs[1]);
-    case Prim::XEq:
-      return okBool(Xs[0] == Xs[1]);
-    default: {
-      uint64_t Acc = static_cast<uint64_t>(Xs[0]);
-      if (Xs.size() == 1 && Op == Prim::XSub)
-        return Wrap(-Acc);
-      for (size_t J = 1; J < Xs.size(); ++J) {
-        uint64_t B = static_cast<uint64_t>(Xs[J]);
-        Acc = Op == Prim::XAdd ? Acc + B : Op == Prim::XSub ? Acc - B : Acc * B;
-      }
-      return Wrap(Acc);
-    }
-    }
-  }
-
-  // --- predicates ---
-  case Prim::Null:
-  case Prim::Not:
-    return okBool(!Args[0].isTrue());
-  case Prim::Atom:
-    return okBool(!Args[0].isData() || Args[0].dataValue().isAtom());
-  case Prim::Consp:
-    return okBool(Args[0].isData() && Args[0].dataValue().isCons());
-  case Prim::Listp:
-    return okBool(Args[0].isData() &&
-                  (Args[0].dataValue().isCons() || Args[0].dataValue().isNil()));
-  case Prim::Symbolp:
-    return okBool(Args[0].isData() && Args[0].dataValue().isSymbol());
-  case Prim::Numberp:
-    return okBool(Args[0].isData() && Args[0].dataValue().isNumber());
-  case Prim::Floatp:
-    return okBool(Args[0].isData() && Args[0].dataValue().isFlonum());
-  case Prim::Integerp:
-    return okBool(Args[0].isData() && Args[0].dataValue().isFixnum());
-  case Prim::Stringp:
-    return okBool(Args[0].isData() && Args[0].dataValue().isString());
-  case Prim::Eq:
-    // eq is not guaranteed on numbers (§6.3); on data we approximate with
-    // eql, which the paper notes is the dependable predicate.
-    return okBool(rtEql(Args[0], Args[1]));
-  case Prim::Eql:
-    return okBool(rtEql(Args[0], Args[1]));
-  case Prim::Equal:
-    return okBool(rtEqual(Args[0], Args[1]));
-
   // --- lists ---
   case Prim::Cons: {
     if (!allData(Args))
       return Outcome::error("cannot place a function object in a cons");
     ++stats().ConsAllocs;
     return Outcome::ok(RtValue::data(H.cons(dataArg(0), dataArg(1))));
-  }
-  case Prim::Car:
-  case Prim::Cdr:
-  case Prim::Caar:
-  case Prim::Cadr:
-  case Prim::Cddr:
-  case Prim::Cdar: {
-    if (!Args[0].isData())
-      return wrongType("car/cdr");
-    Value V = dataArg(0);
-    if (!V.isNil() && !V.isCons())
-      return wrongType("car/cdr");
-    switch (Op) {
-    case Prim::Car:
-      return Outcome::ok(RtValue::data(V.car()));
-    case Prim::Cdr:
-      return Outcome::ok(RtValue::data(V.cdr()));
-    case Prim::Caar:
-      return Outcome::ok(RtValue::data(V.car().car()));
-    case Prim::Cadr:
-      return Outcome::ok(RtValue::data(V.cdr().car()));
-    case Prim::Cddr:
-      return Outcome::ok(RtValue::data(V.cdr().cdr()));
-    default:
-      return Outcome::ok(RtValue::data(V.car().cdr()));
-    }
   }
   case Prim::List: {
     if (!allData(Args))
@@ -969,28 +1055,6 @@ Outcome Evaluator::applyPrim(Prim Op, std::vector<RtValue> &Args) {
       ++stats().ConsAllocs;
     }
     return Outcome::ok(RtValue::data(Result));
-  }
-  case Prim::Nth:
-  case Prim::NthCdr: {
-    if (!allData(Args) || !dataArg(0).isFixnum())
-      return wrongType("nth");
-    int64_t K = dataArg(0).fixnum();
-    Value L = dataArg(1);
-    for (int64_t J = 0; J < K && L.isCons(); ++J)
-      L = L.cdr();
-    return Outcome::ok(RtValue::data(Op == Prim::Nth ? L.car() : L));
-  }
-  case Prim::Length: {
-    if (!Args[0].isData())
-      return wrongType("length");
-    Value V = dataArg(0);
-    if (V.isString())
-      return Outcome::ok(
-          RtValue::data(Value::fixnum(static_cast<int64_t>(V.stringValue().size()))));
-    if (!sexpr::isProperList(V))
-      return wrongType("length");
-    return Outcome::ok(
-        RtValue::data(Value::fixnum(static_cast<int64_t>(sexpr::listLength(V)))));
   }
   case Prim::Rplaca:
   case Prim::Rplacd: {
@@ -1093,8 +1157,6 @@ Outcome Evaluator::applyPrim(Prim Op, std::vector<RtValue> &Args) {
       Msg = Args[0].dataValue().stringValue();
     return Outcome::error(Msg);
   }
-  case Prim::Identity:
-    return Outcome::ok(Args[0]);
   case Prim::Print:
     I.Out += Args[0].str();
     I.Out += '\n';
@@ -1105,6 +1167,9 @@ Outcome Evaluator::applyPrim(Prim Op, std::vector<RtValue> &Args) {
   case Prim::FunctionRef:
     // Reaches here only through (function funcall) etc.; apply directly.
     return apply(Args[0], std::vector<RtValue>(Args.begin() + 1, Args.end()));
+
+  default: // the foldable primitives, applied above
+    break;
   }
   return Outcome::error("unimplemented primitive");
 }

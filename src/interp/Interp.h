@@ -7,8 +7,11 @@
 /// catch/throw, prog/go/return — and doubles as:
 ///
 ///   * the oracle for differential testing of the optimizer and compiler
-///     (same program, interpreted vs. optimized vs. compiled), and
-///   * the performance baseline for the compiled-vs-interpreted benchmark.
+///     (same program, interpreted vs. optimized vs. compiled),
+///   * the performance baseline for the compiled-vs-interpreted benchmark,
+///     and
+///   * the definition of every foldable primitive (applyFoldable), which
+///     the meta-evaluator applies at compile time.
 ///
 /// It keeps counters (evaluation steps, special-variable search length,
 /// cons allocations) that the benchmark harness reads.
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -245,6 +249,24 @@ private:
 /// Structural equality over runtime values (closures by identity).
 bool rtEqual(RtValue A, RtValue B);
 bool rtEql(RtValue A, RtValue B);
+
+/// What applying a primitive produced: its value, or the error it signals.
+struct PrimResult {
+  bool Ok = false;
+  RtValue Value;
+  std::string Error;
+};
+
+/// Applies a Foldable primitive (ir::PrimInfo::Foldable) to \p Args, a
+/// count of arguments \p Op accepts. This is the one definition of what
+/// each of them computes: the evaluator applies it at run time, and the
+/// meta-evaluator at compile time, to literal operands (§5's compile-time
+/// "apply"). These primitives only read their arguments and allocate only
+/// numbers, in \p H (sexpr::Heap::makeRatio never collects), so a call
+/// needs no GC roots and no interpreter, and compile workers may make it
+/// concurrently.
+PrimResult applyFoldable(ir::Prim Op, std::span<const RtValue> Args,
+                         sexpr::Heap &H, const sexpr::SymbolTable &Syms);
 
 } // namespace interp
 } // namespace s1lisp

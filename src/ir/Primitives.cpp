@@ -89,14 +89,11 @@ std::vector<PrimInfo> buildTable() {
   B.num("1+", Prim::Add1, 1, 1);
   B.num("1-", Prim::Sub1, 1, 1);
   B.num("abs", Prim::Abs, 1, 1);
-  {
-    PrimInfo &P = B.num("max", Prim::Max, 1, -1);
-    P.Assoc = P.Commut = true;
-  }
-  {
-    PrimInfo &P = B.num("min", Prim::Min, 1, -1);
-    P.Assoc = P.Commut = true;
-  }
+  // max and min are associative but not commutative: on a tie they return
+  // one of the arguments, and 0.0 ties -0.0, so (max -0.0 0.0) is -0.0 but
+  // (max 0.0 -0.0) is 0.0.
+  B.num("max", Prim::Max, 1, -1).Assoc = true;
+  B.num("min", Prim::Min, 1, -1).Assoc = true;
   B.num("floor", Prim::Floor, 2, 2);
   B.num("ceiling", Prim::Ceiling, 2, 2);
   B.num("truncate", Prim::Truncate, 2, 2);
@@ -135,14 +132,8 @@ std::vector<PrimInfo> buildTable() {
   B.flo("/$f", Prim::FDiv, 1, -1);
   B.flo("neg$f", Prim::FNeg, 1, 1);
   B.flo("abs$f", Prim::FAbs, 1, 1);
-  {
-    PrimInfo &P = B.flo("max$f", Prim::FMax, 1, -1);
-    P.Assoc = P.Commut = true;
-  }
-  {
-    PrimInfo &P = B.flo("min$f", Prim::FMin, 1, -1);
-    P.Assoc = P.Commut = true;
-  }
+  B.flo("max$f", Prim::FMax, 1, -1).Assoc = true;
+  B.flo("min$f", Prim::FMin, 1, -1).Assoc = true;
   B.flo("sqrt$f", Prim::FSqrt, 1, 1);
   B.flo("sin$f", Prim::FSin, 1, 1);
   B.flo("cos$f", Prim::FCos, 1, 1);

@@ -3,12 +3,14 @@
 #include "opt/MetaEval.h"
 
 #include "analysis/Analysis.h"
+#include "interp/Interp.h"
 #include "ir/BackTranslate.h"
 #include "ir/Primitives.h"
-#include "opt/Fold.h"
 #include "sexpr/Printer.h"
+#include "sexpr/Reader.h"
 #include "stats/Stats.h"
 
+#include <cmath>
 #include <span>
 
 using namespace s1lisp;
@@ -389,36 +391,50 @@ private:
     return nullptr;
   }
 
-  /// Compile-time expression evaluation on constant operands.
+  /// Compile-time expression evaluation on constant operands: the call is
+  /// applied with the interpreter's own definition of the primitive, "a
+  /// very convenient thing to do in LISP with the apply operator" (§5).
+  /// A call that signals an error is left to signal it at run time, and
+  /// so is one whose value is a flonum the reader cannot read back (a NaN
+  /// or an infinity: a zero divisor, a domain error, an overflow).
   Node *tryConstantFold(Node *N) {
     auto *C = dyn_cast<CallNode>(N);
     if (!C || !C->Name)
       return nullptr;
     const PrimInfo *P = lookupPrim(C->Name);
-    if (!P || !P->Foldable)
+    if (!P || !P->Foldable || !P->acceptsArgCount(C->Args.size()))
       return nullptr;
-    std::vector<Value> Args;
+    std::vector<interp::RtValue> Args;
     for (Node *A : C->Args) {
       auto *Lit = dyn_cast<LiteralNode>(A);
       if (!Lit)
         return nullptr;
-      Args.push_back(Lit->Datum);
+      Args.push_back(interp::RtValue::data(Lit->Datum));
     }
-    auto R = foldPrim(*P, Args, F.dataHeap(), F.symbols());
-    if (!R)
+    interp::PrimResult R =
+        interp::applyFoldable(P->Op, Args, F.dataHeap(), F.symbols());
+    if (!R.Ok)
+      return nullptr;
+    Value V = R.Value.dataValue();
+    if (V.isFlonum() && !std::isfinite(V.flonum()))
       return nullptr;
     commit(N);
-    if (Opts.FaultConstantFold && P->Op == Prim::Add && R->isFixnum())
-      R = Value::fixnum(R->fixnum() + 1);
+    if (Opts.FaultConstantFold && P->Op == Prim::Add && V.isFixnum())
+      V = Value::fixnum(V.fixnum() + 1);
     ++NumFolded;
-    return F.makeLiteral(*R);
+    return F.makeLiteral(V);
   }
+
+  /// The assoc/commut and n-ary rules turn a call into a chain of binary
+  /// calls as deep as the call is long, and every later phase walks the
+  /// tree recursively; a longer call than this stays n-ary.
+  static constexpr size_t MaxNaryChain = sexpr::Reader::MaxNestingDepth;
 
   /// N-ary associative calls become compositions of two-argument calls,
   /// in the paper's right-to-left order: (+$f a b c) => (+$f (+$f c b) a).
   Node *tryAssocCommut(Node *N) {
     auto *C = dyn_cast<CallNode>(N);
-    if (!C || !C->Name || C->Args.size() <= 2)
+    if (!C || !C->Name || C->Args.size() <= 2 || C->Args.size() > MaxNaryChain)
       return nullptr;
     const PrimInfo *P = lookupPrim(C->Name);
     if (!P || !P->Assoc || !P->Commut)
@@ -444,7 +460,8 @@ private:
     bool IsDiv = P->Op == Prim::Div || P->Op == Prim::FDiv;
     if (!IsSub && !IsDiv)
       return nullptr;
-    if (C->Args.empty() || C->Args.size() == 2)
+    if (C->Args.empty() || C->Args.size() == 2 ||
+        C->Args.size() > MaxNaryChain)
       return nullptr;
     commit(N);
     if (C->Args.size() > 2) {

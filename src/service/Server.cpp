@@ -4,6 +4,7 @@
 
 #include "driver/Ablation.h"
 #include "driver/Compiler.h"
+#include "frontend/Convert.h"
 #include "interp/Interp.h"
 #include "sexpr/Printer.h"
 #include "stats/Stats.h"
@@ -183,12 +184,9 @@ void Server::handleCompile(const Message &Req, Message &Resp,
   driver::FunctionMemo *Memo =
       Req.getOr("cache", "1") == "0" ? nullptr : &Cache;
   const std::string Entry = Req.getOr("entry");
-  // The interpreter walks every function's tree, so an interp run
-  // converts the whole source and memoizes only the back end.
   const bool Interp = !Entry.empty() && Req.getOr("run", "vm") == "interp";
-  driver::CompileOutcome Out =
-      (Interp ? driver::convertAndCompile : driver::compileSource)(
-          M, *Source, Opts, WantRemarks ? &Remarks : nullptr, Memo);
+  driver::CompileOutcome Out = driver::compileSource(
+      M, *Source, Opts, WantRemarks ? &Remarks : nullptr, Memo);
 
   Resp.set("memo-hits", std::to_string(Out.MemoHits));
   Resp.set("memo-misses", std::to_string(Out.MemoMisses));
@@ -211,11 +209,20 @@ void Server::handleCompile(const Message &Req, Message &Resp,
   const std::string StatsMode = Req.getOr("stats");
   if (!Entry.empty()) {
     if (Interp) {
-      if (!M.lookup(Entry)) {
+      // The oracle interprets the program as written, not M's trees: the
+      // compile optimized those in place, or left a memo hit's
+      // unoptimized. It counted the conversion, so this one is uncounted.
+      ir::Module Fresh;
+      DiagEngine Diags;
+      {
+        stats::ThreadBaselineScope Uncounted;
+        frontend::convertSource(Fresh, *Source, Diags);
+      }
+      if (!Fresh.lookup(Entry)) {
         Resp.set("run-error",
                  "entry function '" + Entry + "' is not defined");
       } else {
-        interp::Interpreter I(M);
+        interp::Interpreter I(Fresh);
         if (HasFuel)
           I.setFuel(Fuel);
         auto R = I.call(Entry, {});

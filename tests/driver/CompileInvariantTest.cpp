@@ -7,8 +7,9 @@
 // counters of the verifier, detachSubtree and the effect and complexity
 // rules may grow at most 4.5x for the 4x input: counters are exact, so
 // the bound holds on a noisy host where wall-time ratios would not. The
-// deepest let* and cond the converter admits compile and run on every
-// path within the 8 MB stack its depth bound is sized for.
+// deepest let* and cond the converter admits, and calls of 20,000
+// arguments, compile and run on every path within the 8 MB stack its
+// depth bound is sized for.
 //
 //===----------------------------------------------------------------------===//
 
@@ -129,9 +130,19 @@ TEST_P(CompileGrowth, WorkCountersGrowLinearly) {
         << " to " << added(Large, Name) << " at " << 4 * N;
 }
 
+/// A call of \p Op on \p N copies of x: flat, but the assoc and n-ary
+/// rules would chain it into binary calls as deep as it is long.
+std::string wideCall(const char *Op, unsigned N) {
+  std::string S = std::string("(defun wide (x) (") + Op;
+  for (unsigned I = 0; I < N; ++I)
+    S += " x";
+  return S + "))";
+}
+
 TEST(CompileInvariant, ProgramsAtTheDepthBoundPassEveryPath) {
   // The largest let* and cond the converter admits (ConvertTest holds
-  // the bound) compile at -O0, by default and with CSE, and every engine
+  // the bound) and calls of 20,000 arguments, which the optimizer leaves
+  // n-ary, compile at -O0, by default and with CSE, and every engine
   // returns the interpreter's answer, all on an 8 MB stack.
   std::string Cond = "(defun deep (x) (cond";
   for (unsigned I = 0; I < 3997; ++I)
@@ -143,13 +154,15 @@ TEST(CompileInvariant, ProgramsAtTheDepthBoundPassEveryPath) {
     int64_t Arg;
     const char *Want;
   } Programs[] = {{deepLet(1999), "deep-let", 3, "2001"},
-                  {Cond, "deep", 3995, "3995"}};
+                  {Cond, "deep", 3995, "3995"},
+                  {wideCall("+", 20000), "wide", 1, "20000"},
+                  {wideCall("-", 20000), "wide", 1, "-19998"}};
   driver::CompilerOptions O0, Default, Cse;
   O0.Optimize = false;
   Cse.Cse = true;
   deepstack::run([&] {
     for (const auto &P : Programs) {
-      SCOPED_TRACE(P.Entry);
+      SCOPED_TRACE(P.Source.substr(0, 40));
       sexpr::Value X = sexpr::Value::fixnum(P.Arg);
       ir::Module M;
       DiagEngine Diags;

@@ -109,6 +109,11 @@ TEST(ParallelDeterminism, ContendedCompilesAreBitIdentical) {
           << "remark transcript differs, jobs=" << Jobs << " rep=" << Rep;
       EXPECT_EQ(Serial.StatsJson, Par.StatsJson)
           << "counter totals differ, jobs=" << Jobs << " rep=" << Rep;
+      // The workers fold constants concurrently, each applying the
+      // interpreter's shared definitions of the primitives.
+      if (Jobs == 4) {
+        EXPECT_GT(stats::statValue("opt.fold.folded"), 0u) << "rep=" << Rep;
+      }
       // The set of names interned (frontend + optimizer rewrites +
       // link) is schedule-invariant, whatever shard each landed in.
       EXPECT_EQ(Serial.SymCount, Par.SymCount)

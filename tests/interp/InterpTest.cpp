@@ -185,6 +185,20 @@ TEST_F(InterpTest, ListPrimitives) {
   EXPECT_EQ(run("work", {RtValue::data(L)}), "(3 (3 2 1) 2 (2 3))");
 }
 
+TEST_F(InterpTest, CarChainsCheckEveryStep) {
+  // As in compiled code, each step of c[ad]+r needs a list, and nth past
+  // the end of a list (or of a non-list) is nil.
+  load("(defun caar-of (l) (caar l)) (defun cadr-of (l) (cadr l))"
+       "(defun nth-of (n l) (nth n l))");
+  Value L = M.DataHeap.list({Value::fixnum(1), Value::fixnum(2)});
+  EXPECT_EQ(run("caar-of", {RtValue::data(L)}),
+            "ERROR: wrong type of argument to 'car/cdr'");
+  EXPECT_EQ(run("cadr-of", {RtValue::data(L)}), "2");
+  EXPECT_EQ(run("nth-of", {fx(5), RtValue::data(L)}), "nil");
+  EXPECT_EQ(run("nth-of", {fx(0), fx(7)}), "nil");
+  EXPECT_EQ(run("nth-of", {fx(-1), RtValue::data(L)}), "1");
+}
+
 TEST_F(InterpTest, RplacaMutation) {
   load("(defun smash (l) (rplaca l 'new) l)");
   Interpreter I(M);
@@ -246,6 +260,19 @@ TEST_F(InterpTest, ApplySpreadsList) {
   load("(defun spread (l) (apply (function +) 1 l))");
   Value L = M.DataHeap.list({Value::fixnum(2), Value::fixnum(3)});
   EXPECT_EQ(run("spread", {RtValue::data(L)}), "6");
+}
+
+TEST_F(InterpTest, BuiltinsCheckTheirArgumentCount) {
+  // A builtin reached through funcall is applied only to an argument
+  // count it accepts, as a closure is.
+  load("(defun no-args () (funcall (function car)))"
+       "(defun one-arg () (funcall (function cons) 1))"
+       "(defun two-args () (funcall (function cons) 1 2))"
+       "(defun negate (x) (funcall (function -$f) x))");
+  EXPECT_EQ(run("no-args"), "ERROR: wrong number of arguments (0)");
+  EXPECT_EQ(run("one-arg"), "ERROR: wrong number of arguments (1)");
+  EXPECT_EQ(run("two-args"), "(1 . 2)");
+  EXPECT_EQ(run("negate", {fl(0.0)}), "-0.0");
 }
 
 TEST_F(InterpTest, ErrorsSurface) {

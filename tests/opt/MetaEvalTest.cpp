@@ -16,6 +16,7 @@
 #include "interp/Interp.h"
 #include "ir/BackTranslate.h"
 #include "sexpr/Printer.h"
+#include "sexpr/Reader.h"
 
 #include <gtest/gtest.h>
 
@@ -123,6 +124,15 @@ TEST_F(MetaEvalTest, CompileTimeEvaluation) {
   EXPECT_EQ(optimizeExpr("(sqrt$f 4.0)"), "2.0");
   // Division by zero does not fold (the runtime error is preserved).
   EXPECT_EQ(optimizeExpr("(/ 1 0)"), "(/ 1 0)");
+  // Nor does a flonum the reader cannot read back: a zero divisor, a
+  // domain error, an overflow.
+  EXPECT_EQ(optimizeExpr("(/$f 1.0 0.0)"), "(/$f 1.0 0.0)");
+  EXPECT_EQ(optimizeExpr("(log$f 0.0)"), "(log$f 0.0)");
+  EXPECT_EQ(optimizeExpr("(sqrt$f -1.0)"), "(sqrt$f -1.0)");
+  EXPECT_EQ(optimizeExpr("(exp$f 1000.0)"), "(exp$f 1000.0)");
+  // Unary minus negates.
+  EXPECT_EQ(optimizeExpr("(- 0.0)"), "-0.0");
+  EXPECT_EQ(optimizeExpr("(-$f 0.0)"), "-0.0");
 }
 
 TEST_F(MetaEvalTest, DeadCodeElimination) {
@@ -147,12 +157,18 @@ TEST_F(MetaEvalTest, AssocCommutCanonicalization) {
   EXPECT_EQ(optimizeExpr("(+$f p q r)", NoSubst),
             "(+$f (+$f r q) p)");
   EXPECT_EQ(optimizeExpr("(* p q r x)", NoSubst), "(* (* (* x r) q) p)");
+  // max and min are not commutative on signed zeros, so they stay as
+  // written.
+  EXPECT_EQ(optimizeExpr("(max p q r)", NoSubst), "(max p q r)");
+  EXPECT_EQ(optimizeExpr("(min$f p q r)", NoSubst), "(min$f p q r)");
 }
 
 TEST_F(MetaEvalTest, ConstantsMoveFirst) {
   // §7: (*$f e 0.159154942) => (*$f 0.159154942 e).
   EXPECT_EQ(optimizeExpr("(*$f x 2.0)"), "(*$f 2.0 x)");
   EXPECT_EQ(optimizeExpr("(+ x 1)"), "(+ 1 x)");
+  EXPECT_EQ(optimizeExpr("(max x 0.0)"), "(max x 0.0)");
+  EXPECT_EQ(optimizeExpr("(min$f x 0.0)"), "(min$f x 0.0)");
 }
 
 TEST_F(MetaEvalTest, NaryExpansion) {
@@ -160,6 +176,23 @@ TEST_F(MetaEvalTest, NaryExpansion) {
   EXPECT_EQ(optimizeExpr("(- x)"), "(neg x)");
   EXPECT_EQ(optimizeExpr("(-$f x)"), "(neg$f x)");
   EXPECT_EQ(optimizeExpr("(/ x)"), "(/ 1 x)");
+}
+
+TEST_F(MetaEvalTest, LongCallsStayNary) {
+  // A chain of binary calls is as deep as the call is long, so past the
+  // reader's nesting bound the assoc and n-ary rules leave a call alone.
+  auto Call = [](const char *Op, unsigned N) {
+    std::string S = std::string("(") + Op;
+    for (unsigned I = 0; I < N; ++I)
+      S += " x";
+    return S + ")";
+  };
+  const unsigned Bound = sexpr::Reader::MaxNestingDepth;
+  for (const char *Op : {"+", "-"}) {
+    EXPECT_EQ(optimizeExpr(Call(Op, Bound + 1)), Call(Op, Bound + 1)) << Op;
+    std::string Chained = optimizeExpr(Call(Op, Bound));
+    EXPECT_EQ(Chained.find(Call(Op, 3)), std::string::npos) << Op;
+  }
 }
 
 TEST_F(MetaEvalTest, IdentityElimination) {

@@ -102,6 +102,24 @@ TEST(Server, InterpreterOracleRun) {
   EXPECT_EQ(Resp.getOr("value"), "1024");
 }
 
+// The interpreter is the oracle: it runs the program as written, not the
+// tree a compile optimized (which drops the dead (car x)), and a memo hit
+// answers as the miss did.
+TEST(Server, InterpreterRunsTheProgramAsWritten) {
+  Server Srv({});
+  Message Req = compileReq("(defun f (x) (progn (car x) 1))\n"
+                           "(defun fut () (f 5))\n");
+  Req.set("run", "interp");
+  Message Cold = Srv.handle(Req);
+  Message Warm = Srv.handle(Req);
+  EXPECT_EQ(Warm.getOr("memo-hits"), "2");
+  for (const Message &Resp : {Cold, Warm}) {
+    EXPECT_EQ(Resp.getOr("ok"), "1");
+    EXPECT_FALSE(Resp.has("value")) << Resp.getOr("value");
+    EXPECT_EQ(Resp.getOr("run-error"), "wrong type of argument to 'car/cdr'");
+  }
+}
+
 TEST(Server, CacheBypassLeavesTheCacheCold) {
   Server Srv({});
   Message Req = compileReq(ExptSrc);

@@ -18,7 +18,10 @@
 #include "EngineHarness.h"
 
 #include "driver/Compiler.h"
+#include "frontend/Convert.h"
 #include "fuzz/Generator.h"
+#include "interp/Interp.h"
+#include "sexpr/Printer.h"
 #include "vm/Jit.h"
 #include "vm/Machine.h"
 
@@ -146,6 +149,36 @@ TEST(EngineEquivalenceFixed, FixnumOverflowTrapsAgree) {
   expectEquivalent("(defun ovf (n) (* n n))", "ovf", {Value::fixnum(70000)});
   expectEquivalent("(defun inc (n) (1+ n))", "inc",
                    {Value::fixnum(2147483647)});
+}
+
+TEST(EngineEquivalenceFixed, SignedZerosMatchTheInterpreter) {
+  // Unary minus negates, so (- 0.0) is -0.0; and max and min keep their
+  // argument order, since on a tie of 0.0 and -0.0 they return one
+  // argument or the other. Every engine, at -O0 and by default, returns
+  // what the interpreter returns for the program as written.
+  const struct {
+    const char *Body;
+    double X;
+  } Rows[] = {{"(- x)", 0.0},          {"(- x)", -0.0},
+              {"(-$f x)", 0.0},        {"(-$f x)", -0.0},
+              {"(max x 0.0)", -0.0},   {"(min x -0.0)", 0.0},
+              {"(max$f x 0.0)", -0.0}, {"(min$f x -0.0)", 0.0}};
+  driver::CompilerOptions O0;
+  O0.Optimize = false;
+  for (const auto &R : Rows) {
+    const std::string Source = std::string("(defun f (x) ") + R.Body + ")";
+    const Value X = Value::flonum(R.X);
+    SCOPED_TRACE(Source + " at x = " + sexpr::toString(X));
+    ir::Module M;
+    DiagEngine Diags;
+    ASSERT_TRUE(frontend::convertSource(M, Source, Diags)) << Diags.str();
+    interp::Interpreter I(M);
+    auto Want = I.call("f", {interp::RtValue::data(X)});
+    ASSERT_TRUE(Want.Ok) << Want.Error;
+    for (const driver::CompilerOptions &Opts : {O0, driver::CompilerOptions()})
+      EXPECT_EQ(expectEquivalent(Source, "f", {X}, Opts).Text,
+                Want.Value.str());
+  }
 }
 
 TEST(EngineEquivalenceFixed, UnoptimizedCodeAgrees) {

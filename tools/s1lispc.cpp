@@ -341,7 +341,16 @@ int runViaServer(const std::string &Source, const CliOptions &O) {
   return Status;
 }
 
-int runOnInterpreter(ir::Module &M, const CliOptions &O) {
+int runOnInterpreter(const std::string &Source, const CliOptions &O) {
+  // The oracle interprets the program as written, not the trees the
+  // compile optimized in place. The compile counted the conversion, so
+  // this one is uncounted.
+  ir::Module M;
+  DiagEngine Diags;
+  {
+    stats::ThreadBaselineScope Uncounted;
+    frontend::convertSource(M, Source, Diags);
+  }
   if (!M.lookup(O.Entry)) {
     fprintf(stderr, "s1lispc: entry function '%s' is not defined\n",
             O.Entry.c_str());
@@ -410,7 +419,7 @@ int main(int Argc, char **Argv) {
   if (O.Run)
     Status = runOnSimulator(M, Out.Program, O);
   else if (O.Interp)
-    Status = runOnInterpreter(M, O);
+    Status = runOnInterpreter(Source, O);
 
   if (O.TimePhases)
     fputs(stats::reportPhaseTimes().c_str(), stdout);
