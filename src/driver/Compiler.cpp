@@ -199,7 +199,7 @@ CompileOutcome compileSlots(ir::Module &M, std::vector<Slot> &Slots,
 /// The function name of a (defun name ...) form, else null.
 const sexpr::Symbol *defunName(sexpr::Value Form) {
   if (!Form.isCons() || !Form.car().isSymbol() ||
-      Form.car().symbol()->name() != "defun")
+      Form.car().symbol()->known() != sexpr::Known::Defun)
     return nullptr;
   sexpr::Value Rest = Form.cdr();
   return Rest.isCons() && Rest.car().isSymbol() ? Rest.car().symbol()

@@ -17,6 +17,7 @@ S1_STAT(NumSpecialsProclaimed, "frontend.specials",
 using namespace s1lisp;
 using namespace s1lisp::frontend;
 using namespace s1lisp::ir;
+using sexpr::Known;
 using sexpr::Value;
 
 namespace {
@@ -25,23 +26,18 @@ SourceLocation locOf(Value Form) {
   return Form.isCons() ? Form.consCell()->Loc : SourceLocation();
 }
 
-/// The operators Converter::convert expands by name before it considers
-/// a call. A function named after one of them could never be called, nor
-/// could a lexical variable (a call through a variable names it in
+/// Whether Converter::convert expands \p S as an operator before it
+/// considers a call. A function named after one could never be called,
+/// nor could a lexical variable (a call through a variable names it in
 /// function position).
-constexpr std::string_view SpecialForms[] = {
-    // The basic set.
-    "quote", "if", "progn", "lambda", "setq", "go", "return",
-    // Macros expanded into it.
-    "let", "let*", "cond", "and", "or", "when", "unless", "prog", "do",
-    "dotimes", "dolist", "case", "caseq", "catch", "catcher", "prog1",
-    "prog2", "function"};
+bool namesSpecialForm(const sexpr::Symbol *S) {
+  return S->known() >= sexpr::FirstSpecialForm &&
+         S->known() <= sexpr::LastSpecialForm;
+}
 
-bool isSpecialForm(std::string_view Name) {
-  for (std::string_view S : SpecialForms)
-    if (S == Name)
-      return true;
-  return false;
+/// Whether \p V is the symbol \p K.
+bool isKnown(Value V, Known K) {
+  return V.isSymbol() && V.symbol()->known() == K;
 }
 
 /// Bound on Converter::Depth. let*, cond, and and or expand a flat list
@@ -73,7 +69,7 @@ private:
   /// is named after a special form: (when 5) would convert as the form,
   /// never as a call through the variable.
   bool bindable(const sexpr::Symbol *Name, SourceLocation Loc) {
-    if (!isSpecialForm(Name->name()))
+    if (!namesSpecialForm(Name))
       return true;
     Diags.error(Loc, "cannot bind '" + Name->name() + "': it names a special form");
     return false;
@@ -130,7 +126,7 @@ private:
     unsigned Levels;
   };
 
-  const sexpr::Symbol *sym(const char *Name) { return Syms.intern(Name); }
+  Value sym(Known K) const { return Value::symbol(Syms.known(K)); }
 
   // --- conversion ---
   Node *convert(Value Form);
@@ -204,8 +200,7 @@ bool Converter::convertDefunBody(Value LambdaList, Value BodyForms,
 void Converter::scanDeclarations(Value &BodyForms) {
   while (BodyForms.isCons()) {
     Value First = BodyForms.car();
-    if (!First.isCons() || !First.car().isSymbol() ||
-        First.car().symbol() != sym("declare"))
+    if (!First.isCons() || !isKnown(First.car(), Known::Declare))
       return;
     if (!sexpr::isProperList(First))
       Diags.error(locOf(First), "dotted list in declare");
@@ -213,8 +208,7 @@ void Converter::scanDeclarations(Value &BodyForms) {
       Value Decl = D.car();
       if (Decl.isCons() && !sexpr::isProperList(Decl))
         Diags.error(locOf(First), "dotted list in declaration");
-      else if (Decl.isCons() && Decl.car().isSymbol() &&
-          Decl.car().symbol() == sym("special")) {
+      else if (Decl.isCons() && isKnown(Decl.car(), Known::Special)) {
         for (Value S = Decl.cdr(); S.isCons(); S = S.cdr())
           if (S.car().isSymbol())
             LocalSpecials.insert(S.car().symbol());
@@ -233,7 +227,7 @@ bool Converter::parseLambdaList(LambdaNode *L, Value LambdaList, ScopeMark &) {
       return false;
     }
     Value Item = Cur.car();
-    if (Item.isSymbol() && Item.symbol() == sym("&optional")) {
+    if (isKnown(Item, Known::Optional)) {
       if (Mode != Mode::Required) {
         Diags.error(locOf(LambdaList), "&optional out of place");
         return false;
@@ -241,7 +235,7 @@ bool Converter::parseLambdaList(LambdaNode *L, Value LambdaList, ScopeMark &) {
       Mode = Mode::Optional;
       continue;
     }
-    if (Item.isSymbol() && Item.symbol() == sym("&rest")) {
+    if (isKnown(Item, Known::Rest)) {
       if (Mode == Mode::Rest || Mode == Mode::Done) {
         Diags.error(locOf(LambdaList), "&rest out of place");
         return false;
@@ -364,7 +358,7 @@ Node *Converter::convert(Value Form) {
 
   // ((lambda ...) args): direct lambda application (LET after expansion).
   if (Head.isCons()) {
-    if (Head.car().isSymbol() && Head.car().symbol() == sym("lambda")) {
+    if (isKnown(Head.car(), Known::Lambda)) {
       Node *Callee = convertLambdaForm(Head);
       std::vector<Node *> Args;
       for (Value A = Form.cdr(); A.isCons(); A = A.cdr())
@@ -379,16 +373,15 @@ Node *Converter::convert(Value Form) {
     return errorAt(Form, "illegal function position");
 
   const sexpr::Symbol *Op = Head.symbol();
-  const std::string &Name = Op->name();
   Value Rest = Form.cdr();
 
+  switch (Op->known()) {
   // --- special forms of the basic set ---
-  if (Name == "quote") {
+  case Known::Quote:
     if (!Rest.isCons() || !Rest.cdr().isNil())
       return errorAt(Form, "quote takes exactly one form");
     return F.makeLiteral(Rest.car());
-  }
-  if (Name == "if") {
+  case Known::If: {
     size_t N = sexpr::isProperList(Rest) ? sexpr::listLength(Rest) : 0;
     if (N < 2 || N > 3)
       return errorAt(Form, "if takes two or three forms");
@@ -399,13 +392,13 @@ Node *Converter::convert(Value Form) {
     I->Loc = locOf(Form);
     return I;
   }
-  if (Name == "progn")
+  case Known::Progn:
     return convertBody(Rest, locOf(Form));
-  if (Name == "lambda")
+  case Known::Lambda:
     return convertLambdaForm(Form);
-  if (Name == "setq")
+  case Known::Setq:
     return convertSetq(Form);
-  if (Name == "go") {
+  case Known::Go: {
     if (!Rest.isCons() || !Rest.car().isSymbol())
       return errorAt(Form, "go takes a tag symbol");
     const sexpr::Symbol *Tag = Rest.car().symbol();
@@ -417,7 +410,7 @@ Node *Converter::convert(Value Form) {
     }
     return errorAt(Form, "go to unknown tag '" + Tag->name() + "'");
   }
-  if (Name == "return") {
+  case Known::Return: {
     if (ProgStack.empty())
       return errorAt(Form, "return outside prog");
     Node *V = Rest.isCons() ? convert(Rest.car()) : F.makeNil();
@@ -425,58 +418,58 @@ Node *Converter::convert(Value Form) {
   }
 
   // --- macros expanded into the basic set ---
-  if (Name == "let")
+  case Known::Let:
     return convertLet(Form, /*Sequential=*/false);
-  if (Name == "let*")
+  case Known::LetStar:
     return convertLet(Form, /*Sequential=*/true);
-  if (Name == "cond")
+  case Known::Cond:
     return convertCond(Form);
-  if (Name == "and")
+  case Known::And:
     return convertAnd(Rest);
-  if (Name == "or")
+  case Known::Or:
     return convertOr(Rest);
-  if (Name == "when") {
+  case Known::When:
     if (!Rest.isCons())
       return errorAt(Form, "when needs a test");
     return F.makeIf(convert(Rest.car()), convertBody(Rest.cdr(), locOf(Form)),
                     F.makeNil());
-  }
-  if (Name == "unless") {
+  case Known::Unless:
     if (!Rest.isCons())
       return errorAt(Form, "unless needs a test");
     return F.makeIf(convert(Rest.car()), F.makeNil(),
                     convertBody(Rest.cdr(), locOf(Form)));
-  }
-  if (Name == "prog")
+  case Known::Prog:
     return convertProg(Form);
-  if (Name == "do")
+  case Known::Do:
     return convertDo(Form);
-  if (Name == "dotimes")
+  case Known::Dotimes:
     return convertDotimesDolist(Form, /*IsDotimes=*/true);
-  if (Name == "dolist")
+  case Known::Dolist:
     return convertDotimesDolist(Form, /*IsDotimes=*/false);
-  if (Name == "case" || Name == "caseq")
+  case Known::Case:
+  case Known::Caseq:
     return convertCase(Form);
-  if (Name == "catch" || Name == "catcher")
+  case Known::Catch:
+  case Known::Catcher:
     return convertCatch(Form);
-  if (Name == "prog1")
+  case Known::Prog1:
     return convertProg1(Form, 0);
-  if (Name == "prog2")
+  case Known::Prog2:
     return convertProg1(Form, 1);
-  if (Name == "function") {
+  case Known::Function: {
     // (function f) names a function; (function (lambda ...)) is the lambda.
     if (!Rest.isCons() || !Rest.cdr().isNil())
       return errorAt(Form, "function takes exactly one designator");
     Value Designator = Rest.car();
     if (Designator.isSymbol())
       return F.makeCall(Op, {F.makeLiteral(Designator)});
-    if (Designator.isCons() && Designator.car().isSymbol() &&
-        Designator.car().symbol() == sym("lambda"))
+    if (Designator.isCons() && isKnown(Designator.car(), Known::Lambda))
       return convertLambdaForm(Designator);
     return errorAt(Form, "function needs a symbol or lambda");
   }
-
-  return convertCall(Form);
+  default:
+    return convertCall(Form);
+  }
 }
 
 Node *Converter::convertCall(Value Form) {
@@ -562,10 +555,10 @@ Node *Converter::convertLet(Value Form, bool Sequential) {
   if (Sequential && Bindings.isCons() && Bindings.cdr().isCons()) {
     // (let* ((a x) more...) body) => (let ((a x)) (let* (more...) body))
     Value Inner = F.dataHeap().cons(
-        Value::symbol(sym("let*")),
+        sym(Known::LetStar),
         F.dataHeap().cons(Bindings.cdr(), Body, locOf(Form)), locOf(Form));
     Value Outer = F.dataHeap().list(
-        {Value::symbol(sym("let")),
+        {sym(Known::Let),
          F.dataHeap().cons(Bindings.car(), Value::nil()), Inner});
     return convert(Outer);
   }
@@ -613,7 +606,7 @@ Node *Converter::convertCond(Value Form) {
   Value Test = Clause.car();
   Value Body = Clause.cdr();
   Value RestClauses =
-      F.dataHeap().cons(Value::symbol(sym("cond")), Clauses.cdr(), locOf(Form));
+      F.dataHeap().cons(sym(Known::Cond), Clauses.cdr(), locOf(Form));
 
   bool TestIsT = Test.isSymbol() && Test.symbol() == Syms.t();
   if (Body.isNil()) {
@@ -666,8 +659,8 @@ Node *Converter::convertOr(Value Rest) {
   Thunk->Body->Parent = Thunk;
 
   LambdaNode *L = F.makeLambda();
-  Variable *V = F.makeVariable(sym("v"), false);
-  Variable *Fv = F.makeVariable(sym("f"), false);
+  Variable *V = F.makeVariable(Syms.known(Known::V), false);
+  Variable *Fv = F.makeVariable(Syms.known(Known::F), false);
   V->Binder = L;
   Fv->Binder = L;
   L->Required = {V, Fv};
@@ -800,14 +793,14 @@ Node *Converter::convertDo(Value Form) {
       Steps.push_back({Var, Spec.cdr().cdr().car()});
   }
 
-  Value LoopTag = Value::symbol(Syms.intern("do-loop"));
+  Value LoopTag = sym(Known::DoLoop);
   Value EndTest = EndClause.car();
   Value ResultForms = EndClause.cdr();
   Value ReturnForm = H.list(
-      {Value::symbol(sym("return")),
-       H.cons(Value::symbol(sym("progn")), ResultForms, locOf(Form))});
+      {sym(Known::Return),
+       H.cons(sym(Known::Progn), ResultForms, locOf(Form))});
   Value WhenForm =
-      H.list({Value::symbol(sym("when")), EndTest, ReturnForm});
+      H.list({sym(Known::When), EndTest, ReturnForm});
 
   std::vector<Value> Stmts{LoopTag, WhenForm};
   for (Value BodyForm = Body; BodyForm.isCons(); BodyForm = BodyForm.cdr())
@@ -819,10 +812,10 @@ Node *Converter::convertDo(Value Form) {
     for (size_t I = 0; I < Steps.size(); ++I) {
       Value Temp = Value::symbol(Syms.intern("do-step-" + std::to_string(I)));
       TempNames.push_back(Temp);
-      SetqForms.push_back(H.list({Value::symbol(sym("setq")), Steps[I].first, Temp}));
+      SetqForms.push_back(H.list({sym(Known::Setq), Steps[I].first, Temp}));
       StepExprs.push_back(Steps[I].second);
     }
-    std::vector<Value> LambdaForm{Value::symbol(sym("lambda")), H.list(TempNames)};
+    std::vector<Value> LambdaForm{sym(Known::Lambda), H.list(TempNames)};
     for (Value SF : SetqForms)
       LambdaForm.push_back(SF);
     std::vector<Value> CallForm{H.list(LambdaForm)};
@@ -830,9 +823,9 @@ Node *Converter::convertDo(Value Form) {
       CallForm.push_back(SE);
     Stmts.push_back(H.list(CallForm));
   }
-  Stmts.push_back(H.list({Value::symbol(sym("go")), LoopTag}));
+  Stmts.push_back(H.list({sym(Known::Go), LoopTag}));
 
-  std::vector<Value> ProgForm{Value::symbol(sym("prog")), H.list(Bindings)};
+  std::vector<Value> ProgForm{sym(Known::Prog), H.list(Bindings)};
   for (Value S : Stmts)
     ProgForm.push_back(S);
   return convert(H.list(ProgForm));
@@ -855,13 +848,13 @@ Node *Converter::convertDotimesDolist(Value Form, bool IsDotimes) {
 
   if (IsDotimes) {
     // (do ((var 0 (1+ var)) (lim limit)) ((>= var lim) result) body...)
-    Value LimVar = Value::symbol(Syms.intern("dotimes-limit"));
+    Value LimVar = sym(Known::DotimesLimit);
     Value Do = H.list(
-        {Value::symbol(sym("do")),
+        {sym(Known::Do),
          H.list({H.list({Var, Value::fixnum(0),
-                         H.list({Value::symbol(sym("1+")), Var})}),
+                         H.list({sym(Known::OnePlus), Var})}),
                  H.list({LimVar, Limit})}),
-         H.list({H.list({Value::symbol(sym(">=")), Var, LimVar}), Result})});
+         H.list({H.list({sym(Known::GreaterOrEqual), Var, LimVar}), Result})});
     std::vector<Value> Full = sexpr::listToVector(Do);
     for (Value BodyForm = Body; BodyForm.isCons(); BodyForm = BodyForm.cdr())
       Full.push_back(BodyForm.car());
@@ -870,15 +863,15 @@ Node *Converter::convertDotimesDolist(Value Form, bool IsDotimes) {
 
   // (do ((tail list (cdr tail))) ((null tail) result)
   //   (let ((var (car tail))) body...))
-  Value TailVar = Value::symbol(Syms.intern("dolist-tail"));
-  std::vector<Value> LetBody{Value::symbol(sym("let")),
-                             H.list({H.list({Var, H.list({Value::symbol(sym("car")), TailVar})})})};
+  Value TailVar = sym(Known::DolistTail);
+  std::vector<Value> LetBody{sym(Known::Let),
+                             H.list({H.list({Var, H.list({sym(Known::Car), TailVar})})})};
   for (Value BodyForm = Body; BodyForm.isCons(); BodyForm = BodyForm.cdr())
     LetBody.push_back(BodyForm.car());
-  Value Do = H.list({Value::symbol(sym("do")),
+  Value Do = H.list({sym(Known::Do),
                      H.list({H.list({TailVar, Limit,
-                                     H.list({Value::symbol(sym("cdr")), TailVar})})}),
-                     H.list({H.list({Value::symbol(sym("null")), TailVar}), Result}),
+                                     H.list({sym(Known::Cdr), TailVar})})}),
+                     H.list({H.list({sym(Known::Null), TailVar}), Result}),
                      H.list(LetBody)});
   return convert(Do);
 }
@@ -901,7 +894,7 @@ Node *Converter::convertCase(Value Form) {
     Node *Body = convertBody(Clause.cdr(), locOf(Form));
     bool IsDefault =
         Keys.isSymbol() &&
-        (Keys.symbol() == Syms.t() || Keys.symbol() == sym("otherwise"));
+        (Keys.symbol() == Syms.t() || Keys.symbol()->known() == Known::Otherwise);
     if (IsDefault) {
       if (Default)
         return errorAt(Form, "case has two default clauses");
@@ -942,15 +935,15 @@ Node *Converter::convertProg1(Value Form, size_t KeepIndex) {
   if (Forms.size() <= KeepIndex)
     return errorAt(Form, "too few forms for prog1/prog2");
   sexpr::Heap &H = F.dataHeap();
-  Value KeepVar = Value::symbol(Syms.intern("prog1-value"));
-  std::vector<Value> LambdaForm{Value::symbol(sym("lambda")), H.list({KeepVar})};
+  Value KeepVar = sym(Known::Prog1Value);
+  std::vector<Value> LambdaForm{sym(Known::Lambda), H.list({KeepVar})};
   for (size_t I = KeepIndex + 1; I < Forms.size(); ++I)
     LambdaForm.push_back(Forms[I]);
   LambdaForm.push_back(KeepVar);
   Value Call = H.list({H.list(LambdaForm), Forms[KeepIndex]});
   if (KeepIndex == 0)
     return convert(Call);
-  std::vector<Value> Progn{Value::symbol(sym("progn"))};
+  std::vector<Value> Progn{sym(Known::Progn)};
   for (size_t I = 0; I < KeepIndex; ++I)
     Progn.push_back(Forms[I]);
   Progn.push_back(Call);
@@ -963,21 +956,19 @@ std::vector<const sexpr::Symbol *> frontend::proclaimedSpecials(Value Form) {
   std::vector<const sexpr::Symbol *> Out;
   if (!Form.isCons() || !Form.car().isSymbol())
     return Out;
-  const std::string &Head = Form.car().symbol()->name();
+  const Known Head = Form.car().symbol()->known();
   auto Second = [](Value L) {
     return L.isCons() && L.cdr().isCons() ? L.cdr().car() : Value::nil();
   };
   Value Arg = Second(Form);
-  if (Head == "defvar" || Head == "defparameter") {
+  if (Head == Known::Defvar || Head == Known::Defparameter) {
     if (Arg.isSymbol())
       Out.push_back(Arg.symbol());
-  } else if (Head == "proclaim") {
+  } else if (Head == Known::Proclaim) {
     // (proclaim (special a b ...)) — we accept the quoted form too.
-    if (Arg.isCons() && Arg.car().isSymbol() &&
-        Arg.car().symbol()->name() == "quote")
+    if (Arg.isCons() && isKnown(Arg.car(), Known::Quote))
       Arg = Second(Arg);
-    if (Arg.isCons() && Arg.car().isSymbol() &&
-        Arg.car().symbol()->name() == "special")
+    if (Arg.isCons() && isKnown(Arg.car(), Known::Special))
       for (Value S = Arg.cdr(); S.isCons(); S = S.cdr())
         if (S.car().isSymbol())
           Out.push_back(S.car().symbol());
@@ -990,12 +981,13 @@ ir::Function *frontend::convertTopLevel(Module &M, Value Form, DiagEngine &Diags
     Diags.error(locOf(Form), "top-level form must be defun, defvar, or proclaim");
     return nullptr;
   }
-  const std::string &Head = Form.car().symbol()->name();
+  const Known Head = Form.car().symbol()->known();
   ++NumTopLevelForms;
 
-  if (Head == "defvar" || Head == "defparameter" || Head == "proclaim") {
+  if (Head == Known::Defvar || Head == Known::Defparameter ||
+      Head == Known::Proclaim) {
     std::vector<const sexpr::Symbol *> Proclaimed = proclaimedSpecials(Form);
-    if (Head != "proclaim" && Proclaimed.empty()) {
+    if (Head != Known::Proclaim && Proclaimed.empty()) {
       Diags.error(locOf(Form), "defvar needs a symbol");
       return nullptr;
     }
@@ -1005,8 +997,9 @@ ir::Function *frontend::convertTopLevel(Module &M, Value Form, DiagEngine &Diags
     }
     return nullptr;
   }
-  if (Head != "defun") {
-    Diags.error(locOf(Form), "unsupported top-level form '" + Head + "'");
+  if (Head != Known::Defun) {
+    Diags.error(locOf(Form), "unsupported top-level form '" +
+                                 Form.car().symbol()->name() + "'");
     return nullptr;
   }
   if (!sexpr::isProperList(Form)) {
@@ -1022,9 +1015,9 @@ ir::Function *frontend::convertTopLevel(Module &M, Value Form, DiagEngine &Diags
   const sexpr::Symbol *Name = Rest.car().symbol();
   // A call to such a name converts as the special form or the primitive,
   // never as a call to the defun.
-  const char *Taken = isSpecialForm(Name->name()) ? "special form"
-                      : lookupPrim(Name)           ? "primitive"
-                                                   : nullptr;
+  const char *Taken = namesSpecialForm(Name) ? "special form"
+                      : lookupPrim(Name)       ? "primitive"
+                                               : nullptr;
   if (Taken) {
     Diags.error(locOf(Form),
                 "cannot define '" + Name->name() + "': it names a " + Taken);

@@ -935,15 +935,8 @@ struct Evaluator {
         return Outcome::error("funcall/apply with no function");
       RtValue Callee = Args.front();
       std::vector<RtValue> CallArgs(Args.begin() + 1, Args.end());
-      if (P->Op == Prim::Apply) {
-        if (CallArgs.empty() || !CallArgs.back().isData() ||
-            !sexpr::isProperList(CallArgs.back().dataValue()))
-          return Outcome::error("apply needs a trailing argument list");
-        Value Spread = CallArgs.back().dataValue();
-        CallArgs.pop_back();
-        for (Value Cur = Spread; Cur.isCons(); Cur = Cur.cdr())
-          CallArgs.push_back(RtValue::data(Cur.car()));
-      }
+      if (P->Op == Prim::Apply && !spreadLast(CallArgs))
+        return Outcome::error("apply needs a trailing argument list");
       return dispatch(Callee, std::move(CallArgs), Tail);
     }
 
@@ -968,6 +961,19 @@ struct Evaluator {
     if (Function *F = I.M.lookup(Name->name()))
       return dispatch(RtValue::closure(globalClosure(F)), std::move(Args), Tail);
     return Outcome::error("undefined function '" + Name->name() + "'");
+  }
+
+  /// Replaces apply's last argument, a proper list, with its elements;
+  /// false when there is none.
+  static bool spreadLast(std::vector<RtValue> &Args) {
+    if (Args.empty() || !Args.back().isData() ||
+        !sexpr::isProperList(Args.back().dataValue()))
+      return false;
+    Value Spread = Args.back().dataValue();
+    Args.pop_back();
+    for (Value Cur = Spread; Cur.isCons(); Cur = Cur.cdr())
+      Args.push_back(RtValue::data(Cur.car()));
+    return true;
   }
 
   Outcome resolveFunction(const sexpr::Symbol *Name) {
@@ -1162,11 +1168,19 @@ Outcome Evaluator::applyPrim(const PrimInfo &P, std::vector<RtValue> &Args) {
     I.Out += '\n';
     return Outcome::ok(Args[0]);
 
+  // The rest reach here only as function objects: (function funcall) etc.
   case Prim::Funcall:
-  case Prim::Apply:
+  case Prim::Apply: {
+    std::vector<RtValue> CallArgs(Args.begin() + 1, Args.end());
+    if (Op == Prim::Apply && !spreadLast(CallArgs))
+      return Outcome::error("apply needs a trailing argument list");
+    return apply(Args[0], std::move(CallArgs));
+  }
   case Prim::FunctionRef:
-    // Reaches here only through (function funcall) etc.; apply directly.
-    return apply(Args[0], std::vector<RtValue>(Args.begin() + 1, Args.end()));
+    // A symbol names a function, as in (function f).
+    if (!Args[0].isData() || !Args[0].dataValue().isSymbol())
+      return Outcome::error("function needs a literal function name");
+    return resolveFunction(Args[0].dataValue().symbol());
 
   default: // the foldable primitives, applied above
     break;

@@ -5,8 +5,8 @@
 #include "sexpr/Printer.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
+#include <bit>
+#include <cstring>
 
 using namespace s1lisp;
 using namespace s1lisp::ir;
@@ -23,16 +23,27 @@ uint64_t ir::hashCombine(uint64_t Seed, uint64_t V) {
   return X;
 }
 
+namespace {
+
+/// The \p N (1 to 8) bytes at \p P as a big-endian number: the first byte
+/// is the most significant, on every host.
+uint64_t loadBigEndian(const char *P, size_t N) {
+  uint64_t W = 0;
+  std::memcpy(&W, P, N);
+  if constexpr (std::endian::native == std::endian::little)
+    W = __builtin_bswap64(W);
+  return W >> (8 * (8 - N));
+}
+
+} // namespace
+
 uint64_t ir::hashString(uint64_t Seed, std::string_view S) {
   // Eight bytes per mixing step, packed in a fixed order so the hash is
   // the same on every host: a front key hashes a defun's whole text.
   uint64_t H = hashCombine(Seed, S.size());
-  for (size_t I = 0; I < S.size(); I += 8) {
-    uint64_t W = 0;
-    for (size_t J = I; J < S.size() && J < I + 8; ++J)
-      W = (W << 8) | static_cast<uint8_t>(S[J]);
-    H = hashCombine(H, W);
-  }
+  for (size_t I = 0; I < S.size(); I += 8)
+    H = hashCombine(H, loadBigEndian(S.data() + I,
+                                     std::min<size_t>(8, S.size() - I)));
   return H;
 }
 
@@ -40,26 +51,36 @@ namespace {
 
 class Hasher {
 public:
+  explicit Hasher(const Function &F)
+      : VarSeq(F.variables().size(), Unnumbered) {}
+
   uint64_t run(const LambdaNode *Root) {
     uint64_t H = 0x517cc1b727220a95ull;
     return hashNode(H, Root);
   }
 
 private:
-  /// Normalized ids in traversal order: binders number their parameters
-  /// before the body, so consistently renamed locals normalize alike.
-  /// Free variables are numbered at first reference (and their names are
-  /// hashed separately — renaming a global IS a semantic change).
-  std::unordered_map<const Variable *, uint64_t> VarId;
-  std::unordered_map<const Node *, uint64_t> NodeId;
+  static constexpr uint64_t Unnumbered = ~0ull;
+
+  /// Normalized ids in traversal order, indexed by Variable::id(): binders
+  /// number their parameters before the body, so consistently renamed
+  /// locals normalize alike. Free variables are numbered at first
+  /// reference (and their names are hashed separately — renaming a global
+  /// IS a semantic change).
+  std::vector<uint64_t> VarSeq;
   uint64_t NextVar = 0;
+  /// Nodes are numbered in preorder. Only a progbody is named again (by a
+  /// go or a return inside it), so only progbodies keep their numbers.
   uint64_t NextNode = 0;
+  std::vector<std::pair<const Node *, uint64_t>> ProgBodyIds;
 
   uint64_t varRef(uint64_t H, const Variable *V) {
-    auto [It, Fresh] = VarId.try_emplace(V, NextVar);
-    if (Fresh)
-      ++NextVar;
-    H = hashCombine(H, It->second);
+    if (V->id() >= VarSeq.size())
+      VarSeq.resize(V->id() + 1, Unnumbered);
+    uint64_t &Seq = VarSeq[V->id()];
+    if (Seq == Unnumbered)
+      Seq = NextVar++;
+    H = hashCombine(H, Seq);
     H = hashCombine(H, V->isSpecial() ? 1 : 0);
     // Dynamic scoping and global references bind by symbol name.
     if (V->isSpecial() || !V->Binder)
@@ -67,17 +88,23 @@ private:
     return H;
   }
 
-  uint64_t nodeId(const Node *N) {
-    auto [It, Fresh] = NodeId.try_emplace(N, NextNode);
-    if (Fresh)
-      ++NextNode;
-    return It->second;
+  /// The number of \p Target, an enclosing progbody; a target the walk
+  /// has not entered (a malformed tree) is numbered now.
+  uint64_t targetId(const Node *Target) {
+    for (size_t I = ProgBodyIds.size(); I > 0; --I)
+      if (ProgBodyIds[I - 1].first == Target)
+        return ProgBodyIds[I - 1].second;
+    ProgBodyIds.push_back({Target, NextNode});
+    return NextNode++;
   }
 
   uint64_t hashNode(uint64_t H, const Node *N) {
     if (!N)
       return hashCombine(H, 0xdeadull);
-    H = hashCombine(H, nodeId(N));
+    const uint64_t Id = NextNode++;
+    if (N->kind() == NodeKind::ProgBody)
+      ProgBodyIds.push_back({N, Id});
+    H = hashCombine(H, Id);
     H = hashCombine(H, static_cast<uint64_t>(N->kind()));
     switch (N->kind()) {
     case NodeKind::Literal:
@@ -163,7 +190,7 @@ private:
       const auto *G = cast<GoNode>(N);
       // Targets are enclosing progbodys, already numbered by the preorder
       // walk; the tag's index within the target pins the jump position.
-      H = hashCombine(H, nodeId(G->Target));
+      H = hashCombine(H, targetId(G->Target));
       uint64_t TagIdx = ~0ull;
       if (G->Target)
         for (size_t I = 0; I < G->Target->Items.size(); ++I)
@@ -175,7 +202,7 @@ private:
     }
     case NodeKind::Return: {
       const auto *R = cast<ReturnNode>(N);
-      H = hashCombine(H, nodeId(R->Target));
+      H = hashCombine(H, targetId(R->Target));
       return hashNode(H, R->ValueExpr);
     }
     }
@@ -186,25 +213,34 @@ private:
 } // namespace
 
 uint64_t ir::stableFunctionHash(const Function &F) {
-  Hasher H;
+  Hasher H(F);
   return H.run(F.Root);
 }
 
 std::vector<std::string> ir::referencedGlobalNames(const Function &F) {
-  std::set<std::string> Names;
+  std::vector<const sexpr::Symbol *> Syms;
   forEachNode(static_cast<const Node *>(F.Root),
               [&](const Node *N) {
                 if (const auto *C = dyn_cast<CallNode>(N)) {
                   if (C->Name)
-                    Names.insert(C->Name->name());
+                    Syms.push_back(C->Name);
                 } else if (const auto *L = dyn_cast<LiteralNode>(N)) {
                   if (L->Datum.isSymbol())
-                    Names.insert(L->Datum.symbol()->name());
+                    Syms.push_back(L->Datum.symbol());
                 }
               });
+  // One symbol per name, so identity dedupes them before any string.
+  std::sort(Syms.begin(), Syms.end());
+  Syms.erase(std::unique(Syms.begin(), Syms.end()), Syms.end());
+  std::vector<std::string_view> Names;
+  Names.reserve(Syms.size() + 2);
+  for (const sexpr::Symbol *S : Syms)
+    Names.push_back(S->name());
   // The machine-trig rewrite can introduce these call names after the
   // hash is taken; pin their resolution into every signature.
-  Names.insert("sinc$f");
-  Names.insert("cosc$f");
+  Names.push_back("sinc$f");
+  Names.push_back("cosc$f");
+  std::sort(Names.begin(), Names.end());
+  Names.erase(std::unique(Names.begin(), Names.end()), Names.end());
   return {Names.begin(), Names.end()};
 }

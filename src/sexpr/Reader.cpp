@@ -2,7 +2,7 @@
 
 #include "sexpr/Reader.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <string>
 
@@ -14,6 +14,14 @@ namespace {
 bool isDelimiter(char C) {
   return C == '(' || C == ')' || C == '\'' || C == '"' || C == ';' || C == ' ' ||
          C == '\t' || C == '\n' || C == '\r';
+}
+
+/// Parses the decimal integer \p S, a sign allowed; false when it is out
+/// of range.
+bool parseInteger(std::string_view S, long long &N) {
+  if (!S.empty() && S.front() == '+')
+    S.remove_prefix(1);
+  return std::from_chars(S.data(), S.data() + S.size(), N).ec == std::errc();
 }
 
 /// Classifies an atom's spelling: fixnum, ratio, flonum, or symbol.
@@ -74,13 +82,25 @@ AtomClass classifyAtom(std::string_view S) {
 
 } // namespace
 
+Reader::Reader(SymbolTable &Symbols, Heap &H, std::string_view Source,
+               DiagEngine &Diags)
+    : Symbols(Symbols), H(H), Src(Source), Diags(Diags) {
+  if (H.gcEnabled()) {
+    Roots.Items = &Items;
+    H.registerRootProvider(&Roots);
+  }
+}
+
+Reader::~Reader() {
+  if (Roots.Items)
+    H.unregisterRootProvider(&Roots);
+}
+
 char Reader::advance() {
   char C = Src[Pos++];
   if (C == '\n') {
     ++Line;
-    Column = 1;
-  } else {
-    ++Column;
+    LineStart = Pos;
   }
   return C;
 }
@@ -158,19 +178,22 @@ std::optional<Value> Reader::read() {
 }
 
 std::vector<Value> Reader::readAll() {
-  std::vector<Value> Out;
+  // The data read so far wait on the item stack, where a collection the
+  // next read triggers sees them.
+  const size_t Base = Items.size();
   while (true) {
     size_t Before = Diags.diagnostics().size();
     auto V = read();
     if (!V || Diags.diagnostics().size() != Before)
       break;
-    Out.push_back(*V);
+    Items.push_back(*V);
   }
+  std::vector<Value> Out(Items.begin() + Base, Items.end());
+  Items.resize(Base);
   return Out;
 }
 
 std::optional<Value> Reader::readDatum() {
-  skipWhitespaceAndComments();
   if (atEnd()) {
     Diags.error(here(), "unexpected end of input");
     return std::nullopt;
@@ -200,11 +223,13 @@ std::optional<Value> Reader::readDatum() {
     }
     advance();
     ++Depth;
+    skipWhitespaceAndComments();
     auto Quoted = readDatum();
     --Depth;
     if (!Quoted)
       return std::nullopt;
-    return H.cons(Value::symbol(Symbols.quote()), H.cons(*Quoted, Value::nil(), Loc), Loc);
+    const Value Quote[] = {Value::symbol(Symbols.quote()), *Quoted};
+    return H.list(Quote, Value::nil(), Loc);
   }
   if (C == '"') {
     advance();
@@ -214,7 +239,12 @@ std::optional<Value> Reader::readDatum() {
 }
 
 std::optional<Value> Reader::readList(SourceLocation Open) {
-  std::vector<Value> Items;
+  // This list's items sit above Base on the shared stack until it closes.
+  struct PopItems {
+    std::vector<Value> &Items;
+    const size_t Base;
+    ~PopItems() { Items.resize(Base); }
+  } Pop{Items, Items.size()};
   Value Tail = Value::nil();
   while (true) {
     skipWhitespaceAndComments();
@@ -231,10 +261,11 @@ std::optional<Value> Reader::readList(SourceLocation Open) {
         (Pos + 1 >= Src.size() || isDelimiter(Src[Pos + 1]))) {
       SourceLocation DotLoc = here();
       advance();
-      if (Items.empty()) {
+      if (Items.size() == Pop.Base) {
         Diags.error(DotLoc, "dotted pair with no car");
         return std::nullopt;
       }
+      skipWhitespaceAndComments();
       auto TailDatum = readDatum();
       if (!TailDatum)
         return std::nullopt;
@@ -252,10 +283,7 @@ std::optional<Value> Reader::readList(SourceLocation Open) {
       return std::nullopt;
     Items.push_back(*Item);
   }
-  Value Result = Tail;
-  for (size_t I = Items.size(); I > 0; --I)
-    Result = H.cons(Items[I - 1], Result, Open);
-  return Result;
+  return H.list(std::span<const Value>(Items).subspan(Pop.Base), Tail, Open);
 }
 
 std::optional<Value> Reader::readString(SourceLocation Open) {
@@ -280,22 +308,19 @@ Value Reader::readAtom() {
 
   switch (classifyAtom(Text)) {
   case AtomClass::Fixnum: {
-    errno = 0;
-    long long N = strtoll(std::string(Text).c_str(), nullptr, 10);
-    if (errno == ERANGE)
+    long long N;
+    if (!parseInteger(Text, N))
       break; // Out-of-range integers become symbols; no bignums here.
     return Value::fixnum(N);
   }
   case AtomClass::Ratio: {
-    std::string S(Text);
-    size_t Slash = S.find('/');
-    errno = 0;
-    long long Num = strtoll(S.substr(0, Slash).c_str(), nullptr, 10);
-    long long Den = strtoll(S.substr(Slash + 1).c_str(), nullptr, 10);
-    if (errno == ERANGE)
+    size_t Slash = Text.find('/');
+    long long Num, Den;
+    if (!parseInteger(Text.substr(0, Slash), Num) ||
+        !parseInteger(Text.substr(Slash + 1), Den))
       break; // Out-of-range components become symbols, like fixnums.
     if (Den == 0) {
-      Diags.error(Loc, "ratio with zero denominator: " + S);
+      Diags.error(Loc, "ratio with zero denominator: " + std::string(Text));
       return Value::nil();
     }
     return H.makeRatio(Num, Den);
@@ -307,7 +332,15 @@ Value Reader::readAtom() {
   }
   if (Text == "nil")
     return Value::nil();
-  return Value::symbol(Symbols.intern(Text));
+  return Value::symbol(symbolNamed(Text));
+}
+
+const Symbol *Reader::symbolNamed(std::string_view Name) {
+  const Symbol *&Slot = SymbolCache[std::hash<std::string_view>{}(Name) &
+                                    (SymbolCacheSize - 1)];
+  if (!Slot || Slot->name() != Name)
+    Slot = Symbols.intern(Name);
+  return Slot;
 }
 
 bool Reader::scan(std::vector<FormSpan> &Spans) {
@@ -363,7 +396,7 @@ bool Reader::scan(std::vector<FormSpan> &Spans) {
 void Reader::seek(const FormSpan &S) {
   Pos = S.Offset;
   Line = S.Loc.Line;
-  Column = S.Loc.Column;
+  LineStart = S.Offset - (S.Loc.Column - 1);
 }
 
 std::vector<Value> sexpr::readAll(SymbolTable &Symbols, Heap &H,

@@ -37,6 +37,14 @@ struct FormSpan {
 };
 
 /// A recursive-descent reader over one source buffer.
+///
+/// It pays once per list and once per symbol name: the items of every
+/// open list share one stack, each list is built by one Heap::list call,
+/// and a name read before skips the symbol table's lock. Only a newline
+/// touches line state; a column is the offset from the line's start. On
+/// a heap with GC on (at construction), the open lists' items and the
+/// data readAll has read so far are roots, so a read keeps everything it
+/// built.
 class Reader {
 public:
   /// Nesting bound for lists/quotes. The reader recurses per level, so a
@@ -44,8 +52,11 @@ public:
   /// depth it reports "expression nesting too deep" instead.
   static constexpr unsigned MaxNestingDepth = 1000;
 
-  Reader(SymbolTable &Symbols, Heap &H, std::string_view Source, DiagEngine &Diags)
-      : Symbols(Symbols), H(H), Src(Source), Diags(Diags) {}
+  Reader(SymbolTable &Symbols, Heap &H, std::string_view Source,
+         DiagEngine &Diags);
+  ~Reader();
+  Reader(const Reader &) = delete;
+  Reader &operator=(const Reader &) = delete;
 
   /// Reads the next datum; nullopt at end of input or on a syntax error
   /// (which is reported to the DiagEngine).
@@ -71,6 +82,15 @@ private:
   /// One step through a string literal's body (see stringChar).
   enum class StringStep { Char, Close, Unterminated };
 
+  /// Makes the open lists' items roots of a heap with GC on.
+  struct ItemRoots final : RootProvider {
+    const std::vector<Value> *Items = nullptr; ///< null when not registered
+    void visitRoots(const std::function<void(Value)> &Visit) override {
+      for (Value V : *Items)
+        Visit(V);
+    }
+  };
+
   bool atEnd() const { return Pos >= Src.size(); }
   char peek() const { return Src[Pos]; }
   char advance();
@@ -86,21 +106,34 @@ private:
   StringStep stringChar(char &C);
   /// Consumes an atom's characters: everything up to a delimiter.
   void skipAtom();
-  SourceLocation here() const { return {Line, Column}; }
+  SourceLocation here() const {
+    return {Line, static_cast<uint32_t>(Pos - LineStart + 1)};
+  }
 
+  /// Reads the datum at Pos; the caller has skipped the blanks before it.
   std::optional<Value> readDatum();
   std::optional<Value> readList(SourceLocation Open);
   std::optional<Value> readString(SourceLocation Open);
   Value readAtom();
+  /// The symbol named \p Name, from the cache when this reader has
+  /// interned it before.
+  const Symbol *symbolNamed(std::string_view Name);
 
   SymbolTable &Symbols;
   Heap &H;
   std::string_view Src;
   DiagEngine &Diags;
   size_t Pos = 0;
+  size_t LineStart = 0; ///< offset of the current line's first character
   uint32_t Line = 1;
-  uint32_t Column = 1;
   unsigned Depth = 0; ///< current readDatum nesting, bounded by MaxNestingDepth
+  /// The items read so far of every open list, outermost list first,
+  /// above the data readAll has read.
+  std::vector<Value> Items;
+  ItemRoots Roots;
+  /// Symbols this reader interned, direct-mapped by name hash.
+  static constexpr size_t SymbolCacheSize = 512; ///< power of two
+  const Symbol *SymbolCache[SymbolCacheSize] = {};
 };
 
 /// Convenience: reads all forms from \p Source.

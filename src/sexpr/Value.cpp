@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <numeric>
 
 using namespace s1lisp;
@@ -30,18 +31,47 @@ Value Value::cdr() const {
   return C->Cdr;
 }
 
+namespace {
+
+/// Known's spellings, in its order.
+constexpr std::string_view KnownNames[] = {
+    "",
+    // The special forms.
+    "quote", "if", "progn", "lambda", "setq", "go", "return", "let", "let*",
+    "cond", "and", "or", "when", "unless", "prog", "do", "dotimes", "dolist",
+    "case", "caseq", "catch", "catcher", "prog1", "prog2", "function",
+    // Lambda-list keywords and declarations.
+    "&optional", "&rest", "declare", "special", "otherwise",
+    // Top-level heads.
+    "defun", "defvar", "defparameter", "proclaim",
+    // Names the expansions build.
+    "t", "v", "f", "do-loop", "dotimes-limit", "dolist-tail", "prog1-value",
+    "1+", ">=", "car", "cdr", "null"};
+static_assert(std::size(KnownNames) == NumKnown,
+              "one spelling per Known id");
+
+} // namespace
+
+std::string_view sexpr::knownName(Known K) {
+  return KnownNames[static_cast<size_t>(K)];
+}
+
 SymbolTable::SymbolTable() {
-  SymT = intern("t");
-  SymQuote = intern("quote");
+  for (size_t K = 1; K < NumKnown; ++K)
+    KnownSyms[K] = internAs(KnownNames[K], static_cast<Known>(K));
 }
 
 const Symbol *SymbolTable::intern(std::string_view Name) {
+  return internAs(Name, Known::None);
+}
+
+const Symbol *SymbolTable::internAs(std::string_view Name, Known Id) {
   Shard &S = Shards[StringHash{}(Name) & (NumShards - 1)];
   std::lock_guard<std::mutex> Lock(S.Mu);
   auto It = S.Map.find(Name);
   if (It != S.Map.end())
     return It->second;
-  S.Storage.emplace_back(std::string(Name));
+  S.Storage.emplace_back(std::string(Name), Id);
   const Symbol *Sym = &S.Storage.back();
   S.Map.emplace(std::string(Name), Sym);
   S.Count.store(S.Map.size(), std::memory_order_release);
@@ -56,12 +86,14 @@ Heap::Heap() = default;
 
 Heap::~Heap() {
   // Only strings own out-of-line storage; conses and ratios are trivially
-  // destructible.
+  // destructible, so a region that never held a string frees its chunks
+  // without visiting their slots.
   for (Region &R : Regions)
-    for (auto &Ch : R.Chunks)
-      for (size_t I = 0; I < Ch->Used; ++I)
-        if (!Ch->Slots[I].H.Free)
-          destroyPayload(&Ch->Slots[I]);
+    if (R.HasStrings)
+      for (auto &Ch : R.Chunks)
+        for (size_t I = 0; I < Ch->Used; ++I)
+          if (!Ch->Slots[I].H.Free)
+            destroyPayload(&Ch->Slots[I]);
 }
 
 Heap::Region &Heap::myRegion() {
@@ -135,7 +167,7 @@ Heap::Slot *Heap::alloc(Region &R, CellKind K) {
   } else {
     if (R.Chunks.empty() || R.Chunks.back()->Used == ChunkSlots) {
       auto Ch = std::make_unique<Chunk>();
-      Ch->Slots = std::make_unique<Slot[]>(ChunkSlots);
+      Ch->Slots = std::make_unique_for_overwrite<Slot[]>(ChunkSlots);
       registerChunk(Ch.get());
       R.Chunks.push_back(std::move(Ch));
     }
@@ -143,7 +175,6 @@ Heap::Slot *Heap::alloc(Region &R, CellKind K) {
     S = &Ch.Slots[Ch.Used++];
   }
   S->H = CellHeader{K, 0, 0};
-  Live.fetch_add(1, std::memory_order_relaxed);
   return S;
 }
 
@@ -156,6 +187,7 @@ Value Heap::cons(Value Car, Value Cdr, SourceLocation Loc) {
   std::lock_guard<std::mutex> Lock(R.Mu);
   Slot *S = alloc(R, CellKind::ConsCell);
   Cons *C = new (S->Payload) Cons{Car, Cdr, Loc};
+  Live.fetch_add(1, std::memory_order_relaxed);
   R.ConsTally.fetch_add(1, std::memory_order_release);
   return Value::cons(C);
 }
@@ -165,6 +197,8 @@ Value Heap::string(std::string S) {
   std::lock_guard<std::mutex> Lock(R.Mu);
   Slot *Sl = alloc(R, CellKind::StringCell);
   StringObj *O = new (Sl->Payload) StringObj{std::move(S)};
+  R.HasStrings = true;
+  Live.fetch_add(1, std::memory_order_relaxed);
   return Value::string(O);
 }
 
@@ -185,26 +219,44 @@ Value Heap::makeRatio(int64_t Num, int64_t Den) {
   std::lock_guard<std::mutex> Lock(R.Mu);
   Slot *Sl = alloc(R, CellKind::RatioCell);
   Ratio *Rt = new (Sl->Payload) Ratio{Num, Den};
+  Live.fetch_add(1, std::memory_order_relaxed);
   return Value::ratio(Rt);
 }
 
 Value Heap::list(std::initializer_list<Value> Items) {
-  return list(std::vector<Value>(Items));
+  return list(std::span<const Value>(Items.begin(), Items.size()));
 }
 
-Value Heap::list(const std::vector<Value> &Items) {
-  // A collection triggered by one of the conses below would free items
-  // nothing else reaches yet, so root them. Rooting is skipped on GC-free
-  // heaps: the shadow stack is single-mutator state, and the parallel
-  // compiler pipeline (always GC-free) calls list() from worker threads.
-  RootScope Roots(*this);
-  if (gcEnabled())
+Value Heap::list(std::span<const Value> Items) {
+  return list(Items, Value::nil(), SourceLocation());
+}
+
+Value Heap::list(std::span<const Value> Items, Value Tail,
+                 SourceLocation Loc) {
+  if (gcEnabled()) {
+    // A collection triggered by one of the conses below would free items
+    // nothing else reaches yet, so root them (each cons roots the tail it
+    // extends).
+    RootScope Roots(*this);
     for (const Value &V : Items)
       Roots.add(&V);
-  Value Result = Value::nil();
-  for (size_t I = Items.size(); I > 0; --I)
-    Result = cons(Items[I - 1], Result);
-  return Result;
+    for (size_t I = Items.size(); I > 0; --I)
+      Tail = cons(Items[I - 1], Tail, Loc);
+    return Tail;
+  }
+  // Nothing collects: the parallel compiler pipeline's workers (always
+  // GC-free) build whole lists under one lock of their own region.
+  if (Items.empty())
+    return Tail;
+  Region &R = myRegion();
+  std::lock_guard<std::mutex> Lock(R.Mu);
+  for (size_t I = Items.size(); I > 0; --I) {
+    Slot *S = alloc(R, CellKind::ConsCell);
+    Tail = Value::cons(new (S->Payload) Cons{Items[I - 1], Tail, Loc});
+  }
+  Live.fetch_add(Items.size(), std::memory_order_relaxed);
+  R.ConsTally.fetch_add(Items.size(), std::memory_order_release);
+  return Tail;
 }
 
 //===----------------------------------------------------------------------===//

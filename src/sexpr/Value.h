@@ -34,6 +34,7 @@
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -45,11 +46,41 @@ namespace sexpr {
 
 class Value;
 
+/// The names the front end tests operators, keywords and top-level heads
+/// against, and the fixed names its expansions build. Every SymbolTable
+/// interns them at construction and tags each with its id, so the front
+/// end compares symbols by identity, never by spelling; every other
+/// symbol is Known::None. knownName gives the spellings.
+enum class Known : uint8_t {
+  None,
+  // The special forms: the basic set, then the macros expanded into it.
+  Quote, If, Progn, Lambda, Setq, Go, Return,
+  Let, LetStar, Cond, And, Or, When, Unless, Prog, Do, Dotimes, Dolist,
+  Case, Caseq, Catch, Catcher, Prog1, Prog2, Function,
+  // Lambda-list keywords and declarations.
+  Optional, Rest, Declare, Special, Otherwise,
+  // Top-level heads.
+  Defun, Defvar, Defparameter, Proclaim,
+  // Names the expansions build.
+  T, V, F, DoLoop, DotimesLimit, DolistTail, Prog1Value, OnePlus,
+  GreaterOrEqual, Car, Cdr, Null,
+};
+constexpr size_t NumKnown = static_cast<size_t>(Known::Null) + 1;
+/// The special forms are the ids from Quote to Function.
+constexpr Known FirstSpecialForm = Known::Quote;
+constexpr Known LastSpecialForm = Known::Function;
+
+/// The spelling of \p K ("" for Known::None).
+std::string_view knownName(Known K);
+
 /// An interned symbol. Pointer identity is symbol identity.
 class Symbol {
 public:
-  explicit Symbol(std::string Name) : Name(std::move(Name)) {}
+  explicit Symbol(std::string Name, Known Id = Known::None)
+      : Name(std::move(Name)), Id(Id) {}
   const std::string &name() const { return Name; }
+  /// Which of the front end's fixed names this symbol is.
+  Known known() const { return Id; }
 
   /// The index of this symbol's entry in ir's primitive table, filled by
   /// ir::lookupPrim on its first lookup: -2 until then, -1 when the name
@@ -60,6 +91,7 @@ public:
 
 private:
   std::string Name;
+  Known Id;
 };
 
 /// A mutable cons cell. \c Loc records where the reader saw the open paren,
@@ -195,9 +227,9 @@ struct Cons {
   SourceLocation Loc;
 };
 
-/// Interns symbols; owns their storage. Also pre-interns the handful of
-/// symbols the compiler needs constantly (T, NIL-as-symbol is not used;
-/// NIL the datum is ValueKind::Nil). Interning is thread-safe (interned
+/// Interns symbols; owns their storage. Also pre-interns every Known name,
+/// tagged with its id (T is Known::T; NIL-as-symbol is not used, NIL the
+/// datum is ValueKind::Nil). Interning is thread-safe (interned
 /// pointers are stable, so readers need no lock) — the parallel driver
 /// optimizes functions of one module concurrently, and the optimizer
 /// interns rewritten call names.
@@ -220,9 +252,13 @@ public:
   /// Returns the unique Symbol for \p Name, creating it on first use.
   const Symbol *intern(std::string_view Name);
 
+  /// The symbol spelled knownName(\p K), read without a lock.
+  const Symbol *known(Known K) const {
+    return KnownSyms[static_cast<size_t>(K)];
+  }
   /// The symbol T (canonical true).
-  const Symbol *t() const { return SymT; }
-  const Symbol *quote() const { return SymQuote; }
+  const Symbol *t() const { return known(Known::T); }
+  const Symbol *quote() const { return known(Known::Quote); }
 
   /// Total symbols interned so far. Aggregates per-shard counters without
   /// taking any shard lock, so it never blocks (or is blocked by)
@@ -257,9 +293,11 @@ private:
     /// Map.size(), published after each insert for lock-free size().
     std::atomic<size_t> Count{0};
   };
+  /// intern, tagging a new symbol with \p Id.
+  const Symbol *internAs(std::string_view Name, Known Id);
+
   Shard Shards[NumShards];
-  const Symbol *SymT;
-  const Symbol *SymQuote;
+  const Symbol *KnownSyms[NumKnown] = {};
 };
 
 /// Enumerates the Values a heap client keeps live across collections.
@@ -314,7 +352,12 @@ public:
 
   /// Builds a proper list from \p Items.
   Value list(std::initializer_list<Value> Items);
-  Value list(const std::vector<Value> &Items);
+  Value list(std::span<const Value> Items);
+  /// Builds the list of \p Items ending in \p Tail, every cons at \p Loc.
+  /// On a GC-free heap the whole list takes one region lock and one update
+  /// of the counters; a heap with a GC schedule conses cell by cell with
+  /// \p Items rooted, since cons() is the only collection trigger.
+  Value list(std::span<const Value> Items, Value Tail, SourceLocation Loc);
 
   /// Total cons cells allocated (monotone; GC does not roll it back).
   /// Sums per-region counters without taking any region lock, so it
@@ -405,11 +448,12 @@ public:
 private:
   enum class CellKind : uint8_t { ConsCell, StringCell, RatioCell };
 
-  /// Per-cell metadata preceding every payload.
+  /// Per-cell metadata preceding every payload. alloc() sets it: a chunk's
+  /// slots stay uninitialized until they are bumped into use.
   struct CellHeader {
     CellKind Kind;
-    uint8_t Mark = 0;
-    uint8_t Free = 0;
+    uint8_t Mark;
+    uint8_t Free;
   };
 
   static constexpr size_t PayloadMax =
@@ -442,6 +486,9 @@ private:
     std::vector<Slot *> FreeList;
     /// Monotone cons-allocation count, published for lock-free consCount().
     std::atomic<size_t> ConsTally{0};
+    /// Whether a string was ever allocated here: only strings own storage
+    /// the destructor must free slot by slot.
+    bool HasStrings = false;
   };
 
   struct RangeEntry {
@@ -457,7 +504,8 @@ private:
   /// The cell \p V points at, or null for an immediate.
   static void *payloadOf(Value V);
 
-  /// Takes a slot in \p R, which the caller holds locked.
+  /// Takes a slot in \p R, which the caller holds locked. The caller
+  /// counts it into Live.
   Slot *alloc(Region &R, CellKind K);
   void registerChunk(Chunk *Ch);
   /// The chunk of \p Table holding \p Payload, or null for pointers into

@@ -70,8 +70,10 @@ private:
     char *P = reinterpret_cast<char *>(
         (reinterpret_cast<uintptr_t>(Cur) + (Align - 1)) & ~(Align - 1));
     if (P + Size > End) {
+      // Not zeroed: every object is constructed in place, and a chunk's
+      // untouched pages stay untouched.
       size_t Cap = Size + Align > ChunkBytes ? Size + Align : ChunkBytes;
-      Chunks.push_back(std::make_unique<char[]>(Cap));
+      Chunks.push_back(std::make_unique_for_overwrite<char[]>(Cap));
       Cur = Chunks.back().get();
       End = Cur + Cap;
       P = reinterpret_cast<char *>(

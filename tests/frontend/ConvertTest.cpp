@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace s1lisp;
 using namespace s1lisp::ir;
 
@@ -474,6 +476,37 @@ TEST_F(ConvertTest, DefunOfASpecialFormOrPrimitiveIsRejected) {
   EXPECT_TRUE(frontend::convertSource(
       M, "(defun catcher2 (x) x) (defun cars (x) x) (defun my-if (x) x)", Diags))
       << Diags.str();
+}
+
+TEST_F(ConvertTest, EveryKnownNameIsTestedByIdentity) {
+  // The converter tests operators, keywords and top-level heads by the id
+  // each table's symbol carries: every spelling interns to its id, and
+  // every special form is refused as a function name and as a parameter
+  // or let variable, as the spelling tests refused it.
+  std::set<std::string> Spellings;
+  unsigned SpecialForms = 0;
+  for (size_t I = 1; I < sexpr::NumKnown; ++I) {
+    const auto K = static_cast<sexpr::Known>(I);
+    const std::string Name(sexpr::knownName(K));
+    SCOPED_TRACE(Name);
+    EXPECT_FALSE(Name.empty());
+    EXPECT_TRUE(Spellings.insert(Name).second) << "spelled twice";
+    EXPECT_EQ(M.Syms.intern(Name)->known(), K);
+    EXPECT_EQ(M.Syms.known(K), M.Syms.intern(Name));
+    if (K < sexpr::FirstSpecialForm || K > sexpr::LastSpecialForm)
+      continue;
+    ++SpecialForms;
+    const std::string Bind = "cannot bind '" + Name + "': it names a special form\n";
+    EXPECT_EQ(errorsOf("(defun " + Name + " (x) x)"),
+              "cannot define '" + Name + "': it names a special form\n");
+    EXPECT_EQ(errorsOf("(defun f () (let ((" + Name + " 1)) 2))"), Bind);
+    EXPECT_EQ(errorsOf("(defun f (x " + Name + ") x)"), Bind);
+    EXPECT_EQ(errorsOf("(defun f () ((lambda (" + Name + ") 2) 1))"), Bind);
+  }
+  EXPECT_EQ(SpecialForms, 25u);
+  EXPECT_EQ(M.Syms.intern("my-if")->known(), sexpr::Known::None);
+  EXPECT_EQ(M.Syms.t(), M.Syms.intern("t"));
+  EXPECT_EQ(M.Syms.quote(), M.Syms.intern("quote"));
 }
 
 TEST_F(ConvertTest, BindingOfASpecialFormIsRejected) {

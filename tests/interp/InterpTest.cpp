@@ -275,6 +275,32 @@ TEST_F(InterpTest, BuiltinsCheckTheirArgumentCount) {
   EXPECT_EQ(run("negate", {fl(0.0)}), "-0.0");
 }
 
+TEST_F(InterpTest, FunctionObjectsOfApplyAndFunctionActAsTheirCalls) {
+  // apply, funcall and function reached as function objects do what a
+  // direct call of each does: apply spreads its last argument, and
+  // function resolves a symbol to its function.
+  load("(defun add (a b) (+ a b))"
+       "(defun apply-object () (funcall (function apply) (lambda (a b) (+ a b)) (list 1 2)))"
+       "(defun apply-object-leading () (funcall (function apply) (function add) 1 (list 2)))"
+       "(defun apply-object-no-list () (funcall (function apply) (function add) 1 2))"
+       "(defun funcall-object () (funcall (function funcall) (function add) 3 4))"
+       "(defun function-object () (funcall (funcall (function function) 'car) (list 7 8)))"
+       "(defun function-object-of-defun () (funcall (funcall (function function) 'add) 5 6))"
+       "(defun function-object-of-number () (funcall (function function) 5))"
+       "(defun function-object-undefined () (funcall (function function) 'no-such-fn))");
+  EXPECT_EQ(run("apply-object"), "3");
+  EXPECT_EQ(run("apply-object-leading"), "3");
+  EXPECT_EQ(run("apply-object-no-list"),
+            "ERROR: apply needs a trailing argument list");
+  EXPECT_EQ(run("funcall-object"), "7");
+  EXPECT_EQ(run("function-object"), "7");
+  EXPECT_EQ(run("function-object-of-defun"), "11");
+  EXPECT_EQ(run("function-object-of-number"),
+            "ERROR: function needs a literal function name");
+  EXPECT_EQ(run("function-object-undefined"),
+            "ERROR: undefined function 'no-such-fn'");
+}
+
 TEST_F(InterpTest, ErrorsSurface) {
   load("(defun bad-call (x) (x-undefined x))"
        "(defun bad-type () (car 5))"

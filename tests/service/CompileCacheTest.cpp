@@ -111,6 +111,24 @@ TEST(CompileCache, AlphaRenamedSourceHits) {
 
   // The renamed module linked the cached units: programs match.
   EXPECT_EQ(driver::listing(RA.Program), driver::listing(RB.Program));
+
+  // Prog tags normalize by position: renamed tags hit.
+  ir::Module MC, MD;
+  driver::CompileOutcome RC = compileWith(
+      MC,
+      "(defun count-up (n) (prog ((i 0)) top (setq i (1+ i))"
+      " mid (when (< i n) (go top)) (return i)))\n",
+      &Cache);
+  ASSERT_TRUE(RC.Ok) << RC.Error;
+  EXPECT_EQ(RC.MemoMisses, 1u);
+  driver::CompileOutcome RD = compileWith(
+      MD,
+      "(defun count-up (n) (prog ((i 0)) start (setq i (1+ i))"
+      " middle (when (< i n) (go start)) (return i)))\n",
+      &Cache);
+  ASSERT_TRUE(RD.Ok) << RD.Error;
+  EXPECT_EQ(RD.MemoHits, 1u);
+  EXPECT_EQ(RD.MemoMisses, 0u);
 }
 
 TEST(CompileCache, SemanticChangeMisses) {
@@ -126,6 +144,32 @@ TEST(CompileCache, SemanticChangeMisses) {
   ASSERT_TRUE(RB.Ok) << RB.Error;
   EXPECT_EQ(RB.MemoHits, 1u);
   EXPECT_EQ(RB.MemoMisses, 1u);
+
+  // A go to another tag of the same prog jumps elsewhere.
+  for (const char *Target : {"top", "mid"}) {
+    SCOPED_TRACE(Target);
+    ir::Module MG;
+    driver::CompileOutcome RG = compileWith(
+        MG,
+        std::string("(defun count-up (n) (prog ((i 0)) top (setq i (1+ i))"
+                    " mid (when (< i n) (go ") +
+            Target + ")) (return i)))\n",
+        &Cache);
+    ASSERT_TRUE(RG.Ok) << RG.Error;
+    EXPECT_EQ(RG.MemoHits, 0u);
+    EXPECT_EQ(RG.MemoMisses, 1u);
+  }
+
+  // A fixnum, a flonum and a string that print alike but for their type.
+  for (const char *Literal : {"1", "1.0", "\"1\""}) {
+    SCOPED_TRACE(Literal);
+    ir::Module ML;
+    driver::CompileOutcome RL = compileWith(
+        ML, std::string("(defun one () ") + Literal + ")\n", &Cache);
+    ASSERT_TRUE(RL.Ok) << RL.Error;
+    EXPECT_EQ(RL.MemoHits, 0u);
+    EXPECT_EQ(RL.MemoMisses, 1u);
+  }
 }
 
 TEST(CompileCache, CalleeIndexShiftMisses) {

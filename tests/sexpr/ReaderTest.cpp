@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <unordered_map>
 
 using namespace s1lisp;
 using namespace s1lisp::sexpr;
@@ -209,6 +212,64 @@ SourceLocation positionOf(std::string_view Src, size_t Offset) {
   return L;
 }
 
+/// Checks, against a recount of \p Src as positionOf counts, that every
+/// cons of \p Data carries the location of the '(' or '\'' that opened
+/// it: a list's spine conses share its opener (a quote's two conses its
+/// '\''), and each opener comes after its list's and after the previous
+/// element's. A dotted tail written as a list keeps its own opener.
+void expectConsesAtTheirOpeners(std::string_view Src,
+                                const std::vector<Value> &Data) {
+  auto Key = [](SourceLocation L) { return uint64_t(L.Line) << 32 | L.Column; };
+  std::unordered_map<uint64_t, size_t> OpenerAt;
+  SourceLocation L{1, 1};
+  for (size_t I = 0; I < Src.size(); ++I) {
+    if (Src[I] == '(' || Src[I] == '\'')
+      OpenerAt[Key(L)] = I;
+    if (Src[I] == '\n') {
+      ++L.Line;
+      L.Column = 1;
+    } else {
+      ++L.Column;
+    }
+  }
+  // Checks the list \p V, whose opener must lie past \p After; returns
+  // its opener's offset.
+  std::function<size_t(Value, size_t)> Check = [&](Value V, size_t After) {
+    const SourceLocation Open = V.consCell()->Loc;
+    auto It = OpenerAt.find(Key(Open));
+    EXPECT_NE(It, OpenerAt.end()) << "cons at " << Open.str() << " opens nothing";
+    if (It == OpenerAt.end())
+      return After;
+    const size_t Offset = It->second;
+    EXPECT_TRUE(After == SIZE_MAX || Offset > After) << Open.str();
+    EXPECT_EQ(positionOf(Src, Offset), Open);
+    if (Src[Offset] == '\'') {
+      EXPECT_TRUE(V.car().isSymbol() && V.car().symbol()->name() == "quote" &&
+                  V.cdr().isCons() && V.cdr().cdr().isNil())
+          << Open.str();
+    }
+    size_t Prev = Offset;
+    Value Cur = V;
+    while (true) {
+      if (Cur.car().isCons())
+        Prev = Check(Cur.car(), Prev);
+      Value Next = Cur.cdr();
+      if (!Next.isCons())
+        break;
+      if (!(Next.consCell()->Loc == Open)) {
+        Check(Next, Prev); // a dotted tail written as a list
+        break;
+      }
+      Cur = Next;
+    }
+    return Offset;
+  };
+  size_t Prev = SIZE_MAX;
+  for (Value V : Data)
+    if (V.isCons())
+      Prev = Check(V, Prev);
+}
+
 /// Holds scan() to readAll() on \p Src. Where readAll reports no error,
 /// the scan succeeds and each span, read after seek, prints the datum
 /// readAll gave with the same locations; the span's text read alone is
@@ -220,6 +281,7 @@ bool expectScanMatchesReadAll(std::string_view Src) {
   Heap H;
   DiagEngine WholeDiags;
   std::vector<Value> Whole = readAll(Syms, H, Src, WholeDiags);
+  expectConsesAtTheirOpeners(Src, Whole);
 
   DiagEngine Diags;
   Reader R(Syms, H, Src, Diags);
@@ -331,6 +393,22 @@ TEST_F(ReaderTest, ScanMatchesReadAllOnLexicalCorners) {
            "(ok) (+ 1 3/0 4/0) (c)",
        }) {
     SCOPED_TRACE(Src.substr(0, 80));
+    EXPECT_TRUE(expectScanMatchesReadAll(Src));
+  }
+}
+
+TEST_F(ReaderTest, ConsesCarryTheirOpenersAcrossLineBreaks) {
+  // Everything that moves the line or the column, between forms and
+  // inside them: tabs, CRLF, line comments, nested block comments with
+  // newlines, and strings holding newlines, escaped or not.
+  for (const std::string &Src : std::vector<std::string>{
+           "(a\t(b\t\t(c)))\t'(d)",
+           "(defun f (x)\r\n\t(g \"one\ntwo\" (h x)))\r\n(k)",
+           "(f \"a\\\nb\" (g)) (h \"\n\n\" '(i))",
+           "(a ; comment (\n (b) #| block\n #| nested\n |# |# (c))\n'(d)",
+           "#| lead\n|# (a \"s\n\" ; c\n\t(b)) '\n(e)",
+       }) {
+    SCOPED_TRACE(Src);
     EXPECT_TRUE(expectScanMatchesReadAll(Src));
   }
 }

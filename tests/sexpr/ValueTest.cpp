@@ -1,6 +1,7 @@
 //===- tests/sexpr/ValueTest.cpp - Value model unit tests -----------------===//
 
 #include "sexpr/Printer.h"
+#include "sexpr/Reader.h"
 #include "sexpr/Value.h"
 #include "support/Parallel.h"
 
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 using namespace s1lisp;
@@ -118,6 +120,68 @@ TEST_F(ValueTest, FlonumPrintingRoundTrips) {
   }
 }
 
+/// The cells \p Data reaches, each counted once: conses, and strings and
+/// ratios.
+struct CellCounts {
+  size_t Conses = 0;
+  size_t Atoms = 0;
+};
+CellCounts cellsOf(const std::vector<Value> &Data) {
+  CellCounts N;
+  std::unordered_set<const void *> Seen;
+  std::vector<Value> Todo(Data.begin(), Data.end());
+  while (!Todo.empty()) {
+    Value V = Todo.back();
+    Todo.pop_back();
+    if (V.isCons()) {
+      if (!Seen.insert(V.consCell()).second)
+        continue;
+      ++N.Conses;
+      Todo.push_back(V.car());
+      Todo.push_back(V.cdr());
+    } else if (V.isString() || V.isRatio()) {
+      const void *P = V.isString() ? static_cast<const void *>(&V.stringValue())
+                                   : static_cast<const void *>(&V.ratio());
+      N.Atoms += Seen.insert(P).second;
+    }
+  }
+  return N;
+}
+
+TEST_F(ValueTest, ReadCountsExactlyTheCellsItBuilt) {
+  // Lists built whole by Heap::list, quotes, dotted tails, strings and
+  // ratios: the heap's counters must account for every cell the data
+  // reach and no other, with GC off and with a collection before every
+  // cons (the reader roots the lists it has open and the data read so
+  // far, so no collection may free any of them).
+  const char *Src = "(defun f (x &optional (y '(1 . 2))) (list \"s\" 1/3 x y))\n"
+                    "'((a) (b . c) ('d) \"e\" -2/4) (((()))) ((x) . (y z))";
+  std::string Printed;
+  for (uint64_t GcEvery : {uint64_t(0), uint64_t(1)}) {
+    SCOPED_TRACE("gc every " + std::to_string(GcEvery));
+    SymbolTable Syms;
+    Heap H;
+    H.setGcEvery(GcEvery);
+    DiagEngine Diags;
+    std::vector<Value> Data = readAll(Syms, H, Src, Diags);
+    ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+    ASSERT_EQ(Data.size(), 4u);
+    CellCounts N = cellsOf(Data);
+    EXPECT_EQ(N.Conses, 36u);
+    EXPECT_EQ(N.Atoms, 4u);
+    EXPECT_EQ(H.consCount(), N.Conses);
+    EXPECT_EQ(H.liveCells(), N.Conses + N.Atoms);
+    EXPECT_EQ(H.gcStats().CellsSwept, 0u);
+    EXPECT_EQ(H.gcStats().Collections, GcEvery ? N.Conses : 0u);
+    std::string P;
+    for (Value V : Data)
+      P += toString(V) + "\n";
+    if (Printed.empty())
+      Printed = P;
+    EXPECT_EQ(P, Printed);
+  }
+}
+
 // --- Concurrency contracts of the sharded table and striped heap. These
 // run through support::parallelFor so the worker pool itself is also
 // under test (and under TSan in the sanitizer CI job).
@@ -182,6 +246,42 @@ TEST_F(ValueTest, ConcurrentConsKeepsCellsAndCount) {
       EXPECT_EQ(Cells[W][N].car().fixnum(), int64_t(W));
       EXPECT_EQ(Cells[W][N].cdr().fixnum(), int64_t(N));
     }
+}
+
+TEST_F(ValueTest, ConcurrentListBuilding) {
+  // The parallel pipeline's workers build whole lists (one region lock
+  // each) and single conses on one GC-free heap: every list must keep its
+  // items, tail and location, and the counters must total both kinds.
+  constexpr unsigned Workers = 4;
+  constexpr unsigned Rounds = 300;
+  std::vector<std::vector<Value>> Lists(Workers);
+  support::parallelFor(Workers, Workers, [&](size_t W) {
+    for (unsigned N = 0; N < Rounds; ++N) {
+      std::vector<Value> Items;
+      for (unsigned I = 0; I <= N % 7; ++I)
+        Items.push_back(Value::fixnum(int64_t(W * 1000 + I)));
+      Value Tail = H.cons(Value::fixnum(int64_t(N)), Value::nil());
+      Lists[W].push_back(
+          H.list(Items, Tail, SourceLocation{uint32_t(W + 1), N + 1}));
+    }
+  });
+  size_t Cells = 0;
+  for (unsigned W = 0; W < Workers; ++W)
+    for (unsigned N = 0; N < Rounds; ++N) {
+      Value L = Lists[W][N];
+      for (unsigned I = 0; I <= N % 7; ++I, L = L.cdr()) {
+        ASSERT_TRUE(L.isCons());
+        EXPECT_EQ(L.car().fixnum(), int64_t(W * 1000 + I));
+        EXPECT_EQ(L.consCell()->Loc, (SourceLocation{uint32_t(W + 1), N + 1}));
+        ++Cells;
+      }
+      ASSERT_TRUE(L.isCons());
+      EXPECT_EQ(L.car().fixnum(), int64_t(N));
+      EXPECT_TRUE(L.cdr().isNil());
+      ++Cells;
+    }
+  EXPECT_EQ(H.consCount(), Cells);
+  EXPECT_EQ(H.liveCells(), Cells);
 }
 
 TEST_F(ValueTest, AggregatesReadableWhileWritersRun) {
