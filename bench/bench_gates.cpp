@@ -332,14 +332,16 @@ std::string cannotRunFourJobs() {
   return Why;
 }
 
-/// Wall time of one compile of a fresh clone of \p Base, so the frontend
-/// is not timed.
-double compileNs(const ir::Module &Base, unsigned Jobs) {
+/// Wall time of one compile of a fresh conversion of \p Source; the
+/// conversion is not timed.
+double compileNs(const std::string &Source, unsigned Jobs) {
   driver::CompilerOptions Opts;
   Opts.Cse = true;
   Opts.Jobs = Jobs;
   ir::Module M;
-  Base.clone(M);
+  DiagEngine Diags;
+  if (!frontend::convertSource(M, Source, Diags))
+    die("compile module failed to convert: " + Diags.str());
   auto Start = Clock::now();
   driver::CompileOutcome Out = driver::compileModule(M, Opts);
   double Ns = nsSince(Start);
@@ -354,15 +356,11 @@ bool compileScaling() {
   GO.Helpers = 99;
   GO.MaxDepth = 6;
   GO.SizeBudget = 400;
-  ir::Module Base;
-  DiagEngine Diags;
   std::string Source = fuzz::Generator(7000, GO).generate().Source;
-  if (!frontend::convertSource(Base, Source, Diags))
-    die("compile module failed to convert: " + Diags.str());
   // Best of 12 compiles per job count after one warm-up each, alternating.
   double Serial = 1e300, Jobs4 = 1e300;
   for (unsigned R = 0; R <= 12; ++R) {
-    double One = compileNs(Base, 1), Four = compileNs(Base, 4);
+    double One = compileNs(Source, 1), Four = compileNs(Source, 4);
     if (R > 0) {
       Serial = std::min(Serial, One);
       Jobs4 = std::min(Jobs4, Four);

@@ -40,7 +40,7 @@ void analyze(ir::Function &F);
 void analyzeTails(ir::Function &F);
 
 /// Structural equality of two subtrees: same shapes, same variables, eql
-/// literals. Used by redundant-test elimination and CSE.
+/// literals. Used by redundant-test elimination.
 bool equalTrees(const ir::Node *A, const ir::Node *B);
 
 } // namespace analysis

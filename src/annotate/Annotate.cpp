@@ -108,8 +108,6 @@ bool qualifiesAsJumpThunk(const LambdaNode *Thunk, const Variable *V,
 //===----------------------------------------------------------------------===//
 
 void annotateBindings(Function &F, AnnotateStats &Stats) {
-  recomputeVariableRefs(F);
-
   forEachNode(static_cast<Node *>(F.Root), [&](Node *N) {
     auto *L = dyn_cast<LambdaNode>(N);
     if (!L)

@@ -209,9 +209,7 @@ const sexpr::Symbol *defunName(sexpr::Value Form) {
 } // namespace
 
 CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
-                                     stats::RemarkStream *Remarks,
-                                     FunctionMemo *Memo) {
-  CompileOutcome Out;
+                                     stats::RemarkStream *Remarks) {
   // Pre-assign module-function indices so mutually recursive calls resolve
   // identically in every unit.
   FuncIndexMap FuncIndex;
@@ -221,17 +219,7 @@ CompileOutcome driver::compileModule(ir::Module &M, const CompilerOptions &Opts,
   std::vector<Slot> Slots(M.functions().size());
   for (size_t I = 0; I < Slots.size(); ++I)
     Slots[I].F = M.functions()[I].get();
-
-  // Serial probe pass: hashing is cheap next to the middle end, and a
-  // serial pass keeps the memo's hit/miss counter order deterministic.
-  if (Memo) {
-    stats::PhaseTimer Timer("driver.memo");
-    const uint64_t OptsFp = optionsFingerprint(Opts);
-    for (Slot &S : Slots)
-      probe(S, memoKey(frontEntryOf(*S.F), OptsFp, FuncIndex), *Memo,
-            Remarks != nullptr, Out);
-  }
-  return compileSlots(M, Slots, FuncIndex, Opts, Remarks, Memo, std::move(Out));
+  return compileSlots(M, Slots, FuncIndex, Opts, Remarks, nullptr, {});
 }
 
 namespace {
@@ -240,8 +228,7 @@ namespace {
 /// compileModule.
 CompileOutcome convertAndCompile(ir::Module &M, std::string_view Source,
                                  const CompilerOptions &Opts,
-                                 stats::RemarkStream *Remarks,
-                                 FunctionMemo *Memo = nullptr) {
+                                 stats::RemarkStream *Remarks) {
   CompileOutcome Out;
   DiagEngine Diags;
   {
@@ -251,7 +238,7 @@ CompileOutcome convertAndCompile(ir::Module &M, std::string_view Source,
       return Out;
     }
   }
-  return compileModule(M, Opts, Remarks, Memo);
+  return compileModule(M, Opts, Remarks);
 }
 
 /// One top-level form on the front-cache path: its span, its front key,
@@ -380,9 +367,10 @@ CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
     }
   }
   // Input the reader rejects: read and convert it whole, as without a
-  // memo, so the diagnostics are the reader's own.
+  // memo, so the diagnostics are the reader's own. The conversion fails,
+  // so nothing reaches the memo.
   if (!Scanned)
-    return convertAndCompile(M, Source, Opts, Remarks, Memo);
+    return convertAndCompile(M, Source, Opts, Remarks);
   if (Diags.hasErrors()) {
     // As without a memo: no memo traffic is reported for a failed convert.
     CompileOutcome Failed;

@@ -126,12 +126,14 @@ uint64_t optionsFingerprint(const CompilerOptions &Opts);
 /// cache misses are read. A defun it has seen (same text, same specials
 /// before it) goes straight to its memo probe; it is read and converted
 /// only when the memo misses, or when \p Remarks is given and the hit was
-/// stored without remarks (see compileModule). Forms still convert in
-/// source order, each seeing only the specials proclaimed before it.
-/// \p M then holds only the forms that were read and the functions that
-/// were converted. Input the scan gives up on is read whole, as without a
-/// memo. Output, diagnostics, counters and remarks are those of a compile
-/// without a memo.
+/// stored without remarks. Such a hit counts as a hit, since its key
+/// matched; it recompiles with capture and is offered back like a miss.
+/// A miss stores its remarks only when \p Remarks is given. Forms still
+/// convert in source order, each seeing only the specials proclaimed
+/// before it. \p M then holds only the forms that were read and the
+/// functions that were converted. Input the scan gives up on is read
+/// whole, as without a memo. Output, diagnostics, counters and remarks
+/// are those of a compile without a memo.
 ///
 /// \p M's trees are the optimized ones, or unoptimized where the memo hit,
 /// so a caller that interprets the program converts \p Source afresh.
@@ -142,16 +144,9 @@ CompileOutcome compileSource(ir::Module &M, std::string_view Source,
 
 /// Compiles an already-converted module: optimize + CSE + codegen, fanned
 /// out per function when Opts.Jobs > 1. Remarks, when given, arrive merged
-/// in module-function order regardless of the job count. With \p Memo,
-/// each function is looked up by content address first; hits skip the
-/// middle end entirely (the function's IR stays unoptimized) and link the
-/// cached unit, misses compile and are offered back to the memo. A miss
-/// stores its remarks only when \p Remarks is given. A hit stored without
-/// them, for a caller that gives \p Remarks, is recompiled with capture
-/// and offered back like a miss, but counted as a hit: its key matched.
+/// in module-function order regardless of the job count.
 CompileOutcome compileModule(ir::Module &M, const CompilerOptions &Opts = {},
-                             stats::RemarkStream *Remarks = nullptr,
-                             FunctionMemo *Memo = nullptr);
+                             stats::RemarkStream *Remarks = nullptr);
 
 /// The whole program as a parenthesized assembly listing (Table 4 style).
 std::string listing(const s1::Program &P);

@@ -168,25 +168,33 @@ CheckResult fuzz::checkProgram(const GeneratedProgram &P,
   for (const std::vector<Value> &Args : P.ArgGrid)
     Ref.push_back(interpRun(RefM, P.Entry, Args, O.InterpFuel, O.GcEvery));
 
-  // Every configuration is independent: it deep-clones the one converted
-  // module (sharing the frontend work across the whole matrix instead of
-  // re-reading and re-converting the source per config) and runs the grid
-  // on its own machines, merging into a per-config result slot. The clone
-  // only reads RefM, so concurrent workers can clone from it. A captured
-  // stats delta comes from a private tally around the config's compile,
-  // so it covers optimize + codegen only (frontend conversion happens
-  // once, before any config runs) and is the same at any job count.
+  // Every configuration is independent: it converts the source into its
+  // own module and compiles that, the two calls driver::compileSource
+  // makes without a memo, so it compiles what s1lispc and s1lispd do. It
+  // runs the grid on its own machines, merging into a per-config result
+  // slot. Its conversion is not counted (the reference's was); a captured
+  // stats delta comes from a private tally around the compile alone, so
+  // it covers optimize + codegen only and is the same at any job count.
   std::vector<CheckResult> PerConfig(Matrix.size());
   support::parallelFor(Matrix.size(), std::max(1u, O.Jobs), [&](size_t C) {
     const driver::AblationConfig &Config = Matrix[C];
     CheckResult &CR = PerConfig[C];
     ir::Module M;
-    RefM.clone(M);
+    DiagEngine ConfigDiags;
+    bool Converted;
+    {
+      stats::ThreadBaselineScope Uncounted;
+      Converted = frontend::convertSource(M, P.Source, ConfigDiags);
+    }
     stats::LocalTally Tally;
     std::optional<stats::TallyScope> Scope;
     if (O.CaptureStats)
       Scope.emplace(Tally);
-    driver::CompileOutcome Out = driver::compileModule(M, Config.Opts);
+    driver::CompileOutcome Out;
+    if (Converted)
+      Out = driver::compileModule(M, Config.Opts);
+    else
+      Out.Error = ConfigDiags.str();
     Scope.reset();
     std::string StatsJson = O.CaptureStats
                                 ? stats::tallyDeltasJson(Tally.deltas())

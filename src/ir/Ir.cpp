@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <unordered_map>
 
 using namespace s1lisp;
@@ -335,78 +334,57 @@ struct Cloner {
   std::vector<GoNode *> Gos;
   std::vector<ReturnNode *> Returns;
 
-  /// Cross-module hooks, identity when unset: Module::clone re-interns
-  /// every symbol and re-allocates every heap datum in the target module's
-  /// tables, and maps free variables too (a clone into another module must
-  /// share nothing with the source).
-  std::function<const sexpr::Symbol *(const sexpr::Symbol *)> MapSym;
-  std::function<sexpr::Value(sexpr::Value)> MapVal;
-  bool MapAllVars = false;
-
-  const sexpr::Symbol *mapSym(const sexpr::Symbol *S) {
-    return MapSym && S ? MapSym(S) : S;
-  }
-  sexpr::Value mapVal(sexpr::Value V) { return MapVal ? MapVal(V) : V; }
-
+  /// A variable bound inside the subtree maps to its copy; a free one
+  /// keeps its identity.
   Variable *mapVar(Variable *V) {
     auto It = VarMap.find(V);
-    if (It != VarMap.end())
-      return It->second;
-    if (!MapAllVars)
-      return V;
-    // Free in the cloned tree (no binder below the root being copied);
-    // Binder stays null, flags are copied in a post-pass.
-    Variable *NV = F.makeVariable(mapSym(V->name()), V->isSpecial());
-    VarMap[V] = NV;
-    return NV;
+    return It == VarMap.end() ? V : It->second;
   }
 
-  Node *clone(const Node *N) {
+  /// A fresh variable for parameter \p P of the copy \p NL.
+  Variable *copyParam(Variable *P, LambdaNode *NL) {
+    Variable *NP = F.makeVariable(P->name(), P->isSpecial());
+    NP->Binder = NL;
+    VarMap[P] = NP;
+    return NP;
+  }
+
+  Node *copy(const Node *N) {
     switch (N->kind()) {
     case NodeKind::Literal:
-      return withLoc(N, F.makeLiteral(mapVal(cast<LiteralNode>(N)->Datum)));
+      return withLoc(N, F.makeLiteral(cast<LiteralNode>(N)->Datum));
     case NodeKind::VarRef:
       return withLoc(N, F.makeVarRef(mapVar(cast<VarRefNode>(N)->Var)));
     case NodeKind::Setq: {
       auto *S = cast<SetqNode>(N);
-      return withLoc(N, F.makeSetq(mapVar(S->Var), clone(S->ValueExpr)));
+      return withLoc(N, F.makeSetq(mapVar(S->Var), copy(S->ValueExpr)));
     }
     case NodeKind::If: {
       auto *I = cast<IfNode>(N);
-      return withLoc(N, F.makeIf(clone(I->Test), clone(I->Then), clone(I->Else)));
+      return withLoc(N, F.makeIf(copy(I->Test), copy(I->Then), copy(I->Else)));
     }
     case NodeKind::Progn: {
       std::vector<Node *> Forms;
       for (const Node *C : cast<PrognNode>(N)->Forms)
-        Forms.push_back(clone(C));
+        Forms.push_back(copy(C));
       return withLoc(N, F.makeProgn(std::move(Forms)));
     }
     case NodeKind::Lambda: {
       const auto *L = cast<LambdaNode>(N);
       LambdaNode *NL = F.makeLambda();
       NL->Strategy = L->Strategy;
-      for (Variable *P : L->Required) {
-        Variable *NP = F.makeVariable(mapSym(P->name()), P->isSpecial());
-        NP->Binder = NL;
-        VarMap[P] = NP;
-        NL->Required.push_back(NP);
-      }
+      for (Variable *P : L->Required)
+        NL->Required.push_back(copyParam(P, NL));
       for (const auto &O : L->Optionals) {
-        Variable *NP = F.makeVariable(mapSym(O.Var->name()), O.Var->isSpecial());
-        NP->Binder = NL;
-        VarMap[O.Var] = NP;
-        Node *NDefault = O.Default ? clone(O.Default) : nullptr;
+        Variable *NP = copyParam(O.Var, NL);
+        Node *NDefault = O.Default ? copy(O.Default) : nullptr;
         if (NDefault)
           NDefault->Parent = NL;
         NL->Optionals.push_back({NP, NDefault});
       }
-      if (L->Rest) {
-        Variable *NP = F.makeVariable(mapSym(L->Rest->name()), L->Rest->isSpecial());
-        NP->Binder = NL;
-        VarMap[L->Rest] = NP;
-        NL->Rest = NP;
-      }
-      NL->Body = clone(L->Body);
+      if (L->Rest)
+        NL->Rest = copyParam(L->Rest, NL);
+      NL->Body = copy(L->Body);
       NL->Body->Parent = NL;
       return withLoc(N, NL);
     }
@@ -414,50 +392,45 @@ struct Cloner {
       const auto *C = cast<CallNode>(N);
       std::vector<Node *> Args;
       for (const Node *AN : C->Args)
-        Args.push_back(clone(AN));
+        Args.push_back(copy(AN));
       if (C->Name)
-        return withLoc(N, F.makeCall(mapSym(C->Name), std::move(Args)));
-      return withLoc(N, F.makeCallExpr(clone(C->CalleeExpr), std::move(Args)));
+        return withLoc(N, F.makeCall(C->Name, std::move(Args)));
+      return withLoc(N, F.makeCallExpr(copy(C->CalleeExpr), std::move(Args)));
     }
     case NodeKind::Caseq: {
       const auto *C = cast<CaseqNode>(N);
       std::vector<CaseqNode::Clause> Clauses;
-      for (const auto &Cl : C->Clauses) {
-        std::vector<sexpr::Value> Keys;
-        Keys.reserve(Cl.Keys.size());
-        for (sexpr::Value K : Cl.Keys)
-          Keys.push_back(mapVal(K));
-        Clauses.push_back({std::move(Keys), clone(Cl.Body)});
-      }
-      return withLoc(N, F.makeCaseq(clone(C->Key), std::move(Clauses), clone(C->Default)));
+      for (const auto &Cl : C->Clauses)
+        Clauses.push_back({Cl.Keys, copy(Cl.Body)});
+      return withLoc(N, F.makeCaseq(copy(C->Key), std::move(Clauses), copy(C->Default)));
     }
     case NodeKind::Catcher: {
       const auto *C = cast<CatcherNode>(N);
-      return withLoc(N, F.makeCatcher(clone(C->TagExpr), clone(C->Body)));
+      return withLoc(N, F.makeCatcher(copy(C->TagExpr), copy(C->Body)));
     }
     case NodeKind::ProgBody: {
       const auto *P = cast<ProgBodyNode>(N);
       std::vector<ProgBodyNode::Item> Items;
       for (const auto &I : P->Items)
-        Items.push_back({mapSym(I.Tag), I.Stmt ? clone(I.Stmt) : nullptr});
+        Items.push_back({I.Tag, I.Stmt ? copy(I.Stmt) : nullptr});
       ProgBodyNode *NP = F.makeProgBody(std::move(Items));
       BodyMap[P] = NP;
       return withLoc(N, NP);
     }
     case NodeKind::Go: {
       const auto *G = cast<GoNode>(N);
-      GoNode *NG = F.makeGo(mapSym(G->Tag), G->Target);
+      GoNode *NG = F.makeGo(G->Tag, G->Target);
       Gos.push_back(NG);
       return withLoc(N, NG);
     }
     case NodeKind::Return: {
       const auto *R = cast<ReturnNode>(N);
-      ReturnNode *NR = F.makeReturn(clone(R->ValueExpr), R->Target);
+      ReturnNode *NR = F.makeReturn(copy(R->ValueExpr), R->Target);
       Returns.push_back(NR);
       return withLoc(N, NR);
     }
     }
-    assert(false && "unhandled node kind in clone");
+    assert(false && "unhandled node kind in copy");
     return nullptr;
   }
 
@@ -480,35 +453,11 @@ struct Cloner {
   }
 };
 
-/// Carries annotations from \p O onto its clone \p N by walking the two
-/// identically-shaped trees in lockstep. Ann.PdlOkp points into the source
-/// tree and is dropped (it is only live between annotate and codegen,
-/// never across a module clone).
-void copyAnnotations(const Node *O, Node *N) {
-  N->Ann = O->Ann;
-  N->Ann.PdlOkp = nullptr;
-  std::vector<Node *> NC;
-  forEachChild(N, [&NC](Node *C) { NC.push_back(C); });
-  size_t I = 0;
-  forEachChild(O, [&](const Node *C) { copyAnnotations(C, NC[I++]); });
-}
-
-/// Variable annotations the factories do not rebuild. Referent lists and
-/// Written are reconstructed exactly by the clone itself.
-void copyVariableFlags(
-    const std::unordered_map<const Variable *, Variable *> &VarMap) {
-  for (const auto &[OldV, NewV] : VarMap) {
-    NewV->HeapAllocated = OldV->HeapAllocated;
-    NewV->VarRep = OldV->VarRep;
-    NewV->Tn = OldV->Tn;
-  }
-}
-
 } // namespace
 
 Node *ir::cloneTree(Function &F, const Node *N) {
   Cloner C(F);
-  Node *Copy = C.clone(N);
+  Node *Copy = C.copy(N);
   C.fixupTargets();
   return Copy;
 }
@@ -518,62 +467,6 @@ size_t ir::treeSize(const Node *Root) {
   forEachNode(Root, [&N](const Node *) { ++N; });
   return N;
 }
-
-void Module::clone(Module &Out) const {
-  assert(Out.Functions.empty() && "clone target must be a fresh module");
-
-  // Symbols are re-interned once and cached; heap data is deep-copied
-  // (makeRatio preserves the Den != 1 invariant, so a ratio round-trips
-  // as a ratio).
-  std::unordered_map<const sexpr::Symbol *, const sexpr::Symbol *> SymCache;
-  auto MapSym = [&](const sexpr::Symbol *S) -> const sexpr::Symbol * {
-    auto [It, New] = SymCache.try_emplace(S, nullptr);
-    if (New)
-      It->second = Out.Syms.intern(S->name());
-    return It->second;
-  };
-  std::function<sexpr::Value(sexpr::Value)> MapVal =
-      [&](sexpr::Value V) -> sexpr::Value {
-    switch (V.kind()) {
-    case sexpr::ValueKind::Nil:
-    case sexpr::ValueKind::Fixnum:
-    case sexpr::ValueKind::Flonum:
-      return V;
-    case sexpr::ValueKind::Symbol:
-      return sexpr::Value::symbol(MapSym(V.symbol()));
-    case sexpr::ValueKind::String:
-      return Out.DataHeap.string(V.stringValue());
-    case sexpr::ValueKind::Ratio:
-      return Out.DataHeap.makeRatio(V.ratio().Num, V.ratio().Den);
-    case sexpr::ValueKind::Cons: {
-      const sexpr::Cons *C = V.consCell();
-      return Out.DataHeap.cons(MapVal(C->Car), MapVal(C->Cdr), C->Loc);
-    }
-    }
-    return V;
-  };
-
-  for (const sexpr::Symbol *S : Specials)
-    Out.Specials.push_back(MapSym(S));
-
-  for (const auto &FP : Functions) {
-    const Function &F = *FP;
-    Function *NF = Out.addFunction(F.name());
-    if (!F.Root)
-      continue;
-    Cloner C(*NF);
-    C.MapSym = MapSym;
-    C.MapVal = MapVal;
-    C.MapAllVars = true;
-    Node *NewRoot = C.clone(F.Root);
-    C.fixupTargets();
-    copyVariableFlags(C.VarMap);
-    copyAnnotations(F.Root, NewRoot);
-    NF->Root = cast<LambdaNode>(NewRoot);
-    NF->Root->Parent = nullptr;
-  }
-}
-
 
 //===----------------------------------------------------------------------===//
 // Verifier

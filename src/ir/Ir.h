@@ -643,15 +643,6 @@ public:
 
   const std::vector<std::unique_ptr<Function>> &functions() const { return Functions; }
 
-  /// Deep-copies this module into \p Out (which must be freshly
-  /// constructed): every function's tree and variables, the special
-  /// proclamations, and all literal data. Symbols are re-interned and heap
-  /// data re-allocated in Out's own tables, so the clone shares nothing
-  /// with the original — the ablation oracle compiles one conversion many
-  /// times from clones. Clones into a sibling rather than returning a
-  /// Module because each Function holds references to its module's tables.
-  void clone(Module &Out) const;
-
   /// Symbols proclaimed special (dynamically scoped), e.g. by defvar.
   std::vector<const sexpr::Symbol *> Specials;
   bool isSpecial(const sexpr::Symbol *S) const {

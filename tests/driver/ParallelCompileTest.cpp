@@ -3,16 +3,12 @@
 // The parallel per-function pipeline's contract: for any job count the
 // driver produces a bit-identical program (listings, static image, symbol
 // and string tables, function metadata), the same remark transcript in
-// the same order, and the same optimizer counter totals. Also covers the
-// Module::clone independence the shared-frontend oracle relies on.
+// the same order, and the same optimizer counter totals.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Compiler.h"
-#include "frontend/Convert.h"
 #include "fuzz/Generator.h"
-#include "ir/BackTranslate.h"
-#include "sexpr/Printer.h"
 #include "stats/Stats.h"
 
 #include "gtest/gtest.h"
@@ -32,10 +28,6 @@ std::string bigSource() {
   GO.Helpers = 99;
   fuzz::Generator G(9100, GO);
   return G.generate().Source;
-}
-
-std::string fnText(ir::Function &F) {
-  return sexpr::toString(ir::backTranslateFunction(F));
 }
 
 struct CompiledAt {
@@ -122,51 +114,6 @@ TEST(ParallelCompile, OversubscribedJobsStillCompile) {
   auto R = driver::compileSource(M, "(defun solo (x) (+ x 1))", Opts);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_GE(R.Program.Functions.size(), 1u);
-}
-
-TEST(ModuleClone, ClonesAreIndependent) {
-  ir::Module Base;
-  DiagEngine Diags;
-  ASSERT_TRUE(frontend::convertSource(
-      Base, "(defvar *g* 0)\n"
-            "(defun helper (n) (if (< n 1) \"done\" (helper (- n 1))))\n"
-            "(defun fut (a) (progn (setq *g* a) (helper a)))",
-      Diags))
-      << Diags.str();
-
-  ir::Module A, B;
-  Base.clone(A);
-  Base.clone(B);
-  ASSERT_EQ(A.functions().size(), Base.functions().size());
-  ASSERT_NE(B.lookup("fut"), nullptr);
-
-  // Optimizing one clone mutates its trees in place; the sibling clone and
-  // the original must keep their exact shape.
-  std::string BaseBefore = fnText(*Base.lookup("fut"));
-  std::string BBefore = fnText(*B.lookup("fut"));
-  opt::OptOptions OO;
-  for (auto &F : A.functions())
-    opt::metaEvaluate(*F, OO, nullptr);
-  EXPECT_EQ(fnText(*Base.lookup("fut")), BaseBefore);
-  EXPECT_EQ(fnText(*B.lookup("fut")), BBefore);
-
-  // Clones re-intern symbols and carry the special proclamations, so each
-  // compiles on its own tables.
-  EXPECT_TRUE(A.isSpecial(A.Syms.intern("*g*")));
-  EXPECT_NE(A.Syms.intern("*g*"), Base.Syms.intern("*g*"));
-  driver::CompileOutcome RA = driver::compileModule(A);
-  driver::CompileOutcome RB = driver::compileModule(B);
-  ASSERT_TRUE(RA.Ok) << RA.Error;
-  ASSERT_TRUE(RB.Ok) << RB.Error;
-  // B was untouched by A's optimization: it matches a fresh compile of the
-  // original source.
-  ir::Module Fresh;
-  driver::CompileOutcome RF = driver::compileSource(
-      Fresh, "(defvar *g* 0)\n"
-             "(defun helper (n) (if (< n 1) \"done\" (helper (- n 1))))\n"
-             "(defun fut (a) (progn (setq *g* a) (helper a)))");
-  ASSERT_TRUE(RF.Ok) << RF.Error;
-  EXPECT_EQ(driver::listing(RB.Program), driver::listing(RF.Program));
 }
 
 } // namespace

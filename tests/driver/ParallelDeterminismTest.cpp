@@ -9,7 +9,7 @@
 // remark transcripts, and counter totals every time. A second suite
 // checks that none of this perturbs ir/StableHash content addresses: a
 // memo populated by a parallel compile must serve a 100% hit rate to a
-// serial recompile of equivalent IR, and vice versa.
+// serial recompile of the same source, and vice versa.
 //
 //===----------------------------------------------------------------------===//
 
@@ -145,33 +145,33 @@ private:
 };
 
 TEST(ParallelDeterminism, ShardedInterningKeepsMemoHitRate) {
+  const std::string Source = internHeavySource();
   ir::Module Base;
   DiagEngine Diags;
-  ASSERT_TRUE(frontend::convertSource(Base, internHeavySource(), Diags))
-      << Diags.str();
+  ASSERT_TRUE(frontend::convertSource(Base, Source, Diags)) << Diags.str();
   const unsigned N = static_cast<unsigned>(Base.functions().size());
 
   driver::CompilerOptions Opts;
   Opts.Cse = true;
   MapMemo Memo;
 
-  // Populate the memo from a parallel compile: every content address is
-  // computed against sharded-interned symbols on worker threads.
+  // Populate the memo from a parallel compile: the memo misses compile
+  // on 8 workers, interning into the sharded table as they go.
   ir::Module Warm;
-  Base.clone(Warm);
   Opts.Jobs = 8;
-  driver::CompileOutcome First = driver::compileModule(Warm, Opts, nullptr, &Memo);
+  driver::CompileOutcome First =
+      driver::compileSource(Warm, Source, Opts, nullptr, &Memo);
   ASSERT_TRUE(First.Ok) << First.Error;
   EXPECT_EQ(First.MemoMisses, N);
   EXPECT_EQ(First.MemoHits, 0u);
 
-  // A serial recompile of a fresh clone (fresh symbol pointers, fresh
+  // A serial recompile into a fresh module (fresh symbol pointers, fresh
   // heap) must hit on every function: ir/StableHash content addresses
   // depend only on names and structure, never on shard or schedule.
   ir::Module Cold;
-  Base.clone(Cold);
   Opts.Jobs = 1;
-  driver::CompileOutcome Second = driver::compileModule(Cold, Opts, nullptr, &Memo);
+  driver::CompileOutcome Second =
+      driver::compileSource(Cold, Source, Opts, nullptr, &Memo);
   ASSERT_TRUE(Second.Ok) << Second.Error;
   EXPECT_EQ(Second.MemoHits, N);
   EXPECT_EQ(Second.MemoMisses, 0u);
@@ -179,9 +179,9 @@ TEST(ParallelDeterminism, ShardedInterningKeepsMemoHitRate) {
 
   // And back up to 8 jobs against the warm memo: still all hits.
   ir::Module Again;
-  Base.clone(Again);
   Opts.Jobs = 8;
-  driver::CompileOutcome Third = driver::compileModule(Again, Opts, nullptr, &Memo);
+  driver::CompileOutcome Third =
+      driver::compileSource(Again, Source, Opts, nullptr, &Memo);
   ASSERT_TRUE(Third.Ok) << Third.Error;
   EXPECT_EQ(Third.MemoHits, N);
   EXPECT_EQ(Third.MemoMisses, 0u);

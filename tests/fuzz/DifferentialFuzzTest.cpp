@@ -367,7 +367,8 @@ TEST(FuzzReducer, DivergenceCarriesStatsDelta) {
     EXPECT_NE(R.Divergences.front().StatsJson.find("opt"), std::string::npos)
         << R.Divergences.front().StatsJson;
     // Each compile counts into its own tally: the deltas do not depend on
-    // how many configurations compile at once.
+    // how many configurations compile at once, and cover optimize and
+    // codegen only, not the configuration's own conversion.
     fuzz::OracleOptions Parallel = OO;
     Parallel.Jobs = 4;
     fuzz::CheckResult RP = fuzz::checkProgram(P, Parallel);
@@ -375,6 +376,12 @@ TEST(FuzzReducer, DivergenceCarriesStatsDelta) {
     for (size_t I = 0; I < R.Divergences.size(); ++I) {
       EXPECT_EQ(RP.Divergences[I].Config, R.Divergences[I].Config);
       EXPECT_EQ(RP.Divergences[I].StatsJson, R.Divergences[I].StatsJson);
+      EXPECT_EQ(R.Divergences[I].StatsJson.find("frontend."),
+                std::string::npos)
+          << R.Divergences[I].StatsJson;
+      EXPECT_EQ(RP.Divergences[I].StatsJson.find("frontend."),
+                std::string::npos)
+          << RP.Divergences[I].StatsJson;
     }
     return;
   }

@@ -70,7 +70,8 @@ TEST(MetaEvalFold, FoldsToTheInterpretersValue) {
       ir::Module M, AsWritten;
       DiagEngine Diags;
       ASSERT_TRUE(frontend::convertSource(M, Source, Diags)) << Diags.str();
-      M.clone(AsWritten);
+      ASSERT_TRUE(frontend::convertSource(AsWritten, Source, Diags))
+          << Diags.str();
       interp::Interpreter I(AsWritten);
       for (size_t K = 0; K < Exprs.size(); ++K) {
         ir::Function &F = *M.functions()[K];

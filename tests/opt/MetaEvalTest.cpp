@@ -18,6 +18,8 @@
 #include "sexpr/Printer.h"
 #include "sexpr/Reader.h"
 
+#include "harness/DeepStack.h"
+
 #include <gtest/gtest.h>
 
 using namespace s1lisp;
@@ -181,6 +183,7 @@ TEST_F(MetaEvalTest, NaryExpansion) {
 TEST_F(MetaEvalTest, LongCallsStayNary) {
   // A chain of binary calls is as deep as the call is long, so past the
   // reader's nesting bound the assoc and n-ary rules leave a call alone.
+  // The chain is a deep program: it runs on the sized stack.
   auto Call = [](const char *Op, unsigned N) {
     std::string S = std::string("(") + Op;
     for (unsigned I = 0; I < N; ++I)
@@ -188,11 +191,13 @@ TEST_F(MetaEvalTest, LongCallsStayNary) {
     return S + ")";
   };
   const unsigned Bound = sexpr::Reader::MaxNestingDepth;
-  for (const char *Op : {"+", "-"}) {
-    EXPECT_EQ(optimizeExpr(Call(Op, Bound + 1)), Call(Op, Bound + 1)) << Op;
-    std::string Chained = optimizeExpr(Call(Op, Bound));
-    EXPECT_EQ(Chained.find(Call(Op, 3)), std::string::npos) << Op;
-  }
+  deepstack::run([&] {
+    for (const char *Op : {"+", "-"}) {
+      EXPECT_EQ(optimizeExpr(Call(Op, Bound + 1)), Call(Op, Bound + 1)) << Op;
+      std::string Chained = optimizeExpr(Call(Op, Bound));
+      EXPECT_EQ(Chained.find(Call(Op, 3)), std::string::npos) << Op;
+    }
+  });
 }
 
 TEST_F(MetaEvalTest, IdentityElimination) {
