@@ -1,9 +1,12 @@
 //===- vm/Jit.cpp - x86-64 block compiler over the XInsn stream -----------===//
 //
-// Two-pass native tier. Pass 1 is Predecode's leader sweep: every decoded
-// index that starts a basic block (function entry, branch/catch target,
-// fall-through after any control transfer or allocation) is flagged in
-// DecodedFunction::Leaders. Pass 2 compiles each block once:
+// Two-pass native tier. Pass 1 is Predecode's block sweep: a basic block
+// starts at function entry, every branch/catch target and the
+// fall-through after any control transfer or allocation, and each
+// decoded instruction's Run counts the instructions left in its block,
+// so the block at leader L ends at L + Code[L].Run. The threaded loop
+// charges the same blocks at their entries. Pass 2 compiles each block
+// once:
 //
 //   [fit test]  r14 += N; cmp r14, r15 — bulk-retires all N instructions
 //               (plus a fused branch, below) when they fit in the
@@ -22,10 +25,11 @@
 //               so every trap reports the exact instruction count the
 //               threaded engine would.
 //
-// Pending GC is checked only at block entries: GcPending and Halted can
-// only be raised by allocation and syscalls, and Predecode makes the
-// successor of every such instruction a leader, so the check sits at the
-// same boundary where the threaded engine would perform the collection.
+// Pending GC is checked only at block entries, as in the threaded loop:
+// GcPending can only be raised by allocation and syscalls, and Predecode
+// makes the successor of every such instruction a leader, so the check
+// sits at the same boundary where the other engines perform the
+// collection.
 //
 // A write-through virtual operand stack keeps the top of the VM stack in
 // host registers (r8-r11, up to four deep) across instruction boundaries
@@ -559,10 +563,12 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   JP->GcOn = GcOn;
   JP->Offs.resize(NF);
   JP->AddrArrays.resize(NF);
-  // Sized before emission: the movabs of FuncTable.data() baked into RET /
-  // CALLPTR templates must stay valid.
+  // Sized before emission: the movabs of FuncTable.data() and
+  // Sizes.data() baked into RET / CALLPTR templates must stay valid.
   JP->FuncTable.resize(NF);
+  JP->Sizes.resize(NF);
   const uint64_t FTData = reinterpret_cast<uint64_t>(JP->FuncTable.data());
+  const uint64_t SizesData = reinterpret_cast<uint64_t>(JP->Sizes.data());
 
   Asm A;
 
@@ -655,6 +661,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   for (size_t F = 0; F < NF; ++F) {
     const DecodedFunction &DF = DP->function(static_cast<int>(F));
     const int Size = static_cast<int>(DF.Code.size());
+    JP->Sizes[F] = static_cast<uint64_t>(Size);
     JP->Offs[F].assign(static_cast<size_t>(Size) + 1,
                        static_cast<uint32_t>(MidBlockStubOff));
 
@@ -1234,8 +1241,13 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
         A.jccFixed(CC_E, OkStubOff); // host sentinel
         A.movRR(RDX, RCX);
         A.shrRI(RDX, 32);
-        A.subRI(RDX, 1);     // function index
-        A.movRR32(RCX, RCX); // pc half
+        A.subRI(RDX, 1); // function index
+        A.cmpRI(RDX, static_cast<int32_t>(NF));
+        jccStubC(CC_AE, JitStatus::BadRet, Next, C, Idx);
+        A.movRR32(RCX, RCX); // pc half, at most the function's size
+        A.movRI(RSI, SizesData);
+        A.opMem(true, {0x3B}, RCX, RSI, RDX, 3, 0); // cmp rcx, Sizes[rdx]
+        jccStubC(CC_A, JitStatus::BadRet, Next, C, Idx);
         A.movRI(RSI, FTData);
         A.loadQ(RSI, RSI, RDX, 3, 0);
         A.loadQ(RSI, RSI, RCX, 3, 0);
@@ -1658,9 +1670,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
         break;
       }
 
-      int E = L + 1;
-      while (E < Size && !DF.Leaders[static_cast<size_t>(E)])
-        ++E;
+      const int E = L + DF.Code[static_cast<size_t>(L)].Run;
       const int N = E - L;
       const bool Ends = endsControl(DF.Code[static_cast<size_t>(E - 1)].Op);
       const bool Fused = blockFusesTail(E - 1);

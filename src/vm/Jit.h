@@ -2,7 +2,8 @@
 ///
 /// \file
 /// Translates a pre-decoded program (vm/Predecode.h) into executable
-/// x86-64 by compiling whole basic blocks (Predecode's Leaders metadata)
+/// x86-64 by compiling whole basic blocks (the block at leader L ends at
+/// L + Code[L].Run, the same blocks the threaded loop charges at entry)
 /// into a contiguous W^X buffer with direct rel32 jumps for every resolved
 /// branch target. Hot handlers (MOV/PUSH/POP/ALU/JMPZ/CALL/RET/tail calls
 /// and the fixnum fast paths of the generic-arithmetic/compare/predicate
@@ -86,6 +87,8 @@ enum class JitStatus : int {
   HeapExh,     ///< ALLOC exhausted the word heap
   NotFunc,     ///< CALLPTR/TAILCALLPTR through a non-Function word
   FixOv,       ///< inline fixnum fast path overflowed 32 bits
+  BadRet,      ///< RET popped a word naming no function, or a pc past
+               ///< its function's end
 };
 
 /// One program compiled to native code. Immutable; share freely. Keeps
@@ -131,6 +134,9 @@ private:
   /// indirect calls: FuncTable[f][pc] -> native address.
   std::vector<std::unique_ptr<const uint8_t *[]>> AddrArrays;
   std::vector<const uint8_t **> FuncTable;
+  /// Per function, its decoded size: the largest pc RET accepts before
+  /// indexing FuncTable.
+  std::vector<uint64_t> Sizes;
 };
 
 /// Compiles \p DP. \p Layout is any Machine instance — used only to

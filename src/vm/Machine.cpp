@@ -64,6 +64,10 @@ uint64_t makeRetWord(int Func, int Pc) {
   return (static_cast<uint64_t>(Func + 1) << 32) | static_cast<uint32_t>(Pc);
 }
 
+/// What every engine's RET raises for a word that is not a return
+/// address: it names no function, or a pc past its function's end.
+constexpr const char *BadReturnAddress = "bad return address";
+
 bool condHolds(Cond C, int64_t Sign) {
   switch (C) {
   case Cond::EQ:
@@ -622,6 +626,8 @@ bool Machine::runNative(std::string &Error) {
     return trap(Error, rtErrorMessage(RtError::NotAFunction));
   case JitStatus::FixOv:
     return trap(Error, "fixnum overflow (compiled fixnums are 32-bit)");
+  case JitStatus::BadRet:
+    return trap(Error, BadReturnAddress);
   }
   return trap(Error, "native engine returned an unknown status");
 }
@@ -931,8 +937,11 @@ bool Machine::step(std::string &Error) {
       CurFunc = -1; // back to host
       return true;
     }
-    CurFunc = static_cast<int>((RetW >> 32) - 1);
-    Pc = static_cast<int>(RetW & 0xFFFFFFFF);
+    const uint64_t Fn = (RetW >> 32) - 1, RetPc = RetW & 0xFFFFFFFF;
+    if (Fn >= P.Functions.size() || RetPc > P.Functions[Fn].Code.size())
+      return trap(Error, BadReturnAddress);
+    CurFunc = static_cast<int>(Fn);
+    Pc = static_cast<int>(RetPc);
     return true;
   }
 
@@ -1138,6 +1147,111 @@ void Machine::decodeOnEntry(const XInsn &Stub) {
   Decoded->function(CurFunc);
 }
 
+inline bool Machine::fastSyscall(Syscall S, int64_t SubCode) {
+  // Operands are peeked, B (pushed last) at Sp-1 and A below it (a unary
+  // call's A is B), and popped only once the call is handled. Exact
+  // 64-bit arithmetic on 32-bit inputs cannot wrap; a result outside 32
+  // bits declines, and doSyscall's general route raises the trap.
+  uint64_t N;
+  switch (S) {
+  case Syscall::GenericAdd:
+  case Syscall::GenericSub:
+  case Syscall::GenericMul:
+  case Syscall::GenericCompare:
+  case Syscall::Cons:
+    N = 2;
+    break;
+  case Syscall::GenericUnary:
+  case Syscall::GenericNumPred:
+    N = 1;
+    break;
+  default:
+    return false;
+  }
+  const uint64_t Sp = Regs[SP];
+  if (Sp < N || Sp > Memory.size())
+    return false;
+  const uint64_t AW = Memory[Sp - N], BW = Memory[Sp - 1];
+  if (S == Syscall::Cons) {
+    Regs[SP] = Sp - 2;
+    uint64_t W = allocate(Tag::Cons, 2);
+    mem(addrOf(W)) = AW;
+    mem(addrOf(W) + 1) = BW;
+    Regs[RV] = W;
+    return true;
+  }
+  if (tagOf(AW) != Tag::Fixnum || tagOf(BW) != Tag::Fixnum)
+    return false;
+  const int64_t A = fixnumValue(AW), B = fixnumValue(BW);
+  int64_t R;
+  switch (S) {
+  case Syscall::GenericAdd:
+    R = A + B;
+    break;
+  case Syscall::GenericSub:
+    R = A - B;
+    break;
+  case Syscall::GenericMul:
+    R = A * B;
+    break;
+  case Syscall::GenericUnary:
+    switch (static_cast<UnaryCode>(SubCode)) {
+    case UnaryCode::Neg:
+      R = -A;
+      break;
+    case UnaryCode::Abs:
+      R = A < 0 ? -A : A;
+      break;
+    case UnaryCode::Add1:
+      R = A + 1;
+      break;
+    case UnaryCode::Sub1:
+      R = A - 1;
+      break;
+    default: // Sqrt / ToFloat produce flonums
+      return false;
+    }
+    break;
+  default: {
+    // A compare holds at the signs of A - B its condition's mask names;
+    // zerop, plusp and minusp compare A with 0 the same way.
+    bool T;
+    if (S == Syscall::GenericCompare) {
+      const Cond C = static_cast<Cond>(SubCode);
+      if (C > Cond::GE)
+        return false;
+      T = (takenMask(C) >> ((A > B) - (A < B) + 1)) & 1;
+    } else {
+      switch (static_cast<PredCode>(SubCode)) {
+      case PredCode::Oddp:
+        T = (A & 1) != 0;
+        break;
+      case PredCode::Evenp:
+        T = (A & 1) == 0;
+        break;
+      case PredCode::Zerop:
+        T = A == 0;
+        break;
+      case PredCode::Plusp:
+        T = A > 0;
+        break;
+      default:
+        T = A < 0;
+        break;
+      }
+    }
+    Regs[SP] = Sp - N;
+    Regs[RV] = T ? trueWord() : NilWord;
+    return true;
+  }
+  }
+  if (R < INT32_MIN || R > INT32_MAX)
+    return false;
+  Regs[SP] = Sp - N;
+  Regs[RV] = makeFixnum(R);
+  return true;
+}
+
 bool Machine::runThreaded(std::string &Error) {
   const DecodedProgram &DP = *Decoded;
   const XInsn *Code = nullptr;
@@ -1153,6 +1267,8 @@ bool Machine::runThreaded(std::string &Error) {
   };
   Reload();
   int LPc = Pc;
+  // One past the last instruction the current block entry charged.
+  int BlockEnd = 0;
   const XInsn *I = nullptr;
 
   // Performs the frame surgery shared by TAILCALL/TAILCALLPTR; returns
@@ -1185,9 +1301,11 @@ bool Machine::runThreaded(std::string &Error) {
   };
 
   // Dispatch by computed goto (GNU labels-as-values, which GCC and Clang
-  // provide): each handler ends in `continue`, back to the boundary
-  // checks and the fetch at the top of the loop. Must match the XOp
-  // enumerator order exactly.
+  // provide). A straight-line handler ends in `goto Next` (`goto
+  // NextInBlock` if it touches no memory, so cannot fault), which runs
+  // the next instruction of its block directly; a control transfer ends
+  // in `continue`, back to the block entry at the top of the loop. Must
+  // match the XOp enumerator order exactly.
   static const void *Table[] = {
       &&H_MovRR,  &&H_MovRK,  &&H_MovRM,  &&H_MovRX,
       &&H_MovMR,  &&H_MovMK,  &&H_MovMM,  &&H_MovMX,
@@ -1205,8 +1323,12 @@ bool Machine::runThreaded(std::string &Error) {
   static_assert(std::size(Table) == static_cast<size_t>(XOp::Decode) + 1);
 
   for (;;) {
-    // Identical trap ordering to runLegacy: halted, fuel, pc range —
-    // checked before the instruction is fetched or counted.
+    // Block entry. Identical trap ordering to runLegacy's per-instruction
+    // boundary: halted, fuel, pending collection, pc range. Inside a
+    // block none of them can change: the block's instructions are
+    // charged here, only allocations and syscalls (which end blocks)
+    // raise GcPending, and a memory fault is caught before the next
+    // instruction.
     if (Halted) {
       Pc = LPc;
       return trap(Error,
@@ -1216,7 +1338,6 @@ bool Machine::runThreaded(std::string &Error) {
       Pc = LPc;
       return trap(Error, "instruction fuel exhausted");
     }
-    // Same point in the boundary sequence as runLegacy's check.
     if (GcPending)
       collectGarbage();
     if (LPc < 0 || LPc >= Size) {
@@ -1226,163 +1347,169 @@ bool Machine::runThreaded(std::string &Error) {
       Pc = LPc < 0 ? LPc : Size + 1;
       return trap(Error, "pc out of range");
     }
-    I = &Code[LPc++];
-    ++Stats.Instructions;
-    ++Stats.PerOpcode[static_cast<size_t>(I->OrigOp)];
+    // Charge the rest of the block when it fits in the remaining fuel;
+    // otherwise step one instruction, so the fuel trap lands exactly at
+    // the boundary where legacy raises it.
+    I = &Code[LPc];
+    {
+      const uint64_t Run = static_cast<uint64_t>(I->Run);
+      const uint64_t Charge = Run <= Fuel - Stats.Instructions ? Run : 1;
+      Stats.Instructions += Charge;
+      BlockEnd = LPc + static_cast<int>(Charge);
+    }
+    goto Execute;
 
+  Dispatch:
+    I = &Code[LPc];
+  Execute:
+    ++LPc;
+    ++Stats.PerOpcode[static_cast<size_t>(I->OrigOp)];
     goto *Table[static_cast<size_t>(I->Op)];
+
+  Next:
+    if (Halted) {
+      // A memory fault: un-charge the block's unexecuted tail; the block
+      // entry then reports the fault.
+      Stats.Instructions -= static_cast<uint64_t>(BlockEnd - LPc);
+      continue;
+    }
+  NextInBlock: // from the handlers that touch no memory
+    if (LPc != BlockEnd)
+      goto Dispatch;
+    continue;
 
     H_MovRR: {
       ++Stats.Movs;
       Regs[I->A] = Regs[I->B];
     }
-    continue;
+    goto NextInBlock;
 
     H_MovRK: {
       ++Stats.Movs;
       Regs[I->A] = I->K;
     }
-    continue;
+    goto NextInBlock;
 
     H_MovRM: {
       ++Stats.Movs;
       Regs[I->A] = mem(EaS(I->MB));
     }
-    continue;
+    goto Next;
 
     H_MovRX: {
       ++Stats.Movs;
       Regs[I->A] = mem(EaX(I->MB));
     }
-    continue;
+    goto Next;
 
     H_MovMR: {
       ++Stats.Movs;
       mem(EaS(I->MA)) = Regs[I->B];
     }
-    continue;
+    goto Next;
 
     H_MovMK: {
       ++Stats.Movs;
       mem(EaS(I->MA)) = I->K;
     }
-    continue;
+    goto Next;
 
     H_MovMM: {
       ++Stats.Movs;
       uint64_t V = mem(EaS(I->MB));
       mem(EaS(I->MA)) = V;
     }
-    continue;
+    goto Next;
 
     H_MovMX: {
       ++Stats.Movs;
       uint64_t V = mem(EaX(I->MB));
       mem(EaS(I->MA)) = V;
     }
-    continue;
+    goto Next;
 
     H_MovXR: {
       ++Stats.Movs;
       mem(EaX(I->MA)) = Regs[I->B];
     }
-    continue;
+    goto Next;
 
     H_MovXK: {
       ++Stats.Movs;
       mem(EaX(I->MA)) = I->K;
     }
-    continue;
+    goto Next;
 
     H_MovXM: {
       ++Stats.Movs;
       uint64_t V = mem(EaS(I->MB));
       mem(EaX(I->MA)) = V;
     }
-    continue;
+    goto Next;
 
     H_MovXX: {
       ++Stats.Movs;
       uint64_t V = mem(EaX(I->MB));
       mem(EaX(I->MA)) = V;
     }
-    continue;
+    goto Next;
 
-    H_PushR: {
-      if (Regs[SP] + 1 >= StackBase + StackWords) {
-        Pc = LPc;
-        return trap(Error, "stack overflow");
-      }
-      push(Regs[I->B]);
-    }
-    continue;
-
-    H_PushK: {
-      if (Regs[SP] + 1 >= StackBase + StackWords) {
-        Pc = LPc;
-        return trap(Error, "stack overflow");
-      }
-      push(I->K);
-    }
-    continue;
-
-    H_PushM: {
-      if (Regs[SP] + 1 >= StackBase + StackWords) {
-        Pc = LPc;
-        return trap(Error, "stack overflow");
-      }
-      push(mem(EaS(I->MB)));
-    }
-    continue;
-
-    H_PushX: {
-      if (Regs[SP] + 1 >= StackBase + StackWords) {
-        Pc = LPc;
-        return trap(Error, "stack overflow");
-      }
-      push(mem(EaX(I->MB)));
-    }
-    continue;
+    // A trap inside a block un-charges the block's unexecuted tail first.
+#define S1_PUSH(op, value)                                                     \
+  H_##op: {                                                                    \
+    if (Regs[SP] + 1 >= StackBase + StackWords) {                              \
+      Stats.Instructions -= static_cast<uint64_t>(BlockEnd - LPc);             \
+      Pc = LPc;                                                                \
+      return trap(Error, "stack overflow");                                    \
+    }                                                                          \
+    push(value);                                                               \
+  }                                                                            \
+  goto Next;
+    S1_PUSH(PushR, Regs[I->B])
+    S1_PUSH(PushK, I->K)
+    S1_PUSH(PushM, mem(EaS(I->MB)))
+    S1_PUSH(PushX, mem(EaX(I->MB)))
+#undef S1_PUSH
 
     H_PopR: {
       Regs[I->A] = pop();
     }
-    continue;
+    goto Next;
 
     H_AddRR: {
       Regs[I->A] = static_cast<uint64_t>(static_cast<int64_t>(Regs[I->A]) +
                                          static_cast<int64_t>(Regs[I->B]));
     }
-    continue;
+    goto NextInBlock;
 
     H_AddRK: {
       Regs[I->A] = static_cast<uint64_t>(static_cast<int64_t>(Regs[I->A]) +
                                          static_cast<int64_t>(I->K));
     }
-    continue;
+    goto NextInBlock;
 
     H_SubRR: {
       Regs[I->A] = static_cast<uint64_t>(static_cast<int64_t>(Regs[I->A]) -
                                          static_cast<int64_t>(Regs[I->B]));
     }
-    continue;
+    goto NextInBlock;
 
     H_SubRK: {
       Regs[I->A] = static_cast<uint64_t>(static_cast<int64_t>(Regs[I->A]) -
                                          static_cast<int64_t>(I->K));
     }
-    continue;
+    goto NextInBlock;
 
     H_Jmp: {
       LPc = I->Target;
     }
     continue;
 
+    // The branch is taken when bit Sign+1 of the decoded mask is set.
     H_JmpzRR: {
       int64_t A = static_cast<int64_t>(Regs[I->A]);
       int64_t B = static_cast<int64_t>(Regs[I->B]);
-      int64_t Sign = A < B ? -1 : (A > B ? 1 : 0);
-      if (condHolds(I->C, Sign))
+      if ((I->TakenMask >> ((A > B) - (A < B) + 1)) & 1)
         LPc = I->Target;
     }
     continue;
@@ -1390,8 +1517,7 @@ bool Machine::runThreaded(std::string &Error) {
     H_JmpzRK: {
       int64_t A = static_cast<int64_t>(Regs[I->A]);
       int64_t B = static_cast<int64_t>(I->K);
-      int64_t Sign = A < B ? -1 : (A > B ? 1 : 0);
-      if (condHolds(I->C, Sign))
+      if ((I->TakenMask >> ((A > B) - (A < B) + 1)) & 1)
         LPc = I->Target;
     }
     continue;
@@ -1458,25 +1584,45 @@ bool Machine::runThreaded(std::string &Error) {
         Pc = 0;
         return true;
       }
-      CurFunc = static_cast<int>((RetW >> 32) - 1);
-      LPc = static_cast<int>(RetW & 0xFFFFFFFF);
+      // Only a word no CALL pushed can fail this check. Until a function
+      // is decoded its entry's Size is the decode stub's 1, so a pc at or
+      // past Size is measured against the decoded function.
+      const uint64_t Fn = (RetW >> 32) - 1, RetPc = RetW & 0xFFFFFFFF;
+      bool Valid = Fn < DP.size();
+      if (Valid) {
+        const int F = static_cast<int>(Fn);
+        const int32_t EntrySize =
+            DP.entry(F).Size.load(std::memory_order_relaxed);
+        Valid = RetPc < static_cast<uint64_t>(EntrySize) ||
+                RetPc <= DP.function(F).Code.size();
+      }
+      if (!Valid) {
+        Pc = LPc;
+        return trap(Error, BadReturnAddress);
+      }
+      CurFunc = static_cast<int>(Fn);
+      LPc = static_cast<int>(RetPc);
       Reload();
     }
     continue;
 
     // The cold ops share one definition with the native tier's coldShim;
-    // inlined with a constant op, the executor's switch folds away.
+    // inlined with a constant op, the executor's switch folds away. A
+    // taken branch goes back to the block entry.
 #define S1_COLD(op)                                                            \
   H_##op: {                                                                    \
     int R = execCold(XOp::op, *I);                                             \
-    if (R > 0)                                                                 \
+    if (R > 0) {                                                               \
       LPc = I->Target;                                                         \
-    else if (R < 0) {                                                          \
+      continue;                                                                \
+    }                                                                          \
+    if (R < 0) {                                                               \
+      Stats.Instructions -= static_cast<uint64_t>(BlockEnd - LPc);             \
       Pc = LPc;                                                                \
       return trap(Error, rtErrorMessage(RtError::DivisionByZero));             \
     }                                                                          \
   }                                                                            \
-  continue;
+  goto Next;
     S1_COLD(PopM)
     S1_COLD(Alu2G)
     S1_COLD(Alu3G)
@@ -1506,6 +1652,25 @@ bool Machine::runThreaded(std::string &Error) {
 
     H_Syscall: {
       ++Stats.Syscalls;
+      // Each selector with a fast path passes fastSyscall a constant, so
+      // the compiler folds it to that selector's case and inlines it here.
+      switch (static_cast<Syscall>(I->S1)) {
+#define S1_FAST(s)                                                             \
+  case Syscall::s:                                                             \
+    if (fastSyscall(Syscall::s, I->S2))                                        \
+      continue;                                                                \
+    break;
+        S1_FAST(GenericAdd)
+        S1_FAST(GenericSub)
+        S1_FAST(GenericMul)
+        S1_FAST(GenericUnary)
+        S1_FAST(GenericCompare)
+        S1_FAST(GenericNumPred)
+        S1_FAST(Cons)
+#undef S1_FAST
+      default:
+        break;
+      }
       Pc = LPc;
       if (!doSyscall(static_cast<Syscall>(I->S1), I->S2, I->S3, I->Target,
                      Error))
@@ -1522,7 +1687,7 @@ bool Machine::runThreaded(std::string &Error) {
 
     H_Decode: {
       // First entry into CurFunc: restart at pc 0 once decoded, where the
-      // boundary checks run again on unchanged state.
+      // block entry runs again on unchanged state.
       decodeOnEntry(*I);
       Reload();
       LPc = 0;
@@ -1624,6 +1789,8 @@ bool Machine::doSyscall(Syscall S, int64_t SubCode, int64_t XImm,
     return trap(Error, rtErrorMessage(RtError::WrongTypeOfArgument));
   };
 
+  if (fastSyscall(S, SubCode))
+    return true;
   switch (S) {
   case Syscall::GenericAdd:
   case Syscall::GenericSub:
@@ -1631,23 +1798,6 @@ bool Machine::doSyscall(Syscall S, int64_t SubCode, int64_t XImm,
   case Syscall::GenericDiv:
   case Syscall::GenericArith2: {
     uint64_t BW = pop(), AW = pop();
-    // Fixnum fast path for the three closed operations: exact 64-bit
-    // arithmetic on 32-bit inputs cannot wrap, and the 32-bit range check
-    // reproduces EncodeNum's overflow trap exactly. Division may produce
-    // a ratio and Arith2 has per-subcode semantics — both take the
-    // generic route.
-    if (tagOf(AW) == Tag::Fixnum && tagOf(BW) == Tag::Fixnum &&
-        (S == Syscall::GenericAdd || S == Syscall::GenericSub ||
-         S == Syscall::GenericMul)) {
-      int64_t A = fixnumValue(AW), B = fixnumValue(BW);
-      int64_t R = S == Syscall::GenericAdd   ? A + B
-                  : S == Syscall::GenericSub ? A - B
-                                             : A * B;
-      if (R < INT32_MIN || R > INT32_MAX)
-        return trap(Error, "fixnum overflow (compiled fixnums are 32-bit)");
-      Regs[RV] = makeFixnum(R);
-      return true;
-    }
     auto A = DecodeNum(AW), B = DecodeNum(BW);
     if (!A || !B)
       return TypeError();
@@ -1708,34 +1858,6 @@ bool Machine::doSyscall(Syscall S, int64_t SubCode, int64_t XImm,
   case Syscall::GenericUnary: {
     uint64_t AW = pop();
     UnaryCode UC = static_cast<UnaryCode>(SubCode);
-    if (tagOf(AW) == Tag::Fixnum) {
-      int64_t V = fixnumValue(AW);
-      bool Fast = true;
-      int64_t R = 0;
-      switch (UC) {
-      case UnaryCode::Neg:
-        R = -V;
-        break;
-      case UnaryCode::Abs:
-        R = V < 0 ? -V : V;
-        break;
-      case UnaryCode::Add1:
-        R = V + 1;
-        break;
-      case UnaryCode::Sub1:
-        R = V - 1;
-        break;
-      default: // Sqrt / ToFloat produce flonums
-        Fast = false;
-        break;
-      }
-      if (Fast) {
-        if (R < INT32_MIN || R > INT32_MAX)
-          return trap(Error, "fixnum overflow (compiled fixnums are 32-bit)");
-        Regs[RV] = makeFixnum(R);
-        return true;
-      }
-    }
     auto A = DecodeNum(AW);
     if (!A)
       return TypeError();
@@ -1775,32 +1897,6 @@ bool Machine::doSyscall(Syscall S, int64_t SubCode, int64_t XImm,
 
   case Syscall::GenericCompare: {
     uint64_t BW = pop(), AW = pop();
-    if (tagOf(AW) == Tag::Fixnum && tagOf(BW) == Tag::Fixnum) {
-      int64_t A = fixnumValue(AW), B = fixnumValue(BW);
-      bool R;
-      switch (static_cast<Cond>(SubCode)) {
-      case Cond::EQ:
-        R = A == B;
-        break;
-      case Cond::NEQ:
-        R = A != B;
-        break;
-      case Cond::LT:
-        R = A < B;
-        break;
-      case Cond::GT:
-        R = A > B;
-        break;
-      case Cond::LE:
-        R = A <= B;
-        break;
-      default:
-        R = A >= B;
-        break;
-      }
-      TBool(R);
-      return true;
-    }
     auto A = DecodeNum(AW), B = DecodeNum(BW);
     if (!A || !B)
       return TypeError();
@@ -1834,29 +1930,6 @@ bool Machine::doSyscall(Syscall S, int64_t SubCode, int64_t XImm,
 
   case Syscall::GenericNumPred: {
     uint64_t AW = pop();
-    if (tagOf(AW) == Tag::Fixnum) {
-      int64_t V = fixnumValue(AW);
-      bool R;
-      switch (static_cast<PredCode>(SubCode)) {
-      case PredCode::Zerop:
-        R = V == 0;
-        break;
-      case PredCode::Oddp:
-        R = (V % 2) != 0;
-        break;
-      case PredCode::Evenp:
-        R = (V % 2) == 0;
-        break;
-      case PredCode::Plusp:
-        R = V > 0;
-        break;
-      default:
-        R = V < 0;
-        break;
-      }
-      TBool(R);
-      return true;
-    }
     auto A = DecodeNum(AW);
     if (!A)
       return TypeError();

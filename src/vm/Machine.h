@@ -14,7 +14,10 @@
 ///  * **Threaded** (default) — executes the pre-decoded internal form
 ///    (vm/Predecode.h): labels stripped, branch targets resolved, operand
 ///    modes fused into specialized handlers, dispatched by computed goto
-///    (GNU labels-as-values; the build requires GCC or Clang).
+///    (GNU labels-as-values; the build requires GCC or Clang). It runs
+///    legacy's boundary checks and charges the instruction count once
+///    per basic block, at the block's entry, and runs the fixnum fast
+///    paths of the generic arithmetic, compare and cons syscalls inline.
 ///  * **Native** — the x86-64 block compiler (vm/Jit.h) over the same
 ///    pre-decoded form. Its cold ops call the threaded engine's executor,
 ///    and a block that does not fit in the remaining fuel continues in the
@@ -185,8 +188,9 @@ public:
 
   /// GC schedule for the word heap: a mark-sweep collection is scheduled
   /// every \p N allocations (0 = never, the default) and runs at the next
-  /// instruction boundary — never mid-syscall, so both engines collect at
-  /// bit-identical points.
+  /// instruction boundary, which allocations and syscalls make a block
+  /// entry — never mid-syscall, so every engine collects at bit-identical
+  /// points.
   void setGcEvery(uint64_t N) { GcInterval = N; }
   /// Live-heap budget in bytes; exceeding it schedules a collection.
   void setGcBudget(uint64_t Bytes) { GcBudgetWords = Bytes / sizeof(uint64_t); }
@@ -240,6 +244,14 @@ private:
   // pc travel as arguments so both engines share one implementation.
   bool doSyscall(s1::Syscall S, int64_t SubCode, int64_t XImm, int HandlerPc,
                  std::string &Error);
+  /// The fixnum cases of the generic arithmetic (+, -, *, neg, abs, 1+,
+  /// 1-), compare and numeric-predicate syscalls, and Cons. Runs \p S and
+  /// returns true when it can; returns false, touching nothing, when an
+  /// operand word lies outside memory, a numeric operand is not a fixnum,
+  /// or the result leaves 32 bits, so every fault and trap comes from
+  /// doSyscall's general route. doSyscall tries it first, and the threaded loop calls
+  /// it inline before falling back to doSyscall.
+  bool fastSyscall(s1::Syscall S, int64_t SubCode);
   uint64_t pop();
   void push(uint64_t W);
   bool wordEql(uint64_t A, uint64_t B);

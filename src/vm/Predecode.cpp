@@ -233,6 +233,7 @@ XInsn decodeOne(const AsmFunction &F, const Instruction &I,
 
   case Opcode::JMPZ: {
     D.Target = ResolveLabel(I.X.Label);
+    D.TakenMask = takenMask(I.C);
     Shape SA = shapeOf(I.A), SB = shapeOf(I.B);
     if (SA == Shape::Reg && SB == Shape::Reg) {
       D.Op = XOp::JmpzRR;
@@ -309,7 +310,7 @@ XInsn decodeOne(const AsmFunction &F, const Instruction &I,
   return D;
 }
 
-/// Lowers one function: labels stripped, targets resolved, leaders marked.
+/// Lowers one function: labels stripped, targets resolved, blocks sized.
 std::unique_ptr<const DecodedFunction> decodeFunction(const AsmFunction &F) {
   auto DF = std::make_unique<DecodedFunction>();
   // Pass 1: map each original pc to the decoded index of the first real
@@ -330,13 +331,13 @@ std::unique_ptr<const DecodedFunction> decodeFunction(const AsmFunction &F) {
       DF->Code.push_back(decodeOne(F, F.Code[Pc], PcMap));
       DF->OrigPc.push_back(static_cast<int32_t>(Pc));
     }
-  // Pass 3: basic-block leaders. Branch/catch targets are already
-  // decoded indices, so this is a single linear sweep. Alloc ends a
-  // block because it can raise GcPending/Halted, which the threaded
-  // engine observes at the next instruction boundary — making the
-  // successor a leader keeps those checks at block entries only.
-  DF->Leaders.assign(DF->Code.size() + 1, 0);
-  DF->Leaders[0] = 1;
+  // Pass 3: basic blocks. Branch/catch targets are already decoded
+  // indices, so one forward sweep marks the leaders and one backward
+  // sweep counts each instruction's Run to the next leader. Alloc ends a
+  // block because it can raise GcPending, which the threaded loop and the
+  // native tier act on only at a block entry.
+  std::vector<uint8_t> Leader(DF->Code.size() + 1, 0);
+  Leader[0] = Leader[DF->Code.size()] = 1;
   for (size_t I = 0; I < DF->Code.size(); ++I) {
     const XInsn &D = DF->Code[I];
     switch (D.Op) {
@@ -347,8 +348,8 @@ std::unique_ptr<const DecodedFunction> decodeFunction(const AsmFunction &F) {
     case XOp::FJmpzG:
     case XOp::Syscall: // PushCatch resolves its handler label into Target
       if (D.Target >= 0)
-        DF->Leaders[static_cast<size_t>(D.Target)] = 1;
-      DF->Leaders[I + 1] = 1;
+        Leader[static_cast<size_t>(D.Target)] = 1;
+      Leader[I + 1] = 1;
       break;
     case XOp::Call:
     case XOp::CallPtr:
@@ -357,12 +358,14 @@ std::unique_ptr<const DecodedFunction> decodeFunction(const AsmFunction &F) {
     case XOp::Ret:
     case XOp::Halt:
     case XOp::Alloc:
-      DF->Leaders[I + 1] = 1;
+      Leader[I + 1] = 1;
       break;
     default:
       break;
     }
   }
+  for (size_t I = DF->Code.size(); I-- > 0;)
+    DF->Code[I].Run = Leader[I + 1] ? 1 : DF->Code[I + 1].Run + 1;
   return DF;
 }
 

@@ -12,6 +12,15 @@
 ///    including float immediates, are pre-folded into raw machine words;
 ///  * catch handler labels and call targets are resolved at decode time.
 ///
+/// Each decoded instruction also records its basic block: Run counts the
+/// instructions left in the block from it on. A block starts at function
+/// entry, at every branch or catch-handler target and after every control
+/// transfer or allocation, so every pc a host can enter from outside
+/// straight-line code (run() start pcs, return words, syscall
+/// continuations, catch handlers) starts one. The threaded loop runs its
+/// boundary checks and charges the block's instructions once at its entry;
+/// the native tier compiles each block behind one fit test.
+///
 /// Decoding is demand-driven, one function at a time. predecode() lowers
 /// nothing: every function starts as a one-instruction decode stub. The
 /// threaded loop lowers a function the first time control enters it (the
@@ -47,6 +56,7 @@
 #include "s1/Isa.h"
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -82,6 +92,26 @@ enum class XOp : uint8_t {
   Decode,
 };
 
+/// \p C as a mask over a comparison's sign: bit Sign+1 is set when the
+/// condition holds at Sign -1, 0 or +1.
+constexpr uint8_t takenMask(s1::Cond C) {
+  switch (C) {
+  case s1::Cond::EQ:
+    return 0b010;
+  case s1::Cond::NEQ:
+    return 0b101;
+  case s1::Cond::LT:
+    return 0b001;
+  case s1::Cond::GT:
+    return 0b100;
+  case s1::Cond::LE:
+    return 0b011;
+  case s1::Cond::GE:
+    return 0b110;
+  }
+  return 0;
+}
+
 /// A pre-decoded memory reference: base register + word displacement
 /// [+ index register << scale].
 struct XMem {
@@ -111,7 +141,14 @@ struct XInsn {
   s1::Cond C = s1::Cond::EQ;
   uint8_t A = 0;     ///< fused register field (dst)
   uint8_t B = 0;     ///< fused register field (src)
+  /// JMPZ: C as a mask over the comparison's sign, bit Sign+1 set when
+  /// the branch is taken at Sign -1, 0 or +1. The threaded JmpzRR and
+  /// JmpzRK handlers test it.
+  uint8_t TakenMask = 0;
   int32_t Target = -1; ///< decoded branch target / callee / catch handler
+  /// Instructions left in this one's basic block, itself included: the
+  /// block starting here ends at decoded index (this pc) + Run.
+  int32_t Run = 1;
   uint64_t K = 0;      ///< fused constant word
   int64_t S1 = 0;      ///< syscall selector; alloc tag
   int64_t S2 = 0;      ///< syscall B-immediate; alloc size; tail-call argc
@@ -120,23 +157,23 @@ struct XInsn {
   XArg GA, GB, GX;     ///< generic operands for cold handlers
 };
 
-/// One function in decoded form.
+// TakenMask and Run ride in the header's padding: K, and every field
+// after it, stays where it was.
+static_assert(offsetof(XInsn, K) == 16, "XInsn's header outgrew 16 bytes");
+
+/// One function in decoded form. Its blocks are read off Code: the first
+/// starts at 0 and each ends where the next starts, at L + Code[L].Run.
+/// Every branch or catch-handler target and the successor of every
+/// control transfer (branch, call, tail call, return, syscall, halt) or
+/// allocation starts a block, and so does Code.size(), the fall-off slot.
+/// Only allocations and syscalls raise GcPending, and both end their
+/// blocks, which is what lets the threaded loop and the native tier check
+/// it only at block entries.
 struct DecodedFunction {
   std::vector<XInsn> Code;
   /// Decoded index -> original instruction index, for trap messages that
   /// report pcs in assembly-listing units.
   std::vector<int32_t> OrigPc;
-  /// Basic-block leader flags, one per decoded instruction plus one for
-  /// the fall-off trailer slot. Leaders[I] is set when decoded index I
-  /// starts a basic block: function entry, branch or catch-handler
-  /// target, or the fall-through successor of any control transfer
-  /// (branch, call, tail call, return, syscall) or allocation. Every pc a
-  /// host can enter from outside straight-line code — run() start pcs,
-  /// return words, syscall continuations, catch handlers — is a leader by
-  /// construction, which is what lets the block-compiling native tier
-  /// batch safepoints inside a block. Computed once at decode time so the
-  /// compiler and any block-scoped analysis agree on boundaries.
-  std::vector<uint8_t> Leaders;
 };
 
 /// A whole program, decoded one function at a time on first use.

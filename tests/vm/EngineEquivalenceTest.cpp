@@ -144,11 +144,96 @@ TEST(EngineEquivalenceFixed, TrapsAgree) {
 }
 
 TEST(EngineEquivalenceFixed, FixnumOverflowTrapsAgree) {
-  // Exercises the JIT's inline fixnum fast paths right at their overflow
-  // exits (the 32-bit compiled-fixnum range check).
+  // Exercises the inline fixnum fast paths of the generic arithmetic,
+  // compare and predicate syscalls (the threaded loop's and the JIT's) at
+  // their exits: the 32-bit compiled-fixnum range check, every condition
+  // and predicate on each sign, and the fall-back to the general route
+  // for a flonum or a ratio operand.
   expectEquivalent("(defun ovf (n) (* n n))", "ovf", {Value::fixnum(70000)});
   expectEquivalent("(defun inc (n) (1+ n))", "inc",
                    {Value::fixnum(2147483647)});
+
+  constexpr int64_t Max = 2147483647, Min = -2147483648;
+  const std::string Overflow =
+      "fixnum overflow (compiled fixnums are 32-bit)";
+  sexpr::Heap H;
+  const Value Flonum = Value::flonum(2.5), Ratio = H.makeRatio(1, 3);
+  auto Fx = [](int64_t N) { return Value::fixnum(N); };
+  // Every engine agrees with legacy, and a value agrees with the
+  // interpreter's: legacy and threaded share the fast paths, so only the
+  // oracle can tell a wrong one.
+  auto Check = [](const std::string &Source, std::vector<Value> Args) {
+    SCOPED_TRACE(Source);
+    EngineRun L = expectEquivalent(Source, "f", Args);
+    if (L.Ok) {
+      ir::Module M;
+      DiagEngine Diags;
+      EXPECT_TRUE(frontend::convertSource(M, Source, Diags)) << Diags.str();
+      std::vector<interp::RtValue> RtArgs;
+      for (Value A : Args)
+        RtArgs.push_back(interp::RtValue::data(A));
+      interp::Interpreter I(M); // owns the heap Want's value lives in
+      auto Want = I.call("f", RtArgs);
+      EXPECT_TRUE(Want.Ok) << Want.Error;
+      EXPECT_EQ(L.Text, Want.Value.str());
+    }
+    return L.Text;
+  };
+  auto Overflows = [&](const std::string &Text) {
+    return Text.starts_with(Overflow);
+  };
+
+  // Binary arithmetic: at the edge, one step past it, and off fixnums.
+  const struct {
+    const char *Op;
+    int64_t A, B, Edge;
+    int64_t PastA;
+  } Binary[] = {{"+", Max - 1, 1, Max, Max},
+                {"-", Min + 1, 1, Min, Min},
+                {"*", 65536, 32767, 65536 * 32767, 65536}};
+  for (const auto &R : Binary) {
+    const std::string Source =
+        std::string("(defun f (a b) (") + R.Op + " a b))";
+    EXPECT_EQ(Check(Source, {Fx(R.A), Fx(R.B)}), std::to_string(R.Edge));
+    const int64_t PastB = R.Op == std::string("*") ? 32768 : 1;
+    EXPECT_TRUE(Overflows(Check(Source, {Fx(R.PastA), Fx(PastB)})));
+    Check(Source, {Flonum, Fx(3)});
+    Check(Source, {Fx(3), Ratio});
+  }
+
+  // Unary arithmetic: each one step past the edge, and off fixnums.
+  const struct {
+    const char *Op;
+    int64_t Past;
+  } Unary[] = {{"-", Min}, {"abs", Min}, {"1+", Max}, {"1-", Min}};
+  for (const auto &R : Unary) {
+    const std::string Source =
+        std::string("(defun f (a) (") + R.Op + " a))";
+    EXPECT_TRUE(Overflows(Check(Source, {Fx(R.Past)})));
+    EXPECT_FALSE(Overflows(Check(Source, {Fx(-7)})));
+    Check(Source, {Flonum});
+    Check(Source, {Ratio});
+  }
+
+  // Every comparison on each sign, and off fixnums.
+  for (const char *Op : {"=", "/=", "<", ">", "<=", ">="}) {
+    const std::string Source =
+        std::string("(defun f (a b) (") + Op + " a b))";
+    for (int64_t A : {-5, 0, 5})
+      for (int64_t B : {-5, 0, 5})
+        Check(Source, {Fx(A), Fx(B)});
+    Check(Source, {Flonum, Fx(2)});
+    Check(Source, {Fx(0), Ratio});
+  }
+
+  // Every predicate on each sign and parity, and off fixnums.
+  for (const char *Op : {"zerop", "oddp", "evenp", "plusp", "minusp"}) {
+    const std::string Source = std::string("(defun f (a) (") + Op + " a))";
+    for (int64_t A : {-3, -2, 0, 2, 3})
+      Check(Source, {Fx(A)});
+    Check(Source, {Flonum});
+    Check(Source, {Ratio});
+  }
 }
 
 TEST(EngineEquivalenceFixed, SignedZerosMatchTheInterpreter) {

@@ -389,6 +389,98 @@ TEST_F(MachineTest, ReturnIntoTheMiddleOfABlock) {
   EXPECT_EQ(L.ResultWord, 15u);
 }
 
+// A return word that names no function, or a pc past its function's end,
+// traps at the RET on every engine instead of indexing past a table. A pc
+// equal to the function's size still falls off the end.
+TEST_F(MachineTest, ReturnWordOutsideTheProgramTraps) {
+  const struct {
+    uint64_t Word;
+    const char *Want;
+  } Rows[] = {
+      {3, "bad return address [in f at pc 3]"}, // function -1
+      {uint64_t{1} << 32 | 1000, "bad return address [in f at pc 3]"},
+      {uint64_t{99} << 32, "bad return address [in f at pc 3]"}, // fn 98
+      {uint64_t{1} << 32 | 3, "pc out of range [in f at pc 3]"},
+  };
+  for (const auto &R : Rows) {
+    SCOPED_TRACE("return word " + std::to_string(R.Word));
+    AsmFunction F;
+    F.Name = "f";
+    emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(10));
+    emit(F, Opcode::PUSH, Operand::imm(static_cast<int64_t>(R.Word)));
+    emit(F, Opcode::RET);
+    EXPECT_EQ(expectAgreeOn(F).Text, R.Want);
+  }
+}
+
+// Traps raised by an instruction inside a basic block, with instructions
+// of the same block after it: every engine retires exactly the prefix up
+// to and including the trapping instruction, at every fuel value up to
+// one past the trap and with fuel to spare.
+TEST_F(MachineTest, TrapsInsideABlockRetireExactlyTheirPrefix) {
+  const struct {
+    const char *Name;
+    std::function<void(AsmFunction &)> Body;
+    uint64_t Retired; ///< instructions retired when the trap is raised
+    const char *Want;
+  } Rows[] = {
+      {"memory fault",
+       [](AsmFunction &F) {
+         emit(F, Opcode::MOV, Operand::reg(8), Operand::imm(0));
+         emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(1));
+         emit(F, Opcode::MOV, Operand::reg(9), Operand::imm(2));
+         emit(F, Opcode::MOV, Operand::reg(RV),
+              Operand::mem(8, static_cast<int64_t>(MemoryWords + 5)));
+       },
+       4,
+       "machine halted unexpectedly (memory fault or heap full) "
+       "[in f at pc 4]"},
+      {"stack overflow",
+       [](AsmFunction &F) {
+         emit(F, Opcode::MOV, Operand::reg(9), Operand::imm(1));
+         emit(F, Opcode::MOV, Operand::reg(SP),
+              Operand::imm(static_cast<int64_t>(StackBase + StackWords - 2)));
+         emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(2));
+         emit(F, Opcode::PUSH, Operand::reg(9));
+         emit(F, Opcode::PUSH, Operand::reg(9));
+       },
+       5, "stack overflow [in f at pc 5]"},
+      {"division by zero",
+       [](AsmFunction &F) {
+         emit(F, Opcode::MOV, Operand::reg(8), Operand::imm(0));
+         emit(F, Opcode::MOV, Operand::reg(9), Operand::imm(7));
+         emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(1));
+         emit(F, Opcode::ADD, Operand::reg(RV), Operand::imm(2));
+         emit(F, Opcode::DIV, Operand::reg(9), Operand::reg(8));
+       },
+       5, "division by zero [in f at pc 5]"},
+  };
+  for (const auto &R : Rows) {
+    AsmFunction F;
+    F.Name = "f";
+    R.Body(F);
+    // The rest of the block, which the trap leaves unexecuted.
+    emit(F, Opcode::MOV, Operand::reg(RV), Operand::imm(3));
+    emit(F, Opcode::ADD, Operand::reg(RV), Operand::imm(4));
+    emit(F, Opcode::RET);
+    std::vector<uint64_t> Fuels;
+    for (uint64_t Fuel = 1; Fuel <= R.Retired + 1; ++Fuel)
+      Fuels.push_back(Fuel);
+    Fuels.push_back(RunConfig().Fuel);
+    for (uint64_t Fuel : Fuels) {
+      SCOPED_TRACE(std::string(R.Name) + ", fuel " + std::to_string(Fuel));
+      EngineRun L = expectAgreeOn(F, {.Fuel = Fuel});
+      if (Fuel < R.Retired) {
+        EXPECT_EQ(L.Text, "instruction fuel exhausted [in f at pc " +
+                              std::to_string(Fuel) + "]");
+      } else {
+        EXPECT_EQ(L.Text, R.Want);
+        EXPECT_EQ(L.Stats.Instructions, R.Retired);
+      }
+    }
+  }
+}
+
 TEST_F(MachineGcTest, InteriorPointerKeepsBlockAlive) {
   forEachEngine(
       [](AsmFunction &F) {
