@@ -49,8 +49,6 @@ uint64_t driver::optionsFingerprint(const CompilerOptions &O) {
   B(O.Opt.RedundantTest);
   B(O.Opt.MachineTrig);
   B(O.Opt.DeadCode);
-  U(O.Opt.DuplicationLimit);
-  U(O.Opt.MaxPasses);
   B(O.Opt.FaultConstantFold);
   U(O.CseOpts.MinComplexity);
   U(O.CseOpts.MaxRounds);
@@ -70,17 +68,16 @@ using FuncIndexMap = std::unordered_map<std::string, int>;
 
 /// What the memo key needs from \p F's converted tree.
 FrontEntry frontEntryOf(const ir::Function &F) {
-  return {ir::stableFunctionHash(F), F.name(), ir::referencedGlobalNames(F),
-          {}};
+  return {F.name(), ir::referencedGlobalNames(F), {}};
 }
 
-/// The memo key for the function \p E describes under \p OptsFp: content
-/// hash + name + options + the module-index resolution of every global
-/// name the unit's code could bake into an immediate.
-uint64_t memoKey(const FrontEntry &E, uint64_t OptsFp,
+/// The memo key for the defun with front key \p FrontKey, which \p E
+/// describes, under \p OptsFp: front key + options + the module-index
+/// resolution of every global name the unit's code could bake into an
+/// immediate.
+uint64_t memoKey(uint64_t FrontKey, const FrontEntry &E, uint64_t OptsFp,
                  const FuncIndexMap &FuncIndex) {
-  uint64_t K = ir::hashString(E.IrHash, E.Name);
-  K = ir::hashCombine(K, OptsFp);
+  uint64_t K = ir::hashCombine(FrontKey, OptsFp);
   for (const std::string &Name : E.Globals) {
     K = ir::hashString(K, Name);
     auto It = FuncIndex.find(Name);
@@ -333,8 +330,8 @@ CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
       }
       Slot S;
       if (F.Front) {
-        probe(S, memoKey(*F.Front, OptsFp, FuncIndex), *Memo, WantRemarks,
-              Out);
+        probe(S, memoKey(F.FrontKey, *F.Front, OptsFp, FuncIndex), *Memo,
+              WantRemarks, Out);
         if (S.Hit) {
           // Replay what converting the form would have recorded.
           stats::applyTallyDeltas(F.Front->Tally);
@@ -356,7 +353,8 @@ CompileOutcome driver::compileSource(ir::Module &M, std::string_view Source,
           continue;
         auto Entry = std::make_shared<FrontEntry>(frontEntryOf(*S.F));
         Entry->Tally = std::move(Deltas);
-        probe(S, memoKey(*Entry, OptsFp, FuncIndex), *Memo, WantRemarks, Out);
+        probe(S, memoKey(F.FrontKey, *Entry, OptsFp, FuncIndex), *Memo,
+              WantRemarks, Out);
         // A hit must leave Diags as converting would, so a form that
         // reported anything (a warning included) is not remembered.
         if (Diags.diagnostics().size() == DiagsBefore)

@@ -68,13 +68,13 @@ struct MemoizedFunction {
   size_t byteSize() const;
 };
 
-/// What a function's memo key needs from its converted tree, plus the
-/// counter deltas converting the defun recorded. The front cache keys it
-/// by the defun's source text, so a form sent before reaches its memo key
-/// with no reading, no conversion and no IR hashing, and replays the
-/// deltas instead.
+/// What the driver needs from a defun's converted tree: the function's
+/// name for the module's function index, the global names its memo key
+/// resolves, and the counter deltas converting the defun recorded. The
+/// front cache keys it by the defun's front key, so a form sent before
+/// reaches its memo key with no reading and no conversion, and replays
+/// the deltas instead.
 struct FrontEntry {
-  uint64_t IrHash = 0; ///< ir::stableFunctionHash of the converted tree
   std::string Name;
   std::vector<std::string> Globals; ///< ir::referencedGlobalNames
   std::vector<stats::TallyDelta> Tally;
@@ -83,22 +83,28 @@ struct FrontEntry {
 };
 
 /// A per-function compilation memo the driver probes before running the
-/// middle end. Keys are content addresses: alpha-normalized IR hash mixed
-/// with the function name, the options fingerprint, and the module-index
-/// resolution of every global name the unit could reference (units bake
-/// call indices into immediates, so reuse is only sound where those
-/// resolutions agree). Implementations must be safe to call from
-/// concurrent compiles; entries are shared_ptr so eviction never frees a
-/// unit mid-link.
+/// middle end, and the front cache in front of it (lookupFront/
+/// insertFront).
 ///
-/// In front of it sits the front cache (lookupFront/insertFront): keys
-/// are ir::hashString of a top-level form's source text mixed with the
-/// names of the specials proclaimed before it, in a domain of their own.
-/// Every top-level form is looked up, proclamations included, before it
-/// is read; only defuns are stored. It has to be a second level: the memo
-/// key fixes how every referenced global resolves, and those names are
-/// known only after conversion. A memo without a front cache keeps the
-/// defaults, and every form is read and converted.
+/// A top-level form's front key is ir::hashString of its source text
+/// mixed with the names of the specials proclaimed before it, the only
+/// other input conversion reads. Every top-level form is looked up in the
+/// front cache, proclamations included, before it is read; only defuns
+/// are stored.
+///
+/// A function's memo key is its defun's front key mixed with the options
+/// fingerprint and the module-index resolution of every global name the
+/// unit could reference (units bake call indices into immediates, so
+/// reuse is only sound where those resolutions agree). Those names are
+/// known only after conversion, so the front cache is a level of its own
+/// and its entry carries them. Since a hit needs the same text, it
+/// answers as a fresh compile does, spellings of locals in listings and
+/// remarks included; a renamed local or an edit inside a form recompiles
+/// that function.
+///
+/// Implementations must be safe to call from concurrent compiles; entries
+/// are shared_ptr so eviction never frees a unit mid-link. A memo without
+/// a front cache keeps the defaults, and every form is read and converted.
 class FunctionMemo {
 public:
   virtual ~FunctionMemo() = default;

@@ -1,18 +1,12 @@
-//===- ir/StableHash.h - Alpha-normalized structural hashing ----*- C++ -*-===//
+//===- ir/StableHash.h - Deterministic hashes for cache keys ----*- C++ -*-===//
 ///
 /// \file
-/// A content hash over a Function's internal tree that is invariant under
-/// alpha-renaming of lexically scoped variables and prog tags: variables
-/// hash as sequence numbers assigned in traversal order, not as names.
-/// Everything with observable semantics does land in the hash — literal
-/// data (by printed form), call names, special-variable and free-variable
-/// names (dynamic scoping binds by symbol), lambda-list shape, caseq keys,
-/// and go/return targets by position.
-///
-/// The hash is the content-address half of the compile service's
-/// per-function compilation cache key: two conversions of the same (or
-/// alpha-renamed) source hash equal, so a warm s1lispd skips the middle
-/// end for them; any semantic change reaches the hash and misses.
+/// What the compile service's cache keys are built from (see
+/// driver::FunctionMemo): a 64-bit mixing step, a string hash that a
+/// front key takes of a top-level form's source text, and the global
+/// names a converted function's code could resolve against the module's
+/// function index. The hashes are the same on every host and in every
+/// run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,10 +30,6 @@ uint64_t hashCombine(uint64_t Seed, uint64_t V);
 /// one string hash: names in memo keys, and the source text of a
 /// top-level form in its front key (driver::FunctionMemo).
 uint64_t hashString(uint64_t Seed, std::string_view S);
-
-/// Alpha-normalized structural hash of \p F's tree (the function's own
-/// name is NOT included; callers that key caches mix it in themselves).
-uint64_t stableFunctionHash(const Function &F);
 
 /// Every global name the compiled code of \p F could resolve against the
 /// module's function index: call-site names and literal symbols (which

@@ -26,6 +26,12 @@ S1_STAT(NumFunctions, "opt.metaeval.functions", "functions meta-evaluated");
 
 namespace {
 
+/// Complexity cap for substituting one pure expression into several
+/// reference sites (the paper's conservative duplication heuristics).
+constexpr unsigned DuplicationLimit = 4;
+/// Passes run before the optimizer gives up on reaching a fixpoint.
+constexpr unsigned MaxPasses = 100;
+
 /// A let-like call suitable for the beta rules: a manifest lambda with only
 /// required parameters and a matching argument count.
 bool isSimpleLet(const CallNode *C) {
@@ -116,7 +122,7 @@ public:
 
   unsigned run() {
     unsigned Total = 0;
-    for (unsigned Pass = 0; Pass < Opts.MaxPasses; ++Pass) {
+    for (unsigned Pass = 0; Pass < MaxPasses; ++Pass) {
       ++NumPasses;
       Changed = false;
       // Rebuild the referent lists once per pass; within the pass the IR
@@ -356,7 +362,7 @@ private:
         CanSubstitute = true;
       } else if (ArgFx.pure() &&
                  (Refs.size() == 1 ||
-                  analysis::complexityOf(Arg) <= Opts.DuplicationLimit)) {
+                  analysis::complexityOf(Arg) <= DuplicationLimit)) {
         CanSubstitute = true;
       } else if (Refs.size() == 1 && isFirstEvaluated(L->Body, Refs[0])) {
         // Side-effecting argument with a single reference that is the first

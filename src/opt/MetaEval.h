@@ -36,10 +36,6 @@ struct OptOptions {
   bool RedundantTest = true; ///< (if p (if p x y) z) => (if p x z)
   bool MachineTrig = true;   ///< sin$f => sinc$f (S-1 SIN takes cycles)
   bool DeadCode = true;      ///< constant if/caseq pruning, progn cleanup
-  /// Complexity cap for substituting one pure expression into several
-  /// reference sites (the paper's conservative duplication heuristics).
-  unsigned DuplicationLimit = 4;
-  unsigned MaxPasses = 100;
   /// Test-only fault injection: folded constant fixnum additions come out
   /// off by one. Exists so the differential fuzzer's delta-debugging
   /// reducer has a real, deterministic miscompile to find and shrink;
@@ -47,7 +43,7 @@ struct OptOptions {
   bool FaultConstantFold = false;
 };
 
-/// Runs the source-level optimizer to a fixpoint (bounded by MaxPasses).
+/// Runs the source-level optimizer to a fixpoint (at most 100 passes).
 /// Returns the number of rewrites applied. The tree is left analyzed,
 /// verified, and back-translatable. When \p Remarks is given, every
 /// rewrite is recorded as a structured stats::Remark (rendered in the

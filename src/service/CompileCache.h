@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The compile service's content-addressed compilation cache: a
-/// thread-safe LRU map from driver memo keys (alpha-normalized IR hash ×
+/// thread-safe LRU map from driver memo keys (a defun's front key ×
 /// options fingerprint × callee-index signature, see driver::FunctionMemo)
 /// to memoized per-function compiles, bounded by a byte budget. A hit
 /// hands back the shared relocatable unit plus the counter deltas, and

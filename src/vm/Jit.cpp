@@ -1122,15 +1122,18 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
         A.cmpRI(RCX, static_cast<int32_t>(Tag::Function));
         jccStubC(CC_NE, JitStatus::NotFunc, Next, C, Idx);
         A.movRR32(RDX, RAX); // addrOf(Fn)
-        // Regs[1] = mem(addr + 1): the closure environment.
         A.lea(RCX, RDX, -1, 0, 1);
         checkAddrC(RCX, Next, C, Idx);
+        // Callee function index from the function cell (addr < MW is
+        // implied by addr+1 < MW — addrOf is 32-bit, no wrap). The whole
+        // word must name a function, so it is compared before anything
+        // changes.
+        A.loadQ(R11, R12, RDX, 3, 0);
+        A.cmpRI(R11, static_cast<int32_t>(NF));
+        jccStubC(CC_AE, JitStatus::NotFunc, Next, C, Idx);
+        // Regs[1] = mem(addr + 1): the closure environment.
         A.loadQ(RSI, R12, RCX, 3, 0);
         A.storeQ(RSI, RBX, -1, 0, 1 * 8);
-        // Callee function index from the function cell (addr < MW is
-        // implied by addr+1 < MW — addrOf is 32-bit, no wrap).
-        A.loadQ(R11, R12, RDX, 3, 0);
-        A.movRR32(R11, R11);
         if (!IsTail) {
           // push(makeRetWord(F, Next)) — no +4 headroom check, exactly
           // like the threaded CALLPTR handler.

@@ -884,7 +884,9 @@ bool Machine::step(std::string &Error) {
   case Opcode::CALLPTR: {
     ++Stats.Calls;
     uint64_t Fn = read(I.A);
-    if (tagOf(Fn) != Tag::Function)
+    // The cell's whole first word must name a function of the program.
+    if (tagOf(Fn) != Tag::Function ||
+        mem(addrOf(Fn)) >= P.Functions.size())
       return trap(Error, rtErrorMessage(RtError::NotAFunction));
     Regs[1] = mem(addrOf(Fn) + 1); // closure environment for the prologue
     push(makeRetWord(CurFunc, Pc));
@@ -904,7 +906,8 @@ bool Machine::step(std::string &Error) {
     } else {
       K = static_cast<uint64_t>(I.B.Imm);
       uint64_t Fn = read(I.A);
-      if (tagOf(Fn) != Tag::Function)
+      if (tagOf(Fn) != Tag::Function ||
+          mem(addrOf(Fn)) >= P.Functions.size())
         return trap(Error, rtErrorMessage(RtError::NotAFunction));
       Regs[1] = mem(addrOf(Fn) + 1);
       Target = static_cast<int>(mem(addrOf(Fn)));
@@ -1538,7 +1541,7 @@ bool Machine::runThreaded(std::string &Error) {
     H_CallPtr: {
       ++Stats.Calls;
       uint64_t Fn = xread(I->GA);
-      if (tagOf(Fn) != Tag::Function) {
+      if (tagOf(Fn) != Tag::Function || mem(addrOf(Fn)) >= DP.size()) {
         Pc = LPc;
         return trap(Error, rtErrorMessage(RtError::NotAFunction));
       }
@@ -1563,7 +1566,7 @@ bool Machine::runThreaded(std::string &Error) {
     H_TailCallPtr: {
       ++Stats.TailCalls;
       uint64_t Fn = xread(I->GA);
-      if (tagOf(Fn) != Tag::Function) {
+      if (tagOf(Fn) != Tag::Function || mem(addrOf(Fn)) >= DP.size()) {
         Pc = LPc;
         return trap(Error, rtErrorMessage(RtError::NotAFunction));
       }

@@ -7,9 +7,9 @@
 // from the shared module heap) compiles repeatedly at jobs 1/2/4/8 and
 // must produce identical programs, listings, symbol address assignments,
 // remark transcripts, and counter totals every time. A second suite
-// checks that none of this perturbs ir/StableHash content addresses: a
-// memo populated by a parallel compile must serve a 100% hit rate to a
-// serial recompile of the same source, and vice versa.
+// checks that none of this perturbs the memo's keys: a memo populated by
+// a parallel compile must serve a 100% hit rate to a serial recompile of
+// the same source, and vice versa.
 //
 //===----------------------------------------------------------------------===//
 
@@ -166,8 +166,8 @@ TEST(ParallelDeterminism, ShardedInterningKeepsMemoHitRate) {
   EXPECT_EQ(First.MemoHits, 0u);
 
   // A serial recompile into a fresh module (fresh symbol pointers, fresh
-  // heap) must hit on every function: ir/StableHash content addresses
-  // depend only on names and structure, never on shard or schedule.
+  // heap) must hit on every function: memo keys depend only on source
+  // text, options and names, never on shard or schedule.
   ir::Module Cold;
   Opts.Jobs = 1;
   driver::CompileOutcome Second =

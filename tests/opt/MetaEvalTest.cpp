@@ -84,10 +84,8 @@ TEST_F(MetaEvalTest, PureSmallDuplicates) {
 }
 
 TEST_F(MetaEvalTest, LargePureExprNotDuplicated) {
-  OptOptions Opts;
-  Opts.DuplicationLimit = 3;
   std::string Out = optimizeExpr(
-      "((lambda (s) (f s s)) (+ (* x x) (* y y) (* z z) (* x y)))", Opts);
+      "((lambda (s) (f s s)) (+ (* x x) (* y y) (* z z) (* x y)))");
   EXPECT_NE(Out.find("lambda"), std::string::npos) << Out;
 }
 

@@ -1,13 +1,14 @@
 //===- tests/service/CompileCacheTest.cpp ---------------------------------===//
 //
-// The content-addressed compilation cache's contract: alpha-renamed
-// sources hit (the memo key hashes structure, not spellings), semantic
-// changes and callee-index shifts miss, every ablation configuration owns
-// a distinct options fingerprint (and Jobs none at all), LRU eviction
-// honors the byte budget, and — the load-bearing property — a warm cache
-// links programs bit-identical to a fresh compile, counters and remarks
-// included. Remarks are stored only by compiles that ask for them; a
-// remarks compile upgrades a hit stored without them.
+// The content-addressed compilation cache's contract: a unit is keyed by
+// its defun's source text, so renamed locals and semantic changes miss
+// and answer as a fresh compile does, callee-index shifts miss, every
+// ablation configuration owns a distinct options fingerprint (and Jobs
+// none at all), LRU eviction honors the byte budget, and — the
+// load-bearing property — a warm cache links programs bit-identical to a
+// fresh compile, counters and remarks included. Remarks are stored only
+// by compiles that ask for them; a remarks compile upgrades a hit stored
+// without them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,8 @@
 #include "driver/Compiler.h"
 #include "fuzz/Generator.h"
 #include "stats/Stats.h"
+
+#include "harness/RenamedTwin.h"
 
 #include "gtest/gtest.h"
 
@@ -90,29 +93,35 @@ std::shared_ptr<driver::MemoizedFunction> entryOfWords(size_t Words) {
   return MF;
 }
 
-TEST(CompileCache, AlphaRenamedSourceHits) {
-  const std::string A = "(defun add3 (x y z) (+ x (+ y z)))\n"
-                        "(defun fut (n) (add3 n n n))\n";
-  // Same functions with every local consistently renamed.
-  const std::string B = "(defun add3 (u v w) (+ u (+ v w)))\n"
-                        "(defun fut (m) (add3 m m m))\n";
+// A unit is keyed by its defun's text, so a module compiled after its
+// renamed twin reuses none of the twin's units and spells its own locals,
+// in the listing and in the remarks, as a compile with no cache does.
+TEST(CompileCache, RenamedSourceAnswersAsFresh) {
+  ir::Module MFresh, MTwin;
+  stats::RemarkStream FreshRemarks;
+  driver::CompileOutcome Fresh =
+      compileWith(MFresh, twin::Module, nullptr, &FreshRemarks);
+  ASSERT_TRUE(Fresh.Ok) << Fresh.Error;
+  driver::CompileOutcome Twin = compileWith(MTwin, twin::Renamed, nullptr);
+  ASSERT_TRUE(Twin.Ok) << Twin.Error;
+  ASSERT_NE(driver::listing(Fresh.Program).find("counter#0"),
+            std::string::npos);
+  ASSERT_NE(driver::listing(Fresh.Program), driver::listing(Twin.Program));
 
   CompileCache Cache;
-  ir::Module MA, MB;
-  driver::CompileOutcome RA = compileWith(MA, A, &Cache);
-  ASSERT_TRUE(RA.Ok) << RA.Error;
-  EXPECT_EQ(RA.MemoHits, 0u);
-  EXPECT_EQ(RA.MemoMisses, 2u);
+  ir::Module MTwinCached, MCached;
+  stats::RemarkStream TwinRemarks, Remarks;
+  ASSERT_TRUE(
+      compileWith(MTwinCached, twin::Renamed, &Cache, &TwinRemarks).Ok);
+  driver::CompileOutcome R =
+      compileWith(MCached, twin::Module, &Cache, &Remarks);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.MemoHits, 0u);
+  EXPECT_EQ(R.MemoMisses, 2u);
+  EXPECT_EQ(driver::listing(R.Program), driver::listing(Fresh.Program));
+  EXPECT_EQ(Remarks.Remarks, FreshRemarks.Remarks);
 
-  driver::CompileOutcome RB = compileWith(MB, B, &Cache);
-  ASSERT_TRUE(RB.Ok) << RB.Error;
-  EXPECT_EQ(RB.MemoHits, 2u);
-  EXPECT_EQ(RB.MemoMisses, 0u);
-
-  // The renamed module linked the cached units: programs match.
-  EXPECT_EQ(driver::listing(RA.Program), driver::listing(RB.Program));
-
-  // Prog tags normalize by position: renamed tags hit.
+  // Renamed prog tags miss too.
   ir::Module MC, MD;
   driver::CompileOutcome RC = compileWith(
       MC,
@@ -127,8 +136,8 @@ TEST(CompileCache, AlphaRenamedSourceHits) {
       " middle (when (< i n) (go start)) (return i)))\n",
       &Cache);
   ASSERT_TRUE(RD.Ok) << RD.Error;
-  EXPECT_EQ(RD.MemoHits, 1u);
-  EXPECT_EQ(RD.MemoMisses, 0u);
+  EXPECT_EQ(RD.MemoHits, 0u);
+  EXPECT_EQ(RD.MemoMisses, 1u);
 }
 
 TEST(CompileCache, SemanticChangeMisses) {

@@ -14,6 +14,7 @@
 #include "fuzz/Generator.h"
 
 #include "harness/DeepStack.h"
+#include "harness/RenamedTwin.h"
 
 #include "gtest/gtest.h"
 
@@ -297,8 +298,8 @@ void expectSameAsFresh(const Message &Req, const Message &Resp,
                        const std::string &What) {
   Server Fresh({});
   Message Want = Fresh.handle(Req);
-  for (const char *Key :
-       {"ok", "error", "value", "run-error", "listing", "stats"})
+  for (const char *Key : {"ok", "error", "value", "run-error", "listing",
+                          "transcript", "remarks", "stats"})
     EXPECT_EQ(Resp.getOr(Key), Want.getOr(Key))
         << What << ": field '" << Key << "'";
 }
@@ -501,8 +502,8 @@ TEST(Server, WarmLibraryRequestDecodesOnlyTheFunctionsItEnters) {
 }
 
 // The front key is the form's text: a whitespace-only edit of one library
-// defun misses the front cache for that form alone, and its conversion
-// still hits the memo, like every other library function.
+// defun misses the front cache and the memo for that form alone, and
+// every other library function hits both.
 TEST(Server, WhitespaceEditMissesTheFrontForThatFormOnly) {
   const Library L;
   std::string Edited = L.Lib.Source;
@@ -522,9 +523,26 @@ TEST(Server, WhitespaceEditMissesTheFrontForThatFormOnly) {
   ASSERT_EQ(Resp.getOr("ok"), "1") << Resp.getOr("error");
   EXPECT_EQ(Srv.cache().frontHits() - Hits, 59u);
   EXPECT_EQ(Srv.cache().frontMisses() - Misses, 2u);
-  EXPECT_EQ(Resp.getOr("memo-hits"), "60");
-  EXPECT_EQ(Resp.getOr("memo-misses"), "1");
+  EXPECT_EQ(Resp.getOr("memo-hits"), "59");
+  EXPECT_EQ(Resp.getOr("memo-misses"), "2");
   expectSameAsFresh(Req, Resp, "whitespace edit");
+}
+
+// A module and then its twin with every local renamed: the twin reuses
+// none of the module's units, so its listing, transcript and remarks
+// spell its own locals, as a fresh server's do.
+TEST(Server, RenamedLocalsAnswerAsFresh) {
+  Server Srv({});
+  for (const char *Source : {twin::Module, twin::Renamed}) {
+    Message Req = fullReq(Source);
+    Req.set("transcript", "1");
+    Req.set("remarks", "1");
+    Message Resp = Srv.handle(Req);
+    ASSERT_EQ(Resp.getOr("ok"), "1") << Resp.getOr("error");
+    EXPECT_EQ(Resp.getOr("value"), "42");
+    EXPECT_EQ(Resp.getOr("memo-hits"), "0");
+    expectSameAsFresh(Req, Resp, Source);
+  }
 }
 
 // f is a front hit and a memo miss, so it converts after the span pass has

@@ -10,6 +10,8 @@
 #include "service/Client.h"
 #include "service/Protocol.h"
 
+#include "harness/RenamedTwin.h"
+
 #include "gtest/gtest.h"
 
 #include <csignal>
@@ -130,12 +132,15 @@ TEST_F(ServiceEndToEnd, CompileErrorsTravelBack) {
   EXPECT_EQ(Resp.getOr("ok"), "1");
 }
 
-/// Runs s1lispc on examples/exptl.lisp with \p Args and returns its
-/// stdout and stderr together; fails the test on a nonzero exit.
-std::string runS1lispc(const std::string &Args) {
+/// Runs s1lispc on \p Input (examples/exptl.lisp by default) with \p Args
+/// and returns its stdout and stderr together; fails the test on a
+/// nonzero exit.
+std::string runS1lispc(const std::string &Args,
+                       const std::string &Input = std::string(
+                           S1LISP_EXAMPLES_DIR) + "/exptl.lisp") {
   std::string Out = "/tmp/s1lispc-server-test-" + std::to_string(getpid());
-  std::string Cmd = std::string(S1LISPC_PATH) + " " + S1LISP_EXAMPLES_DIR +
-                    "/exptl.lisp " + Args + " > " + Out + " 2>&1";
+  std::string Cmd = std::string(S1LISPC_PATH) + " " + Input + " " + Args +
+                    " > " + Out + " 2>&1";
   int Rc = std::system(Cmd.c_str());
   EXPECT_TRUE(WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0) << "rc=" << Rc;
 
@@ -154,6 +159,29 @@ std::string runS1lispc(const std::string &Args) {
 TEST_F(ServiceEndToEnd, S1lispcServerPassthrough) {
   std::string Text = runS1lispc("--run --server=" + Socket);
   EXPECT_NE(Text.find("=> 1024"), std::string::npos) << Text;
+}
+
+// The daemon answers a module's renamed twin as a local compile of the
+// twin does, byte for byte, though it has compiled the module before.
+TEST_F(ServiceEndToEnd, S1lispcRenamedTwinMatchesTheLocalCompile) {
+  auto Write = [](const std::string &Path, const char *Text) {
+    FILE *F = fopen(Path.c_str(), "w");
+    ASSERT_NE(F, nullptr) << Path;
+    fputs(Text, F);
+    fclose(F);
+  };
+  const std::string Stem = "/tmp/s1lispc-twin-" + std::to_string(getpid());
+  const std::string Module = Stem + "-module.lisp";
+  const std::string Twin = Stem + "-twin.lisp";
+  Write(Module, twin::Module);
+  Write(Twin, twin::Renamed);
+  const std::string Args = "--run=fut --listing --transcript";
+  const std::string Local = runS1lispc(Args, Twin);
+  EXPECT_NE(Local.find("=> 42"), std::string::npos) << Local;
+  runS1lispc(Args + " --server=" + Socket, Module);
+  EXPECT_EQ(runS1lispc(Args + " --server=" + Socket, Twin), Local);
+  unlink(Module.c_str());
+  unlink(Twin.c_str());
 }
 
 TEST_F(ServiceEndToEnd, S1lispcStatsMatchTheLocalCompile) {

@@ -413,6 +413,33 @@ TEST_F(MachineTest, ReturnWordOutsideTheProgramTraps) {
   }
 }
 
+// A Function word whose cell names no function of the program is not a
+// function: CALLPTR and TAILCALLPTR trap at the call, before they push
+// or transfer, on every engine. The whole word is the index, so 1<<32
+// does not name function 0.
+TEST_F(MachineTest, CallThroughAFunctionWordNamingNoFunctionTraps) {
+  for (Opcode Op : {Opcode::CALLPTR, Opcode::TAILCALLPTR})
+    for (uint64_t Word : {uint64_t{1}, uint64_t{98}, uint64_t{0xFFFFFFFF},
+                          uint64_t{1} << 32}) {
+      SCOPED_TRACE(std::string(Op == Opcode::CALLPTR ? "CALLPTR"
+                                                     : "TAILCALLPTR") +
+                   " through word " + std::to_string(Word));
+      AsmFunction F;
+      F.Name = "f";
+      emit(F, Opcode::PUSH, Operand::reg(FP));
+      emit(F, Opcode::MOV, Operand::reg(FP), Operand::reg(SP));
+      alloc(F, 8, Tag::Function, 2);
+      emit(F, Opcode::MOV, Operand::mem(8, 0),
+           Operand::imm(static_cast<int64_t>(Word)));
+      if (Op == Opcode::CALLPTR)
+        emit(F, Op, Operand::reg(8));
+      else
+        emit(F, Op, Operand::reg(8), Operand::imm(0));
+      EngineRun L = expectAgreeOn(F);
+      EXPECT_EQ(L.Text, "attempt to call a non-function [in f at pc 5]");
+    }
+}
+
 // Traps raised by an instruction inside a basic block, with instructions
 // of the same block after it: every engine retires exactly the prefix up
 // to and including the trapping instruction, at every fuel value up to

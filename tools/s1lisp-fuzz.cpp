@@ -74,9 +74,9 @@ const char *UsageText =
     "                      identical (value, output, listing, stats and\n"
     "                      remarks), and both must agree with the local\n"
     "                      interpreter reference by the usual tolerances.\n"
-    "                      Every second grid row also asks for remarks,\n"
-    "                      whose rule sequence must match an in-process\n"
-    "                      compile with no cache.\n"
+    "                      Every second grid row also asks for remarks;\n"
+    "                      its remarks and listing must match an\n"
+    "                      in-process compile with no cache.\n"
     "                      (--reduce/--fault/--stats don't apply here.)\n"
     "\n"
     "Reduction:\n"
@@ -227,25 +227,20 @@ std::string responseKey(const service::Message &M) {
   return K;
 }
 
-/// True when the remarks JSON \p Json has the (phase, rule, function)
-/// sequence of an in-process compile of \p Source under \p Opts with no
-/// memo. The before/after text is left out: an alpha-equivalent cache hit
-/// replays the spelling of the locals the function had when it was stored.
-bool matchesUncachedRemarks(const std::string &Json, const std::string &Source,
+/// True when the response \p R carries the whole remark stream and the
+/// listing of an in-process compile of \p Source under \p Opts with no
+/// memo.
+bool matchesUncachedCompile(const service::Message &R,
+                            const std::string &Source,
                             const driver::CompilerOptions &Opts) {
   std::vector<stats::Remark> Got;
   ir::Module M;
   stats::RemarkStream Want;
-  if (!stats::parseRemarksJson(Json, Got) ||
-      !driver::compileSource(M, Source, Opts, &Want).Ok ||
-      Got.size() != Want.Remarks.size())
+  if (!stats::parseRemarksJson(R.getOr("remarks"), Got))
     return false;
-  for (size_t I = 0; I < Got.size(); ++I) {
-    const stats::Remark &G = Got[I], &W = Want.Remarks[I];
-    if (G.Phase != W.Phase || G.Rule != W.Rule || G.Function != W.Function)
-      return false;
-  }
-  return true;
+  driver::CompileOutcome Out = driver::compileSource(M, Source, Opts, &Want);
+  return Out.Ok && Got == Want.Remarks &&
+         R.getOr("listing") == driver::listing(Out.Program);
 }
 
 /// Fuzzes a running daemon: every grid point becomes a zero-argument
@@ -317,10 +312,10 @@ int runServerMode(const CliOptions &Cli,
                   Seed, Cfg.Name.c_str());
         }
         if (WantRemarks && R1.getOr("ok") == "1" &&
-            !matchesUncachedRemarks(R1.getOr("remarks"), Wrapped, Cfg.Opts)) {
+            !matchesUncachedCompile(R1, Wrapped, Cfg.Opts)) {
           ++CacheMismatch;
           fprintf(stderr,
-                  "seed %u: remark sequence differs from an uncached "
+                  "seed %u: remarks or listing differ from an uncached "
                   "compile against %s\n",
                   Seed, Cfg.Name.c_str());
         }
